@@ -7,8 +7,8 @@ two service-layer speed claims on the Table IV scenario (~1200 flaps):
 * **batch throughput vs worker count** — `parallel_diagnose` must
   return byte-identical diagnoses at every worker count; with >= 2 CPUs
   available, 4 workers must deliver >= 2x the serial throughput (on a
-  single-CPU runner the parallel numbers are recorded but not gated —
-  no backend can beat the GIL or physics there);
+  single-CPU runner the helper runs serially, so the numbers are
+  recorded but not gated);
 * **cached repeat** — re-running a whole window through the
   :class:`RcaService` must be served from the result cache: zero new
   engine diagnoses and far less wall-clock than the first pass.
@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from repro.service.api import RcaService
-from repro.service.workers import available_cpus, default_backend, parallel_diagnose
+from repro.service.workers import available_cpus, parallel_diagnose
 
 BENCH_FILE = Path("BENCH_service.json")
 WORKER_COUNTS = (2, 4)
@@ -46,7 +46,6 @@ def test_batch_throughput_vs_worker_count(bgp_outcome, console):
     serial = cold.diagnose_all(symptoms)
     serial_seconds = time.perf_counter() - started
 
-    backend = default_backend()
     runs = {}
     for jobs in WORKER_COUNTS:
         started = time.perf_counter()
@@ -61,7 +60,7 @@ def test_batch_throughput_vs_worker_count(bgp_outcome, console):
     cpus = available_cpus()
     console.emit(
         f"\n=== service batch throughput (bgp_month, {len(symptoms)} symptoms, "
-        f"{cpus} CPU(s), backend={backend}) ==="
+        f"{cpus} CPU(s)) ==="
     )
     console.emit(
         f"serial: {serial_seconds:.2f} s "
@@ -78,7 +77,6 @@ def test_batch_throughput_vs_worker_count(bgp_outcome, console):
             "scenario": "bgp_month",
             "symptoms": len(symptoms),
             "cpus": cpus,
-            "backend": backend,
             "serial_seconds": round(serial_seconds, 4),
             "workers": {str(jobs): run for jobs, run in runs.items()},
         },

@@ -18,15 +18,12 @@ rapid-customization claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..core.browser import ResultBrowser
-from ..core.engine import EngineConfig, RcaEngine
-from ..core.events import EventInstance, EventLibrary, RetrievalContext
 from ..core.knowledge import names
 from ..core.rulespec import SpecCompiler
 from ..platform import GrcaPlatform
-from ..service.workers import parallel_diagnose
+from .base import RcaApp
 
 #: The whole application is this spec: library events, library rules.
 BACKBONE_LOSS_SPEC = f'''
@@ -48,50 +45,16 @@ class InvestmentAdvice:
     recommendation: str
 
 
-@dataclass
-class BackboneApp:
+class BackboneApp(RcaApp):
     """The configured backbone probe-loss RCA tool."""
-
-    platform: GrcaPlatform
-    events: EventLibrary
-    engine: RcaEngine
 
     @classmethod
     def build(cls, platform: GrcaPlatform) -> "BackboneApp":
         """Configure the backbone probe-loss RCA tool on a wired platform."""
         events = platform.knowledge.scoped_events()
         compiler = SpecCompiler(events, platform.knowledge.rules)
-        graph = compiler.compile_text(BACKBONE_LOSS_SPEC)
-        engine = RcaEngine(
-            graph=graph,
-            library=events,
-            resolver=platform.resolver,
-            store=platform.store,
-            config=EngineConfig(services=platform.services, health=platform.health),
-        )
-        return cls(platform=platform, events=events, engine=engine)
-
-    def find_symptoms(self, start: float, end: float) -> List[EventInstance]:
-        """Retrieve the application's symptom instances in a window."""
-        context = RetrievalContext(
-            store=self.platform.store, start=start, end=end,
-            services=self.platform.services,
-        )
-        return self.events.get(names.LOSS_INCREASE).retrieve(context)
-
-    def run(
-        self, start: float, end: float, jobs: int = 1, traced: bool = False
-    ) -> ResultBrowser:
-        """Diagnose every symptom in the window; browse the results.
-
-        ``jobs > 1`` runs the batch on the service worker pool with
-        per-worker isolated engines; results match the serial path.
-        ``traced=True`` attaches one span tree per diagnosis
-        (see :mod:`repro.obs`).
-        """
-        symptoms = self.find_symptoms(start, end)
-        return ResultBrowser(
-            parallel_diagnose(self.engine, symptoms, jobs=jobs, traced=traced)
+        return cls.wire(
+            platform, events, compiler.compile_text(BACKBONE_LOSS_SPEC)
         )
 
     @staticmethod

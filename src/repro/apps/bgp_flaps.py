@@ -13,11 +13,9 @@ used to find the unobservable line-card crash behind grouped flaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.browser import ResultBrowser
-from ..core.engine import Diagnosis, EngineConfig, RcaEngine
+from ..core.engine import Diagnosis
 from ..core.events import (
     EventDefinition,
     EventInstance,
@@ -30,7 +28,7 @@ from ..core.locations import Location, LocationType
 from ..core.reasoning.bayesian import BayesianEngine, BayesianVerdict, RootCauseModel
 from ..core.rulespec import SpecCompiler
 from ..platform import GrcaPlatform
-from ..service.workers import parallel_diagnose
+from .base import RcaApp
 
 #: How long a session may stay down and still count as a "flap".
 SESSION_FLAP_WINDOW = 900.0
@@ -170,13 +168,8 @@ def register_bgp_events(events: EventLibrary) -> None:
 # the application
 
 
-@dataclass
-class BgpFlapApp:
+class BgpFlapApp(RcaApp):
     """The configured BGP flap RCA tool."""
-
-    platform: GrcaPlatform
-    events: EventLibrary
-    engine: RcaEngine
 
     @classmethod
     def build(cls, platform: GrcaPlatform) -> "BgpFlapApp":
@@ -184,38 +177,7 @@ class BgpFlapApp:
         events = platform.knowledge.scoped_events()
         register_bgp_events(events)
         compiler = SpecCompiler(events, platform.knowledge.rules)
-        graph = compiler.compile_text(BGP_FLAPS_SPEC)
-        engine = RcaEngine(
-            graph=graph,
-            library=events,
-            resolver=platform.resolver,
-            store=platform.store,
-            config=EngineConfig(services=platform.services, health=platform.health),
-        )
-        return cls(platform=platform, events=events, engine=engine)
-
-    def find_symptoms(self, start: float, end: float) -> List[EventInstance]:
-        """Retrieve the application's symptom instances in a window."""
-        context = RetrievalContext(
-            store=self.platform.store, start=start, end=end,
-            services=self.platform.services,
-        )
-        return self.events.get(names.EBGP_FLAP).retrieve(context)
-
-    def run(
-        self, start: float, end: float, jobs: int = 1, traced: bool = False
-    ) -> ResultBrowser:
-        """Diagnose every flap in the window; browse the results.
-
-        ``jobs > 1`` diagnoses on the service worker pool (contiguous
-        time chunks, one isolated engine each); results are identical
-        to the serial path.  ``traced=True`` attaches one span
-        tree per diagnosis (see :mod:`repro.obs`).
-        """
-        symptoms = self.find_symptoms(start, end)
-        return ResultBrowser(
-            parallel_diagnose(self.engine, symptoms, jobs=jobs, traced=traced)
-        )
+        return cls.wire(platform, events, compiler.compile_text(BGP_FLAPS_SPEC))
 
     # ------------------------------------------------------------------
     # Section IV-C: Bayesian inference over virtual root causes (Fig. 8)

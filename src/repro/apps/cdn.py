@@ -17,11 +17,8 @@ historical events").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
-from ..core.browser import ResultBrowser
-from ..core.engine import EngineConfig, RcaEngine
 from ..core.events import (
     EventDefinition,
     EventInstance,
@@ -36,7 +33,7 @@ from ..core.locations import Location, LocationType
 from ..core.spatial import JoinLevel, SpatialJoinRule
 from ..core.temporal import TemporalJoinRule
 from ..platform import GrcaPlatform
-from ..service.workers import parallel_diagnose
+from .base import RcaApp
 
 #: Keynote-style RTT sampling interval (coarser than backbone probes).
 RTT_INTERVAL = 1800.0
@@ -163,35 +160,15 @@ def build_cdn_graph() -> DiagnosisGraph:
     return graph
 
 
-@dataclass
-class CdnApp:
+class CdnApp(RcaApp):
     """The configured CDN RTT-degradation RCA tool."""
-
-    platform: GrcaPlatform
-    events: EventLibrary
-    engine: RcaEngine
 
     @classmethod
     def build(cls, platform: GrcaPlatform) -> "CdnApp":
         """Configure the CDN impairment RCA tool on a wired platform."""
         events = platform.knowledge.scoped_events()
         register_cdn_events(events)
-        engine = RcaEngine(
-            graph=build_cdn_graph(),
-            library=events,
-            resolver=platform.resolver,
-            store=platform.store,
-            config=EngineConfig(services=platform.services, health=platform.health),
-        )
-        return cls(platform=platform, events=events, engine=engine)
-
-    def find_symptoms(self, start: float, end: float) -> List[EventInstance]:
-        """Retrieve the application's symptom instances in a window."""
-        context = RetrievalContext(
-            store=self.platform.store, start=start, end=end,
-            services=self.platform.services,
-        )
-        return self.events.get(names.CDN_RTT_INCREASE).retrieve(context)
+        return cls.wire(platform, events, build_cdn_graph())
 
     def diagnose_manual_event(
         self, start: float, end: float, server: str, client_ip: str
@@ -205,18 +182,3 @@ class CdnApp:
             entered="manually",
         )
         return self.engine.diagnose(symptom)
-
-    def run(
-        self, start: float, end: float, jobs: int = 1, traced: bool = False
-    ) -> ResultBrowser:
-        """Diagnose every symptom in the window; browse the results.
-
-        ``jobs > 1`` runs the batch on the service worker pool with
-        per-worker isolated engines; results match the serial path.
-        ``traced=True`` attaches one span tree per diagnosis
-        (see :mod:`repro.obs`).
-        """
-        symptoms = self.find_symptoms(start, end)
-        return ResultBrowser(
-            parallel_diagnose(self.engine, symptoms, jobs=jobs, traced=traced)
-        )

@@ -15,11 +15,8 @@ paper, built in under ten hours of development time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
-from ..core.browser import ResultBrowser
-from ..core.engine import EngineConfig, RcaEngine
 from ..core.events import (
     EventDefinition,
     EventInstance,
@@ -33,7 +30,7 @@ from ..core.locations import Location, LocationType
 from ..core.spatial import JoinLevel, SpatialJoinRule
 from ..core.temporal import ExpandOption, TemporalJoinRule
 from ..platform import GrcaPlatform
-from ..service.workers import parallel_diagnose
+from .base import RcaApp
 
 #: App-specific event: an interface flap restricted to customer-facing
 #: ports (the Table VIII "interface (customer facing) flap" category).
@@ -200,50 +197,13 @@ def build_pim_graph() -> DiagnosisGraph:
     return graph
 
 
-@dataclass
-class PimApp:
+class PimApp(RcaApp):
     """The configured MVPN PIM adjacency RCA tool."""
-
-    platform: GrcaPlatform
-    events: EventLibrary
-    engine: RcaEngine
 
     @classmethod
     def build(cls, platform: GrcaPlatform) -> "PimApp":
         """Configure the PIM/MVPN RCA tool on a wired platform."""
         events = platform.knowledge.scoped_events()
         register_pim_events(events)
-        services = dict(platform.services)
-        services["event_library"] = events
-        engine = RcaEngine(
-            graph=build_pim_graph(),
-            library=events,
-            resolver=platform.resolver,
-            store=platform.store,
-            config=EngineConfig(services=services, health=platform.health),
-        )
-        return cls(platform=platform, events=events, engine=engine)
-
-    def find_symptoms(self, start: float, end: float) -> List[EventInstance]:
-        """Retrieve the application's symptom instances in a window."""
-        services = dict(self.platform.services)
-        services["event_library"] = self.events
-        context = RetrievalContext(
-            store=self.platform.store, start=start, end=end, services=services
-        )
-        return self.events.get(names.PIM_ADJACENCY_CHANGE).retrieve(context)
-
-    def run(
-        self, start: float, end: float, jobs: int = 1, traced: bool = False
-    ) -> ResultBrowser:
-        """Diagnose every symptom in the window; browse the results.
-
-        ``jobs > 1`` runs the batch on the service worker pool with
-        per-worker isolated engines; results match the serial path.
-        ``traced=True`` attaches one span tree per diagnosis
-        (see :mod:`repro.obs`).
-        """
-        symptoms = self.find_symptoms(start, end)
-        return ResultBrowser(
-            parallel_diagnose(self.engine, symptoms, jobs=jobs, traced=traced)
-        )
+        services = dict(platform.services, event_library=events)
+        return cls.wire(platform, events, build_pim_graph(), services)

@@ -398,10 +398,6 @@ class EngineConfig:
     max_matches_per_rule: int = 50
     #: feed-health registry consulted for evidence gaps (None disables)
     health: Optional[HealthRegistry] = None
-    #: evaluate temporal joins as sorted-array batch operations; False
-    #: restores the per-candidate scalar loop (the verification oracle
-    #: and the legacy baseline the hot-path benchmark measures against)
-    batch_joins: bool = True
 
 
 class RcaEngine:
@@ -669,20 +665,19 @@ class RcaEngine:
     ) -> List[EventInstance]:
         """Evaluate one rule against one matched parent instance.
 
-        One implementation serves traced and untraced evaluation: the
-        span contexts are no-ops on the null tracer, and span arguments
+        One path serves traced and untraced evaluation: the span
+        contexts are no-ops on the null tracer, and span arguments
         (labels, rule identity strings) are only built when tracing is
         on.  The stages — retrieve the cover's candidate set once, batch
-        temporal mask over its sorted interval columns, then the batch
-        spatial join over temporal survivors only, materializing matched
-        instances last — are identical either way, with per-stage
-        counters (``candidates`` / ``temporal_survivors`` /
-        ``spatial_survivors``) annotated on the ``rule`` span.
+        temporal mask over its sorted interval columns, then the
+        columnar spatial join over temporal survivors only,
+        materializing matched instances last — are identical either
+        way, with the join funnel (``candidates`` /
+        ``temporal_survivors`` / ``spatial_survivors``) annotated on the
+        ``rule`` span.
         """
         window = rule.temporal.search_window(parent_instance.interval)
-        traced = tracer.enabled
-        trace = tracer if traced else None
-        if traced:
+        if tracer.enabled:
             label = f"{rule.parent_event} -> {rule.child_event}"
             rule_args = dict(
                 label=label,
@@ -692,37 +687,20 @@ class RcaEngine:
                 window=[window[0], window[1]],
             )
             stage_args = dict(label=label)
+            trace = tracer
         else:
             rule_args = {}
             stage_args = {}
+            trace = None
         with tracer.span("rule", **rule_args) as rule_span:
             candidates = self._retrieve(
                 rule.child_event, window, tracer, plan, cancel
             )
-            instances = candidates.instances
             with tracer.span("temporal-join", **stage_args) as span:
-                if self.config.batch_joins:
-                    survivors = rule.temporal.joined_batch(
-                        parent_instance.interval, candidates.columns
-                    )
-                else:
-                    # scalar oracle: the original per-candidate loop,
-                    # prefiltered to the search window exactly as the
-                    # pre-columnar retrieval path did
-                    lo, hi = window
-                    survivors = [
-                        k
-                        for k, instance in enumerate(instances)
-                        if instance.end >= lo
-                        and instance.start <= hi
-                        and rule.temporal.joined(
-                            parent_instance.interval,
-                            instance.interval,
-                            trace=trace,
-                        )
-                    ]
-                span.annotate(candidates=len(instances), joined=len(survivors))
-            matched: List[EventInstance] = []
+                survivors = rule.temporal.joined_batch(
+                    parent_instance.interval, candidates.columns
+                )
+                span.annotate(candidates=len(candidates), joined=len(survivors))
             with tracer.span("spatial-join", **stage_args) as span:
                 batch = rule.spatial.batch(
                     self.resolver,
@@ -730,29 +708,13 @@ class RcaEngine:
                     parent_instance.start,
                     trace=trace,
                 )
-                cap = self.config.max_matches_per_rule
-                if traced or not self.config.batch_joins:
-                    # the original per-survivor verdicts: traced runs
-                    # need their per-candidate counters to fire, and
-                    # the scalar oracle keeps the pre-columnar cost
-                    # shape it is benchmarked (and property-tested)
-                    # against
-                    for k in survivors:
-                        instance = instances[k]
-                        if not batch.joined(instance.location):
-                            continue
-                        matched.append(instance)
-                        if len(matched) >= cap:
-                            break
-                else:
-                    self._spatial_stage(
-                        rule, parent_instance, candidates, survivors,
-                        batch, matched, cap,
-                    )
+                matched = self._spatial_stage(
+                    rule, parent_instance, candidates, survivors, batch
+                )
                 span.annotate(candidates=len(survivors), joined=len(matched))
             rule_span.annotate(
                 matched=len(matched),
-                candidates=len(instances),
+                candidates=len(candidates),
                 temporal_survivors=len(survivors),
                 spatial_survivors=len(matched),
             )
@@ -765,88 +727,65 @@ class RcaEngine:
         candidates: CandidateSet,
         survivors: List[int],
         batch,
-        matched: List[EventInstance],
-        cap: int,
-    ) -> None:
-        """Columnar spatial join over the temporal survivors (batch mode).
+    ) -> List[EventInstance]:
+        """Columnar spatial join over the temporal survivors.
 
         For epoch-static location columns the cover's expansion map
         (:meth:`CandidateSet.static_expansions`) replaces per-candidate
         resolver calls with one set intersection per distinct location;
         a contiguous survivor run — what start-anchored batch joins
         produce — is then intersected with each passing location's index
-        list by bisection instead of walking every survivor.  Appends to
-        ``matched`` exactly the instances the per-candidate loop would:
-        ascending candidate order, capped at ``cap``.
+        list by bisection instead of walking every survivor.  Returns
+        exactly the instances a per-candidate loop over
+        :meth:`SpatialJoinRule.joined` would: ascending candidate order,
+        capped at ``max_matches_per_rule``.
         """
         if not survivors:
-            return
+            return []
+        cap = self.config.max_matches_per_rule
         instances = candidates.instances
         expansions = candidates.static_expansions(
             self.resolver, rule.spatial.level, parent_instance.start
         )
         if expansions is None:
             # epoch-dynamic locations (routed paths, prefixes): one
-            # verdict per distinct location through the batch join
-            location_parts = candidates.location_parts
-            verdicts: Dict[Tuple[str, ...], bool] = {}
-            joined = batch.joined
-            for k in survivors:
-                parts = location_parts[k]
-                verdict = verdicts.get(parts)
-                if verdict is None:
-                    verdict = joined(instances[k].location)
-                    verdicts[parts] = verdict
-                if not verdict:
-                    continue
+            # resolver verdict per distinct location
+            verdict_of = batch.joined
+        else:
+            symptom_set = batch.symptom_set
+            lo_k, hi_k = survivors[0], survivors[-1]
+            if symptom_set and hi_k - lo_k + 1 == len(survivors):
+                picked: List[int] = []
+                for parts, (location, idxs) in candidates.location_index.items():
+                    a = bisect.bisect_left(idxs, lo_k)
+                    b = bisect.bisect_right(idxs, hi_k, a)
+                    if a == b:
+                        continue
+                    batch.check_diagnostic(location)
+                    if not symptom_set.isdisjoint(expansions[parts]):
+                        picked.extend(idxs[a:b])
+                picked.sort()
+                return [instances[k] for k in picked[:cap]]
+
+            # non-contiguous survivors (end-anchored joins) or an empty
+            # symptom expansion: verdicts straight off the expansion map
+            def verdict_of(location: Location) -> bool:
+                batch.check_diagnostic(location)
+                return not symptom_set.isdisjoint(expansions[location.parts])
+
+        matched: List[EventInstance] = []
+        location_parts = candidates.location_parts
+        verdicts: Dict[Tuple[str, ...], bool] = {}
+        for k in survivors:
+            parts = location_parts[k]
+            verdict = verdicts.get(parts)
+            if verdict is None:
+                verdict = verdicts[parts] = verdict_of(instances[k].location)
+            if verdict:
                 matched.append(instances[k])
                 if len(matched) >= cap:
                     break
-            return
-        symptom_set = batch.symptom_set
-        diag_type = rule.spatial.diagnostic_type
-        lo_k, hi_k = survivors[0], survivors[-1]
-        if symptom_set and hi_k - lo_k + 1 == len(survivors):
-            picked: List[int] = []
-            for parts, (location, idxs) in candidates.location_index.items():
-                a = bisect.bisect_left(idxs, lo_k)
-                b = bisect.bisect_right(idxs, hi_k, a)
-                if a == b:
-                    continue
-                if location.type is not diag_type:
-                    raise ValueError(
-                        f"diagnostic location is {location.type.value}, "
-                        f"rule expects {diag_type.value}"
-                    )
-                if symptom_set.isdisjoint(expansions[parts]):
-                    continue
-                picked.extend(idxs[a:b])
-            picked.sort()
-            matched.extend(instances[k] for k in picked[:cap])
-            return
-        # non-contiguous survivors (end-anchored joins) or an empty
-        # symptom expansion: per-survivor loop over the expansion map
-        location_parts = candidates.location_parts
-        verdict_map: Dict[Tuple[str, ...], bool] = {}
-        for k in survivors:
-            parts = location_parts[k]
-            verdict = verdict_map.get(parts)
-            if verdict is None:
-                location = instances[k].location
-                if location.type is not diag_type:
-                    raise ValueError(
-                        f"diagnostic location is {location.type.value}, "
-                        f"rule expects {diag_type.value}"
-                    )
-                verdict = bool(symptom_set) and not symptom_set.isdisjoint(
-                    expansions[parts]
-                )
-                verdict_map[parts] = verdict
-            if not verdict:
-                continue
-            matched.append(instances[k])
-            if len(matched) >= cap:
-                break
+        return matched
 
     def _retrieve(
         self,
@@ -931,15 +870,7 @@ class RcaEngine:
         stale = [
             key for key in self._retrieval_cache if key[2] < cutoff
         ]
-        for key in stale:
-            self._retrieval_cache.pop(key, None)
-            self._retrieval_reads.pop(key, None)
-        if stale:
-            covers: Dict[str, CoverIndex] = {}
-            for event_name, lo, hi in self._retrieval_cache:
-                covers.setdefault(event_name, CoverIndex()).add(lo, hi)
-            self._covers = covers
-        return len(stale)
+        return self._drop_retrievals(stale)
 
     def invalidate_deltas(self, deltas: Dict[str, List[float]]) -> int:
         """Drop cached retrievals a batch of new records may have changed.
@@ -964,9 +895,13 @@ class RcaEngine:
                 if p < len(points) and points[p] <= hi:
                     stale.append(key)
                     break
+        return self._drop_retrievals(stale)
+
+    def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:
+        """Remove cache entries, rebuild the cover indexes; return the count."""
         for key in stale:
-            self._retrieval_cache.pop(key, None)
-            self._retrieval_reads.pop(key, None)
+            del self._retrieval_cache[key]
+            del self._retrieval_reads[key]
         if stale:
             covers: Dict[str, CoverIndex] = {}
             for event_name, lo, hi in self._retrieval_cache:

@@ -658,35 +658,34 @@ class BatchSpatialJoin:
                 self.trace.count("location_expansions")
         return self._symptom_set
 
-    def joined(self, diagnostic_location: Location) -> bool:
-        """True when a candidate shares a join-level identifier.
-
-        Counter semantics mirror :meth:`SpatialJoinRule.joined` —
-        ``spatial_evals`` / ``spatial_rejects`` per candidate and one
-        ``location_expansions`` per expansion actually performed — so
-        traced diagnoses show the batched symptom expansion as a single
-        conversion instead of one per candidate.
-        """
+    def check_diagnostic(self, diagnostic_location: Location) -> None:
+        """Raise unless a candidate has the rule's diagnostic type."""
         if diagnostic_location.type is not self.rule.diagnostic_type:
             raise ValueError(
                 f"diagnostic location is {diagnostic_location.type.value}, "
                 f"rule expects {self.rule.diagnostic_type.value}"
             )
+
+    def joined(self, diagnostic_location: Location) -> bool:
+        """True when a candidate shares a join-level identifier.
+
+        A tracer, when given, counts one ``location_expansions`` per
+        expansion actually performed, so traced diagnoses show the
+        batched symptom expansion as a single conversion instead of one
+        per candidate (and none at all for candidates after an empty
+        symptom expansion).
+        """
+        self.check_diagnostic(diagnostic_location)
         symptom_set = self.symptom_set
-        verdict = False
-        if symptom_set:
-            diagnostic_set = self.resolver.expand(
-                diagnostic_location, self.rule.level, self.timestamp,
-                trace=self.trace,
-            )
-            if self.trace is not None:
-                self.trace.count("location_expansions")
-            verdict = not symptom_set.isdisjoint(diagnostic_set)
+        if not symptom_set:
+            return False
+        diagnostic_set = self.resolver.expand(
+            diagnostic_location, self.rule.level, self.timestamp,
+            trace=self.trace,
+        )
         if self.trace is not None:
-            self.trace.count("spatial_evals")
-            if not verdict:
-                self.trace.count("spatial_rejects")
-        return verdict
+            self.trace.count("location_expansions")
+        return not symptom_set.isdisjoint(diagnostic_set)
 
 
 @dataclass(frozen=True)
@@ -728,10 +727,9 @@ class SpatialJoinRule:
     ) -> bool:
         """True when the two locations share a join-level identifier.
 
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``spatial_evals`` / ``spatial_rejects`` counters on its current
-        span, plus the resolver's ``location_expansions`` and cache
-        hit/miss counters.  One-shot form of :meth:`batch`.
+        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives the
+        resolver's ``location_expansions`` and cache hit/miss counters
+        on its current span.  One-shot form of :meth:`batch`.
         """
         return self.batch(resolver, symptom_location, timestamp, trace).joined(
             diagnostic_location

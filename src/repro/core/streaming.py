@@ -22,9 +22,8 @@ Design points:
   store's insert listeners, buffers every ``(table, timestamp)`` delta,
   and on each advance drops exactly the cached covers a new record
   landed in (:meth:`RcaEngine.invalidate_deltas`); covers behind the
-  data frontier stay warm across advances.  Setting
-  ``StreamingConfig.incremental = False`` restores the legacy
-  clear-everything discipline.
+  data frontier stay warm across advances, and covers behind the
+  re-open horizon are evicted.
 * **Delta-driven re-diagnosis** — the same deltas re-open
   previously-settled symptoms: a late or out-of-order record that lands
   inside a settled diagnosis's read footprint triggers exactly that
@@ -71,9 +70,6 @@ class StreamingConfig:
     dedupe_horizon: float = 7200.0
     #: cap on how long a LAGGING feed may hold back settling
     max_watermark_defer: float = 1800.0
-    #: delta-driven cache invalidation + settled-symptom re-diagnosis;
-    #: False restores the legacy clear-cache-every-advance discipline
-    incremental: bool = True
     #: how far back a late record may re-open a settled symptom (the
     #: retention horizon of the re-open set; memory bound — one entry
     #: per symptom, so a day costs little and covers feed outages)
@@ -110,7 +106,7 @@ class StreamingRca:
         self._seen: Dict[InstanceKey, float] = {}
         self.diagnosed_count = 0
         self._required_sources: Optional[Set[str]] = None
-        # --- incremental state -----------------------------------------
+        # --- delta state -----------------------------------------------
         #: pending (unsorted) insert timestamps per table, fed by the
         #: store's insert listeners from ingest threads; drained on the
         #: engine-owning thread at the top of every advance
@@ -120,7 +116,6 @@ class StreamingRca:
         #: instance and its latest diagnosis (whose footprint is the
         #: re-open trigger surface)
         self._settled: Dict[InstanceKey, Tuple[EventInstance, Diagnosis]] = {}
-        self._subscribed = False
         #: cache entries dropped by delta invalidation (cumulative)
         self.invalidated_count = 0
         #: settled symptoms re-opened by a delta (cumulative)
@@ -129,9 +124,8 @@ class StreamingRca:
         self.reemitted_count = 0
         #: cache entries evicted behind the re-open horizon (cumulative)
         self.evicted_count = 0
-        if self.config.incremental and hasattr(engine.store, "subscribe"):
-            engine.store.subscribe(self._on_insert)
-            self._subscribed = True
+        engine.store.subscribe(self._on_insert)
+        self._subscribed = True
 
     def close(self) -> None:
         """Detach from the store's insert listeners (idempotent)."""
@@ -191,9 +185,9 @@ class StreamingRca:
         """Diagnose symptoms that settled since the last call.
 
         ``now`` is the wall-clock frontier of ingested data.  Returns
-        the new diagnoses — plus, in incremental mode, re-emitted
-        diagnoses of previously-settled symptoms whose conclusion a
-        late record changed (also delivered to ``on_diagnosis``).
+        the new diagnoses — plus re-emitted diagnoses of
+        previously-settled symptoms whose conclusion a late record
+        changed (also delivered to ``on_diagnosis``).
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) records one
         ``advance`` span covering the whole call, with a ``detect``
@@ -202,7 +196,7 @@ class StreamingRca:
         its :attr:`Diagnosis.trace`.  Dispatcher-executed batches trace
         on the service side instead (per-job tracers), not here.  The
         ``advance`` span carries ``invalidated`` / ``reopened`` /
-        ``reemitted`` counters in incremental mode.
+        ``evicted`` counters.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         config = self.config
@@ -215,13 +209,12 @@ class StreamingRca:
             )
             adv.annotate(settled_until=settled_until)
             reopens: List[Tuple[InstanceKey, EventInstance, Diagnosis]] = []
-            if config.incremental:
-                deltas = self._drain_deltas()
-                if deltas:
-                    invalidated = self.engine.invalidate_deltas(deltas)
-                    self.invalidated_count += invalidated
-                    adv.annotate(invalidated=invalidated)
-                    reopens = self._select_reopens(deltas)
+            deltas = self._drain_deltas()
+            if deltas:
+                invalidated = self.engine.invalidate_deltas(deltas)
+                self.invalidated_count += invalidated
+                adv.annotate(invalidated=invalidated)
+                reopens = self._select_reopens(deltas)
             fresh: List[EventInstance] = []
             if self._watermark is not None and settled_until <= self._watermark:
                 # nothing newly settled, but memory bounds still apply —
@@ -239,10 +232,6 @@ class StreamingRca:
                     window_start = self._start
                 else:
                     window_start = settled_until - config.settle_seconds
-                if not config.incremental:
-                    # legacy discipline: new records may have landed in
-                    # any cached window, so everything goes
-                    self.engine.clear_cache()
                 definition = self.engine.library.get(
                     self.engine.graph.symptom_event
                 )
@@ -268,17 +257,16 @@ class StreamingRca:
                 self._watermark = settled_until
                 self._gc_dedupe(settled_until)
                 self._gc_settled(settled_until)
-                if config.incremental:
-                    # covers behind every window a fresh or re-opened
-                    # symptom can still request are pure memory (and
-                    # invalidation-scan) cost; the slack generously
-                    # bounds rule search-window lookback
-                    evicted = self.engine.evict_retrievals_before(
-                        settled_until - config.reopen_horizon - 3600.0
-                    )
-                    self.evicted_count += evicted
-                    if evicted:
-                        adv.annotate(evicted=evicted)
+                # covers behind every window a fresh or re-opened
+                # symptom can still request are pure memory (and
+                # invalidation-scan) cost; the slack generously bounds
+                # rule search-window lookback
+                evicted = self.engine.evict_retrievals_before(
+                    settled_until - config.reopen_horizon - 3600.0
+                )
+                self.evicted_count += evicted
+                if evicted:
+                    adv.annotate(evicted=evicted)
                 adv.annotate(fresh=len(fresh))
             if reopens:
                 self.reopened_count += len(reopens)
@@ -315,19 +303,14 @@ class StreamingRca:
             for instance in to_run:
                 produced.append(self.engine.diagnose(instance, tracer=tracer))
         emitted: List[Diagnosis] = []
-        track = self.config.incremental
         for diagnosis in produced:
             key = instance_key(diagnosis.symptom)
-            if key in previous:
-                if track:
-                    self._settled[key] = (diagnosis.symptom, diagnosis)
-                if diagnosis != previous[key]:
-                    self.reemitted_count += 1
-                    emitted.append(diagnosis)
-            else:
-                if track:
-                    self._settled[key] = (diagnosis.symptom, diagnosis)
+            self._settled[key] = (diagnosis.symptom, diagnosis)
+            if key not in previous:
                 self.diagnosed_count += 1
+                emitted.append(diagnosis)
+            elif diagnosis != previous[key]:
+                self.reemitted_count += 1
                 emitted.append(diagnosis)
         return emitted
 

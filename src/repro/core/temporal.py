@@ -144,24 +144,11 @@ class TemporalJoinRule:
         self,
         symptom_interval: Tuple[float, float],
         diagnostic_interval: Tuple[float, float],
-        trace=None,
     ) -> bool:
-        """True when the two expanded (closed) windows overlap.
-
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``temporal_evals`` / ``temporal_rejects`` counters on its
-        current span — the engine passes its tracer here so traced
-        diagnoses record exactly how many Fig. 3 evaluations each rule
-        cost.  Untraced callers pay nothing.
-        """
+        """True when the two expanded (closed) windows overlap."""
         s_lo, s_hi = self.symptom.expand(*symptom_interval)
         d_lo, d_hi = self.diagnostic.expand(*diagnostic_interval)
-        verdict = s_lo <= d_hi and d_lo <= s_hi
-        if trace is not None:
-            trace.count("temporal_evals")
-            if not verdict:
-                trace.count("temporal_rejects")
-        return verdict
+        return s_lo <= d_hi and d_lo <= s_hi
 
     def joined_batch(
         self,
@@ -193,7 +180,7 @@ class TemporalJoinRule:
         * ``Start/End`` with ``X+Y < 0`` — a candidate's window inverts
           (collapses to its midpoint) only when its duration is below
           ``-(X+Y)``, which is per-candidate; this rare configuration
-          falls back to the scalar oracle.
+          evaluates :meth:`joined` per candidate.
         """
         columns = (
             starts

@@ -70,10 +70,6 @@ class RunOutcome:
     incident_counts: Dict[str, int] = field(default_factory=dict)
 
 
-def _seconds_per_day() -> float:
-    return 86400.0
-
-
 #: app key -> (simulation builder, application class path, size kwarg)
 def _workloads():
     """The workload table, resolved lazily to keep imports cheap."""

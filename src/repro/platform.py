@@ -25,6 +25,25 @@ from .topology.builder import BuiltTopology
 from .topology.config_parser import ConfigArchive, snapshot_network
 
 
+def _incident_wiring(
+    incidents: Any, incident_gap: float, service_options: Dict[str, Any]
+):
+    """``(store, aggregator)`` for ``serve``/``serve_sharded(incidents=)``.
+
+    ``(None, None)`` when incident tracking is off; otherwise the
+    aggregator's ``observe`` becomes the default ``incident_sink``
+    service option, so every diagnosis the workers produce is folded in.
+    """
+    if not incidents:
+        return None, None
+    from .incident import IncidentAggregator, IncidentStore
+
+    store = incidents if isinstance(incidents, IncidentStore) else IncidentStore()
+    aggregator = IncidentAggregator(gap_seconds=incident_gap, sink=store.record)
+    service_options.setdefault("incident_sink", aggregator.observe)
+    return store, aggregator
+
+
 @dataclass
 class GrcaPlatform:
     """Everything an RCA application needs, wired together."""
@@ -73,18 +92,9 @@ class GrcaPlatform:
         """
         from .service import RcaService  # local import: service is optional wiring
 
-        incident_store = aggregator = None
-        if incidents:
-            from .incident import IncidentAggregator, IncidentStore
-
-            incident_store = (
-                incidents if isinstance(incidents, IncidentStore)
-                else IncidentStore()
-            )
-            aggregator = IncidentAggregator(
-                gap_seconds=incident_gap, sink=incident_store.record
-            )
-            service_options.setdefault("incident_sink", aggregator.observe)
+        incident_store, aggregator = _incident_wiring(
+            incidents, incident_gap, service_options
+        )
         service = RcaService(
             store=self.store, health=self.health, workers=workers, **service_options
         )
@@ -122,18 +132,9 @@ class GrcaPlatform:
         """
         from .service.http import ShardRouter, build_shards
 
-        incident_store = aggregator = None
-        if incidents:
-            from .incident import IncidentAggregator, IncidentStore
-
-            incident_store = (
-                incidents if isinstance(incidents, IncidentStore)
-                else IncidentStore()
-            )
-            aggregator = IncidentAggregator(
-                gap_seconds=incident_gap, sink=incident_store.record
-            )
-            service_options.setdefault("incident_sink", aggregator.observe)
+        incident_store, aggregator = _incident_wiring(
+            incidents, incident_gap, service_options
+        )
         router = ShardRouter(
             build_shards(
                 self.store,

@@ -70,7 +70,6 @@ from .workers import (
     WorkerPool,
     available_cpus,
     contiguous_chunks,
-    default_backend,
     parallel_diagnose,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "available_cpus",
     "cache_key",
     "contiguous_chunks",
-    "default_backend",
     "is_transient",
     "parallel_diagnose",
 ]

@@ -9,22 +9,17 @@ Two execution surfaces share this module:
   are private per worker while the (thread-safe) :class:`DataStore` is
   shared — concurrent diagnoses never contend on cached windows.
 * :func:`parallel_diagnose` — a one-shot batch helper for CLI runs and
-  benchmarks.  It splits the symptom list into contiguous chunks
+  benchmarks.  With ``jobs > 1`` on a machine that can fork and has
+  more than one CPU, it splits the symptom list into contiguous chunks
   (contiguous in time, so each worker's retrieval cache stays local)
-  and runs them on a backend:
-
-  - ``"thread"`` — isolated-engine threads.  Correct everywhere, but
-    the GIL serializes the pure-Python correlation work, so it offers
-    concurrency, not CPU parallelism.
-  - ``"fork"`` — forked worker processes (POSIX only).  Each child
-    inherits the engine copy-on-write and genuinely runs on its own
-    core; diagnoses are returned by pickle.  Requires a quiescent
-    store (batch mode), which is exactly when it is used.
-  - ``"auto"`` — ``"fork"`` when the platform can fork *and* more than
-    one CPU is available, else ``"thread"``.
-
-  Either backend returns diagnoses in the exact order of the input
-  symptoms and byte-equal to a serial :meth:`diagnose_all` run.
+  and diagnoses each chunk in a forked worker process: every child
+  inherits the engine copy-on-write and genuinely runs on its own core;
+  diagnoses are returned by pickle.  Forking requires a quiescent store
+  (batch mode), which is exactly when the helper is used.  Anywhere
+  else it runs the serial :meth:`diagnose_all` — threads would only
+  add overhead, since the GIL serializes the pure-Python correlation
+  work.  Either way diagnoses come back in the exact order of the input
+  symptoms and byte-equal to a serial run.
 """
 
 from __future__ import annotations
@@ -72,13 +67,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def default_backend() -> str:
-    """The batch backend ``"auto"`` resolves to on this machine."""
-    if hasattr(os, "fork") and available_cpus() > 1:
-        return "fork"
-    return "thread"
-
-
 def contiguous_chunks(items: Sequence, n: int) -> List[Sequence]:
     """Split into at most ``n`` contiguous, near-equal, non-empty runs."""
     n = max(1, min(n, len(items)))
@@ -114,64 +102,30 @@ def parallel_diagnose(
     engine: RcaEngine,
     symptoms: Sequence[EventInstance],
     jobs: int = 1,
-    backend: str = "auto",
     traced: bool = False,
 ) -> List[Diagnosis]:
-    """Diagnose a batch with ``jobs`` parallel workers.
+    """Diagnose a batch with up to ``jobs`` forked workers.
 
     Output order and content match ``engine.diagnose_all(symptoms)``
-    exactly.  ``jobs <= 1`` (or a single-item batch) falls back to the
-    serial path with zero overhead.
+    exactly.  The batch forks only when that can pay off — ``jobs > 1``,
+    more than one symptom, a platform with ``os.fork`` and more than one
+    available CPU — and otherwise *is* the serial path, with zero
+    overhead.
 
     ``traced=True`` records one span tree per symptom (a fresh
     :class:`repro.obs.Tracer` each), attached as
-    :attr:`~repro.core.engine.Diagnosis.trace`.  Traces survive both
-    backends — thread workers build them in-thread, fork workers build
-    them in the child and pickle them back — and never mix between
-    symptoms.
+    :attr:`~repro.core.engine.Diagnosis.trace`.  Fork workers build
+    their traces in the child and pickle them back, so spans never mix
+    between symptoms.
     """
-    if jobs <= 1 or len(symptoms) <= 1:
-        return engine.diagnose_all(symptoms, traced=traced)
-    if backend == "auto":
-        backend = default_backend()
-    if backend == "thread":
-        return _thread_diagnose(engine, symptoms, jobs, traced)
-    if backend == "fork":
+    if (
+        jobs > 1
+        and len(symptoms) > 1
+        and hasattr(os, "fork")
+        and available_cpus() > 1
+    ):
         return _fork_diagnose(engine, symptoms, jobs, traced)
-    raise ValueError(f"unknown backend {backend!r}; use 'auto', 'thread' or 'fork'")
-
-
-def _thread_diagnose(
-    engine: RcaEngine,
-    symptoms: Sequence[EventInstance],
-    jobs: int,
-    traced: bool = False,
-) -> List[Diagnosis]:
-    chunks = contiguous_chunks(symptoms, jobs)
-    results: List[Optional[List[Diagnosis]]] = [None] * len(chunks)
-    errors: List[BaseException] = []
-
-    def run(index: int, chunk: Sequence[EventInstance]) -> None:
-        worker_engine = engine.isolated()
-        try:
-            results[index] = [
-                worker_engine.diagnose(s, tracer=Tracer() if traced else None)
-                for s in chunk
-            ]
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=run, args=(i, chunk), daemon=True)
-        for i, chunk in enumerate(chunks)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return [d for chunk in results for d in chunk]  # type: ignore[union-attr]
+    return engine.diagnose_all(symptoms, traced=traced)
 
 
 def _fork_diagnose(

@@ -15,6 +15,8 @@ from repro.core.locations import Location, LocationType
 from repro.core.spatial import JoinLevel, SpatialJoinRule
 from repro.core.temporal import ExpandOption, TemporalExpansion, TemporalJoinRule
 
+from ..oracles.reference import ReferenceEngine, assert_agrees
+
 
 def store_backed_event(name, table, location_type=LocationType.ROUTER):
     """Event definition reading (timestamp, router) rows from a table."""
@@ -375,7 +377,7 @@ class TestRetrievalEviction:
 
 
 class TestColumnarSpatialStage:
-    """Batch-mode spatial join: columnar path vs the scalar oracle."""
+    """The columnar spatial join vs the nested-loop reference engine."""
 
     def populate(self, store, routers, base=1000.0, per_router=4):
         t = base
@@ -384,25 +386,18 @@ class TestColumnarSpatialStage:
                 store.insert("ta", t, router=router)
                 t += 0.25
 
-    def matched_events(self, diagnosis):
-        return [(e.rule.child_event, e.instance) for e in diagnosis.evidence]
-
     def test_modes_agree_across_distinct_locations(self, setup):
         store, engine = setup
         self.populate(
             store, ["nyc-per1", "nyc-per2", "chi-per1", "bos-per1"]
         )
         symptom = symptom_at(1000.0)
-        engine.config.batch_joins = True
-        batch = engine.diagnose(symptom)
-        engine.clear_cache()
-        engine.config.batch_joins = False
-        scalar = engine.diagnose(symptom)
-        assert self.matched_events(batch) == self.matched_events(scalar)
+        diagnosis = engine.diagnose(symptom)
+        assert_agrees(diagnosis, ReferenceEngine(engine).diagnose(symptom))
         # only the symptom router's candidates survive the router join
         locations = {
             e.instance.location.value
-            for e in batch.evidence
+            for e in diagnosis.evidence
             if e.rule.child_event == "a"
         }
         assert locations == {"nyc-per1"}
@@ -412,14 +407,11 @@ class TestColumnarSpatialStage:
         self.populate(store, ["nyc-per1", "chi-per1"], per_router=9)
         engine.config.max_matches_per_rule = 5
         symptom = symptom_at(1000.0)
-        engine.config.batch_joins = True
-        batch = engine.diagnose(symptom)
-        engine.clear_cache()
-        engine.config.batch_joins = False
-        scalar = engine.diagnose(symptom)
-        assert self.matched_events(batch) == self.matched_events(scalar)
+        diagnosis = engine.diagnose(symptom)
+        assert_agrees(diagnosis, ReferenceEngine(engine).diagnose(symptom))
         assert (
-            len([e for e in batch.evidence if e.rule.child_event == "a"]) == 5
+            len([e for e in diagnosis.evidence if e.rule.child_event == "a"])
+            == 5
         )
 
     def test_location_index_inverts_the_parts_column(self):

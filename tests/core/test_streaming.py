@@ -269,11 +269,14 @@ class TestBatchDispatcher:
         assert streaming.advance(t0 + 30000.0) == []
 
 
-def _staged_run(setup, config, withhold=None):
+def _staged_run(setup, config, withhold=None, clear_everything=False):
     """Drive a streaming run in 900 s ticks; return (rca, diagnoses).
 
     ``withhold`` keeps matching telemetry lines out of the replay; the
-    caller delivers them late by hand.
+    caller delivers them late by hand.  ``clear_everything`` empties the
+    engine's retrieval cache before every advance: the obviously-correct
+    cache discipline (nothing cached can be stale) that delta
+    invalidation and horizon eviction must be indistinguishable from.
     """
     _topo, app, replayer, _truths, t0 = setup
     if withhold is not None:
@@ -286,6 +289,8 @@ def _staged_run(setup, config, withhold=None):
     while now < t0 + 20000.0:
         now += 900.0
         replayer.deliver_until(now)
+        if clear_everything:
+            app.engine.clear_cache()
         collected.extend(streaming.advance(now))
     return streaming, collected
 
@@ -296,16 +301,17 @@ class TestIncrementalRediagnosis:
     late and out-of-order records included."""
 
     def test_incremental_equals_legacy_discipline(self):
-        # same staged delivery, two cache disciplines: the selective
-        # invalidation path must be observationally identical to
-        # clear-everything-per-advance
+        # same staged delivery, two cache disciplines: selective
+        # invalidation must be observationally identical to a twin that
+        # clears everything before every advance
         legacy, by_legacy = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=False)
+            make_live_setup(), StreamingConfig(), clear_everything=True
         )
         incremental, by_incremental = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=True)
+            make_live_setup(), StreamingConfig()
         )
-        assert not legacy._subscribed and incremental._subscribed
+        # the twin never had a cached cover to invalidate or evict
+        assert legacy.invalidated_count == legacy.evicted_count == 0
         assert by_incremental == by_legacy  # byte-identical diagnoses
 
     def test_covers_behind_the_horizon_evicted_without_effect(self):
@@ -313,11 +319,10 @@ class TestIncrementalRediagnosis:
         # fresh or re-opened symptom can ever request again; eviction
         # is pure cache policy, so the stream must stay byte-identical
         _legacy, by_legacy = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=False)
+            make_live_setup(), StreamingConfig(), clear_everything=True
         )
         streaming, collected = _staged_run(
-            make_live_setup(),
-            StreamingConfig(incremental=True, reopen_horizon=900.0),
+            make_live_setup(), StreamingConfig(reopen_horizon=900.0)
         )
         assert streaming.evicted_count > 0
         assert collected == by_legacy

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.service import workers
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import Job, JobQueue, JobState
 from repro.service.workers import (
@@ -12,7 +13,6 @@ from repro.service.workers import (
     WorkerPool,
     available_cpus,
     contiguous_chunks,
-    default_backend,
     parallel_diagnose,
 )
 
@@ -34,47 +34,48 @@ class TestChunking:
 
     def test_backend_probe(self):
         assert available_cpus() >= 1
-        assert default_backend() in ("thread", "fork")
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="forked batches are POSIX-only"
+)
 
 
 class TestParallelDiagnose:
-    def test_thread_backend_matches_serial(self, mini_app, seed_scene):
+    @needs_fork
+    def test_fork_backend_matches_serial(self, mini_app, seed_scene, forks):
         times = seed_scene(mini_app.store, n=9)
         symptoms = mini_app.find_symptoms(times[0] - 50.0, times[-1] + 50.0)
         assert len(symptoms) == 9
         serial = mini_app.engine.diagnose_all(symptoms)
-        parallel = parallel_diagnose(
-            mini_app.engine, symptoms, jobs=4, backend="thread"
-        )
-        assert parallel == serial
-        causes = [d.primary_cause for d in parallel]
+        forked = parallel_diagnose(mini_app.engine, symptoms, jobs=4)
+        assert forks == [4]
+        assert forked == serial
+        causes = [d.primary_cause for d in forked]
         assert "a" in causes and "b" in causes
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
-    def test_fork_backend_matches_serial(self, mini_app, seed_scene):
+    def test_one_cpu_runs_serially(
+        self, mini_app, seed_scene, monkeypatch, forks
+    ):
+        monkeypatch.setattr(workers, "available_cpus", lambda: 1)
         times = seed_scene(mini_app.store, n=4)
         symptoms = mini_app.find_symptoms(times[0] - 50.0, times[-1] + 50.0)
-        serial = mini_app.engine.diagnose_all(symptoms)
-        forked = parallel_diagnose(mini_app.engine, symptoms, jobs=2, backend="fork")
-        assert forked == serial
+        batch = parallel_diagnose(mini_app.engine, symptoms, jobs=4)
+        assert forks == []  # observed one core: forking cannot pay off
+        assert batch == mini_app.engine.diagnose_all(symptoms)
 
-    def test_single_job_uses_serial_path(self, mini_app, seed_scene):
+    def test_single_job_uses_serial_path(self, mini_app, seed_scene, forks):
         times = seed_scene(mini_app.store, n=3)
         symptoms = mini_app.find_symptoms(times[0] - 50.0, times[-1] + 50.0)
-        assert parallel_diagnose(mini_app.engine, symptoms, jobs=1) == (
-            mini_app.engine.diagnose_all(symptoms)
-        )
+        batch = parallel_diagnose(mini_app.engine, symptoms, jobs=1)
+        assert forks == []
+        assert batch == mini_app.engine.diagnose_all(symptoms)
 
-    def test_unknown_backend_rejected(self, mini_app, seed_scene):
-        times = seed_scene(mini_app.store, n=2)
-        symptoms = mini_app.find_symptoms(times[0] - 50.0, times[-1] + 50.0)
-        with pytest.raises(ValueError, match="backend"):
-            parallel_diagnose(mini_app.engine, symptoms, jobs=2, backend="bogus")
-
-    def test_worker_error_propagates(self, mini_app):
+    @needs_fork
+    def test_worker_error_propagates(self, mini_app, forks):
         bad = [object(), object()]  # not EventInstances: diagnose raises
-        with pytest.raises(Exception):
-            parallel_diagnose(mini_app.engine, bad, jobs=2, backend="thread")
+        with pytest.raises(AttributeError):
+            parallel_diagnose(mini_app.engine, bad, jobs=2)
 
 
 class TestEngineIsolation:
