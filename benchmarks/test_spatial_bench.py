@@ -8,8 +8,9 @@ routing-epoch work against faithful copies of the seed paths:
 * **pair-join** — one symptom pair joined against every router in the
   network, repeated across many timestamps inside one routing epoch.
   The acceptance gate: the epoch-keyed resolution cache makes the loop
-  >= 5x faster than the uncached oracle (``cache_size=0``), with a hit
-  rate that shows the cache — not noise — did it.
+  >= 5x faster than the uncached oracle
+  (``tests/oracles/resolver.py``), with a hit rate that shows the cache
+  — not noise — did it.
 * **bgp-lookup** — longest-prefix match over a 2 000-prefix feed: the
   indexed per-length tables vs the seed full-scan (every prefix parsed
   and liveness-checked per query).
@@ -29,6 +30,8 @@ from repro.routing.bgp import BgpEmulator, BgpUpdateLog
 from repro.routing.ospf import OspfSimulator
 from repro.routing.paths import IngressMap, PathService
 from repro.topology import TopologyParams, build_topology, snapshot_network
+
+from tests.oracles.resolver import ReferenceResolver
 
 BENCH_FILE = Path("BENCH_spatial.json")
 
@@ -123,7 +126,7 @@ def test_cached_pair_join_speedup(console):
             best = min(best, time.perf_counter() - started)
         return best, joined
 
-    oracle = LocationResolver(service, cache_size=0)
+    oracle = ReferenceResolver(service)
     cached = LocationResolver(service)
     # run the seed path first: the shared SPF cache it warms can only
     # *narrow* the measured gap

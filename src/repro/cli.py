@@ -457,7 +457,7 @@ def _cmd_serve(args) -> int:
     result, app_cls = _run_scenario(args.scenario, args.seed, args.size)
     platform = result.platform()
     app = app_cls.build(platform)
-    from .service.policy import RetryPolicy
+    from .resilience import RetryPolicy
 
     service = platform.serve(
         {args.scenario: app},

@@ -27,7 +27,6 @@ from .health import (
     HealthConfig,
     HealthInterval,
     HealthRegistry,
-    RetryConfig,
     canonical_source,
 )
 from .normalizer import (
@@ -182,7 +181,6 @@ __all__ = [
     "HealthRegistry",
     "NormalizationError",
     "Record",
-    "RetryConfig",
     "Table",
     "brief_reason",
     "canonical_source",

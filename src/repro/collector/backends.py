@@ -49,8 +49,9 @@ import pickle
 import sqlite3
 import tempfile
 import threading
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from ..resilience import CircuitBreaker, TransientError
 
 #: Builds a backend for one table: ``factory(table_name, indexed_columns)``.
 BackendFactory = Callable[[str, Tuple[str, ...]], "StorageBackend"]
@@ -633,71 +634,118 @@ class SqliteBackend(StorageBackend):
             self._conn = None
 
 
-class StorageUnavailable(ConnectionError):
-    """A storage read failed or was refused behind an open breaker.
+class DelegatingBackend(StorageBackend):
+    """Forwards the whole contract to ``inner``; reads pass one hook.
 
-    Subclasses :class:`ConnectionError` so the service's error
-    classifier (:func:`repro.service.policy.is_transient`) treats it as
-    transient without the collector importing the service layer: a read
-    that hit a broken disk or an open circuit is worth retrying later,
-    not a rule bug.
+    The base of every backend that wraps another to change how its
+    *read* path behaves: subclasses override :meth:`_read` (and name
+    themselves with ``suffix``); writes, ``len`` and ``close`` go
+    straight through.
     """
 
+    #: appended to the inner backend's name (``"memory+breaker"``)
+    suffix = "delegate"
 
-class BreakerBackend(StorageBackend):
-    """Circuit breaker around another backend's *read* path.
-
-    The same state machine :class:`~repro.collector.health.FeedReader`
-    runs for feed transports, applied one layer down: after
-    ``failure_threshold`` consecutive read failures the circuit opens
-    and reads **fail fast** with :class:`StorageUnavailable` — a wedged
-    database stalls diagnoses for ``reset_timeout`` at most once, not
-    once per retrieval — until a half-open probe succeeds.  Failing
-    reads are re-raised wrapped in :class:`StorageUnavailable` (original
-    attached as ``__cause__``) so the job-level retry policy classifies
-    them uniformly.
-
-    Writes pass through unguarded: ingest and diagnosis have different
-    failure domains, and a read-side brownout must not drop feed data.
-    Like every backend, instances are serialized by the owning table's
-    lock; the breaker itself is thread-safe anyway, so sharing one
-    breaker across tables (``breaker=``) also works.
-    """
-
-    def __init__(
-        self,
-        inner: StorageBackend,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        breaker: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, inner: StorageBackend) -> None:
         self.inner = inner
-        if breaker is None:
-            # lazy import: collector must stay importable without the
-            # service layer loaded (policy only lazily imports back)
-            from ..service.policy import CircuitBreaker
-
-            breaker = CircuitBreaker(
-                failure_threshold=failure_threshold,
-                reset_timeout=reset_timeout,
-                clock=clock,
-            )
-        self.breaker = breaker
 
     @property
     def name(self) -> str:  # type: ignore[override]
-        return f"{self.inner.name}+breaker"
+        return f"{self.inner.name}+{self.suffix}"
 
     @property
     def indexed_columns(self) -> Tuple[str, ...]:
         return self.inner.indexed_columns
 
+    def _read(self, op: Callable[..., Any], label: str, *args: Any) -> Any:
+        """Run one read of the inner backend, ``op(*args)``."""
+        return op(*args)
+
     def insert(self, record) -> None:
-        """Pass the write straight through (writes are unguarded)."""
+        """Pass the write straight through."""
         self.inner.insert(record)
 
-    def _read(self, op: Callable, label: str, *args) -> Any:
+    def query(
+        self,
+        start: Optional[float],
+        end: Optional[float],
+        equals: Dict[str, Any],
+    ) -> List[Any]:
+        """Window query against the inner backend, through the read hook."""
+        return self._read(self.inner.query, "query", start, end, equals)
+
+    def query_columns(
+        self,
+        start: Optional[float],
+        end: Optional[float],
+        equals: Dict[str, Any],
+    ) -> ColumnarSlice:
+        """Columnar window query on the inner backend's own columnar path."""
+        return self._read(
+            self.inner.query_columns, "query_columns", start, end, equals
+        )
+
+    def scan(self) -> List[Any]:
+        """Full scan of the inner backend, through the read hook."""
+        return self._read(self.inner.scan, "scan")
+
+    def distinct(self, column: str) -> List[Any]:
+        """Distinct-values read, through the read hook."""
+        return self._read(self.inner.distinct, "distinct", column)
+
+    def time_span(self) -> Optional[Tuple[float, float]]:
+        """(oldest, newest) timestamp read, through the read hook."""
+        return self._read(self.inner.time_span, "time_span")
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def stats(self) -> Dict[str, Any]:
+        """The inner backend's stats under this backend's name."""
+        return {**self.inner.stats(), "backend": self.name}
+
+    def close(self) -> None:
+        """Close the inner backend."""
+        self.inner.close()
+
+
+class StorageUnavailable(TransientError, ConnectionError):
+    """A storage read failed or was refused behind an open breaker.
+
+    Transient for the retry classifier
+    (:func:`repro.resilience.is_transient`): a read that hit a broken
+    disk or an open circuit is worth retrying later, not a rule bug.
+    Still a :class:`ConnectionError` for callers that catch I/O failures.
+    """
+
+
+class BreakerBackend(DelegatingBackend):
+    """Circuit breaker around another backend's *read* path.
+
+    After the breaker's ``failure_threshold`` consecutive read failures
+    the circuit opens and reads **fail fast** with
+    :class:`StorageUnavailable` — a wedged database stalls diagnoses for
+    ``reset_timeout`` at most once, not once per retrieval — until a
+    half-open probe succeeds.  Failing reads are re-raised wrapped in
+    :class:`StorageUnavailable` (original attached as ``__cause__``) so
+    the job-level retry policy classifies them uniformly.
+
+    Writes pass through unguarded: ingest and diagnosis have different
+    failure domains, and a read-side brownout must not drop feed data.
+    Like every backend, instances are serialized by the owning table's
+    lock; the breaker itself is thread-safe anyway, so sharing one
+    breaker across tables also works.
+    """
+
+    suffix = "breaker"
+
+    def __init__(
+        self, inner: StorageBackend, breaker: Optional[CircuitBreaker] = None
+    ) -> None:
+        super().__init__(inner)
+        self.breaker = breaker or CircuitBreaker()
+
+    def _read(self, op: Callable[..., Any], label: str, *args: Any) -> Any:
         if not self.breaker.allow():
             raise StorageUnavailable(
                 f"{self.name}: circuit open, {label} refused (fail-fast)"
@@ -712,74 +760,27 @@ class BreakerBackend(StorageBackend):
         self.breaker.record_success()
         return result
 
-    def query(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> List[Any]:
-        """Breaker-guarded window query against the inner backend."""
-        return self._read(self.inner.query, "query", start, end, equals)
-
-    def query_columns(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> ColumnarSlice:
-        """Breaker-guarded columnar window query against the inner backend."""
-        return self._read(
-            self.inner.query_columns, "query_columns", start, end, equals
-        )
-
-    def scan(self) -> List[Any]:
-        """Breaker-guarded full scan of the inner backend."""
-        return self._read(self.inner.scan, "scan")
-
-    def distinct(self, column: str) -> List[Any]:
-        """Breaker-guarded distinct-values read."""
-        return self._read(self.inner.distinct, "distinct", column)
-
-    def time_span(self) -> Optional[Tuple[float, float]]:
-        """Breaker-guarded (oldest, newest) timestamp read."""
-        return self._read(self.inner.time_span, "time_span")
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
     def stats(self) -> Dict[str, Any]:
         """Inner backend stats plus the breaker's state and open count."""
-        stats = dict(self.inner.stats())
-        stats["backend"] = self.name
+        stats = super().stats()
         stats["breaker"] = self.breaker.state()
         stats["breaker_opened"] = self.breaker.times_opened
         return stats
 
-    def close(self) -> None:
-        """Close the inner backend."""
-        self.inner.close()
-
 
 def breaker_backend(
     inner: Optional[BackendSpec] = None,
-    failure_threshold: int = 5,
-    reset_timeout: float = 30.0,
-    clock: Callable[[], float] = time.monotonic,
+    breaker: Callable[[], CircuitBreaker] = CircuitBreaker,
 ) -> BackendFactory:
     """Factory wrapping another backend spec's tables in read breakers.
 
-    Each table gets its own breaker (one wedged table must not open the
-    circuit for healthy ones).
+    ``breaker`` builds one breaker per table (one wedged table must not
+    open the circuit for healthy ones).
     """
     inner_factory = resolve_backend(inner)
 
     def make(table_name: str, indexed_columns: Tuple[str, ...]) -> BreakerBackend:
-        return BreakerBackend(
-            inner_factory(table_name, indexed_columns),
-            failure_threshold=failure_threshold,
-            reset_timeout=reset_timeout,
-            clock=clock,
-        )
+        return BreakerBackend(inner_factory(table_name, indexed_columns), breaker())
 
     make.backend_name = (  # type: ignore[attr-defined]
         f"{backend_name(inner_factory)}+breaker"

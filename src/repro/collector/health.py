@@ -11,12 +11,14 @@ that degradation a first-class, observable condition:
 * :class:`HealthRegistry` holds one :class:`FeedHealth` per source and
   answers the engine's question "was this evidence source degraded while
   this rule's retrieval window was open?".
-* :class:`FeedReader` wraps a feed transport with bounded retry,
-  exponential backoff plus jitter, and a per-source circuit breaker so
-  transient read failures never crash ingestion and persistent ones mark
-  the feed ``DOWN``.
-* :class:`DeadLetterBuffer` keeps a bounded buffer of rejected raw lines
-  (with reasons) for later replay once a parser or feed is fixed.
+* :class:`FeedReader` wraps a feed transport with the shared
+  :mod:`repro.resilience` kit — a :class:`~repro.resilience.RetryPolicy`
+  and a :class:`~repro.resilience.CircuitBreaker` at feed-scale values —
+  so transient read failures never crash ingestion and persistent ones
+  mark the feed ``DOWN``.
+* :class:`DeadLetterBuffer` keeps a :class:`~repro.resilience.BoundedBuffer`
+  of rejected raw lines (with reasons) for later replay once a parser or
+  feed is fixed.
 
 Everything is injectable-clock friendly: no call here ever consults the
 real time unless the default ``time.time``/``time.sleep`` are left in
@@ -28,9 +30,16 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+
+from ..resilience import (
+    BoundedBuffer,
+    CircuitBreaker,
+    RetryPolicy,
+    TransientError,
+)
 
 
 class FeedState(Enum):
@@ -322,32 +331,20 @@ def canonical_source(data_source: str) -> Optional[str]:
 # retry / backoff / circuit-breaker reader
 
 
-class FeedReadError(RuntimeError):
+class FeedReadError(TransientError):
     """All retries for one poll failed; the batch was not delivered."""
 
 
-class CircuitOpenError(RuntimeError):
-    """The per-source circuit breaker is open; polls are refused."""
+class CircuitOpenError(TransientError):
+    """The feed's circuit breaker is open; polls are refused."""
 
 
-@dataclass
-class RetryConfig:
-    """Tunables for :class:`FeedReader`."""
-
-    #: attempts per poll (first try + retries)
-    max_attempts: int = 4
-    #: first backoff delay, seconds
-    backoff_base: float = 1.0
-    #: multiplier applied per further retry
-    backoff_factor: float = 2.0
-    #: backoff ceiling, seconds
-    backoff_max: float = 60.0
-    #: extra random fraction of the delay added as jitter
-    jitter: float = 0.1
-    #: consecutive failed attempts that open the circuit breaker
-    failure_threshold: int = 8
-    #: open -> half-open probe after this long, seconds
-    reset_timeout: float = 300.0
+#: :class:`~repro.resilience.RetryPolicy` values for a feed poll: slow
+#: WAN transports, so seconds where a job retry waits milliseconds
+FEED_RETRY = {"max_attempts": 4, "backoff_base": 1.0, "backoff_max": 60.0}
+#: :class:`~repro.resilience.CircuitBreaker` values for a feed: two
+#: fully failed polls open it; probe again after five minutes
+FEED_BREAKER = {"failure_threshold": 8, "reset_timeout": 300.0}
 
 
 class FeedReader:
@@ -355,103 +352,67 @@ class FeedReader:
 
     ``transport`` is any zero-argument callable returning an iterable of
     raw lines (one poll); it may raise on transient failure.  A poll
-    retries with exponential backoff plus jitter; when consecutive
-    failed attempts reach ``failure_threshold`` the circuit opens, the
-    registry (when given) marks the feed ``DOWN``, and further polls
-    fail fast with :class:`CircuitOpenError` until ``reset_timeout``
-    passes and a half-open probe is allowed.  No batch is ever dropped
-    silently: a poll either returns the transport's lines or raises.
+    retries per ``retry`` (exponential backoff plus jitter); when
+    consecutive failed attempts trip ``breaker`` the registry (when
+    given) marks the feed ``DOWN``, and further polls fail fast with
+    :class:`CircuitOpenError` until the breaker allows a half-open
+    probe — a single attempt whose success marks the feed restored.  No
+    batch is ever dropped silently: a poll either returns the
+    transport's lines or raises.
+
+    The breaker's clock timestamps the registry marks, so it must be the
+    registry's observation clock (``time.time`` by default).  Readers of
+    one upstream may be handed the same breaker: it then opens for all
+    of them at once.
     """
 
     def __init__(
         self,
         source: str,
         transport: Callable[[], Iterable[str]],
-        config: Optional[RetryConfig] = None,
-        clock: Callable[[], float] = time.time,
+        retry: Optional[RetryPolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
         sleep: Callable[[float], None] = time.sleep,
-        rng: Optional[random.Random] = None,
         registry: Optional[HealthRegistry] = None,
     ) -> None:
         self.source = source
         self.transport = transport
-        self.config = config or RetryConfig()
-        self.clock = clock
+        self.retry = retry or RetryPolicy(rng=random.Random(source), **FEED_RETRY)
+        self.breaker = breaker or CircuitBreaker(clock=time.time, **FEED_BREAKER)
         self.sleep = sleep
-        self.rng = rng or random.Random(source)
         self.registry = registry
-        self.consecutive_failures = 0
-        self._opened_at: Optional[float] = None
-
-    @property
-    def circuit_open(self) -> bool:
-        """True while the breaker refuses polls (before the probe time)."""
-        return self._opened_at is not None
 
     def poll(self) -> List[str]:
         """One read through retry/backoff; raises when the feed is down."""
-        if self._opened_at is not None:
-            if self.clock() - self._opened_at < self.config.reset_timeout:
-                raise CircuitOpenError(
-                    f"feed {self.source!r}: circuit open, next probe in "
-                    f"{self.config.reset_timeout - (self.clock() - self._opened_at):.0f}s"
-                )
-            # half-open: allow exactly one probe attempt, no retries
-            return self._attempt_probe()
-        delay = self.config.backoff_base
+        breaker = self.breaker
+        state = breaker.state()
+        if state == "open":
+            raise CircuitOpenError(f"feed {self.source!r}: circuit open")
+        # half-open: exactly one probe attempt, no retries
+        attempts = 1 if state == "half-open" else self.retry.max_attempts
         last_error: Optional[BaseException] = None
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(1, attempts + 1):
             try:
                 lines = list(self.transport())
             except Exception as exc:  # noqa: BLE001 - transport is arbitrary
                 last_error = exc
-                self.consecutive_failures += 1
-                if self.consecutive_failures >= self.config.failure_threshold:
-                    self._open_circuit()
+                if breaker.record_failure():
+                    if state == "closed" and self.registry is not None:
+                        self.registry.mark_down(self.source, breaker.clock())
                     raise CircuitOpenError(
-                        f"feed {self.source!r}: {self.consecutive_failures} "
-                        f"consecutive failures, circuit opened"
+                        f"feed {self.source!r}: {breaker.consecutive_failures} "
+                        f"consecutive failures, circuit open"
                     ) from exc
-                if attempt + 1 < self.config.max_attempts:
-                    self.sleep(self._backoff_delay(delay))
-                    delay = min(
-                        delay * self.config.backoff_factor, self.config.backoff_max
-                    )
+                if attempt < attempts:
+                    self.sleep(self.retry.delay(attempt))
                 continue
-            self._note_success()
+            breaker.record_success()
+            if state == "half-open" and self.registry is not None:
+                self.registry.mark_restored(self.source, breaker.clock())
             return lines
         raise FeedReadError(
-            f"feed {self.source!r}: {self.config.max_attempts} attempts failed"
+            f"feed {self.source!r}: {attempts} attempts failed"
         ) from last_error
-
-    # ------------------------------------------------------------------
-
-    def _attempt_probe(self) -> List[str]:
-        try:
-            lines = list(self.transport())
-        except Exception as exc:  # noqa: BLE001
-            self.consecutive_failures += 1
-            self._opened_at = self.clock()  # stay open, restart the timer
-            raise CircuitOpenError(
-                f"feed {self.source!r}: half-open probe failed"
-            ) from exc
-        self._note_success()
-        return lines
-
-    def _note_success(self) -> None:
-        self.consecutive_failures = 0
-        if self._opened_at is not None:
-            self._opened_at = None
-            if self.registry is not None:
-                self.registry.mark_restored(self.source, self.clock())
-
-    def _open_circuit(self) -> None:
-        self._opened_at = self.clock()
-        if self.registry is not None:
-            self.registry.mark_down(self.source, self.clock())
-
-    def _backoff_delay(self, delay: float) -> float:
-        return delay * (1.0 + self.config.jitter * self.rng.random())
 
 
 # ---------------------------------------------------------------------------
@@ -467,39 +428,22 @@ class DeadLetter:
     reason: str
 
 
-class DeadLetterBuffer:
-    """Bounded FIFO of rejected lines; oldest entries drop when full."""
+class DeadLetterBuffer(BoundedBuffer[DeadLetter]):
+    """Bounded buffer of rejected lines, replayable through a collector."""
 
     def __init__(self, capacity: int = 10_000) -> None:
-        self.capacity = capacity
-        self._entries: Deque[DeadLetter] = deque(maxlen=capacity)
-        #: entries evicted because the buffer was full
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def append(self, source: str, line: str, reason: str) -> None:
-        """Capture one rejected line (evicting the oldest when full)."""
-        if len(self._entries) == self.capacity:
-            self.dropped += 1
-        self._entries.append(DeadLetter(source=source, line=line, reason=reason))
+        super().__init__(capacity)
 
     def entries(self, source: Optional[str] = None) -> List[DeadLetter]:
         """Buffered entries, optionally restricted to one source."""
+        entries = super().entries()
         if source is None:
-            return list(self._entries)
-        return [e for e in self._entries if e.source == source]
+            return entries
+        return [e for e in entries if e.source == source]
 
     def reason_counts(self) -> Counter:
         """Counter of reject reasons across the buffer."""
-        return Counter(e.reason for e in self._entries)
-
-    def drain(self) -> List[DeadLetter]:
-        """Remove and return everything buffered (oldest first)."""
-        drained = list(self._entries)
-        self._entries.clear()
-        return drained
+        return Counter(e.reason for e in self.entries())
 
     def replay_into(self, collector) -> Dict[str, Tuple[int, int]]:
         """Re-ingest every buffered line through the collector.

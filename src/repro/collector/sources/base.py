@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Tuple
 
+from ..health import DeadLetter, DeadLetterBuffer
 from ..normalizer import DeviceRegistry, NormalizationError, brief_reason
 from ..store import DataStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..health import DeadLetterBuffer
 
 #: Cap on distinct reject reasons tracked per source (top-N, approximate).
 MAX_REJECT_REASONS = 16
@@ -83,7 +81,7 @@ class SourceParser:
     registry: DeviceRegistry = field(default_factory=DeviceRegistry)
     stats: ParseStats = field(default_factory=ParseStats)
     #: when set (by the collector), rejected raw lines are captured here
-    dead_letters: Optional["DeadLetterBuffer"] = None
+    dead_letters: Optional[DeadLetterBuffer] = None
 
     #: override in subclasses
     table_name: str = ""
@@ -100,7 +98,7 @@ class SourceParser:
                 self.stats.reject(str(exc), line)
                 if self.dead_letters is not None:
                     self.dead_letters.append(
-                        self.table_name, line, brief_reason(str(exc))
+                        DeadLetter(self.table_name, line, brief_reason(str(exc)))
                     )
         return self.stats
 

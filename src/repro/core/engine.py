@@ -75,6 +75,23 @@ def merge_footprint(reads: Iterable[FootprintEntry]) -> Tuple[FootprintEntry, ..
     return tuple(merged)
 
 
+def footprint_hit(
+    reads: Iterable[FootprintEntry], deltas: Dict[str, List[float]]
+) -> bool:
+    """Whether any delta point lands inside any of the read windows.
+
+    ``deltas`` maps table name to *sorted* record timestamps; one bisect
+    per read window.
+    """
+    for table, lo, hi in reads:
+        points = deltas.get(table)
+        if points:
+            p = bisect.bisect_left(points, lo)
+            if p < len(points) and points[p] <= hi:
+                return True
+    return False
+
+
 def evidence_sources(graph: DiagnosisGraph, library: EventLibrary) -> Set[str]:
     """Collector feeds backing any event in a diagnosis graph.
 
@@ -846,16 +863,6 @@ class RcaEngine:
         self._retrieval_reads.clear()
         self._covers.clear()
 
-    def invalidate_retrievals(self, table: str, timestamp: float) -> int:
-        """Drop cached retrievals whose store reads cover one new record.
-
-        The selective counterpart of :meth:`clear_cache`: a late record
-        at ``(table, timestamp)`` only stales the cache entries whose
-        recorded reads include that point.  Must be called from the
-        thread that owns this engine (the cache is not locked).
-        """
-        return self.invalidate_deltas({table: [timestamp]})
-
     def evict_retrievals_before(self, cutoff: float) -> int:
         """Drop cached covers that end before ``cutoff``; return the count.
 
@@ -865,7 +872,7 @@ class RcaEngine:
         or re-opened) symptom can request is unreachable, and keeping it
         would make :meth:`invalidate_deltas` scan an ever-growing entry
         list on a month-scale replay.  Same threading contract as
-        :meth:`invalidate_retrievals`.
+        :meth:`invalidate_deltas`.
         """
         stale = [
             key for key in self._retrieval_cache if key[2] < cutoff
@@ -879,22 +886,17 @@ class RcaEngine:
         per-advance delta buffer the streaming engine drains from the
         store's insert listeners.  A cache entry goes stale when any of
         its recorded store reads contains any delta point of that table
-        (one bisect per (entry, read) pair); everything else survives
-        the advance.  Returns the number of entries dropped.  Same
-        threading contract as :meth:`invalidate_retrievals`.
+        (:func:`footprint_hit`); everything else survives the advance.
+        Returns the number of entries dropped.  Must be called from the
+        thread that owns this engine (the cache is not locked).
         """
         if not deltas or not self._retrieval_reads:
             return 0
-        stale = []
-        for key, reads in self._retrieval_reads.items():
-            for read_table, lo, hi in reads:
-                points = deltas.get(read_table)
-                if not points:
-                    continue
-                p = bisect.bisect_left(points, lo)
-                if p < len(points) and points[p] <= hi:
-                    stale.append(key)
-                    break
+        stale = [
+            key
+            for key, reads in self._retrieval_reads.items()
+            if footprint_hit(reads, deltas)
+        ]
         return self._drop_retrievals(stale)
 
     def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:

@@ -105,10 +105,10 @@ class LocationResolver:
     measured; without the lookback those joins would be missed.
 
     ``cache_size`` bounds the routing-epoch resolution cache (LRU over
-    ``(location, level, epoch)``); ``0`` disables memoization entirely
-    — every expansion recomputes, which is the oracle the cached path
-    is property-tested against.  The cache (and its counters) is
-    thread-safe: one resolver is shared by every worker engine.
+    ``(location, level, epoch)``, at least one entry).  The cache (and
+    its counters) is thread-safe: one resolver is shared by every worker
+    engine.  The cache is property-tested against a resolver that
+    recomputes every expansion (``tests/oracles``).
     """
 
     def __init__(
@@ -122,6 +122,8 @@ class LocationResolver:
         self.network = paths.network
         self.path_lookback = path_lookback
         self.epoch = epoch if epoch is not None else RoutingEpoch(paths)
+        if cache_size < 1:
+            raise ValueError("cache_size must be at least 1")
         self._cache_size = cache_size
         self._cache: "OrderedDict[Tuple, FrozenSet[str]]" = OrderedDict()
         # (location, level) -> epoch token of the entry currently cached
@@ -197,7 +199,7 @@ class LocationResolver:
 
         ``trace`` (a :class:`repro.obs.Tracer`, optional) receives
         ``spatial_cache_hits`` / ``spatial_cache_misses`` counters on
-        its current span when the resolution cache is enabled.
+        its current span.
         """
         level = _LEVEL_CANONICAL.get(level, level)
         if level is JoinLevel.NETWORK:
@@ -207,8 +209,6 @@ class LocationResolver:
         handler = _HANDLERS.get(location.type)
         if handler is None:  # pragma: no cover - all types handled
             return _EMPTY
-        if self._cache_size <= 0:
-            return self._compute(handler, location, level, timestamp)
         epoch = self._epoch_key(location, timestamp)
         key = (location, level, epoch)
         with self._lock:

@@ -14,7 +14,7 @@ Design points:
   ``now - settle_seconds`` has passed its end, bounding how long late
   evidence is waited for.  The default covers the eBGP hold timer plus
   one SNMP poll.
-* **Reorder slack** — retrieval windows reach back ``reorder_slack``
+* **Reorder slack** — retrieval windows reach back ``REORDER_SLACK``
   before the previous watermark so out-of-order feed arrivals are not
   lost; already-diagnosed instances are de-duplicated by identity.
 * **Incremental cache discipline** — the engine's retrieval cache is
@@ -41,14 +41,13 @@ Design points:
 
 from __future__ import annotations
 
-import bisect
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..collector.health import FeedState
 from ..obs.trace import NULL_TRACER
-from .engine import Diagnosis, RcaEngine, evidence_sources
+from .engine import Diagnosis, RcaEngine, evidence_sources, footprint_hit
 from .events import EventInstance, InstanceKey, RetrievalContext, instance_key
 
 DiagnosisCallback = Callable[[Diagnosis], None]
@@ -57,6 +56,10 @@ DiagnosisCallback = Callable[[Diagnosis], None]
 #: ``RcaService.dispatcher``) plugs in here to parallelize advances.
 BatchDispatcher = Callable[[List[EventInstance]], List[Diagnosis]]
 
+#: how far before the previous watermark symptom retrieval reaches back,
+#: seconds, so out-of-order feed arrivals are not lost
+REORDER_SLACK = 120.0
+
 
 @dataclass
 class StreamingConfig:
@@ -64,8 +67,6 @@ class StreamingConfig:
 
     #: wait this long past a symptom's end before diagnosing it
     settle_seconds: float = 420.0
-    #: how far before the previous watermark retrieval reaches back
-    reorder_slack: float = 120.0
     #: forget de-duplication keys older than this (memory bound)
     dedupe_horizon: float = 7200.0
     #: cap on how long a LAGGING feed may hold back settling
@@ -164,16 +165,11 @@ class StreamingRca:
         """
         if not deltas or not self._settled:
             return []
-        hits: List[Tuple[InstanceKey, EventInstance, Diagnosis]] = []
-        for key, (instance, diagnosis) in self._settled.items():
-            for table, lo, hi in diagnosis.footprint:
-                points = deltas.get(table)
-                if not points:
-                    continue
-                p = bisect.bisect_left(points, lo)
-                if p < len(points) and points[p] <= hi:
-                    hits.append((key, instance, diagnosis))
-                    break
+        hits = [
+            (key, instance, diagnosis)
+            for key, (instance, diagnosis) in self._settled.items()
+            if footprint_hit(diagnosis.footprint, deltas)
+        ]
         hits.sort(key=lambda item: (item[1].start, item[0]))
         cap = self.config.max_reopen_per_advance
         if len(hits) > cap:
@@ -227,7 +223,7 @@ class StreamingRca:
                     return []
             else:
                 if self._watermark is not None:
-                    window_start = self._watermark - config.reorder_slack
+                    window_start = self._watermark - REORDER_SLACK
                 elif self._start is not None:
                     window_start = self._start
                 else:

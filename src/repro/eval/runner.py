@@ -251,7 +251,7 @@ class ScenarioRunner:
     def _chaos_executor(self, scenario: Scenario, holder: Dict[str, Any]):
         """A ServiceFaultInjector executor honouring the chaos script."""
         from ..service.faults import ServiceFaultInjector
-        from ..service.policy import TransientError
+        from ..resilience import TransientError
 
         injector = ServiceFaultInjector(
             lambda job, worker: holder["service"]._execute(job, worker)
@@ -275,7 +275,7 @@ class ScenarioRunner:
     def _run_service(self, scenario: Scenario, app, symptoms, outcome: RunOutcome) -> None:
         """Job-pool diagnosis with optional chaos, one latency per job."""
         from ..service import RcaService
-        from ..service.policy import RetryPolicy
+        from ..resilience import RetryPolicy
 
         holder: Dict[str, Any] = {}
         options: Dict[str, Any] = {

@@ -9,10 +9,10 @@ service (the platform the paper operates, Section I/VI):
   per worker) plus :func:`parallel_diagnose` for batch runs;
 * :mod:`~repro.service.cache` — watermark-keyed result cache with
   footprint invalidation on late-arriving records;
-* :mod:`~repro.service.policy` — fault-containment policy: per-job
-  deadlines and cancellation tokens, transient/permanent error
-  classification, bounded retries, circuit breakers, and the brownout
-  degradation state machine;
+* :mod:`~repro.service.policy` — per-job deadlines and cancellation
+  tokens and the brownout degradation state machine (error
+  classification, bounded retries and circuit breakers come from the
+  shared kit, :mod:`repro.resilience`);
 * :mod:`~repro.service.supervisor` — the self-healing loop: dead-worker
   reconciliation, in-flight failover, poison-job quarantine, hung-worker
   detachment and brownout evaluation;
@@ -28,6 +28,13 @@ See ``docs/service.md`` and ``docs/robustness.md`` for architecture,
 tuning and the chaos-recipe catalogue.
 """
 
+from ..resilience import (
+    CircuitBreaker,
+    PermanentError,
+    RetryPolicy,
+    TransientError,
+    is_transient,
+)
 from .api import AppHandle, PeriodicSchedule, RcaService
 from .cache import CacheEntry, CacheKey, ResultCache, cache_key
 from .faults import FlakyBackend, ServiceFaultInjector
@@ -36,14 +43,9 @@ from .policy import (
     BrownoutConfig,
     BrownoutController,
     CancellationToken,
-    CircuitBreaker,
     DeadlineExceeded,
     OperationCancelled,
-    PermanentError,
-    RetryPolicy,
     ServiceHealth,
-    TransientError,
-    is_transient,
 )
 from .queue import (
     PRIORITY_IMPAIRED_PENALTY,
@@ -59,7 +61,6 @@ from .queue import (
 )
 from .supervisor import (
     PoisonJob,
-    QuarantineBuffer,
     QuarantineEntry,
     SupervisorConfig,
     WorkerSupervisor,
@@ -97,7 +98,6 @@ __all__ = [
     "PRIORITY_IMPAIRED_PENALTY",
     "PRIORITY_INTERACTIVE",
     "PRIORITY_PERIODIC",
-    "QuarantineBuffer",
     "QuarantineEntry",
     "QueueClosed",
     "QueueFull",

@@ -32,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..collector.health import IMPAIRED_STATES, HealthRegistry
 from ..core.engine import Diagnosis, RcaEngine, evidence_sources
@@ -41,11 +41,11 @@ from ..obs.report import stage_breakdown
 from ..obs.trace import NULL_TRACER, Tracer
 from .cache import ResultCache, cache_key
 from .metrics import ServiceMetrics
+from ..resilience import RetryPolicy
 from .policy import (
     BrownoutConfig,
     BrownoutController,
     CancellationToken,
-    RetryPolicy,
     ServiceHealth,
 )
 from .queue import (
@@ -60,6 +60,12 @@ from .queue import (
 )
 from .supervisor import SupervisorConfig, WorkerSupervisor
 from .workers import Worker, WorkerPool
+
+#: while degraded, submissions at/above this priority are shed
+SHED_PRIORITY = PRIORITY_PERIODIC
+#: while degraded, the engine's exploration depth is capped here (and
+#: jobs run untraced)
+DEGRADED_MAX_DEPTH = 2
 
 
 @dataclass
@@ -85,6 +91,27 @@ class PeriodicSchedule:
     runs_submitted: int = 0
 
 
+def spatial_cache_snapshot(services: Iterable["RcaService"]) -> Dict[str, float]:
+    """Spatial resolution-cache counters, read at their source.
+
+    Sums :meth:`LocationResolver.cache_stats` over every *distinct*
+    resolver behind the services' registered apps: apps, workers and
+    shards that share one resolver count it once.
+    """
+    resolvers = {
+        id(handle.engine.resolver): handle.engine.resolver
+        for service in services
+        for handle in service.app_handles()
+    }
+    totals = {"hits": 0, "misses": 0, "invalidations": 0}
+    for resolver in resolvers.values():
+        stats = resolver.cache_stats()
+        for key in totals:
+            totals[key] += stats[key]
+    lookups = totals["hits"] + totals["misses"]
+    return {**totals, "hit_rate": totals["hits"] / lookups if lookups else 0.0}
+
+
 class RcaService:
     """Concurrent RCA serving layer over a shared platform."""
 
@@ -94,7 +121,6 @@ class RcaService:
         health: Optional[HealthRegistry] = None,
         workers: int = 4,
         queue_depth: int = 256,
-        cache_capacity: int = 4096,
         metrics: Optional[ServiceMetrics] = None,
         clock: Callable[[], float] = time.monotonic,
         job_history: int = 1024,
@@ -122,7 +148,7 @@ class RcaService:
         #: does not pass its own; ``None`` = unbounded jobs
         self.default_deadline = default_deadline
         self.queue = JobQueue(max_depth=queue_depth)
-        self.cache = ResultCache(capacity=cache_capacity, metrics=self.metrics)
+        self.cache = ResultCache(metrics=self.metrics)
         self.cache.attach(store)
         self.pool = WorkerPool(
             # the executor seam lets the chaos harness interpose faults
@@ -150,10 +176,6 @@ class RcaService:
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
         self._shut_down = False
-        # last-synced spatial-cache counters per resolver (workers share
-        # one resolver per app, so deltas must be taken atomically)
-        self._spatial_seen: Dict[int, Dict[str, int]] = {}
-        self._spatial_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # registration and lifecycle
@@ -178,6 +200,11 @@ class RcaService:
         """Registered application names."""
         with self._lock:
             return sorted(self._apps)
+
+    def app_handles(self) -> List[AppHandle]:
+        """The registered applications' handles."""
+        with self._lock:
+            return list(self._apps.values())
 
     def start(self) -> None:
         """Start the worker pool and the supervisor (idempotent)."""
@@ -226,9 +253,10 @@ class RcaService:
     def metrics_snapshot(self) -> Dict[str, object]:
         """The full service state as one structured, JSON-ready dict.
 
-        Extends :meth:`ServiceMetrics.snapshot` with the storage and
-        health context only the service knows (backend, record counts,
-        brownout state, quarantine, pool liveness).  This is what
+        Extends :meth:`ServiceMetrics.snapshot` with the storage, spatial
+        cache and health context only the service knows (backend, record
+        counts, the apps' resolvers, brownout state, quarantine, pool
+        liveness).  This is what
         ``GET /v1/metrics`` serves per shard; :meth:`metrics_lines` is
         a thin text rendering over the same numbers.
         """
@@ -238,6 +266,7 @@ class RcaService:
             "tables": len(self.store.tables),
             "records": self.store.total_records(),
         }
+        snap["spatial_cache"] = spatial_cache_snapshot([self])
         health: Dict[str, object] = {"state": self.health_state().value}
         if self.supervisor is not None:
             health["quarantined"] = len(self.supervisor.quarantine)
@@ -254,6 +283,13 @@ class RcaService:
             f"  storage: backend={self.store.backend_name} "
             f"tables={len(self.store.tables)} "
             f"records={self.store.total_records()}"
+        )
+        spatial = spatial_cache_snapshot([self])
+        lines.append(
+            f"  spatial cache: {spatial['hits']} hits / "
+            f"{spatial['misses']} misses "
+            f"(hit rate {100 * spatial['hit_rate']:.1f}%), "
+            f"{spatial['invalidations']} invalidations"
         )
         health_line = f"  health: {self.health_state().value}"
         if self.supervisor is not None:
@@ -505,8 +541,8 @@ class RcaService:
         # brownout trims per-execution work: tracing is dropped and the
         # exploration depth capped for the duration of the degradation
         degraded = self.brownout.degraded
-        traced = job.traced and not (degraded and self.brownout.config.trim_tracing)
-        max_depth = self.brownout.config.degraded_max_depth if degraded else None
+        traced = job.traced and not degraded
+        max_depth = DEGRADED_MAX_DEPTH if degraded else None
         # one fresh tracer per traced job, created on the worker thread
         # and never shared: spans cannot leak between concurrent jobs
         tracer = Tracer() if traced else NULL_TRACER
@@ -552,7 +588,6 @@ class RcaService:
                     self.cache.store(key, diagnosis, revision)
                 diagnoses.append(diagnosis)
             root.annotate(symptoms=len(symptoms))
-            self._sync_spatial_metrics(engine.resolver)
         if traced:
             job.trace = root
             self.metrics.observe_stages(stage_breakdown(root))
@@ -564,28 +599,6 @@ class RcaService:
                     pass
         return diagnoses
 
-    def _sync_spatial_metrics(self, resolver) -> None:
-        """Fold the resolver's epoch-cache counters into service metrics.
-
-        The resolver's counters are cumulative and shared by every
-        worker engine of an app; each sync publishes only the delta
-        since the last sync of that resolver, so concurrent jobs never
-        double-count.
-        """
-        stats = resolver.cache_stats()
-        with self._spatial_lock:
-            seen = self._spatial_seen.setdefault(
-                id(resolver), {"hits": 0, "misses": 0, "invalidations": 0}
-            )
-            deltas = {key: stats[key] - seen[key] for key in seen}
-            seen.update({key: stats[key] for key in seen})
-        if deltas["hits"]:
-            self.metrics.spatial_cache_hits.increment(deltas["hits"])
-        if deltas["misses"]:
-            self.metrics.spatial_cache_misses.increment(deltas["misses"])
-        if deltas["invalidations"]:
-            self.metrics.spatial_cache_invalidations.increment(deltas["invalidations"])
-
     def _sync_engine(self, engine: RcaEngine) -> int:
         """Bring a worker engine's retrieval cache up to the store head.
 
@@ -593,8 +606,8 @@ class RcaService:
         as they land, but each worker engine also keeps a *private*
         retrieval cache; without this sync a re-diagnosis after an
         eviction could rebuild the result from stale cached windows.
-        Replays the cache's mutation log against the engine (dropping
-        exactly the windows each record landed in), falling back to a
+        Applies the cache's mutation log to the engine in one batch
+        (dropping exactly the windows a record landed in), falling back to a
         full :meth:`~repro.core.engine.RcaEngine.clear_cache` when the
         bounded log cannot prove completeness.  Runs on the worker
         thread that owns the engine; returns the synced revision.
@@ -607,13 +620,12 @@ class RcaService:
             return current
         if last == current:
             return current
-        mutations = self.cache.mutations_since(last)
-        if mutations is None or not mutations or mutations[-1][0] < current:
+        deltas = self.cache.mutations_since(last, current)
+        if deltas is None:
             # the log cannot account for every insert since `last`
             engine.clear_cache()
         else:
-            for _, table, timestamp in mutations:
-                engine.invalidate_retrievals(table, timestamp)
+            engine.invalidate_deltas(deltas)
         engine.synced_revision = current
         return current
 
@@ -642,14 +654,11 @@ class RcaService:
         # every job carries a token (deadline or not) so cancel_job and
         # shutdown can always stop it cooperatively
         job.cancel = CancellationToken(deadline=job.deadline, clock=self.clock)
-        if (
-            self.brownout.degraded
-            and job.priority >= self.brownout.config.shed_priority
-        ):
+        if self.brownout.degraded and job.priority >= SHED_PRIORITY:
             self.metrics.jobs_shed.increment()
             raise JobShed(
                 f"job shed: service degraded and priority {job.priority} >= "
-                f"shed threshold {self.brownout.config.shed_priority}"
+                f"shed threshold {SHED_PRIORITY}"
             )
         # issue the id and register the job BEFORE queue admission: a
         # concurrent poller holding an id this method returned must

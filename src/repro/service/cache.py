@@ -34,7 +34,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..core.engine import Diagnosis, FootprintEntry
+from ..core.engine import Diagnosis, FootprintEntry, footprint_hit
 from ..core.events import EventInstance, instance_key
 from .metrics import ServiceMetrics
 
@@ -54,13 +54,6 @@ class CacheEntry:
     diagnosis: Diagnosis
     footprint: Tuple[FootprintEntry, ...]
     store_revision: int
-
-    def covers(self, table: str, timestamp: float) -> bool:
-        """True when a record at (table, timestamp) falls in the footprint."""
-        for entry_table, lo, hi in self.footprint:
-            if entry_table == table and lo <= timestamp <= hi:
-                return True
-        return False
 
 
 class ResultCache:
@@ -153,11 +146,12 @@ class ResultCache:
             keys = self._by_table.get(table)
             if not keys:
                 return
+            delta = {table: [timestamp]}
             stale = [
                 key
                 for key in keys
                 if key in self._entries
-                and self._entries[key].covers(table, timestamp)
+                and footprint_hit(self._entries[key].footprint, delta)
             ]
             for key in stale:
                 self._remove(key)
@@ -180,37 +174,38 @@ class ResultCache:
             return list(self._entries)
 
     def mutations_since(
-        self, revision: int
-    ) -> Optional[List[Tuple[int, str, float]]]:
-        """Inserts logged after ``revision``, oldest first.
+        self, revision: int, head: int
+    ) -> Optional[Dict[str, List[float]]]:
+        """Inserts logged after ``revision``, as ``{table: sorted timestamps}``.
 
-        Returns ``None`` when the bounded log no longer reaches back to
-        ``revision`` — the caller cannot know what it missed and must
-        invalidate wholesale.  Workers use this to sync their engines'
-        private retrieval caches before diagnosing.
+        Returns ``None`` unless the bounded log holds every revision in
+        ``(revision, head]`` — the caller cannot know what it missed and
+        must invalidate wholesale.  Workers use this to sync their
+        engines' private retrieval caches before diagnosing.
         """
         with self._lock:
             newer = [m for m in self._mutations if m[0] > revision]
-            if newer and newer[0][0] != revision + 1:
-                return None  # log dropped entries in (revision, newer[0])
-            return newer
+        if newer and newer[0][0] != revision + 1:
+            return None  # log dropped entries in (revision, newer[0])
+        if (newer[-1][0] if newer else revision) < head:
+            return None  # log has not caught up with the store head
+        deltas: Dict[str, List[float]] = {}
+        for _, table, timestamp in newer:
+            deltas.setdefault(table, []).append(timestamp)
+        for points in deltas.values():
+            points.sort()
+        return deltas
 
     # ------------------------------------------------------------------
 
     def _publishable(
         self, footprint: Tuple[FootprintEntry, ...], store_revision: int
     ) -> bool:
-        if self._mutations and store_revision < self._mutations[0][0] - 1:
-            # the log no longer reaches back to the computation's start;
-            # a relevant insert may have been dropped — refuse to cache
-            return False
-        for revision, table, timestamp in self._mutations:
-            if revision <= store_revision:
-                continue
-            for entry_table, lo, hi in footprint:
-                if entry_table == table and lo <= timestamp <= hi:
-                    return False
-        return True
+        # a log that no longer reaches back to the computation's start
+        # may have dropped a relevant insert — refuse to cache; nothing
+        # newer than that start is required of it (head = start)
+        deltas = self.mutations_since(store_revision, store_revision)
+        return deltas is not None and not footprint_hit(footprint, deltas)
 
     def _remove(self, key: CacheKey) -> None:
         self._entries.pop(key, None)

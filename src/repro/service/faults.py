@@ -35,7 +35,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..collector.backends import StorageBackend
+from ..collector.backends import DelegatingBackend, StorageBackend
 from .queue import Job
 from .workers import Worker, WorkerCrash
 
@@ -223,23 +223,25 @@ class ServiceFaultInjector:
         return self.executor(job, worker)
 
 
-class FlakyBackend(StorageBackend):
+class FlakyBackend(DelegatingBackend):
     """Delegating storage backend that fails or delays reads on demand.
 
     ``fail_reads(n, error)`` makes the next ``n`` read operations
-    (query/scan/distinct/time_span) raise; ``read_latency`` adds a
-    fixed sleep before every read.  Writes always pass through, so the
-    stored data stays intact while the read path misbehaves — the shape
-    of a degraded disk or a wedged database, which is what the breaker
-    and retry layers exist for.
+    (query/query_columns/scan/distinct/time_span) raise;
+    ``read_latency`` adds a fixed sleep before every read.  Writes
+    always pass through, so the stored data stays intact while the read
+    path misbehaves — the shape of a degraded disk or a wedged database,
+    which is what the breaker and retry layers exist for.
     """
+
+    suffix = "flaky"
 
     def __init__(
         self,
         inner: StorageBackend,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.sleep = sleep
         self.read_latency = 0.0
         self._failures_left = 0
@@ -247,14 +249,6 @@ class FlakyBackend(StorageBackend):
         self._lock = threading.Lock()
         #: reads that were failed by injection
         self.failed_reads = 0
-
-    @property
-    def name(self) -> str:
-        return f"{self.inner.name}+flaky"
-
-    @property
-    def indexed_columns(self) -> Tuple[str, ...]:
-        return self.inner.indexed_columns
 
     def fail_reads(
         self, n: int, error: Optional[Callable[[], BaseException]] = None
@@ -265,7 +259,8 @@ class FlakyBackend(StorageBackend):
             if error is not None:
                 self._error = error
 
-    def _gate(self) -> None:
+    def _read(self, op: Callable[..., Any], label: str, *args: Any) -> Any:
+        """Lag and/or fail per the injection state, then run the read."""
         if self.read_latency:
             self.sleep(self.read_latency)
         with self._lock:
@@ -273,44 +268,10 @@ class FlakyBackend(StorageBackend):
                 self._failures_left -= 1
                 self.failed_reads += 1
                 raise self._error()
-
-    # -- writes pass through -------------------------------------------
-
-    def insert(self, row: Dict[str, Any]) -> None:
-        """Pass the write straight through (writes never misbehave)."""
-        self.inner.insert(row)
-
-    # -- reads are gated -----------------------------------------------
-
-    def query(self, start, end, equals=None):
-        """Gated window query (may raise or lag per injection state)."""
-        self._gate()
-        return self.inner.query(start, end, equals)
-
-    def scan(self):
-        """Gated full scan."""
-        self._gate()
-        return self.inner.scan()
-
-    def distinct(self, column):
-        """Gated distinct-values read."""
-        self._gate()
-        return self.inner.distinct(column)
-
-    def time_span(self):
-        """Gated (oldest, newest) timestamp read."""
-        self._gate()
-        return self.inner.time_span()
-
-    def __len__(self) -> int:
-        return len(self.inner)
+        return op(*args)
 
     def stats(self) -> Dict[str, Any]:
         """Inner backend stats plus the injected-failure count."""
-        stats = dict(self.inner.stats())
+        stats = super().stats()
         stats["failed_reads"] = self.failed_reads
         return stats
-
-    def close(self) -> None:
-        """Close the inner backend."""
-        self.inner.close()

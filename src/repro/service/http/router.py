@@ -263,14 +263,14 @@ class ShardRouter:
     def metrics(self) -> Dict[str, object]:
         """Per-shard snapshots plus summed platform-wide counters."""
         snapshots = [shard.metrics_snapshot() for shard in self.shards]
-        return {
-            "aggregate": _aggregate_counters(snapshots),
-            "shards": snapshots,
-        }
+        aggregate = _aggregate_counters(snapshots)
+        # shards share their apps' resolvers: read each once, never sum
+        aggregate["spatial_cache"] = service_api.spatial_cache_snapshot(self.shards)
+        return {"aggregate": aggregate, "shards": snapshots}
 
 
 #: Snapshot sections whose leaves are summable counters/gauges.
-_SUMMED_SECTIONS = ("jobs", "recovery", "cache", "spatial_cache")
+_SUMMED_SECTIONS = ("jobs", "recovery", "cache")
 #: Top-level summable scalar keys.
 _SUMMED_SCALARS = ("symptoms_diagnosed", "queue_depth", "workers_busy")
 
@@ -280,7 +280,7 @@ def _aggregate_counters(snapshots: Sequence[Dict[str, object]]) -> Dict[str, obj
 
     Only additive quantities are aggregated — summing percentile
     summaries would be statistically wrong, so latency distributions
-    stay per shard.  Hit rates are recomputed from the summed counts.
+    stay per shard.  The hit rate is recomputed from the summed counts.
     """
     aggregate: Dict[str, object] = {"shards": len(snapshots)}
     for section in _SUMMED_SECTIONS:
@@ -290,7 +290,7 @@ def _aggregate_counters(snapshots: Sequence[Dict[str, object]]) -> Dict[str, obj
                 if key == "hit_rate":
                     continue
                 merged[key] = merged.get(key, 0) + value
-        if section in ("cache", "spatial_cache"):
+        if section == "cache":
             lookups = merged.get("hits", 0) + merged.get("misses", 0)
             merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
         aggregate[section] = merged

@@ -188,16 +188,6 @@ class ServiceMetrics:
         self.cache_invalidations = Counter(
             "cache_invalidations", "entries evicted by late-arriving records"
         )
-        self.spatial_cache_hits = Counter(
-            "spatial_cache_hits", "location expansions served from the epoch cache"
-        )
-        self.spatial_cache_misses = Counter(
-            "spatial_cache_misses", "location expansions recomputed"
-        )
-        self.spatial_cache_invalidations = Counter(
-            "spatial_cache_invalidations",
-            "cached expansions retired by routing-state changes",
-        )
         self.queue_depth = Gauge("queue_depth", "jobs waiting in the queue")
         self.workers_busy = Gauge("workers_busy", "workers currently executing")
         self.queue_wait = Histogram("queue_wait_seconds", "submit-to-start latency")
@@ -252,12 +242,6 @@ class ServiceMetrics:
         total = hits + self.cache_misses.value
         return hits / total if total else 0.0
 
-    def spatial_cache_hit_rate(self) -> float:
-        """Epoch-cache hits over lookups, 0.0 before any lookup."""
-        hits = self.spatial_cache_hits.value
-        total = hits + self.spatial_cache_misses.value
-        return hits / total if total else 0.0
-
     def utilization(self, workers: int, elapsed_seconds: float) -> float:
         """Busy time as a fraction of total worker capacity."""
         capacity = workers * elapsed_seconds
@@ -295,12 +279,6 @@ class ServiceMetrics:
                 "invalidations": self.cache_invalidations.value,
                 "hit_rate": self.cache_hit_rate(),
             },
-            "spatial_cache": {
-                "hits": self.spatial_cache_hits.value,
-                "misses": self.spatial_cache_misses.value,
-                "invalidations": self.spatial_cache_invalidations.value,
-                "hit_rate": self.spatial_cache_hit_rate(),
-            },
             "queue_depth": self.queue_depth.value,
             "queue_depth_peak": self.queue_depth.peak,
             "workers_busy": self.workers_busy.value,
@@ -319,7 +297,6 @@ class ServiceMetrics:
         snap = self.snapshot(workers, elapsed_seconds)
         jobs = snap["jobs"]
         cache = snap["cache"]
-        spatial = snap["spatial_cache"]
         wait = snap["queue_wait"]
         latency = snap["diagnosis_latency"]
         lines = [
@@ -343,12 +320,6 @@ class ServiceMetrics:
                 f"  cache: {cache['hits']} hits / {cache['misses']} misses "
                 f"(hit rate {100 * cache['hit_rate']:.1f}%), "
                 f"{cache['invalidations']} invalidations"
-            ),
-            (
-                f"  spatial cache: {spatial['hits']} hits / "
-                f"{spatial['misses']} misses "
-                f"(hit rate {100 * spatial['hit_rate']:.1f}%), "
-                f"{spatial['invalidations']} invalidations"
             ),
             (
                 f"  queue: depth {snap['queue_depth']:.0f} "

@@ -1,53 +1,44 @@
-"""Fault-containment policy: deadlines, retries, breakers, brownout.
+"""Service-level fault containment: deadlines, cancellation, brownout.
 
-The service runtime (queue + workers + supervisor) needs a shared
-vocabulary for *how to fail*:
+What the service runtime (queue + workers + supervisor) adds on top of
+the shared kit in :mod:`repro.resilience` (error classification,
+:class:`~repro.resilience.RetryPolicy`,
+:class:`~repro.resilience.CircuitBreaker`):
 
 * :class:`CancellationToken` — per-job cooperative cancellation with an
   optional absolute deadline.  The engine checks the token at stage
   boundaries (node evaluation, store reads, joins), so a timed-out
   diagnosis actually stops instead of occupying a worker until it
   happens to finish.
-* error **classification** — :func:`is_transient` splits failures into
-  *transient* (storage/backends/infrastructure: worth retrying) and
-  *permanent* (rule/config bugs: retrying re-raises the same error
-  forever).  Injectors and backends can subclass
-  :class:`TransientError` to opt into retries explicitly.
-* :class:`RetryPolicy` — bounded attempts with exponential backoff plus
-  deterministic jitter (injectable RNG), mirroring the collector's
-  :class:`~repro.collector.health.RetryConfig` semantics at job level.
-* :class:`CircuitBreaker` — the :class:`~repro.collector.health.FeedReader`
-  breaker pattern extracted into a reusable guard: N consecutive
-  failures open the circuit, calls fail fast until ``reset_timeout``
-  passes, then one half-open probe decides.  Used by
-  :class:`~repro.collector.backends.BreakerBackend` to wrap
-  :class:`~repro.collector.backends.StorageBackend` reads.
 * :class:`BrownoutController` — watches queue-wait p99 and the
   deadline-miss rate; past thresholds the service enters ``DEGRADED``
   (shed low-priority jobs, trim exploration depth and tracing) and
   recovers with hysteresis so the state does not flap.
 
-Everything takes an injectable clock/RNG/sleep, so the whole policy
-layer is unit-testable without real time.
+Everything takes an injectable clock, so the whole policy layer is
+unit-testable without real time.
 """
 
 from __future__ import annotations
 
-import random
-import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
+
+from ..resilience import PermanentError
 
 
 # ---------------------------------------------------------------------------
 # cooperative cancellation
 
 
-class OperationCancelled(RuntimeError):
-    """The job's cancellation token was triggered; stop cooperatively."""
+class OperationCancelled(PermanentError):
+    """The job's cancellation token was triggered; stop cooperatively.
+
+    Permanent for the retry classifier: the caller asked us to stop.
+    """
 
 
 class DeadlineExceeded(OperationCancelled):
@@ -112,174 +103,6 @@ class CancellationToken:
 
 
 # ---------------------------------------------------------------------------
-# error classification
-
-
-class TransientError(RuntimeError):
-    """Marker base: the operation may succeed if simply retried."""
-
-
-class PermanentError(RuntimeError):
-    """Marker base: retrying will fail identically (rule/config bug)."""
-
-
-#: Exception types treated as transient without opting in: storage and
-#: transport failures that a healthy system recovers from on its own.
-_TRANSIENT_TYPES = (
-    TransientError,
-    ConnectionError,
-    TimeoutError,
-    InterruptedError,
-    sqlite3.OperationalError,
-)
-
-#: Types that are always permanent even though they subclass OSError
-#: etc. — plus the classic "the rule/config is wrong" family.
-_PERMANENT_TYPES = (
-    PermanentError,
-    ValueError,
-    TypeError,
-    KeyError,
-    AttributeError,
-    NotImplementedError,
-)
-
-
-def is_transient(error: BaseException) -> bool:
-    """Whether a failure is worth retrying.
-
-    Cancellation is never retried (the caller asked us to stop), the
-    permanent family is never retried, the transient family always is,
-    and *unknown* errors default to permanent — retrying a failure we
-    cannot classify just triples the latency of the same crash.
-    """
-    if isinstance(error, OperationCancelled):
-        return False
-    if isinstance(error, _PERMANENT_TYPES):
-        return False
-    if isinstance(error, _TRANSIENT_TYPES):
-        return True
-    if isinstance(error, OSError):  # I/O flake; ConnectionError subsumed
-        return True
-    # collector-layer transients, imported lazily to avoid a cycle
-    from ..collector.health import CircuitOpenError, FeedReadError
-
-    return isinstance(error, (CircuitOpenError, FeedReadError))
-
-
-# ---------------------------------------------------------------------------
-# retry policy
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded retry with exponential backoff plus deterministic jitter."""
-
-    #: attempts per job (first try + retries); 1 disables retries
-    max_attempts: int = 3
-    #: first backoff delay, seconds
-    backoff_base: float = 0.05
-    #: multiplier applied per further retry
-    backoff_factor: float = 2.0
-    #: backoff ceiling, seconds
-    backoff_max: float = 1.0
-    #: extra random fraction of the delay added as jitter
-    jitter: float = 0.1
-    #: deterministic jitter source (seeded for reproducible tests)
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
-
-    def should_retry(self, error: BaseException, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (1-based) may be retried."""
-        return attempt < self.max_attempts and is_transient(error)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt + 1`` (1-based input)."""
-        base = self.backoff_base * (self.backoff_factor ** max(0, attempt - 1))
-        base = min(base, self.backoff_max)
-        return base * (1.0 + self.jitter * self.rng.random())
-
-
-# ---------------------------------------------------------------------------
-# circuit breaker (the FeedReader pattern, extracted)
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker with half-open probes.
-
-    The state machine is the one :class:`~repro.collector.health.FeedReader`
-    runs for feed transports: ``closed`` (normal) -> ``open`` after
-    ``failure_threshold`` consecutive failures (calls refused) ->
-    ``half-open`` after ``reset_timeout`` (one probe allowed; success
-    closes, failure re-opens and restarts the timer).
-
-    The breaker only *decides*; callers ask :meth:`allow` before the
-    guarded operation and report :meth:`record_success` /
-    :meth:`record_failure` after.  Thread-safe.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.clock = clock
-        self.consecutive_failures = 0
-        self.times_opened = 0
-        self._opened_at: Optional[float] = None
-        self._lock = threading.Lock()
-
-    @property
-    def open(self) -> bool:
-        """True while the breaker refuses calls (probe time not reached)."""
-        with self._lock:
-            return (
-                self._opened_at is not None
-                and self.clock() - self._opened_at < self.reset_timeout
-            )
-
-    def allow(self) -> bool:
-        """Whether the next call may proceed (closed, or half-open probe)."""
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            return self.clock() - self._opened_at >= self.reset_timeout
-
-    def record_success(self) -> None:
-        """Account one success: reset failures, close the circuit."""
-        with self._lock:
-            self.consecutive_failures = 0
-            self._opened_at = None
-
-    def record_failure(self) -> bool:
-        """Account one failure; returns True when the circuit is open."""
-        with self._lock:
-            self.consecutive_failures += 1
-            if self._opened_at is not None:
-                # a failed half-open probe stays open, restarts the timer
-                self._opened_at = self.clock()
-                return True
-            if self.consecutive_failures >= self.failure_threshold:
-                self.times_opened += 1
-                self._opened_at = self.clock()
-                return True
-            return False
-
-    def state(self) -> str:
-        """``"closed"`` / ``"open"`` / ``"half-open"`` for dashboards."""
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if self.clock() - self._opened_at >= self.reset_timeout:
-                return "half-open"
-            return "open"
-
-
-# ---------------------------------------------------------------------------
 # brownout degradation
 
 
@@ -303,12 +126,6 @@ class BrownoutConfig:
     min_finished: int = 8
     #: recover once signals drop below ``recover_factor`` x threshold
     recover_factor: float = 0.5
-    #: while degraded, shed submissions at/above this priority
-    shed_priority: int = 20  # PRIORITY_PERIODIC
-    #: while degraded, cap the engine's exploration depth
-    degraded_max_depth: int = 2
-    #: while degraded, drop span tracing (jobs run untraced)
-    trim_tracing: bool = True
 
 
 class BrownoutController:

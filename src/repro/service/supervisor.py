@@ -12,9 +12,8 @@ is the self-healing loop over the PR-2 runtime:
 * **poison-job quarantine** — a job that repeatedly kills its workers
   is the job-level analogue of a malformed feed line: after
   ``max_crashes`` worker deaths it is marked ``QUARANTINED`` (terminal)
-  and parked in a bounded :class:`QuarantineBuffer` (the job-level
-  :class:`~repro.collector.health.DeadLetterBuffer`) for inspection or
-  later release.
+  and parked in a :class:`~repro.resilience.BoundedBuffer` (the same one
+  the collector's dead letters use) for inspection or later release.
 * **deadline enforcement** — jobs carry cooperative cancellation
   tokens; a cooperating executor times itself out at the next engine
   checkpoint.  A *non*-cooperating (hung) executor is given
@@ -37,10 +36,10 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Optional
 
+from ..resilience import BoundedBuffer
 from .metrics import ServiceMetrics
 from .policy import (
     BrownoutController,
@@ -51,6 +50,9 @@ from .queue import Job, JobQueue
 from .workers import Worker, WorkerPool
 
 LOG = logging.getLogger(__name__)
+
+#: quarantined jobs kept for inspection (oldest entries drop when full)
+QUARANTINE_CAPACITY = 256
 
 
 @dataclass
@@ -63,8 +65,6 @@ class SupervisorConfig:
     max_crashes: int = 2
     #: seconds past its deadline before a hung worker is detached
     hang_grace: float = 1.0
-    #: quarantine buffer capacity (oldest entries drop when full)
-    quarantine_capacity: int = 256
 
 
 @dataclass(frozen=True)
@@ -75,40 +75,6 @@ class QuarantineEntry:
     reason: str
     crashes: int
     quarantined_at: float
-
-
-class QuarantineBuffer:
-    """Bounded FIFO of quarantined jobs (job-level dead letters)."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: Deque[QuarantineEntry] = deque(maxlen=capacity)
-        #: entries evicted because the buffer was full
-        self.dropped = 0
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def append(self, entry: QuarantineEntry) -> None:
-        """Park one entry, evicting the oldest when at capacity."""
-        with self._lock:
-            if len(self._entries) == self.capacity:
-                self.dropped += 1
-            self._entries.append(entry)
-
-    def entries(self) -> List[QuarantineEntry]:
-        """Buffered entries, oldest first."""
-        with self._lock:
-            return list(self._entries)
-
-    def drain(self) -> List[QuarantineEntry]:
-        """Remove and return everything buffered (oldest first)."""
-        with self._lock:
-            drained = list(self._entries)
-            self._entries.clear()
-            return drained
 
 
 class PoisonJob(RuntimeError):
@@ -141,7 +107,9 @@ class WorkerSupervisor:
         self.config = config or SupervisorConfig()
         self.brownout = brownout
         self.clock = clock
-        self.quarantine = QuarantineBuffer(self.config.quarantine_capacity)
+        self.quarantine: BoundedBuffer[QuarantineEntry] = BoundedBuffer(
+            QUARANTINE_CAPACITY
+        )
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: workers this supervisor already reconciled (by identity)

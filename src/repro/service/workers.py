@@ -34,7 +34,8 @@ from ..core.engine import Diagnosis, RcaEngine
 from ..core.events import EventInstance
 from ..obs.trace import Tracer
 from .metrics import ServiceMetrics
-from .policy import DeadlineExceeded, OperationCancelled, RetryPolicy
+from ..resilience import RetryPolicy
+from .policy import DeadlineExceeded, OperationCancelled
 from .queue import Job, JobQueue, JobState
 
 LOG = logging.getLogger(__name__)

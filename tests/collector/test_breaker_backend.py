@@ -17,8 +17,8 @@ from repro.collector.backends import (
     memory_backend,
 )
 from repro.collector.store import Record
+from repro.resilience import CircuitBreaker, TransientError, is_transient
 from repro.service.faults import FlakyBackend
-from repro.service.policy import is_transient
 
 
 class ManualClock:
@@ -38,9 +38,11 @@ def guarded(failure_threshold=2, reset_timeout=10.0, clock=None):
     flaky = FlakyBackend(inner)
     breaker = BreakerBackend(
         flaky,
-        failure_threshold=failure_threshold,
-        reset_timeout=reset_timeout,
-        clock=clock or ManualClock(),
+        CircuitBreaker(
+            failure_threshold=failure_threshold,
+            reset_timeout=reset_timeout,
+            clock=clock or ManualClock(),
+        ),
     )
     return breaker, flaky, inner
 
@@ -139,6 +141,7 @@ class TestBreakerBackend:
         # the whole point of the wrapper type: job-level retries treat a
         # broken read path as worth retrying, not as a rule bug
         assert is_transient(StorageUnavailable("wedged"))
+        assert issubclass(StorageUnavailable, TransientError)
         assert issubclass(StorageUnavailable, ConnectionError)
 
 
@@ -150,7 +153,10 @@ class TestBreakerFactory:
             flakies[table_name] = FlakyBackend(MemoryBackend(indexed_columns))
             return flakies[table_name]
 
-        factory = breaker_backend(inner=flaky_factory, failure_threshold=1)
+        factory = breaker_backend(
+            inner=flaky_factory,
+            breaker=lambda: CircuitBreaker(failure_threshold=1),
+        )
         ta = factory("ta", ("router",))
         tb = factory("tb", ("router",))
         flakies["ta"].fail_reads(1)
@@ -183,3 +189,11 @@ class TestFlakyBackend:
         assert flaky.scan() == []  # budget spent: healthy again
         assert flaky.failed_reads == 2
         assert flaky.stats()["failed_reads"] == 2
+
+    def test_columnar_reads_are_gated_and_stay_on_the_inner_columnar_path(self):
+        flaky = FlakyBackend(MemoryBackend())
+        flaky.insert(Record.make(1.0, router="r1"))
+        assert flaky.query_columns(None, None, {}).zero_copy
+        flaky.fail_reads(1)
+        with pytest.raises(ConnectionError):
+            flaky.query_columns(None, None, {})

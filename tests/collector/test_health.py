@@ -8,6 +8,7 @@ import pytest
 from repro.collector import DataCollector
 from repro.collector.health import (
     CircuitOpenError,
+    DeadLetter,
     DeadLetterBuffer,
     FeedHealth,
     FeedReadError,
@@ -15,10 +16,10 @@ from repro.collector.health import (
     FeedState,
     HealthConfig,
     HealthRegistry,
-    RetryConfig,
     canonical_source,
 )
 from repro.collector.sources.snmp import render_snmp_row
+from repro.resilience import CircuitBreaker, RetryPolicy
 
 T0 = 1262692800.0
 
@@ -166,18 +167,18 @@ class TestCanonicalSource:
 # retry / backoff / circuit breaker
 
 
-def make_reader(transport, clock, registry=None, **overrides):
+def make_reader(transport, clock, registry=None, breaker=None, **overrides):
     """A FeedReader with fake clock/sleep and a seeded rng."""
-    defaults = dict(
+    retry = dict(
         max_attempts=4,
         backoff_base=1.0,
         backoff_factor=2.0,
         backoff_max=60.0,
         jitter=0.1,
-        failure_threshold=8,
-        reset_timeout=300.0,
     )
-    defaults.update(overrides)
+    trip = dict(failure_threshold=8, reset_timeout=300.0)
+    for key, value in overrides.items():
+        (retry if key in retry else trip)[key] = value
     sleeps = []
 
     def fake_sleep(seconds):
@@ -187,10 +188,9 @@ def make_reader(transport, clock, registry=None, **overrides):
     reader = FeedReader(
         "syslog",
         transport,
-        config=RetryConfig(**defaults),
-        clock=clock,
+        retry=RetryPolicy(rng=random.Random(42), **retry),
+        breaker=breaker or CircuitBreaker(clock=clock, **trip),
         sleep=fake_sleep,
-        rng=random.Random(42),
         registry=registry,
     )
     return reader, sleeps
@@ -205,8 +205,8 @@ class TestFeedReader:
         reader, sleeps = make_reader(transport, clock)
         assert reader.poll() == ["a", "b", "c"]
         assert transport.calls == 4
-        assert reader.consecutive_failures == 0
-        assert not reader.circuit_open
+        assert reader.breaker.consecutive_failures == 0
+        assert not reader.breaker.open
         # three backoffs, exponential with bounded jitter, no real sleeps
         assert len(sleeps) == 3
         for base, actual in zip([1.0, 2.0, 4.0], sleeps):
@@ -228,7 +228,7 @@ class TestFeedReader:
         with pytest.raises(FeedReadError):
             reader.poll()
         assert len(sleeps) == 3  # no sleep after the final attempt
-        assert reader.consecutive_failures == 4
+        assert reader.breaker.consecutive_failures == 4
 
     def test_circuit_opens_at_threshold_and_marks_feed_down(self):
         clock = FakeClock()
@@ -240,7 +240,7 @@ class TestFeedReader:
             reader.poll()  # failures 1..4
         with pytest.raises(CircuitOpenError):
             reader.poll()  # failures 5..8 -> threshold hit
-        assert reader.circuit_open
+        assert reader.breaker.open
         assert registry.state("syslog") is FeedState.DOWN
 
     def test_open_circuit_fails_fast(self):
@@ -269,7 +269,7 @@ class TestFeedReader:
         with pytest.raises(CircuitOpenError):
             reader.poll()  # one probe attempt, fails, re-opens
         assert transport.calls == calls_before + 1
-        assert reader.circuit_open
+        assert reader.breaker.open
 
     def test_half_open_probe_success_restores_feed(self):
         clock = FakeClock()
@@ -282,8 +282,43 @@ class TestFeedReader:
         assert registry.state("syslog") is FeedState.DOWN
         clock.advance(301.0)
         assert reader.poll() == ["back"]
-        assert not reader.circuit_open
-        assert reader.consecutive_failures == 0
+        assert not reader.breaker.open
+        assert reader.breaker.consecutive_failures == 0
+        assert registry.state("syslog") is FeedState.HEALTHY
+
+    def test_feed_defaults_are_the_module_constants(self):
+        reader = FeedReader("syslog", FlakyTransport(failures=0))
+        assert (reader.retry.max_attempts, reader.retry.backoff_base,
+                reader.retry.backoff_max) == (4, 1.0, 60.0)
+        assert (reader.breaker.failure_threshold,
+                reader.breaker.reset_timeout) == (8, 300.0)
+
+    def test_breaker_shared_between_two_readers_opens_for_both(self):
+        """Two transports of one upstream fail together: the reader that
+        trips the shared breaker also stops the other, untouched."""
+        clock = FakeClock()
+        registry = HealthRegistry()
+        shared = CircuitBreaker(failure_threshold=8, reset_timeout=300.0,
+                                clock=clock)
+        primary, _ = make_reader(
+            FlakyTransport(failures=99), clock, registry=registry, breaker=shared
+        )
+        standby_transport = FlakyTransport(failures=0, batch=["ok"])
+        standby, sleeps = make_reader(
+            standby_transport, clock, registry=registry, breaker=shared
+        )
+        for _ in range(2):
+            with pytest.raises((FeedReadError, CircuitOpenError)):
+                primary.poll()
+        assert shared.open
+        with pytest.raises(CircuitOpenError):
+            standby.poll()  # refused without touching its healthy transport
+        assert standby_transport.calls == 0 and sleeps == []
+        assert registry.state("syslog") is FeedState.DOWN
+        # either reader's successful half-open probe closes it for both
+        clock.advance(301.0)
+        assert standby.poll() == ["ok"]
+        assert not shared.open
         assert registry.state("syslog") is FeedState.HEALTHY
 
 
@@ -295,22 +330,22 @@ class TestDeadLetterBuffer:
     def test_bounded_with_dropped_counter(self):
         buffer = DeadLetterBuffer(capacity=3)
         for i in range(5):
-            buffer.append("syslog", f"line-{i}", "bad")
+            buffer.append(DeadLetter("syslog", f"line-{i}", "bad"))
         assert len(buffer) == 3
         assert buffer.dropped == 2
         assert [e.line for e in buffer.entries()] == ["line-2", "line-3", "line-4"]
 
     def test_reason_counts_and_source_filter(self):
         buffer = DeadLetterBuffer()
-        buffer.append("syslog", "x", "bad timestamp")
-        buffer.append("snmp", "y", "bad timestamp")
-        buffer.append("snmp", "z", "unknown metric")
+        buffer.append(DeadLetter("syslog", "x", "bad timestamp"))
+        buffer.append(DeadLetter("snmp", "y", "bad timestamp"))
+        buffer.append(DeadLetter("snmp", "z", "unknown metric"))
         assert buffer.reason_counts()["bad timestamp"] == 2
         assert len(buffer.entries("snmp")) == 2
 
     def test_drain_empties(self):
         buffer = DeadLetterBuffer()
-        buffer.append("syslog", "x", "bad")
+        buffer.append(DeadLetter("syslog", "x", "bad"))
         assert [e.line for e in buffer.drain()] == ["x"]
         assert len(buffer) == 0
 
@@ -319,7 +354,9 @@ class TestDeadLetterBuffer:
         collector.registry.register_device("nyc-per1", "US/Eastern")
         good = render_snmp_row(T0, "nyc-per1", "cpu_util_5min", "", 55.0)
         # a line that failed transiently (e.g. device registered late)
-        collector.dead_letters.append("snmp", good, "late registration")
+        collector.dead_letters.append(
+            DeadLetter("snmp", good, "late registration")
+        )
         outcome = collector.replay_dead_letters()
         assert outcome == {"snmp": (1, 0)}
         assert len(collector.dead_letters) == 0

@@ -290,7 +290,7 @@ class TestRetrievalPlanner:
         assert engine._covers
         # a late record inside the read windows drops those entries and
         # their covers, so the next diagnosis re-retrieves
-        dropped = engine.invalidate_retrievals("ta", 1006.0)
+        dropped = engine.invalidate_deltas({"ta": [1006.0]})
         assert dropped >= 1
         remaining = {
             (name, lo, hi) for name, windows in engine._covers.items()

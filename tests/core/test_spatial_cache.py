@@ -2,10 +2,14 @@
 
 import threading
 
+import pytest
+
 from repro.core.locations import Location, LocationType
 from repro.core.spatial import JoinLevel, LocationResolver, SpatialJoinRule
 from repro.obs import Tracer
 from repro.routing.ospf import WeightChange
+
+from ..oracles.resolver import ReferenceResolver
 
 T = 1000.0
 
@@ -40,15 +44,9 @@ class TestCacheHitsAndMisses:
         resolver.expand(loc, JoinLevel.INTERFACE, T)
         assert resolver.cache_stats()["misses"] == 2
 
-    def test_disabled_cache_never_counts(self, path_service):
-        resolver = make_resolver(path_service, cache_size=0)
-        loc = Location.router("nyc-per1")
-        resolver.expand(loc, JoinLevel.ROUTER, T)
-        resolver.expand(loc, JoinLevel.ROUTER, T)
-        stats = resolver.cache_stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["size"] == 0
+    def test_cache_must_hold_at_least_one_entry(self, path_service):
+        with pytest.raises(ValueError):
+            make_resolver(path_service, cache_size=0)
 
     def test_clear_cache_forces_recompute(self, path_service):
         resolver = make_resolver(path_service)
@@ -160,7 +158,7 @@ class TestBatchJoin:
         candidates = [
             Location.router(name) for name in sorted(small_topology.network.routers)
         ]
-        oracle = LocationResolver(path_service, cache_size=0)
+        oracle = ReferenceResolver(path_service)
         batch = rule.batch(resolver, symptom, T)
         for candidate in candidates:
             assert batch.joined(candidate) == rule.joined(

@@ -1,10 +1,11 @@
 """Property test: the epoch-keyed resolution cache is semantically invisible.
 
-A cached :class:`LocationResolver` and an uncached one (``cache_size=0``,
-the oracle) share one :class:`PathService` and must return identical
-expansions for every (location, level, timestamp) — before, between and
-after arbitrary interleaved routing-state mutations (OSPF weight floods,
-BGP announces/withdrawals, ingress-map learning, including out-of-order
+A cached :class:`LocationResolver` and the uncached
+:class:`~tests.oracles.resolver.ReferenceResolver` (the oracle) share
+one :class:`PathService` and must return identical expansions for every
+(location, level, timestamp) — before, between and after arbitrary
+interleaved routing-state mutations (OSPF weight floods, BGP
+announces/withdrawals, ingress-map learning, including out-of-order
 records that renumber history versions).
 """
 
@@ -15,6 +16,8 @@ from repro.core.spatial import JoinLevel, LocationResolver
 from repro.routing.bgp import BgpEmulator, BgpUpdateLog
 from repro.routing.ospf import OspfSimulator, WeightChange
 from repro.routing.paths import IngressMap, PathService
+
+from ..oracles.resolver import ReferenceResolver
 
 PREFIXES = ["198.51.100.0/24", "198.51.0.0/16", "203.0.113.0/24"]
 DEST_IPS = ["198.51.100.9", "198.51.7.9", "203.0.113.77", "8.8.8.8"]
@@ -50,7 +53,7 @@ def test_cached_expansion_matches_uncached_oracle(small_topology, data):
     # a tiny cache exercises the eviction path as hard as the hit path
     cache_size = data.draw(st.sampled_from([3, 4096]), label="cache_size")
     cached = LocationResolver(service, cache_size=cache_size)
-    oracle = LocationResolver(service, cache_size=0)
+    oracle = ReferenceResolver(service)
 
     def draw_location():
         kind = data.draw(

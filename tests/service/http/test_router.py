@@ -176,6 +176,25 @@ class TestAggregation:
         lookups = merged["hits"] + merged["misses"]
         assert merged["hit_rate"] == pytest.approx(merged["hits"] / lookups)
 
+    def test_aggregate_spatial_cache_is_the_shared_resolvers_not_a_shard_sum(
+        self, router2, mini_app, seeded_symptoms
+    ):
+        for symptoms in seeded_symptoms.values():  # work on both shards
+            _, job = router2.submit_diagnosis("mini", symptoms)
+            assert job.wait(timeout=30.0)
+        truth = mini_app.engine.resolver.cache_stats()
+        assert truth["misses"] > 0
+        metrics = router2.metrics()
+        merged = metrics["aggregate"]["spatial_cache"]
+        assert merged["hits"] == truth["hits"]
+        assert merged["misses"] == truth["misses"]
+        assert merged["invalidations"] == truth["invalidations"]
+        lookups = truth["hits"] + truth["misses"]
+        assert merged["hit_rate"] == pytest.approx(truth["hits"] / lookups)
+        # each shard reports the same shared resolver, whole
+        for shard in metrics["shards"]:
+            assert shard["spatial_cache"]["misses"] == truth["misses"]
+
     def test_apps_and_register_fan_out(self, router2):
         assert router2.apps() == ["mini"]
         assert all(s.apps() == ["mini"] for s in router2.shards)

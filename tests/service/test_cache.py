@@ -189,12 +189,28 @@ class TestMutationsSince:
         cache = ResultCache()
         for revision in range(1, 5):
             cache.note_insert("ta", float(revision), revision=revision)
-        assert cache.mutations_since(2) == [(3, "ta", 3.0), (4, "ta", 4.0)]
-        assert cache.mutations_since(4) == []
+        assert cache.mutations_since(2, 4) == {"ta": [3.0, 4.0]}
+        assert cache.mutations_since(4, 4) == {}
+
+    def test_groups_by_table_with_sorted_timestamps(self):
+        cache = ResultCache()
+        for revision, (table, timestamp) in enumerate(
+            [("ta", 9.0), ("tb", 2.0), ("ta", 1.0)], start=1
+        ):
+            cache.note_insert(table, timestamp, revision=revision)
+        assert cache.mutations_since(0, 3) == {"ta": [1.0, 9.0], "tb": [2.0]}
+
+    def test_log_behind_the_store_head_returns_none(self):
+        cache = ResultCache()
+        cache.note_insert("ta", 1.0, revision=1)
+        # the store is already at revision 2; its insert hook has not
+        # reached the cache yet, so the log cannot vouch for (0, 2]
+        assert cache.mutations_since(0, 2) is None
+        assert cache.mutations_since(1, 2) is None
 
     def test_gap_in_log_returns_none(self):
         cache = ResultCache(mutation_log_size=2)
         for revision in range(1, 6):  # log holds only 4, 5
             cache.note_insert("ta", float(revision), revision=revision)
-        assert cache.mutations_since(1) is None
-        assert cache.mutations_since(3) == [(4, "ta", 4.0), (5, "ta", 5.0)]
+        assert cache.mutations_since(1, 5) is None
+        assert cache.mutations_since(3, 5) == {"ta": [4.0, 5.0]}

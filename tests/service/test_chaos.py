@@ -15,14 +15,10 @@ import time
 
 import pytest
 
+from repro.resilience import RetryPolicy, TransientError
 from repro.service.api import RcaService
 from repro.service.faults import ServiceFaultInjector
-from repro.service.policy import (
-    DeadlineExceeded,
-    RetryPolicy,
-    ServiceHealth,
-    TransientError,
-)
+from repro.service.policy import DeadlineExceeded, ServiceHealth
 from repro.service.queue import TERMINAL_STATES, JobState, QueueFull
 from repro.service.supervisor import PoisonJob, SupervisorConfig
 

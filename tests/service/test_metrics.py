@@ -116,8 +116,6 @@ class TestSnapshotParity:
         metrics.cache_hits.increment(3)
         metrics.cache_misses.increment(1)
         metrics.cache_invalidations.increment(2)
-        metrics.spatial_cache_hits.increment(8)
-        metrics.spatial_cache_misses.increment(2)
         metrics.queue_depth.set(4)
         metrics.queue_depth.set(2)
         metrics.workers_busy.set(1)
@@ -139,7 +137,7 @@ class TestSnapshotParity:
         metrics = self.populated_metrics()
         snap = metrics.snapshot(2, 10.0)
         text = "\n".join(metrics.format_lines(2, 10.0))
-        jobs, cache, spatial = snap["jobs"], snap["cache"], snap["spatial_cache"]
+        jobs, cache = snap["jobs"], snap["cache"]
         assert f"{jobs['submitted']} submitted" in text
         assert f"{jobs['completed']} completed" in text
         assert f"{jobs['rejected']} rejected" in text
@@ -148,7 +146,6 @@ class TestSnapshotParity:
         assert f"symptoms diagnosed: {snap['symptoms_diagnosed']}" in text
         assert f"{cache['hits']} hits / {cache['misses']} misses" in text
         assert f"hit rate {100 * cache['hit_rate']:.1f}%" in text
-        assert f"hit rate {100 * spatial['hit_rate']:.1f}%" in text
         assert f"depth {snap['queue_depth']:.0f}" in text
         assert f"peak {snap['queue_depth_peak']:.0f}" in text
         wait = snap["queue_wait"]

@@ -10,19 +10,21 @@ import sqlite3
 import pytest
 
 from repro.collector.health import CircuitOpenError, FeedReadError
+from repro.resilience import (
+    CircuitBreaker,
+    PermanentError,
+    RetryPolicy,
+    TransientError,
+    is_transient,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.policy import (
     BrownoutConfig,
     BrownoutController,
     CancellationToken,
-    CircuitBreaker,
     DeadlineExceeded,
     OperationCancelled,
-    PermanentError,
-    RetryPolicy,
     ServiceHealth,
-    TransientError,
-    is_transient,
 )
 
 

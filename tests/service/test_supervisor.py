@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.resilience import BoundedBuffer
 from repro.service.metrics import ServiceMetrics
 from repro.service.policy import CancellationToken, DeadlineExceeded
 from repro.service.queue import Job, JobQueue, JobState, PRIORITY_INTERACTIVE
@@ -18,7 +19,6 @@ from repro.service.queue import Job, JobQueue, JobState, PRIORITY_INTERACTIVE
 pytestmark = pytest.mark.chaos
 from repro.service.supervisor import (
     PoisonJob,
-    QuarantineBuffer,
     QuarantineEntry,
     SupervisorConfig,
     WorkerSupervisor,
@@ -62,7 +62,7 @@ class CrashingExecutor:
 
 class TestQuarantineBuffer:
     def test_bounded_fifo_with_drop_accounting(self):
-        buffer = QuarantineBuffer(capacity=2)
+        buffer = BoundedBuffer(capacity=2)
         entries = [
             QuarantineEntry(job=make_job(), reason=f"r{i}", crashes=2,
                             quarantined_at=float(i))
@@ -75,7 +75,7 @@ class TestQuarantineBuffer:
         assert buffer.entries() == entries[1:]  # oldest evicted
 
     def test_drain_empties_the_buffer(self):
-        buffer = QuarantineBuffer(capacity=4)
+        buffer = BoundedBuffer(capacity=4)
         entry = QuarantineEntry(job=make_job(), reason="r", crashes=2,
                                 quarantined_at=0.0)
         buffer.append(entry)

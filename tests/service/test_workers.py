@@ -102,11 +102,11 @@ class TestEngineIsolation:
         cached_before = len(engine._retrieval_cache)
         assert cached_before > 0
         # a record far outside every cached window drops nothing
-        assert engine.invalidate_retrievals("ta", times[-1] + 10_000.0) == 0
+        assert engine.invalidate_deltas({"ta": [times[-1] + 10_000.0]}) == 0
         assert len(engine._retrieval_cache) == cached_before
         # a record inside the first symptom's evidence window drops the
         # covering entries only
-        dropped = engine.invalidate_retrievals("ta", times[0])
+        dropped = engine.invalidate_deltas({"ta": [times[0]]})
         assert dropped > 0
         assert len(engine._retrieval_cache) == cached_before - dropped
 
