@@ -14,6 +14,11 @@ insert path:
   ``rebuilds`` counter is per-late-record).
 * **query** — indexed equality vs unindexed filter over the 100k rows,
   per backend.
+* **collector ingest** — raw lines through ``DataCollector.ingest`` per
+  backend and per source shape (epoch-stamped ``perfmon``, text-stamped
+  ``snmp``, device-local ``syslog``), with the parse/normalize share
+  measured apart from the batch insert, so the whole write path sits
+  next to the raw-insert numbers above.
 
 Results land in ``BENCH_store.json`` (one key per test) so CI can
 archive the measurements per run.
@@ -24,12 +29,20 @@ import json
 import time
 from pathlib import Path
 
-from repro.collector.backends import MemoryBackend, SqliteBackend
+from repro.collector import DataCollector, DataStore
+from repro.collector.backends import MemoryBackend, SqliteBackend, sqlite_backend
+from repro.collector.sources import (
+    render_perfmon_row,
+    render_snmp_row,
+    render_syslog_line,
+)
+from repro.collector.sources.base import FLUSH_ROWS
 from repro.collector.store import Record
 
 BENCH_FILE = Path("BENCH_store.json")
 
 N_RECORDS = 100_000
+N_LINES = 50_000  # per source shape in the collector-ingest probe
 LATE_EVERY = 200  # 0.5% of records arrive ~150s late
 LATE_BY = 150.0
 ROUTERS = 20
@@ -214,3 +227,77 @@ def test_query_indexed_vs_unindexed(tmp_path, console):
     _record("query", payload)
     # the hash/SQL index must beat the scan on the selective filter
     assert payload["memory"]["indexed_ms"] <= payload["memory"]["unindexed_ms"]
+
+
+T0 = 1262692800.0
+DEVICES = [(f"pop{i}-per1", ("UTC", "US/Eastern", "US/Pacific")[i % 3]) for i in range(ROUTERS)]
+
+#: source -> line i of its feed, in the shape that source's parser pays for
+LINE_SHAPES = {
+    # epoch stamp: no timestamp normalization at all
+    "perfmon": lambda t, i: render_perfmon_row(
+        t, DEVICES[i % ROUTERS][0], DEVICES[(i * 7 + 1) % ROUTERS][0], "delay_ms", 30.0 + i % 10
+    ),
+    # "YYYY-mm-dd HH:MM:SS" in UTC plus router and interface names
+    "snmp": lambda t, i: render_snmp_row(
+        t, DEVICES[i % ROUTERS][0] + ".ispnet.example", "link_util", "Serial1/0", i % 100
+    ),
+    # "Mon dd HH:MM:SS" in the device's own zone plus the message regexes
+    "syslog": lambda t, i: render_syslog_line(
+        t, *DEVICES[i % ROUTERS], "LINK-3-UPDOWN",
+        f"Interface Serial{i % 4}/0, changed state to down",
+    ),
+}
+
+
+def _collector(backend):
+    collector = DataCollector(store=DataStore(backend=backend))
+    for name, zone in DEVICES:
+        collector.registry.register_device(name, zone)
+    return collector
+
+
+def test_collector_ingest_lines_per_second(tmp_path, console):
+    payload = {}
+    console.emit(
+        f"\n=== collector ingest ({N_LINES} lines per source shape; "
+        "parse+normalize and batch insert also timed apart) ==="
+    )
+    for source, shape in LINE_SHAPES.items():
+        lines = [shape(T0 + 3.0 * i, i) for i in range(N_LINES)]
+        entry = {}
+        # parse + normalize alone: the parser's pure half, no store
+        parser = _collector("memory").parsers[source]
+        started = time.perf_counter()
+        parsed = [parser.parse(line) for line in lines]
+        parse_seconds = time.perf_counter() - started
+        entry["parse_normalize_us_per_line"] = round(parse_seconds * 1e6 / N_LINES, 2)
+        for name in ("memory", "sqlite"):
+            backend = name if name == "memory" else sqlite_backend(str(tmp_path / source))
+            # batch insert alone: the same rows, already built
+            records = [Record.adopt(t, dict(fields)) for t, fields in parsed]
+            table = DataStore(backend=backend).table(source + "_rows")
+            started = time.perf_counter()
+            for at in range(0, N_LINES, FLUSH_ROWS):
+                table.insert_many(records[at:at + FLUSH_ROWS])
+            insert_seconds = time.perf_counter() - started
+            # the whole write path
+            collector = _collector(backend)
+            started = time.perf_counter()
+            stats = collector.ingest(source, lines)
+            seconds = time.perf_counter() - started
+            assert (stats.accepted, stats.rejected) == (N_LINES, 0)
+            assert len(collector.store.table(source)) == N_LINES
+            entry[name] = {
+                "seconds": round(seconds, 4),
+                "lines_per_second": round(N_LINES / seconds),
+                "insert_us_per_line": round(insert_seconds * 1e6 / N_LINES, 2),
+            }
+            console.emit(
+                f"{source:<8} {name:<7} {seconds:>7.3f} s "
+                f"({entry[name]['lines_per_second']:>9,} lines/s)   "
+                f"parse+normalize {entry['parse_normalize_us_per_line']:>6.2f} us/line   "
+                f"insert {entry[name]['insert_us_per_line']:>6.2f} us/line"
+            )
+        payload[source] = entry
+    _record("collector_ingest", payload)

@@ -49,7 +49,7 @@ import pickle
 import sqlite3
 import tempfile
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, TransientError
 
@@ -143,9 +143,15 @@ class StorageBackend:
     #: short identity string surfaced in summaries ("memory", "sqlite")
     name: str = "abstract"
 
-    def insert(self, record) -> None:
-        """Add one record (timestamps may arrive out of order)."""
+    def insert_many(self, records: Sequence[Any]) -> None:
+        """Add a batch of records, in arrival order (timestamps may
+        arrive out of order).  The one write entry point: the result is
+        the same as adding the records one at a time."""
         raise NotImplementedError
+
+    def insert(self, record) -> None:
+        """Add one record (a batch of one)."""
+        self.insert_many((record,))
 
     def query(
         self,
@@ -247,7 +253,31 @@ class MemoryBackend(StorageBackend):
             return self._tail_limit
         return max(256, len(self._ts) // 16)
 
-    def insert(self, record) -> None:
+    def insert_many(self, records: Sequence[Any]) -> None:
+        """One ``extend`` per column when the batch continues the sorted
+        run in order; record by record (append or tail) otherwise, and
+        for a batch of one, which has nothing to amortize."""
+        count = len(records)
+        if count > 1:
+            timestamps = [record.timestamp for record in records]
+            late = self._ts and timestamps[0] < self._ts[-1]
+            if not late and timestamps == sorted(timestamps):
+                base = len(self._recs)
+                self._ts.extend(timestamps)
+                self._seq.extend(range(self._next_seq, self._next_seq + count))
+                self._recs.extend(records)
+                self._next_seq += count
+                self.inserts += count
+                for column, index in self._indexes.items():
+                    for position, record in enumerate(records, base):
+                        value = record.get(column)
+                        if value is not None:
+                            index.setdefault(value, []).append(position)
+                return
+        for record in records:
+            self._insert_one(record)
+
+    def _insert_one(self, record) -> None:
         """Append in order, or buffer an out-of-order arrival in the tail."""
         seq = self._next_seq
         self._next_seq += 1
@@ -531,28 +561,33 @@ class SqliteBackend(StorageBackend):
             self._connect()
         return self._conn
 
-    def insert(self, record) -> None:
-        """Insert one row: ts + mirrored string index columns + pickle."""
-        values: List[Any] = [record.timestamp]
-        for column in self._columns:
-            value = record.get(column)
-            values.append(value if isinstance(value, str) else None)
-        values.append(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-        placeholders = ", ".join("?" for _ in values)
+    def insert_many(self, records: Sequence[Any]) -> None:
+        """Insert a batch in one transaction: per row, ts + mirrored
+        string index columns + pickle; all of it commits or none does."""
+        rows = []
+        for record in records:
+            values: List[Any] = [record.timestamp]
+            for column in self._columns:
+                value = record.get(column)
+                values.append(value if isinstance(value, str) else None)
+            values.append(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+            rows.append(values)
+        placeholders = ", ".join("?" for _ in range(len(self._columns) + 2))
         columns = "".join(f", {self._column_sql(c)}" for c in self._columns)
         with self._lock:
             conn = self._connection()
-            conn.execute(
-                f"INSERT INTO records (ts{columns}, payload) "
-                f"VALUES ({placeholders})",
-                values,
-            )
-            conn.commit()
-            self.inserts += 1
-            if self._last_ts is not None and record.timestamp < self._last_ts:
-                self.out_of_order += 1
-            elif self._last_ts is None or record.timestamp > self._last_ts:
-                self._last_ts = record.timestamp
+            with conn:  # commit, or roll the whole batch back on error
+                conn.executemany(
+                    f"INSERT INTO records (ts{columns}, payload) "
+                    f"VALUES ({placeholders})",
+                    rows,
+                )
+            self.inserts += len(rows)
+            for record in records:
+                if self._last_ts is not None and record.timestamp < self._last_ts:
+                    self.out_of_order += 1
+                elif self._last_ts is None or record.timestamp > self._last_ts:
+                    self._last_ts = record.timestamp
 
     def query(
         self,
@@ -661,9 +696,9 @@ class DelegatingBackend(StorageBackend):
         """Run one read of the inner backend, ``op(*args)``."""
         return op(*args)
 
-    def insert(self, record) -> None:
+    def insert_many(self, records: Sequence[Any]) -> None:
         """Pass the write straight through."""
-        self.inner.insert(record)
+        self.inner.insert_many(records)
 
     def query(
         self,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import datetime
 import re
+import sys
+from functools import lru_cache
 from typing import Dict, Optional
 
 try:
@@ -53,6 +55,27 @@ _TIMESTAMP_FORMATS = (
     "%Y-%m-%dT%H:%M:%S",
     "%b %d %H:%M:%S",  # syslog style, year-less
 )
+
+_INTERFACE_NAME = re.compile(r"([a-z]+)([\d/.:]+)$")
+
+#: Entries kept by each normalization memo (the local-midnight table,
+#: the interface-name table, a registry's canonical-name table).  Feeds
+#: name a few thousand devices and days; hostile input cannot grow a
+#: table past this.
+MEMO_ENTRIES = 4096
+
+#: Seconds into the day of a two-ASCII-digit ``HH`` / ``MM`` / ``SS``
+#: field; a lookup miss (other digits, ``24``, ``60``) means "not the
+#: closed form".
+_HOUR_SECONDS = {f"{hour:02d}": hour * 3600 for hour in range(24)}
+_MINUTE_SECONDS = {f"{minute:02d}": minute * 60 for minute in range(60)}
+_SECONDS = {f"{second:02d}": second for second in range(60)}
+
+#: ``(day prefix, zone, default_year)`` -> epoch of that day's local
+#: midnight, or ``None`` when the day has no closed form.  A pure memo
+#: of :func:`_local_midnight`, bounded by :data:`MEMO_ENTRIES`.
+_MIDNIGHTS: Dict[tuple, Optional[float]] = {}
+_UNSEEN = object()
 
 
 class NormalizationError(ValueError):
@@ -91,14 +114,16 @@ def normalize_router_name(raw: str, aliases: Optional[Dict[str, str]] = None) ->
     return name
 
 
+@lru_cache(maxsize=MEMO_ENTRIES)
 def normalize_interface_name(raw: str) -> str:
     """Canonicalize an interface name to the short vendor form.
 
     ``Serial1/0`` -> ``se1/0``; ``GigabitEthernet0/2`` -> ``gi0/2``;
-    already-short names pass through unchanged.
+    already-short names pass through unchanged.  Memoised (bounded):
+    a feed names the same few interfaces on every line.
     """
     name = raw.strip().lower()
-    match = re.match(r"([a-z]+)([\d/.:]+)$", name)
+    match = _INTERFACE_NAME.match(name)
     if not match:
         raise NormalizationError(f"unparseable interface name {raw!r}")
     prefix, numbering = match.groups()
@@ -123,23 +148,26 @@ def _zone_offset_seconds(timezone: str, when: datetime.datetime) -> float:
     raise NormalizationError(f"unknown timezone {timezone!r}")
 
 
-def parse_timestamp(
-    raw: str, timezone: str = "UTC", default_year: int = 2010
-) -> float:
-    """Parse a raw timestamp string to epoch seconds UTC.
-
-    ``timezone`` is the zone the originating device stamps its logs in
-    (from the router's ``clock timezone`` configuration).  Syslog-style
-    year-less timestamps get ``default_year``.
-    """
-    text = raw.strip()
-    parsed: Optional[datetime.datetime] = None
+def _parse_local(text: str, default_year: int) -> Optional[datetime.datetime]:
+    """The naive local datetime a text stamp spells, or None."""
     for fmt in _TIMESTAMP_FORMATS:
         try:
             parsed = datetime.datetime.strptime(text, fmt)
-            break
         except ValueError:
             continue
+        if parsed.year == 1900:
+            parsed = parsed.replace(year=default_year)
+        return parsed
+    return None
+
+
+def _to_epoch(local: datetime.datetime, offset: float) -> float:
+    return local.replace(tzinfo=datetime.timezone.utc).timestamp() - offset
+
+
+def _parse_general(raw: str, text: str, timezone: str, default_year: int) -> float:
+    """Any accepted spelling: the three text formats, else epoch seconds."""
+    parsed = _parse_local(text, default_year)
     if parsed is None:
         try:
             epoch = float(text)  # already epoch seconds
@@ -149,11 +177,71 @@ def parse_timestamp(
         if not (0.0 <= epoch <= 4.0e9):
             raise NormalizationError(f"epoch timestamp out of range: {raw!r}")
         return epoch
-    if parsed.year == 1900:
-        parsed = parsed.replace(year=default_year)
-    offset = _zone_offset_seconds(timezone, parsed)
-    utc = parsed.replace(tzinfo=datetime.timezone.utc)
-    return utc.timestamp() - offset
+    return _to_epoch(parsed, _zone_offset_seconds(timezone, parsed))
+
+
+def _local_midnight(
+    prefix: str, timezone: str, default_year: int
+) -> Optional[float]:
+    """Epoch of local midnight of the day ``prefix`` spells, or None.
+
+    None when the general path would not parse ``prefix`` plus a time,
+    the zone is unknown, or the zone's offset changes during that day
+    (a DST transition): only a constant offset makes the epoch linear
+    in the time of day.
+    """
+    midnight = _parse_local(prefix + "00:00:00", default_year)
+    if midnight is None:
+        return None
+    try:
+        offset = _zone_offset_seconds(timezone, midnight)
+        day_end = midnight.replace(hour=23, minute=59, second=59)
+        if _zone_offset_seconds(timezone, day_end) != offset:
+            return None
+    except NormalizationError:
+        return None
+    return _to_epoch(midnight, offset)
+
+
+def parse_timestamp(
+    raw: str, timezone: str = "UTC", default_year: int = 2010
+) -> float:
+    """Parse a raw timestamp string to epoch seconds UTC.
+
+    ``timezone`` is the zone the originating device stamps its logs in
+    (from the router's ``clock timezone`` configuration).  Syslog-style
+    year-less timestamps get ``default_year``.
+
+    The two fixed-width shapes the feeds emit — ``YYYY-mm-dd HH:MM:SS``
+    (or ``T``) and syslog ``Mon dd HH:MM:SS`` — take a closed form:
+    the memoised local midnight of the day plus the seconds into it.
+    Every other spelling, and every day the closed form cannot serve
+    (see :func:`_local_midnight`), goes through :func:`_parse_general`,
+    which the closed form must agree with on every input.
+    """
+    text = raw.strip()
+    width = len(text)
+    if width == 19 and text[4] == text[7] == "-" and text[13] == text[16] == ":":
+        cut = 11
+    elif width == 15 and text[3] == text[6] == " " and text[9] == text[12] == ":":
+        cut = 7
+    else:
+        cut = 0
+    if cut:
+        hours = _HOUR_SECONDS.get(text[cut:cut + 2])
+        minutes = _MINUTE_SECONDS.get(text[cut + 3:cut + 5])
+        seconds = _SECONDS.get(text[cut + 6:])
+        if hours is not None and minutes is not None and seconds is not None:
+            key = (text[:cut], timezone, default_year)
+            midnight = _MIDNIGHTS.get(key, _UNSEEN)
+            if midnight is _UNSEEN:
+                midnight = _local_midnight(*key)
+                if len(_MIDNIGHTS) >= MEMO_ENTRIES:
+                    _MIDNIGHTS.clear()
+                _MIDNIGHTS[key] = midnight
+            if midnight is not None:
+                return midnight + (hours + minutes + seconds)
+    return _parse_general(raw, text, timezone, default_year)
 
 
 def epoch_to_text(timestamp: float) -> str:
@@ -172,6 +260,8 @@ class DeviceRegistry:
     def __init__(self) -> None:
         self._timezones: Dict[str, str] = {}
         self._aliases: Dict[str, str] = {}
+        #: raw spelling -> canonical name (bounded memo of the alias walk)
+        self._canonical: Dict[str, str] = {}
 
     def register_device(self, name: str, timezone: str = "UTC") -> None:
         """Record a device's canonical name and clock time zone."""
@@ -180,10 +270,21 @@ class DeviceRegistry:
     def register_alias(self, alias: str, canonical: str) -> None:
         """Map an alternate identifier onto a canonical name."""
         self._aliases[alias.strip().lower()] = normalize_router_name(canonical)
+        self._canonical.clear()
 
     def canonical_name(self, raw: str) -> str:
-        """Canonicalize a raw device name via the alias table."""
-        return normalize_router_name(raw, self._aliases)
+        """Canonicalize a raw device name via the alias table.
+
+        Memoised per raw spelling and interned, so a table holds one
+        string per device rather than one per row.
+        """
+        name = self._canonical.get(raw)
+        if name is None:
+            name = sys.intern(normalize_router_name(raw, self._aliases))
+            if len(self._canonical) >= MEMO_ENTRIES:
+                self._canonical.clear()
+            self._canonical[raw] = name
+        return name
 
     def timezone_of(self, device: str) -> str:
         """The clock time zone a device stamps its logs in."""

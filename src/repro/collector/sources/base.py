@@ -11,16 +11,23 @@ row advances the source's watermark so feed-health tracking can tell
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..health import DeadLetter, DeadLetterBuffer
 from ..normalizer import DeviceRegistry, NormalizationError, brief_reason
-from ..store import DataStore
+from ..store import DataStore, Record, Table
 
 #: Cap on distinct reject reasons tracked per source (top-N, approximate).
 MAX_REJECT_REASONS = 16
+
+#: Parsed rows handed to the table per batch.  Bounds what an endless
+#: generator of lines holds back from readers (and in memory) while
+#: keeping the per-batch costs — locks, listeners, a SQLite commit —
+#: thousands of rows apart.
+FLUSH_ROWS = 4096
 
 
 @dataclass
@@ -47,7 +54,7 @@ class ParseStats:
         self.reason_counts[key] += 1
 
     def note_insert(self, timestamp: float) -> None:
-        """Advance the watermark past one accepted record."""
+        """Advance the watermark past an accepted record."""
         if self.watermark is None or timestamp > self.watermark:
             self.watermark = timestamp
 
@@ -73,6 +80,15 @@ def parse_epoch(raw: str) -> float:
     return epoch
 
 
+def parse_value(raw: str) -> float:
+    """Parse a metric value field, rejecting NaN and the infinities
+    (one of them poisons every median and threshold downstream)."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise NormalizationError("non-finite value")
+    return value
+
+
 @dataclass
 class SourceParser:
     """Base class: binds a store table and a device registry."""
@@ -87,26 +103,43 @@ class SourceParser:
     table_name: str = ""
 
     def ingest(self, lines: Iterable[str]) -> ParseStats:
-        """Parse and store an iterable of raw lines."""
+        """Parse an iterable of raw lines and store the rows in batches.
+
+        Malformed lines are counted and dead-lettered where they occur;
+        accepted rows reach the table, the accept count and the
+        watermark :data:`FLUSH_ROWS` at a time.
+        """
+        stats = self.stats
+        table = self.store.table(self.table_name)
+        records: List[Record] = []
         for line in lines:
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
-                self.parse_line(line)
-                self.stats.accepted += 1
+                timestamp, fields = self.parse(line)
             except (NormalizationError, ValueError) as exc:
-                self.stats.reject(str(exc), line)
+                reason = str(exc)
+                stats.reject(reason, line)
                 if self.dead_letters is not None:
                     self.dead_letters.append(
-                        DeadLetter(self.table_name, line, brief_reason(str(exc)))
+                        DeadLetter(self.table_name, line, brief_reason(reason))
                     )
-        return self.stats
+                continue
+            records.append(Record.adopt(timestamp, fields))
+            if len(records) >= FLUSH_ROWS:
+                self._flush(table, records)
+                records = []
+        self._flush(table, records)
+        return stats
 
-    def insert(self, timestamp: float, **fields) -> None:
-        """Insert one normalized row, advancing the source watermark."""
-        self.store.insert(self.table_name, timestamp, **fields)
-        self.stats.note_insert(timestamp)
+    def _flush(self, table: Table, records: List[Record]) -> None:
+        if records:
+            table.insert_many(records)
+            self.stats.accepted += len(records)
+            self.stats.note_insert(max(record.timestamp for record in records))
 
-    def parse_line(self, line: str) -> None:  # pragma: no cover - abstract
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:  # pragma: no cover - abstract
+        """Normalize one raw line to ``(timestamp, fields)``; stores
+        nothing.  Raises :class:`NormalizationError` (or ``ValueError``)
+        for a line that must be rejected."""
         raise NotImplementedError

@@ -14,6 +14,7 @@ preference and AS-path length.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from ...routing.bgp import BgpRoute, BgpUpdate, BgpUpdateLog
 from ..normalizer import NormalizationError
@@ -27,8 +28,8 @@ class BgpMonParser(SourceParser):
 
     table_name: str = "bgpmon"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 7:
             raise NormalizationError("expected 7 pipe-separated fields")
@@ -38,16 +39,14 @@ class BgpMonParser(SourceParser):
         if "/" not in prefix:
             raise NormalizationError(f"malformed prefix {prefix!r}")
         timestamp = parse_epoch(raw_time)
-        egress = self.registry.canonical_name(raw_egress)
-        self.insert(
-            timestamp,
-            kind=kind,
-            prefix=prefix,
-            egress_router=egress,
-            next_hop=next_hop,
-            local_pref=int(raw_pref or 0),
-            as_path_len=int(raw_aslen or 0),
-        )
+        return timestamp, {
+            "kind": kind,
+            "prefix": prefix,
+            "egress_router": self.registry.canonical_name(raw_egress),
+            "next_hop": next_hop,
+            "local_pref": int(raw_pref or 0),
+            "as_path_len": int(raw_aslen or 0),
+        }
 
 
 def render_bgpmon_row(

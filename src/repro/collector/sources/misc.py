@@ -8,14 +8,17 @@ production export; all normalize names and timestamps at ingest.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from ..normalizer import (
     NormalizationError,
     normalize_interface_name,
     parse_timestamp,
 )
-from .base import SourceParser, parse_epoch
+from .base import SourceParser, parse_epoch, parse_value
 
 # ---------------------------------------------------------------------------
 # TACACS command accounting: who typed what on which router.
@@ -29,8 +32,8 @@ from .base import SourceParser, parse_epoch
 class TacacsParser(SourceParser):
     table_name: str = "tacacs"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|", 3)
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
@@ -41,13 +44,14 @@ class TacacsParser(SourceParser):
         interface = _interface_in_command(command)
         if interface:
             fields["interface"] = interface
-        self.insert(timestamp, **fields)
+        return timestamp, fields
+
+
+_COMMAND_INTERFACE_RE = re.compile(r"interface\s+([A-Za-z]+[\d/.:]+)")
 
 
 def _interface_in_command(command: str):
-    import re
-
-    match = re.search(r"interface\s+([A-Za-z]+[\d/.:]+)", command)
+    match = _COMMAND_INTERFACE_RE.search(command)
     if match:
         try:
             return normalize_interface_name(match.group(1))
@@ -82,20 +86,19 @@ _LAYER1_EVENTS = {EVENT_SONET, EVENT_MESH_REGULAR, EVENT_MESH_FAST}
 class Layer1Parser(SourceParser):
     table_name: str = "layer1"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, device, event, circuit = parts
         if event not in _LAYER1_EVENTS:
             raise NormalizationError(f"unknown layer-1 event {event!r}")
-        self.insert(
-            parse_epoch(raw_time),
-            device=device.strip().lower(),
-            event=event,
-            circuit=circuit,
-        )
+        return parse_epoch(raw_time), {
+            "device": device.strip().lower(),
+            "event": event,
+            "circuit": circuit,
+        }
 
 
 def render_layer1_row(timestamp: float, device: str, event: str, circuit: str) -> str:
@@ -122,21 +125,20 @@ _PERF_METRICS = {METRIC_DELAY, METRIC_LOSS, METRIC_THROUGHPUT, METRIC_RTT}
 class PerfMonParser(SourceParser):
     table_name: str = "perfmon"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 5:
             raise NormalizationError("expected 5 pipe-separated fields")
         raw_time, source, destination, metric, raw_value = parts
         if metric not in _PERF_METRICS:
             raise NormalizationError(f"unknown perf metric {metric!r}")
-        self.insert(
-            parse_epoch(raw_time),
-            source=source.strip().lower(),
-            destination=destination.strip().lower(),
-            metric=metric,
-            value=float(raw_value),
-        )
+        return parse_epoch(raw_time), {
+            "source": sys.intern(source.strip().lower()),
+            "destination": sys.intern(destination.strip().lower()),
+            "metric": sys.intern(metric),
+            "value": parse_value(raw_value),
+        }
 
 
 def render_perfmon_row(
@@ -157,18 +159,17 @@ def render_perfmon_row(
 class NetflowParser(SourceParser):
     table_name: str = "netflow"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, source, source_ip, raw_ingress = parts
-        self.insert(
-            parse_epoch(raw_time),
-            source=source.strip().lower(),
-            source_ip=source_ip,
-            ingress_router=self.registry.canonical_name(raw_ingress),
-        )
+        return parse_epoch(raw_time), {
+            "source": sys.intern(source.strip().lower()),
+            "source_ip": source_ip,
+            "ingress_router": self.registry.canonical_name(raw_ingress),
+        }
 
 
 def render_netflow_row(
@@ -190,20 +191,19 @@ def render_netflow_row(
 class WorkflowParser(SourceParser):
     table_name: str = "workflow"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|", 3)
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, raw_router, activity, detail = parts
         if not activity:
             raise NormalizationError("empty activity")
-        self.insert(
-            parse_timestamp(raw_time, "UTC"),
-            router=self.registry.canonical_name(raw_router),
-            activity=activity,
-            detail=detail,
-        )
+        return parse_timestamp(raw_time, "UTC"), {
+            "router": self.registry.canonical_name(raw_router),
+            "activity": activity,
+            "detail": detail,
+        }
 
 
 def render_workflow_row(timestamp: float, router: str, activity: str, detail: str) -> str:
@@ -224,20 +224,20 @@ def render_workflow_row(timestamp: float, router: str, activity: str, detail: st
 class CdnLogParser(SourceParser):
     table_name: str = "cdn"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, server, kind, value = parts
         if kind not in ("load", "policy_change"):
             raise NormalizationError(f"unknown cdn record kind {kind!r}")
-        fields = {"server": server.strip().lower(), "kind": kind}
+        fields = {"server": sys.intern(server.strip().lower()), "kind": kind}
         if kind == "load":
-            fields["value"] = float(value)
+            fields["value"] = parse_value(value)
         else:
             fields["detail"] = value
-        self.insert(parse_epoch(raw_time), **fields)
+        return parse_epoch(raw_time), fields
 
 
 def render_cdn_row(timestamp: float, server: str, kind: str, value) -> str:

@@ -13,7 +13,9 @@ paths.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from ...routing.ospf import WeightChange, WeightHistory
 from ..normalizer import NormalizationError
@@ -27,8 +29,8 @@ class OspfMonParser(SourceParser):
 
     table_name: str = "ospfmon"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 3:
             raise NormalizationError("expected 3 pipe-separated fields")
@@ -39,7 +41,7 @@ class OspfMonParser(SourceParser):
         weight = int(raw_weight)
         if weight < 0:
             raise NormalizationError("negative weight")
-        self.insert(timestamp, link=link, weight=weight)
+        return timestamp, {"link": sys.intern(link), "weight": weight}
 
 
 def render_ospfmon_row(timestamp: float, link: str, weight: int) -> str:

@@ -16,14 +16,16 @@ metrics.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from ..normalizer import (
     NormalizationError,
     normalize_interface_name,
     parse_timestamp,
 )
-from .base import SourceParser
+from .base import SourceParser, parse_value
 
 #: Metric names exported by the poller.
 METRIC_CPU = "cpu_util_5min"
@@ -43,8 +45,8 @@ class SnmpParser(SourceParser):
 
     table_name: str = "snmp"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         parts = line.strip().split("|")
         if len(parts) != 5:
             raise NormalizationError("expected 5 pipe-separated fields")
@@ -53,11 +55,11 @@ class SnmpParser(SourceParser):
             raise NormalizationError(f"unknown metric {metric!r}")
         timestamp = parse_timestamp(raw_time, "UTC")
         router = self.registry.canonical_name(raw_router)
-        value = float(raw_value)
-        fields = {"router": router, "metric": metric, "value": value}
+        value = parse_value(raw_value)
+        fields = {"router": router, "metric": sys.intern(metric), "value": value}
         if raw_interface:
             fields["interface"] = normalize_interface_name(raw_interface)
-        self.insert(timestamp, **fields)
+        return timestamp, fields
 
 
 def render_snmp_row(

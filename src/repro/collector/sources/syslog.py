@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..normalizer import NormalizationError, normalize_interface_name
 from .base import SourceParser
@@ -41,6 +41,7 @@ _PIM_RE = re.compile(
     r"on interface\s+(?P<interface>[A-Za-z]+[\d/.:]+)(?:\s+\(vrf\s+(?P<vrf>\S+)\))?"
 )
 _CPU_RE = re.compile(r"utilization.*?(\d+)%")
+_SLOT_RE = re.compile(r"slot\s+(\d+)")
 
 
 #: Syslog message codes of interest (subset of a vendor's catalogue).
@@ -60,8 +61,8 @@ class SyslogParser(SourceParser):
 
     table_name: str = "syslog"
 
-    def parse_line(self, line: str) -> None:
-        """Parse one raw line and insert the normalized row."""
+    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """Normalize one raw line to ``(timestamp, fields)``."""
         match = _LINE_RE.match(line.strip())
         if not match:
             raise NormalizationError("unrecognized syslog line")
@@ -75,7 +76,7 @@ class SyslogParser(SourceParser):
             "message": message,
         }
         fields.update(_extract_structured(code, message))
-        self.insert(timestamp, **fields)
+        return timestamp, fields
 
 
 def _extract_structured(code: str, message: str) -> Dict[str, Any]:
@@ -111,7 +112,7 @@ def _extract_structured(code: str, message: str) -> Dict[str, Any]:
         if cpu:
             fields["cpu_pct"] = int(cpu.group(1))
     if code == CODE_LINECARD:
-        slot = re.search(r"slot\s+(\d+)", message)
+        slot = _SLOT_RE.search(message)
         if slot:
             fields["slot"] = int(slot.group(1))
     return fields

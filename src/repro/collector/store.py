@@ -19,17 +19,20 @@ backend with a reentrant lock (backends themselves are single-threaded
 by contract); :class:`DataStore` guards table creation with its own.
 The guarantees are:
 
-* ``insert`` / ``insert_row`` are atomic — a concurrent ``query`` sees
-  the table either before or after a whole insert, never mid-merge;
+* ``insert_many`` (and its one-row forms ``insert`` / ``insert_row``)
+  is atomic — a concurrent ``query`` sees the table either before or
+  after a whole batch, never part of one and never mid-merge;
 * ``query``, ``scan``, ``distinct`` and ``time_span`` return snapshots
   taken under the lock — iterating a returned list/iterator is safe even
   while writers keep inserting;
 * ``DataStore.table`` may be called concurrently for the same name and
   returns the one shared :class:`Table`;
 * monotonicity: :attr:`DataStore.revision` increases by one for every
-  insert through the store's tables, and insert listeners (see
-  :meth:`DataStore.subscribe`) observe each ``(table, timestamp,
-  revision)`` exactly once, after the row is visible to readers.
+  row inserted through the store's tables, and insert listeners (see
+  :meth:`DataStore.subscribe`) are called once per batch with
+  ``(table, timestamps, first_revision)`` — row ``i`` of the batch has
+  revision ``first_revision + i`` — so every row is reported exactly
+  once, after the whole batch is visible to readers.
 
 There is *no* cross-table transaction: a reader joining two tables can
 observe one table ahead of the other.  Retrieval correctness does not
@@ -41,12 +44,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .backends import ColumnarSlice, StorageBackend, resolve_backend
 
-#: Insert listener signature: (table name, record timestamp, store revision).
-InsertListener = Callable[[str, float, int], None]
+#: Insert listener signature: (table name, the batch's record timestamps
+#: in arrival order, store revision of the first of them).
+InsertListener = Callable[[str, List[float], int], None]
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,23 @@ class Record:
 
     @classmethod
     def make(cls, timestamp: float, **fields: Any) -> "Record":
-        return cls(timestamp=timestamp, fields=tuple(sorted(fields.items())))
+        return cls.adopt(timestamp, fields)
+
+    @classmethod
+    def adopt(cls, timestamp: float, fields: Dict[str, Any]) -> "Record":
+        """The record over a field dict the caller gives up.
+
+        The dict becomes the lookup cache as is — no copy and no trip
+        through ``__init__`` — so it must not be touched afterwards.
+        Attributes are set one by one: an instance built through
+        ``__dict__`` loses its inline attribute storage and costs the
+        store a dict per row.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "timestamp", timestamp)
+        object.__setattr__(record, "fields", tuple(sorted(fields.items())))
+        object.__setattr__(record, "_by_name", fields)
+        return record
 
     def __getitem__(self, key: str) -> Any:
         try:
@@ -110,7 +140,7 @@ class Table:
         self,
         name: str,
         indexed_columns: Iterable[str] = (),
-        on_insert: Optional[Callable[[str, float], None]] = None,
+        on_insert: Optional[Callable[[str, List[float]], None]] = None,
         backend: Any = None,
     ) -> None:
         self.name = name
@@ -135,18 +165,28 @@ class Table:
         with self._lock:
             return len(self._backend)
 
-    def insert(self, record: Record) -> None:
-        """Insert keeping timestamp order (append-fast for ordered feeds)."""
+    def insert_many(self, records: Sequence[Record]) -> None:
+        """Insert a batch keeping timestamp order; the one write path.
+
+        Readers see none of the batch or all of it, in arrival order
+        among equal timestamps (append-fast for ordered feeds).
+        """
+        if not records:
+            return
         with self._lock:
-            self._backend.insert(record)
+            self._backend.insert_many(records)
         # notify outside the table lock: listeners may take their own
         # locks (cache invalidation) and must never deadlock ingest
         if self._on_insert is not None:
-            self._on_insert(self.name, record.timestamp)
+            self._on_insert(self.name, [record.timestamp for record in records])
+
+    def insert(self, record: Record) -> None:
+        """Insert one record (a batch of one)."""
+        self.insert_many((record,))
 
     def insert_row(self, timestamp: float, **fields: Any) -> None:
         """Insert a row built from keyword fields."""
-        self.insert(Record.make(timestamp, **fields))
+        self.insert_many((Record.adopt(timestamp, fields),))
 
     def query(
         self,
@@ -434,11 +474,11 @@ class DataStore:
     """All tables of the Data Collector, keyed by source name.
 
     Safe for concurrent ingest and query (see module docstring).  The
-    :attr:`revision` counter increments on every insert through the
-    store's tables; subscribers registered with :meth:`subscribe` are
-    invoked after each insert with ``(table, timestamp, revision)`` —
-    the hook the service result cache uses to invalidate entries whose
-    retrieval windows a late record lands in.
+    :attr:`revision` counter increments for every row inserted through
+    the store's tables; subscribers registered with :meth:`subscribe`
+    are invoked after each batch with ``(table, timestamps,
+    first_revision)`` — the hook the service result cache uses to
+    invalidate entries whose retrieval windows a late record lands in.
 
     ``backend`` picks the storage engine for tables this store creates:
     ``"memory"`` (default), ``"sqlite"``, or a factory from
@@ -449,7 +489,7 @@ class DataStore:
     """
 
     tables: Dict[str, Table] = field(default_factory=dict)
-    #: total inserts observed through this store's tables (monotonic)
+    #: total rows inserted through this store's tables (monotonic)
     revision: int = 0
     #: backend spec for tables created by this store (resolved once)
     backend: Any = None
@@ -476,7 +516,7 @@ class DataStore:
         self.table(table).insert_row(timestamp, **fields)
 
     def subscribe(self, listener: InsertListener) -> None:
-        """Register a callback fired after every insert (any table)."""
+        """Register a callback fired after every batch (any table)."""
         with self._lock:
             self._listeners.append(listener)
 
@@ -485,13 +525,13 @@ class DataStore:
         with self._lock:
             self._listeners.remove(listener)
 
-    def _note_insert(self, table: str, timestamp: float) -> None:
+    def _note_insert(self, table: str, timestamps: List[float]) -> None:
         with self._lock:
-            self.revision += 1
-            revision = self.revision
+            first_revision = self.revision + 1
+            self.revision += len(timestamps)
             listeners = list(self._listeners)
         for listener in listeners:
-            listener(table, timestamp, revision)
+            listener(table, timestamps, first_revision)
 
     def total_records(self) -> int:
         """Total record count across all tables."""

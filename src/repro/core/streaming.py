@@ -139,10 +139,13 @@ class StreamingRca:
         """End of the last settled region that has been diagnosed."""
         return self._watermark
 
-    def _on_insert(self, table: str, timestamp: float, revision: int) -> None:
-        """Insert listener: buffer one delta (called from ingest threads)."""
+    def _on_insert(
+        self, table: str, timestamps: List[float], first_revision: int
+    ) -> None:
+        """Insert listener: buffer a batch's deltas (called from ingest
+        threads)."""
         with self._pending_lock:
-            self._pending.setdefault(table, []).append(timestamp)
+            self._pending.setdefault(table, []).extend(timestamps)
 
     def _drain_deltas(self) -> Dict[str, List[float]]:
         """Take the pending delta buffer, sorted per table."""

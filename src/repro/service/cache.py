@@ -139,14 +139,20 @@ class ResultCache:
                 self._unindex(oldest)
             return True
 
-    def note_insert(self, table: str, timestamp: float, revision: int) -> None:
-        """Store-insert hook: evict entries the new record could change."""
+    def note_insert(
+        self, table: str, timestamps: List[float], first_revision: int
+    ) -> None:
+        """Store-insert hook: evict entries the batch's records could
+        change, in one sweep over the table's entries."""
         with self._lock:
-            self._mutations.append((revision, table, timestamp))
+            self._mutations.extend(
+                (revision, table, timestamp)
+                for revision, timestamp in enumerate(timestamps, first_revision)
+            )
             keys = self._by_table.get(table)
             if not keys:
                 return
-            delta = {table: [timestamp]}
+            delta = {table: sorted(timestamps)}
             stale = [
                 key
                 for key in keys

@@ -10,6 +10,7 @@ oracle.
 
 import os
 import pickle
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,69 @@ class TestMemoryTailBuffer:
     def test_adaptive_threshold_floor(self):
         backend = MemoryBackend(())
         assert backend._tail_threshold() == 256
+
+
+class TestBatchWrites:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=rows_strategy,
+        cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=12),
+    )
+    def test_insert_many_equals_one_at_a_time(self, rows, cuts):
+        """However the arrivals are cut into batches, both backends end
+        up exactly where row-at-a-time inserts leave them — rows, order
+        and counters (tail, merges, out-of-order)."""
+        records = [Record.make(t, router=r, metric=m, value=v) for t, r, m, v in rows]
+        for make in (
+            lambda: MemoryBackend(("router",), tail_limit=3),
+            lambda: SqliteBackend("t", ("router",)),
+        ):
+            by_row, batched = make(), make()
+            for record in records:
+                by_row.insert(record)
+            at = 0
+            for cut in cuts + [len(records)]:
+                batched.insert_many(records[at:at + cut])
+                at += cut
+            assert batched.scan() == by_row.scan() == sorted(
+                records, key=lambda r: r.timestamp
+            )
+            assert batched.query(None, None, {"router": "r2"}) == by_row.query(
+                None, None, {"router": "r2"}
+            )
+            drop = ("path",)
+            assert {k: v for k, v in batched.stats().items() if k not in drop} == {
+                k: v for k, v in by_row.stats().items() if k not in drop
+            }
+            by_row.close()
+            batched.close()
+
+    def test_in_order_batch_extends_the_sorted_run(self):
+        backend = MemoryBackend(("router",))
+        backend.insert_many([Record.make(float(t), router="r1") for t in range(5)])
+        backend.insert_many([Record.make(float(t), router="r2") for t in (4, 4, 9)])
+        stats = backend.stats()
+        assert (stats["inserts"], stats["out_of_order"], stats["tail"]) == (8, 0, 0)
+        assert backend.query_columns(None, None, {}).zero_copy
+        assert [r.timestamp for r in backend.query(4.0, 9.0, {"router": "r2"})] == [
+            4.0, 4.0, 9.0,
+        ]
+
+    def test_failed_sqlite_batch_leaves_nothing_behind(self, tmp_path):
+        backend = SqliteBackend("t", ("router",), path=str(tmp_path / "b.sqlite"))
+        backend.insert(Record.make(1.0, router="r0"))
+        poisoned = [
+            Record.make(2.0, router="r1"),
+            Record.make(None, router="r2"),  # ts NOT NULL: fails mid-batch
+            Record.make(3.0, router="r3"),
+        ]
+        with pytest.raises(sqlite3.IntegrityError):
+            backend.insert_many(poisoned)
+        assert [r["router"] for r in backend.scan()] == ["r0"]
+        assert backend.stats()["inserts"] == 1
+        backend.insert_many([Record.make(4.0, router="r4")])  # still usable
+        assert [r["router"] for r in backend.scan()] == ["r0", "r4"]
+        backend.close()
 
 
 class TestSqliteBackend:
@@ -376,6 +440,14 @@ class TestRecordFieldCache:
             record["missing"]
         twin = Record.make(10.0, value=3, router="r1")
         assert record == twin and hash(record) == hash(twin)
+
+    def test_adopted_dict_builds_the_same_record(self):
+        built = Record(timestamp=10.0, fields=(("router", "r1"), ("value", 3)))
+        adopted = Record.adopt(10.0, {"value": 3, "router": "r1"})
+        assert adopted == built and hash(adopted) == hash(built)
+        assert adopted.fields == built.fields and adopted["value"] == 3
+        assert repr(adopted) == repr(built)
+        assert pickle.dumps(adopted) == pickle.dumps(built)
 
     def test_pickle_round_trip_rebuilds_cache(self):
         record = Record.make(10.0, router="r1", value=3)

@@ -37,6 +37,8 @@ def collector():
 
 #: per-source (malformed lines, one known-good line) fixtures
 BAD_EPOCHS = ["nan", "inf", "-inf", "-5", "5e12", "1e400", "what"]
+#: metric values float() accepts but no detector survives
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400"]
 
 MALFORMED = {
     "syslog": [
@@ -49,7 +51,8 @@ MALFORMED = {
         "2010-01-05 10:25:00|nyc-per1|made_up_metric||72",
         "2010-01-05 10:25:00|nyc-per1|cpu_util_5min||not-a-float",
         "9999-99-99 99:99:99|nyc-per1|cpu_util_5min||72",
-    ],
+    ]
+    + [f"2010-01-05 10:25:00|nyc-per1|cpu_util_5min||{raw}" for raw in NON_FINITE],
     "ospfmon": [f"{raw}|nyc-cr1--chi-cr1:10.0.0.0|65535" for raw in BAD_EPOCHS]
     + [
         "1262692800.0||65535",  # empty link
@@ -72,7 +75,8 @@ MALFORMED = {
     + [
         "1262692800.0|a|b|made_up_metric|3.5",
         "1262692800.0|a|b|delay_ms|fast",
-    ],
+    ]
+    + [f"1262692800.0|a|b|delay_ms|{raw}" for raw in NON_FINITE],
     "netflow": [f"{raw}|agent|198.51.100.9|nyc-per1" for raw in BAD_EPOCHS]
     + ["1262692800.0|agent|198.51.100.9"],
     "workflow": [
@@ -83,7 +87,8 @@ MALFORMED = {
     + [
         "1262692800.0|srv1|made_up_kind|x",
         "1262692800.0|srv1|load|heavy",
-    ],
+    ]
+    + [f"1262692800.0|srv1|load|{raw}" for raw in NON_FINITE],
 }
 
 GOOD = {
@@ -131,6 +136,25 @@ class TestMalformedPerSource:
         for source in ("ospfmon", "bgpmon", "perfmon", "netflow", "cdn"):
             stats = collector.ingest(source, [f"nan|{'x|' * 5}".rstrip("|")])
             assert stats.watermark is None or not math.isnan(stats.watermark)
+
+    @pytest.mark.parametrize(
+        "source,template",
+        [
+            ("snmp", "2010-01-05 10:25:00|nyc-per1|link_util|se1/0|{}"),
+            ("perfmon", "1262692800.0|a|b|delay_ms|{}"),
+            ("cdn", "1262692800.0|srv1|load|{}"),
+        ],
+    )
+    def test_non_finite_values_are_rejected_not_stored(self, collector, source, template):
+        lines = [template.format(raw) for raw in NON_FINITE]
+        stats = collector.ingest(source, lines)
+        assert (stats.accepted, stats.rejected) == (0, len(lines))
+        assert stats.reason_counts == {"non-finite value": len(lines)}
+        assert len(collector.store.table(source)) == 0
+        assert stats.watermark is None
+        letters = collector.dead_letters.entries(source)
+        assert [letter.line for letter in letters] == lines
+        assert {letter.reason for letter in letters} == {"non-finite value"}
 
     def test_unknown_devices_normalized_not_rejected(self, collector):
         """A router the registry has never seen still ingests (UTC)."""

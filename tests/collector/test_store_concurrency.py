@@ -2,13 +2,17 @@
 
 The thread-safety contract (see ``repro/collector/store.py``): inserts
 are atomic, queries and scans return consistent snapshots, ``revision``
-is monotonic, and insert listeners fire exactly once per insert after
-the row is visible to readers.
+is monotonic, and insert listeners fire once per batch — reporting every
+row exactly once, with contiguous revisions — after the whole batch is
+visible to readers, who never see part of one.
 """
 
+import sys
 import threading
 
-from repro.collector.store import DataStore
+import pytest
+
+from repro.collector.store import DataStore, Record
 
 N_RECORDS = 400
 N_READERS = 3
@@ -76,46 +80,65 @@ class TestWriterRacingReaders:
         assert [r.timestamp for r in store.table("syslog").query(60.0, 80.0)] == [75.0]
 
 
+def _batch(base, size=25):
+    return [Record.make(float(base + i), seq=i) for i in range(size)]
+
+
 class TestInsertListeners:
     def test_each_insert_notifies_exactly_once_with_monotonic_revision(self):
         store = DataStore()
         seen = []
         lock = threading.Lock()
 
-        def listener(table, timestamp, revision):
+        def listener(table, timestamps, first_revision):
             with lock:
-                seen.append((table, timestamp, revision))
+                seen.append((table, list(timestamps), first_revision))
 
         store.subscribe(listener)
-        threads = [
-            threading.Thread(
-                target=lambda base=base: [
-                    store.insert("syslog", float(base * 100 + i), seq=i)
-                    for i in range(50)
-                ]
-            )
-            for base in range(4)
-        ]
+
+        def write(base):
+            table = store.table("syslog")
+            table.insert_many(_batch(base * 1000))
+            table.insert_many(_batch(base * 1000 + 500))
+            for i in range(10):  # one-row calls are batches of one
+                store.insert("syslog", float(base * 1000 + 900 + i), seq=i)
+
+        threads = [threading.Thread(target=write, args=(base,)) for base in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-        assert len(seen) == 200
-        revisions = sorted(revision for _, _, revision in seen)
-        assert revisions == list(range(1, 201))  # each exactly once, no gaps
-        assert store.revision == 200
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4 * 12  # one call per batch, not per row
+        revisions = sorted(
+            first + offset
+            for _, timestamps, first in seen
+            for offset in range(len(timestamps))
+        )
+        assert revisions == list(range(1, 241))  # each row once, no gaps
+        assert store.revision == 240
+        reported = sorted(ts for _, timestamps, _ in seen for ts in timestamps)
+        assert reported == [r.timestamp for r in store.table("syslog").scan()]
 
     def test_row_visible_before_listener_fires(self):
         store = DataStore()
         observed = []
 
-        def listener(table, timestamp, revision):
-            records = store.table(table).query(timestamp, timestamp)
-            observed.append(len(records))
+        def listener(table, timestamps, first_revision):
+            records = store.table(table).query(min(timestamps), max(timestamps))
+            observed.append((len(records), store.revision))
 
         store.subscribe(listener)
         store.insert("syslog", 42.0, router="r1")
-        assert observed == [1]
+        store.table("syslog").insert_many(_batch(100, size=8))
+        assert observed == [(1, 1), (8, 9)]
+
+    def test_empty_batch_is_silent(self):
+        store = DataStore()
+        seen = []
+        store.subscribe(lambda *args: seen.append(args))
+        store.table("syslog").insert_many([])
+        assert seen == [] and store.revision == 0
 
     def test_unsubscribe_stops_notifications(self):
         store = DataStore()
@@ -127,3 +150,56 @@ class TestInsertListeners:
         store.insert("syslog", 2.0)
         assert len(seen) == 1
         assert store.revision == 2  # revision still advances
+
+
+class TestBatchAtomicity:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_reader_never_observes_part_of_a_batch(self, backend):
+        """Writers insert whole batches (in order, and late ones that go
+        through the tail); a racing reader must only ever count a whole
+        number of batches."""
+        store = DataStore(backend=backend)
+        table = store.table("syslog")
+        size, batches = 40, 30
+        errors = []
+        done = threading.Event()
+
+        def write(late):
+            try:
+                for k in range(batches):
+                    base = (batches - k if late else batches + k) * 1000
+                    table.insert_many(_batch(base, size))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        def read():
+            try:
+                while not done.is_set():
+                    for count in (
+                        len(table.query(None, None)),
+                        len(table.query_columns(None, None)),
+                        sum(1 for _ in table.scan()),
+                        len(table),
+                    ):
+                        assert count % size == 0, count
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(late,)) for late in (0, 1)]
+            readers = [threading.Thread(target=read) for _ in range(N_READERS)]
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60.0)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert not errors
+        assert len(table) == 2 * batches * size
+        assert store.revision == 2 * batches * size

@@ -106,17 +106,31 @@ class TestInvalidation:
         cache.store(early, FakeDiagnosis("e", (("ta", 970.0, 1030.0),)), 0)
         cache.store(late, FakeDiagnosis("l", (("ta", 4970.0, 5030.0),)), 0)
 
-        cache.note_insert("ta", 1010.0, revision=1)  # inside early's window
+        cache.note_insert("ta", [1010.0], 1)  # inside early's window
         assert cache.lookup(early) is None
         assert cache.lookup(late) is not None
         assert metrics.cache_invalidations.value == 1
+
+    def test_batch_evicts_every_entry_any_of_its_records_lands_in(self):
+        metrics = ServiceMetrics()
+        cache = ResultCache(metrics=metrics)
+        keys = [cache_key("app", symptom(1000.0 * i), "fp") for i in (1, 5, 9)]
+        for i, key in zip((1, 5, 9), keys):
+            window = (("ta", 1000.0 * i - 30.0, 1000.0 * i + 30.0),)
+            cache.store(key, FakeDiagnosis(str(i), window), 0)
+        # one batch, arrival order: hits the 5000 and 1000 windows only
+        cache.note_insert("ta", [5010.0, 7000.0, 990.0], 1)
+        assert [cache.lookup(key) is None for key in keys] == [True, True, False]
+        assert metrics.cache_invalidations.value == 2
+        # every row of the batch is logged under its own revision
+        assert cache.mutations_since(1, 3) == {"ta": [990.0, 7000.0]}
 
     def test_record_in_other_table_evicts_nothing(self):
         cache = ResultCache()
         key = cache_key("app", symptom(), "fp")
         cache.store(key, FakeDiagnosis("d", (("ta", 970.0, 1030.0),)), 0)
-        cache.note_insert("tb", 1000.0, revision=1)
-        cache.note_insert("ta", 2000.0, revision=2)  # outside the window
+        cache.note_insert("tb", [1000.0], 1)
+        cache.note_insert("ta", [2000.0], 2)  # outside the window
         assert cache.lookup(key) is not None
 
     def test_invalidate_all(self):
@@ -150,7 +164,7 @@ class TestWriteRaceSafety:
         key = cache_key("app", symptom(), "fp")
         # computation started at revision 4; a record landed (revision 5)
         # inside the footprint before the result was published
-        cache.note_insert("ta", 1000.0, revision=5)
+        cache.note_insert("ta", [1000.0], 5)
         stale = FakeDiagnosis("stale", (("ta", 970.0, 1030.0),))
         assert not cache.store(key, stale, store_revision=4)
         assert cache.lookup(key) is None
@@ -158,15 +172,15 @@ class TestWriteRaceSafety:
     def test_irrelevant_insert_does_not_block_publication(self):
         cache = ResultCache()
         key = cache_key("app", symptom(), "fp")
-        cache.note_insert("tb", 1000.0, revision=5)  # different table
-        cache.note_insert("ta", 9000.0, revision=6)  # outside the window
+        cache.note_insert("tb", [1000.0], 5)  # different table
+        cache.note_insert("ta", [9000.0], 6)  # outside the window
         diagnosis = FakeDiagnosis("ok", (("ta", 970.0, 1030.0),))
         assert cache.store(key, diagnosis, store_revision=4)
 
     def test_insert_seen_before_computation_is_ignored(self):
         cache = ResultCache()
         key = cache_key("app", symptom(), "fp")
-        cache.note_insert("ta", 1000.0, revision=5)
+        cache.note_insert("ta", [1000.0], 5)
         diagnosis = FakeDiagnosis("ok", (("ta", 970.0, 1030.0),))
         # revision 5 was already visible when the diagnosis started
         assert cache.store(key, diagnosis, store_revision=5)
@@ -174,7 +188,7 @@ class TestWriteRaceSafety:
     def test_truncated_log_refuses_unprovable_results(self):
         cache = ResultCache(mutation_log_size=2)
         for revision in range(10, 14):  # log now holds only 12, 13
-            cache.note_insert("tz", 0.0, revision=revision)
+            cache.note_insert("tz", [0.0], revision)
         key = cache_key("app", symptom(), "fp")
         diagnosis = FakeDiagnosis("d", (("ta", 970.0, 1030.0),))
         # computation started at revision 3: the log cannot prove no
@@ -188,7 +202,7 @@ class TestMutationsSince:
     def test_returns_newer_mutations(self):
         cache = ResultCache()
         for revision in range(1, 5):
-            cache.note_insert("ta", float(revision), revision=revision)
+            cache.note_insert("ta", [float(revision)], revision)
         assert cache.mutations_since(2, 4) == {"ta": [3.0, 4.0]}
         assert cache.mutations_since(4, 4) == {}
 
@@ -197,12 +211,12 @@ class TestMutationsSince:
         for revision, (table, timestamp) in enumerate(
             [("ta", 9.0), ("tb", 2.0), ("ta", 1.0)], start=1
         ):
-            cache.note_insert(table, timestamp, revision=revision)
+            cache.note_insert(table, [timestamp], revision)
         assert cache.mutations_since(0, 3) == {"ta": [1.0, 9.0], "tb": [2.0]}
 
     def test_log_behind_the_store_head_returns_none(self):
         cache = ResultCache()
-        cache.note_insert("ta", 1.0, revision=1)
+        cache.note_insert("ta", [1.0], 1)
         # the store is already at revision 2; its insert hook has not
         # reached the cache yet, so the log cannot vouch for (0, 2]
         assert cache.mutations_since(0, 2) is None
@@ -211,6 +225,6 @@ class TestMutationsSince:
     def test_gap_in_log_returns_none(self):
         cache = ResultCache(mutation_log_size=2)
         for revision in range(1, 6):  # log holds only 4, 5
-            cache.note_insert("ta", float(revision), revision=revision)
+            cache.note_insert("ta", [float(revision)], revision)
         assert cache.mutations_since(1, 5) is None
         assert cache.mutations_since(3, 5) == {"ta": [4.0, 5.0]}
