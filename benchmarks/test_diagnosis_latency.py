@@ -13,7 +13,23 @@ These are upper bounds from a system querying production databases; the
 reproduction runs in-memory and must land far below them — the
 benchmark records per-symptom latency and asserts the paper's bounds
 with two orders of magnitude to spare.
+
+``test_pim_storm_group_latency`` measures what the MVPN case is about —
+one provisioning action dropping a PE's adjacencies toward every remote
+PE at once: the sibling symptoms diagnosed as one ``diagnose_all`` group
+against one ``diagnose`` call each, same process, equal outputs, both
+timings and their ratio written to ``BENCH_engine_groups.json`` (the
+storm is built by ``tests/oracles/storm.py`` from ``repro.simulation``).
 """
+
+import json
+import statistics
+import time
+from pathlib import Path
+
+from tests.oracles.storm import mvpn_storm
+
+BENCH_FILE = Path("BENCH_engine_groups.json")
 
 
 def test_bgp_diagnosis_latency(bgp_outcome, benchmark, console):
@@ -75,3 +91,36 @@ def test_pim_diagnosis_latency(pim_outcome, benchmark, console):
         "(paper bound: < 5 s)"
     )
     assert mean < 5.0
+
+
+def test_pim_storm_group_latency(console):
+    app, symptoms, _action = mvpn_storm(vrfs=4, churn=8)
+    assert len(symptoms) >= 60
+    intervals = len({s.interval for s in symptoms})
+    group_s, single_s = [], []
+    for _ in range(7):  # alternating, each side on a cold isolated engine
+        engine = app.engine.isolated()
+        began = time.perf_counter()
+        grouped = engine.diagnose_all(symptoms)
+        group_s.append(time.perf_counter() - began)
+        engine = app.engine.isolated()
+        began = time.perf_counter()
+        singles = [engine.diagnose(symptom) for symptom in symptoms]
+        single_s.append(time.perf_counter() - began)
+        assert grouped == singles
+        assert [d.footprint for d in grouped] == [d.footprint for d in singles]
+    group, single = statistics.median(group_s), statistics.median(single_s)
+    payload = {
+        "symptoms": len(symptoms),
+        "distinct_intervals": intervals,
+        "group_ms": round(1000 * group, 3),
+        "singles_ms": round(1000 * single, 3),
+        "singles_over_group": round(single / group, 3),
+    }
+    BENCH_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    console.emit(
+        f"PIM storm action: {len(symptoms)} sibling symptoms on {intervals} "
+        f"intervals — one diagnose_all {1000 * group:.1f} ms, one diagnose "
+        f"each {1000 * single:.1f} ms ({single / group:.2f}x)"
+    )
+    assert {d.primary_cause for d in grouped} == {"PIM Configuration change"}

@@ -314,7 +314,7 @@ def _traced_run(app, result, scenario: str):
         ) as span:
             symptoms = app.find_symptoms(result.start, result.end)
             span.annotate(retrieved=len(symptoms))
-        diagnoses = [app.engine.diagnose(s, tracer=tracer) for s in symptoms]
+        diagnoses = app.engine.diagnose_all(symptoms, tracer=tracer)
         root.annotate(symptoms=len(symptoms))
     return ResultBrowser(diagnoses), root
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -107,6 +108,11 @@ class FeedHealth:
         self._window: Deque[Tuple[float, int, int]] = deque()
         self._state = FeedState.HEALTHY
         self._history: List[HealthInterval] = []
+        # (intervals by start, their starts, running max of their ends),
+        # rebuilt on the first lookup after the history changed
+        self._lookup: Optional[
+            Tuple[List[HealthInterval], List[float], List[float]]
+        ] = None
         #: circuit breaker (or operator) override: feed is known down
         self._forced_down = False
 
@@ -157,6 +163,7 @@ class FeedHealth:
         """
         self._history.append(HealthInterval(state, start, end))
         self._history.sort(key=lambda i: i.start)
+        self._lookup = None
 
     # ------------------------------------------------------------------
     # views
@@ -186,8 +193,26 @@ class FeedHealth:
         return rejected / total if total else 0.0
 
     def impaired_intervals(self, lo: float, hi: float) -> List[HealthInterval]:
-        """Non-healthy intervals overlapping [lo, hi], oldest first."""
-        return [i for i in self._history if i.overlaps(lo, hi)]
+        """Non-healthy intervals overlapping [lo, hi], oldest first.
+
+        The history only grows, so the engine's per-rule lookups must
+        not scan it: one bisect on the starts bounds the intervals that
+        began by ``hi``, and a running max of the ends (open intervals
+        count as endless) skips the prefix that was over before ``lo``.
+        """
+        if self._lookup is None:
+            ordered = sorted(self._history, key=lambda i: i.start)
+            reach: List[float] = []
+            latest = float("-inf")
+            for interval in ordered:
+                end = float("inf") if interval.end is None else interval.end
+                latest = max(latest, end)
+                reach.append(latest)
+            self._lookup = (ordered, [i.start for i in ordered], reach)
+        ordered, starts, reach = self._lookup
+        stop = bisect_right(starts, hi)
+        first = bisect_left(reach, lo, 0, stop)
+        return [i for i in ordered[first:stop] if i.overlaps(lo, hi)]
 
     def history(self) -> List[HealthInterval]:
         """All recorded non-healthy intervals, oldest first."""
@@ -221,6 +246,7 @@ class FeedHealth:
     def _transition(self, new_state: FeedState, now: float) -> None:
         if new_state is self._state:
             return
+        self._lookup = None
         if self._history and self._history[-1].end is None:
             self._history[-1].end = now
         if new_state is not FeedState.HEALTHY:

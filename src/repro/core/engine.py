@@ -1,16 +1,22 @@
 """The Generic RCA Engine (Fig. 1).
 
-For each symptom event instance the engine walks the application's
-diagnosis graph breadth-first (genuinely level-order): for every rule
-out of a matched node it retrieves candidate diagnostic instances from
-the store (bounded by the temporal rule's search window), keeps those
-that join temporally *and* spatially with the matched parent instance,
-and recurses.  Before each frontier level is evaluated, a batched
-retrieval planner (:meth:`RcaEngine._plan_level`) coalesces the
-overlapping windows sibling rules are about to request per event, so
-one store round-trip serves the whole level instead of one per (rule,
-parent).  The collected evidence then goes to the reasoning module
-(rule-based by default) to pick the root cause(s).
+The application's diagnosis graph is compiled once per engine into a
+flat plan (:func:`compile_plan`), and :meth:`RcaEngine.diagnose_all` is
+the one evaluator: an interpreter over that plan that walks each
+symptom breadth-first (genuinely level-order).  For every step out of a
+matched instance it retrieves candidate diagnostic instances from the
+store (bounded by the temporal rule's search window), keeps those that
+join temporally *and* spatially with the matched parent, and walks on
+from the matches that have rules of their own; a batched retrieval
+planner (:meth:`RcaEngine._plan_level`) coalesces the windows of each
+frontier level first.  The collected evidence then goes to the
+reasoning module (rule-based by default) to pick the root cause(s).
+
+A storm's sibling symptoms share their intervals, so inside one call
+everything that depends only on ``(plan step, parent interval)`` — a
+:class:`_Stage` — is computed once; per parent only the symptom-side
+spatial expansion, the per-location verdicts and the evidence rows
+remain.
 
 Read observation (``store-query`` tracing spans and the footprint
 records the service cache invalidates on) rides the single
@@ -21,10 +27,11 @@ proxy classes.
 from __future__ import annotations
 
 import bisect
+import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-from typing import Set
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from ..collector.health import HealthRegistry, canonical_source
 from ..collector.store import (
@@ -35,11 +42,12 @@ from ..collector.store import (
     TraceObserver,
 )
 from ..obs.trace import NULL_TRACER, Span, Tracer
-from .events import EventInstance, EventLibrary, RetrievalContext
-from .graph import DiagnosisGraph
+from .events import (
+    EventDefinition, EventInstance, EventLibrary, RetrievalContext,
+)
+from .graph import DiagnosisGraph, DiagnosisRule
 from .locations import Location
 from .reasoning.rule_based import (
-    UNKNOWN,
     UNKNOWN_DEGRADED,
     UNKNOWN_NO_EVIDENCE,
     EvidenceGap,
@@ -48,7 +56,7 @@ from .reasoning.rule_based import (
     assess_confidence,
     reason,
 )
-from .spatial import LocationResolver
+from .spatial import JoinLevel, LocationResolver
 from .temporal import IntervalColumns
 
 #: One recorded store read: (table name, window start, window end).
@@ -61,18 +69,11 @@ def merge_footprint(reads: Iterable[FootprintEntry]) -> Tuple[FootprintEntry, ..
     by_table: Dict[str, List[Tuple[float, float]]] = {}
     for table, lo, hi in reads:
         by_table.setdefault(table, []).append((lo, hi))
-    merged: List[FootprintEntry] = []
-    for table in sorted(by_table):
-        windows = sorted(by_table[table])
-        current_lo, current_hi = windows[0]
-        for lo, hi in windows[1:]:
-            if lo <= current_hi:
-                current_hi = max(current_hi, hi)
-            else:
-                merged.append((table, current_lo, current_hi))
-                current_lo, current_hi = lo, hi
-        merged.append((table, current_lo, current_hi))
-    return tuple(merged)
+    return tuple(
+        (table, lo, hi)
+        for table in sorted(by_table)
+        for lo, hi in coalesce_windows(by_table[table])
+    )
 
 
 def footprint_hit(
@@ -99,12 +100,10 @@ def evidence_sources(graph: DiagnosisGraph, library: EventLibrary) -> Set[str]:
     scheduler (health-aware job priority): both need to know which
     ingest feeds could carry this application's evidence.
     """
-    sources: Set[str] = set()
-    for name in graph.events():
-        source = canonical_source(library.get(name).data_source)
-        if source is not None:
-            sources.add(source)
-    return sources
+    sources = {
+        canonical_source(library.get(name).data_source) for name in graph.events()
+    }
+    return sources - {None}
 
 
 #: Retrieval windows are rounded to this bucket so nearby symptoms and
@@ -148,26 +147,20 @@ def coalesce_windows(
 class CandidateSet:
     """One cached retrieval cover: instances plus lazy join columns.
 
-    The retrieval cache stores these instead of bare instance lists so
-    every rule/parent hitting the same cover shares one columnar
+    Every rule/parent hitting the same cover shares one columnar
     ``(starts, ends)`` build — and, through
     :class:`~repro.core.temporal.IntervalColumns`, one end-sorted
     permutation — for the batch temporal join.
     """
 
-    __slots__ = (
-        "instances", "_columns", "_location_parts", "_location_index",
-        "_ambiguous_parts", "_expansions",
-    )
+    __slots__ = ("instances", "_columns", "_location_index", "_expansions")
 
     def __init__(self, instances: List[EventInstance]) -> None:
         self.instances = instances
         self._columns: Optional[IntervalColumns] = None
-        self._location_parts: Optional[List[Tuple[str, ...]]] = None
         self._location_index: Optional[
             Dict[Tuple[str, ...], Tuple[Location, List[int]]]
         ] = None
-        self._ambiguous_parts = False
         # (join level, topology generation) -> parts -> expansion, or
         # None when the level/locations are epoch-dynamic
         self._expansions: Dict[
@@ -188,44 +181,51 @@ class CandidateSet:
         return self._columns
 
     @property
-    def location_parts(self) -> List[Tuple[str, ...]]:
-        """Location identity column of the instances; memoized.
-
-        Storm covers repeat a handful of distinct locations (the same
-        links/routers over and over), so the spatial stage keys one
-        verdict per parts tuple instead of expanding per candidate.
-        """
-        if self._location_parts is None:
-            self._location_parts = [
-                i.location.parts for i in self.instances
-            ]
-        return self._location_parts
-
-    @property
     def location_index(
         self,
     ) -> Dict[Tuple[str, ...], Tuple[Location, List[int]]]:
-        """parts -> (representative location, ascending indices); memoized.
+        """parts -> (the location, ascending row indices); memoized.
 
-        The inverse of :attr:`location_parts`: which candidate rows
-        carry each distinct location.  Index lists are ascending, so a
-        contiguous survivor run can be intersected per location with
-        two bisects instead of walking every survivor.
+        Storm covers repeat a handful of distinct locations, so the
+        spatial stage decides once per location, not per candidate.  A
+        cover holds one event's instances, hence one location type, so
+        the parts identify the location.
         """
         if self._location_index is None:
             index: Dict[Tuple[str, ...], Tuple[Location, List[int]]] = {}
-            for k, parts in enumerate(self.location_parts):
-                entry = index.get(parts)
+            for k, instance in enumerate(self.instances):
+                entry = index.get(instance.location.parts)
                 if entry is None:
-                    index[parts] = (self.instances[k].location, [k])
+                    index[instance.location.parts] = (instance.location, [k])
                 else:
                     entry[1].append(k)
-                    if entry[0].type is not self.instances[k].location.type:
-                        # same parts under two location types: parts
-                        # are not an identity here, fall back
-                        self._ambiguous_parts = True
             self._location_index = index
         return self._location_index
+
+    def location_runs(
+        self, survivors: List[int]
+    ) -> List[Tuple[Tuple[str, ...], Location, List[int]]]:
+        """Per distinct location among ``survivors``, its rows, ascending.
+
+        A contiguous survivor run — what start-anchored batch joins
+        produce — is intersected with each location's index list by two
+        bisects instead of walking every survivor.
+        """
+        lo_k, hi_k = survivors[0], survivors[-1]
+        runs = []
+        if hi_k - lo_k + 1 == len(survivors):
+            for parts, (location, idxs) in self.location_index.items():
+                a = bisect.bisect_left(idxs, lo_k)
+                b = bisect.bisect_right(idxs, hi_k, a)
+                if a != b:
+                    runs.append((parts, location, idxs[a:b]))
+        else:
+            rows: Dict[Tuple[str, ...], List[int]] = {}
+            for k in survivors:
+                rows.setdefault(self.instances[k].location.parts, []).append(k)
+            for parts, ks in rows.items():
+                runs.append((parts, self.instances[ks[0]].location, ks))
+        return runs
 
     def static_expansions(
         self, resolver, level, timestamp: float
@@ -233,19 +233,22 @@ class CandidateSet:
         """Spatial expansions of the distinct locations, if epoch-static.
 
         Storm workloads join the same cover against dozens of sibling
-        symptoms; for epoch-static location columns (links, routers,
-        interfaces...) the expansions cannot change within a topology
-        generation, so one map computed on first use serves every later
-        walk without touching the resolver.  Returns ``None`` — compute
-        per evaluation instead — for time-varying location types.
+        symptoms; epoch-static expansions
+        (:meth:`LocationResolver.epoch_static`) cannot change within a
+        topology generation, so one map computed on first use serves
+        every later walk.  Returns ``None`` — compute per evaluation —
+        when any expansion depends on time-varying routing state.
         """
-        index = self.location_index
-        if self._ambiguous_parts:
-            return None
         key = (level, resolver.epoch.topology_generation)
         if key not in self._expansions:
-            self._expansions[key] = resolver.expand_static_map(
-                (location for location, _ in index.values()), level, timestamp
+            locations = [location for location, _ in self.location_index.values()]
+            self._expansions[key] = (
+                {
+                    location.parts: resolver.expand(location, level, timestamp)
+                    for location in locations
+                }
+                if all(resolver.epoch_static(l.type, level) for l in locations)
+                else None
             )
         return self._expansions[key]
 
@@ -257,8 +260,6 @@ class CoverIndex:
     the high edges: the rightmost cover starting at or before a query's
     low edge bounds the candidates, and the first prefix position whose
     running max reaches the query's high edge names a containing cover.
-    Replaces a linear scan that sat on the per-rule hot path and
-    degraded as covers accumulated within a job.
     """
 
     __slots__ = ("_los", "_his", "_max", "_arg")
@@ -269,9 +270,6 @@ class CoverIndex:
         self._max: List[float] = []
         self._arg: List[int] = []
 
-    def __len__(self) -> int:
-        return len(self._los)
-
     def __iter__(self):
         return iter(zip(self._los, self._his))
 
@@ -280,9 +278,7 @@ class CoverIndex:
         i = bisect.bisect_right(self._los, lo)
         self._los.insert(i, lo)
         self._his.insert(i, hi)
-        # rebuild the running max/argmax from the insertion point only:
-        # inserts happen once per new retrieval cover, lookups once per
-        # (rule, parent)
+        # rebuild the running max/argmax from the insertion point only
         del self._max[i:]
         del self._arg[i:]
         best = self._max[-1] if self._max else float("-inf")
@@ -302,6 +298,90 @@ class CoverIndex:
         p = bisect.bisect_left(self._max, hi, 0, i + 1)
         k = self._arg[p]
         return (self._los[k], self._his[k])
+
+
+#: what an event without any cached cover is looked up in
+_NO_COVERS = CoverIndex()
+
+
+class PlanStep(NamedTuple):
+    """One rule out of an event, with all the walk needs resolved once."""
+
+    #: position in the flat plan (identifies the step in shared-state keys)
+    index: int
+    rule: DiagnosisRule
+    #: the child event's definition (its retrieval process)
+    definition: EventDefinition
+    #: collector feed backing the child's evidence; None when no ingest
+    #: feed stands behind it (derived events)
+    source: Optional[str]
+    #: how far before / after the parent's expanded window a joinable
+    #: child may lie (:meth:`TemporalJoinRule.reaches`)
+    reach_before: float
+    reach_after: float
+    level: JoinLevel
+    #: False for a leaf child: its matches are evidence, never walked
+    expands: bool
+
+
+def compile_plan(
+    graph: DiagnosisGraph, library: EventLibrary
+) -> Dict[str, Tuple[PlanStep, ...]]:
+    """Flatten a diagnosis graph: event name -> its steps, in rule order.
+
+    Definitions are resolved here: a library ``override`` made later
+    needs a new engine.  Raises ``KeyError`` naming undefined events.
+    """
+    missing = [name for name in graph.events() if name not in library]
+    if missing:
+        raise KeyError(
+            f"diagnosis graph references undefined events: {missing}"
+        )
+    plan: Dict[str, Tuple[PlanStep, ...]] = {}
+    index = 0
+    for event in sorted(graph.events()):
+        steps = []
+        for rule in graph.rules_from(event):
+            definition = library.get(rule.child_event)
+            before, after = rule.temporal.reaches()
+            steps.append(
+                PlanStep(
+                    index, rule, definition,
+                    canonical_source(definition.data_source), before, after,
+                    rule.spatial.level, bool(graph.rules_from(rule.child_event)),
+                )
+            )
+            index += 1
+        plan[event] = tuple(steps)
+    return plan
+
+
+class _Stage:
+    """What one ``(plan step, parent interval)`` evaluation shares.
+
+    Stages live for one :meth:`RcaEngine.diagnose_all` call.  The window
+    and the impaired-feed overlaps depend on nothing else.  The cover
+    (with its recorded reads), the temporal survivors and the survivor
+    run's per-location slices also depend on which cached cover answers
+    the window; inside a call the retrieval cache is only ever added to,
+    so that answer holds until a new cover of the child event is indexed
+    — :meth:`RcaEngine._retrieve` then resets the event's stages.
+    """
+
+    __slots__ = ("window", "bucketed", "gaps", "candidates", "reads", "survivors", "runs")
+
+    def __init__(self, window: Tuple[float, float], gaps: tuple) -> None:
+        self.window = window
+        self.bucketed = bucket_window(window)
+        #: ((feed, event, impairment start), EvidenceGap) pairs
+        self.gaps = gaps
+        self.reset()
+
+    def reset(self) -> None:
+        self.candidates: Optional[CandidateSet] = None
+        self.reads: frozenset = frozenset()
+        self.survivors: Optional[List[int]] = None
+        self.runs: Optional[list] = None
 
 
 @dataclass
@@ -433,27 +513,15 @@ class RcaEngine:
         self.resolver = resolver
         self.store = store
         self.config = config or EngineConfig()
-        self._missing = [
-            name for name in graph.events() if name not in library
-        ]
-        if self._missing:
-            raise KeyError(
-                f"diagnosis graph references undefined events: {self._missing}"
-            )
-        # retrieval cache: (event name, cover window) -> candidate set
-        self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
-        # per cache entry: the store reads that produced it
-        self._retrieval_reads: Dict[
-            Tuple[str, float, float], frozenset
-        ] = {}
-        # per event: the cached cover windows, indexed for containment
-        self._covers: Dict[str, CoverIndex] = {}
-        # accumulator active while one diagnose() call is correlating
-        self._active_reads: Optional[set] = None
-        #: last store revision this engine's retrieval cache was synced
-        #: to (maintained by the owner — service workers use it to drop
-        #: exactly the cached windows a late record landed in)
+        self._compile()
+        self.clear_cache()
+        #: last store revision the retrieval cache was synced to (kept by
+        #: the owner: service workers drop the windows late records hit)
         self.synced_revision: Optional[int] = None
+
+    def _compile(self) -> None:
+        self._plan = compile_plan(self.graph, self.library)
+        self._plan_revision = self.graph.revision
 
     # ------------------------------------------------------------------
 
@@ -464,269 +532,254 @@ class RcaEngine:
         cancel: Optional[Any] = None,
         max_depth: Optional[int] = None,
     ) -> Diagnosis:
-        """Correlate and reason about one symptom instance.
+        """Correlate and reason about one symptom instance: the
+        one-symptom case of :meth:`diagnose_all` (same arguments)."""
+        return self.diagnose_all(
+            (symptom,), tracer=tracer, cancel=cancel, max_depth=max_depth
+        )[0]
 
-        ``tracer`` opts this diagnosis into span recording: the walk
-        gets one ``diagnose`` span with ``node``/``rule``/``retrieve``/
-        ``store-query``/``temporal-join``/``spatial-join``/``reason``
-        children, and the finished subtree is attached as
-        :attr:`Diagnosis.trace`.  With the default ``None`` the no-op
-        tracer is used and the hot path is unchanged.
+    def diagnose_all(
+        self,
+        symptoms: Iterable[EventInstance],
+        traced: bool = False,
+        tracer: Optional[Tracer] = None,
+        cancel: Optional[Any] = None,
+        max_depth: Optional[int] = None,
+    ) -> List[Diagnosis]:
+        """Diagnose symptom instances in order, as one group.
+
+        Each diagnosis is exactly what diagnosing that symptom alone, at
+        that point, on this engine produces — evidence order, gaps and
+        footprint included; the group only shares what sibling symptoms
+        on one interval repeat (:class:`_Stage`).  Rules added to the
+        graph since the last call are picked up here.
+
+        ``tracer`` opts into span recording: each symptom gets one
+        ``diagnose`` span (under the tracer's current span) with
+        ``node``/``rule``/``retrieve``/``store-query``/``temporal-join``/
+        ``spatial-join``/``reason`` children, attached as
+        :attr:`Diagnosis.trace`; ``traced=True`` gives every symptom a
+        fresh :class:`~repro.obs.Tracer`, hence an independent tree.  A
+        shared stage reads as a cache hit (``retrieve`` with ``cached``
+        true, the same ``temporal-join`` counts) that took no time.
 
         ``cancel`` is a cooperative cancellation token (anything with a
         ``check()`` that raises to stop — see
-        :class:`repro.service.policy.CancellationToken`).  It is checked
-        at stage boundaries: each frontier level, each node visit, and
-        before every store fetch, so a timed-out diagnosis stops within
-        one retrieval instead of running to completion.  ``max_depth``
-        caps the exploration depth (evidence *at* the cap is still
-        collected; nodes there are not expanded) — the service uses it
-        to trim work during brownout.
+        :class:`repro.service.policy.CancellationToken`), checked at
+        each frontier level, each node visit and before every store
+        fetch, so a timed-out diagnosis stops within one retrieval.
+        ``max_depth`` caps the exploration depth (evidence *at* the cap
+        is still collected; nodes there are not expanded) — the service
+        uses it to trim work during brownout.
         """
-        if symptom.name != self.graph.symptom_event:
-            raise ValueError(
-                f"engine diagnoses {self.graph.symptom_event!r} symptoms, "
-                f"got {symptom.name!r}"
+        if self._plan_revision != self.graph.revision:
+            self._compile()
+        # child event -> (step index, parent start, parent end) -> stage
+        shared: Dict[str, Dict[Tuple[int, float, float], _Stage]] = {}
+        diagnoses = []
+        for symptom in symptoms:
+            if symptom.name != self.graph.symptom_event:
+                raise ValueError(
+                    f"engine diagnoses {self.graph.symptom_event!r} symptoms, "
+                    f"got {symptom.name!r}"
+                )
+            trace = Tracer() if traced else tracer or NULL_TRACER
+            with trace.span(
+                "diagnose", label=symptom.name, symptom=str(symptom),
+                graph=self.graph.name,
+            ) as root:
+                evidence, gaps, footprint = self._correlate(
+                    symptom, trace, cancel, max_depth, shared
+                )
+                with trace.span("reason", label=symptom.name) as span:
+                    result = reason(self.graph, evidence)
+                    confidence, caveats = assess_confidence(gaps)
+                    span.annotate(
+                        evidence=len(evidence),
+                        root_causes=list(result.root_causes),
+                        priority=result.priority,
+                        gaps=len(gaps),
+                    )
+                root.annotate(evidence=len(evidence), cause=result.primary)
+            diagnoses.append(
+                Diagnosis(
+                    symptom, evidence, result, gaps, confidence, caveats,
+                    footprint, root if trace.enabled else None,
+                )
             )
-        tracer = tracer if tracer is not None else NULL_TRACER
-        with tracer.span(
-            "diagnose", label=symptom.name, symptom=str(symptom),
-            graph=self.graph.name,
-        ) as root:
-            self._active_reads = set()
-            try:
-                evidence, gaps = self._correlate(
-                    symptom, tracer, cancel=cancel, max_depth=max_depth
-                )
-                footprint = merge_footprint(self._active_reads)
-            finally:
-                self._active_reads = None
-            with tracer.span("reason", label=symptom.name) as span:
-                result = reason(self.graph, evidence)
-                confidence, caveats = assess_confidence(gaps)
-                span.annotate(
-                    evidence=len(evidence),
-                    root_causes=list(result.root_causes),
-                    priority=result.priority,
-                    gaps=len(gaps),
-                )
-            root.annotate(evidence=len(evidence), cause=result.primary)
-        return Diagnosis(
-            symptom=symptom,
-            evidence=evidence,
-            result=result,
-            gaps=gaps,
-            confidence=confidence,
-            caveats=caveats,
-            footprint=footprint,
-            trace=root if tracer.enabled else None,
-        )
-
-    def diagnose_all(
-        self, symptoms: Iterable[EventInstance], traced: bool = False
-    ) -> List[Diagnosis]:
-        """Diagnose a sequence of symptom instances in order.
-
-        ``traced=True`` gives every symptom its own fresh
-        :class:`~repro.obs.Tracer`, so each returned diagnosis carries
-        an independent span tree.
-        """
-        if not traced:
-            return [self.diagnose(symptom) for symptom in symptoms]
-        return [self.diagnose(symptom, tracer=Tracer()) for symptom in symptoms]
+        return diagnoses
 
     # ------------------------------------------------------------------
 
     def _correlate(
-        self,
-        symptom: EventInstance,
-        tracer=NULL_TRACER,
-        cancel: Optional[Any] = None,
-        max_depth: Optional[int] = None,
-    ) -> Tuple[List[MatchedEvidence], List[EvidenceGap]]:
+        self, symptom: EventInstance, tracer, cancel, max_depth, shared
+    ) -> Tuple[List[MatchedEvidence], List[EvidenceGap], Tuple[FootprintEntry, ...]]:
+        """The level-order walk of one symptom over the compiled plan."""
         evidence: List[MatchedEvidence] = []
         gaps: List[EvidenceGap] = []
         gap_keys: set = set()
-        # level entries: (event name, matched instance, depth); the walk
-        # is genuinely level-order so the planner can see every window a
-        # whole frontier level is about to request before any is issued
-        level: List[Tuple[str, EventInstance, int]] = [
-            (self.graph.symptom_event, symptom, 0)
-        ]
+        reads: set = set()
         seen: set = set()
+        # frontier entries: (the matched event's steps, instance, depth)
+        level = [(self._plan[symptom.name], symptom, 0)]
         while level:
             if cancel is not None:
                 cancel.check()
-            plan = self._plan_level(level)
-            next_level: List[Tuple[str, EventInstance, int]] = []
-            for event_name, parent_instance, depth in level:
+            staged, covers = self._plan_level(level, shared)
+            next_level = []
+            for (steps, parent, depth), stages in zip(level, staged):
                 if cancel is not None:
                     cancel.check()
+                deeper = max_depth is None or depth + 1 < max_depth
                 # one span per graph-node visit: the trace mirrors the walk
-                with tracer.span("node", label=event_name, depth=depth) as node_span:
+                with tracer.span("node", label=parent.name, depth=depth) as node_span:
                     matched_here = 0
-                    for rule in self.graph.rules_from(event_name):
-                        gaps_before = len(gaps)
-                        self._note_gaps(rule, parent_instance, gaps, gap_keys)
-                        if len(gaps) > gaps_before:
-                            node_span.count("evidence_gaps", len(gaps) - gaps_before)
-                        matches = self._match_rule(
-                            rule, parent_instance, tracer, plan, cancel
+                    for step, stage in zip(steps, stages):
+                        noted = 0
+                        for key, gap in stage.gaps:
+                            if key not in gap_keys:
+                                gap_keys.add(key)
+                                gaps.append(gap)
+                                noted += 1
+                        if noted:
+                            node_span.count("evidence_gaps", noted)
+                        matches = self._match(
+                            step, stage, parent, tracer, covers, cancel, shared
                         )
+                        reads |= stage.reads
                         matched_here += len(matches)
+                        rule = step.rule
                         for instance in matches:
-                            key = (rule.child_event, instance)
-                            item = MatchedEvidence(
-                                rule=rule,
-                                parent_instance=parent_instance,
-                                instance=instance,
-                                depth=depth + 1,
+                            evidence.append(
+                                MatchedEvidence(rule, parent, instance, depth + 1)
                             )
-                            evidence.append(item)
-                            if key not in seen:
-                                seen.add(key)
-                                if max_depth is None or depth + 1 < max_depth:
+                            # a matched leaf has no rules to evaluate: it
+                            # is evidence only, never a frontier entry
+                            if step.expands and deeper:
+                                key = (rule.child_event, instance)
+                                if key not in seen:
+                                    seen.add(key)
                                     next_level.append(
-                                        (rule.child_event, instance, depth + 1)
+                                        (self._plan[rule.child_event], instance, depth + 1)
                                     )
                     node_span.annotate(matched=matched_here)
             level = next_level
-        return evidence, gaps
+        return evidence, gaps, merge_footprint(reads)
 
     def _plan_level(
-        self, level: List[Tuple[str, EventInstance, int]]
-    ) -> Dict[str, List[Tuple[float, float]]]:
-        """Coalesce the retrieval windows one frontier level will want.
+        self, level, shared
+    ) -> Tuple[List[List[_Stage]], Dict[str, List[Tuple[float, float]]]]:
+        """Resolve a frontier level's stages and coalesce its retrievals.
 
-        Sibling rules (and sibling parents) frequently request
-        overlapping windows of the same diagnostic event; issuing them
-        one-by-one means near-duplicate store round-trips.  This pass
-        collects every (child event, bucketed search window) the level's
-        rules are about to ask for, drops the ones an existing cache
-        cover already satisfies, and merges the rest into per-event
-        disjoint cover windows.  The first retrieval of an event at this
-        level then fetches its whole cover; the siblings hit the cache.
-
-        Only the *prefetch* window widens — temporal/spatial joins still
-        filter against each rule's exact window, so matches are
-        unchanged except where a wider fetch makes boundary-straddling
-        retrievals (e.g. flap pairing) more complete.
+        Every (step, parent) gets its :class:`_Stage`: the one a sibling
+        on the same interval already built, or a new one.  Sibling rules
+        (and parents) often request overlapping windows of one event, so
+        the bucketed windows no cached cover satisfies yet are merged
+        into per-event disjoint covers: the level's first retrieval of
+        an event fetches its whole cover, the siblings hit the cache.
+        Only the *prefetch* widens — the joins still filter on each
+        rule's exact window, so matches are unchanged except where a
+        wider fetch completes boundary-straddling retrievals (e.g. flap
+        pairing).
         """
+        staged: List[List[_Stage]] = []
         wants: Dict[str, List[Tuple[float, float]]] = {}
-        for event_name, parent_instance, _depth in level:
-            for rule in self.graph.rules_from(event_name):
-                window = bucket_window(
-                    rule.temporal.search_window(parent_instance.interval)
-                )
-                if self._find_cover(rule.child_event, window) is None:
-                    wants.setdefault(rule.child_event, []).append(window)
-        return {
-            event_name: coalesce_windows(windows)
-            for event_name, windows in wants.items()
+        for steps, parent, _depth in level:
+            stages = []
+            for step in steps:
+                event = step.rule.child_event
+                by_key = shared.setdefault(event, {})
+                key = (step.index, parent.start, parent.end)
+                stage = by_key.get(key)
+                if stage is None:
+                    stage = by_key[key] = self._new_stage(step, parent)
+                # a filled stage implies a cover containing its window
+                if stage.candidates is None and (
+                    self._covers.get(event, _NO_COVERS).find(*stage.bucketed) is None
+                ):
+                    wants.setdefault(event, []).append(stage.bucketed)
+                stages.append(stage)
+            staged.append(stages)
+        return staged, {
+            event: coalesce_windows(windows) for event, windows in wants.items()
         }
 
-    def _find_cover(
-        self, event_name: str, window: Tuple[float, float]
-    ) -> Optional[Tuple[float, float]]:
-        """A cached cover window containing ``window``, if any."""
-        index = self._covers.get(event_name)
-        if index is None:
-            return None
-        return index.find(window[0], window[1])
-
-    def _note_gaps(
-        self,
-        rule,
-        parent_instance: EventInstance,
-        gaps: List[EvidenceGap],
-        gap_keys: set,
-    ) -> None:
-        """Record impaired-feed overlaps with this rule's search window.
-
-        A retrieval that comes back empty while the backing feed was
-        LAGGING/DEGRADED/DOWN is indistinguishable from genuine absence
-        of the diagnostic event, so every overlap is recorded and later
-        discounted by :func:`assess_confidence`.
-        """
+    def _new_stage(self, step: PlanStep, parent: EventInstance) -> _Stage:
+        """One step's search window from one parent interval, with the
+        impaired-feed intervals overlapping it: an empty retrieval from
+        a LAGGING/DEGRADED/DOWN feed is indistinguishable from genuine
+        absence of the event, so every overlap is recorded and later
+        discounted by :func:`assess_confidence`."""
+        rule, source = step.rule, step.source
+        s_lo, s_hi = rule.temporal.symptom.expand(parent.start, parent.end)
+        lo, hi = s_lo - step.reach_before, s_hi + step.reach_after
         registry = self.config.health
-        if registry is None:
-            return
-        source = canonical_source(self.library.get(rule.child_event).data_source)
-        if source is None:
-            return
-        lo, hi = rule.temporal.search_window(parent_instance.interval)
-        for interval in registry.impaired_intervals(source, lo, hi):
-            key = (source, rule.child_event, interval.start)
-            if key in gap_keys:
-                continue
-            gap_keys.add(key)
-            end = hi if interval.end is None else min(hi, interval.end)
-            gaps.append(
-                EvidenceGap(
-                    source=source,
-                    state=interval.state,
-                    start=max(lo, interval.start),
-                    end=end,
-                    event=rule.child_event,
-                    parent_event=rule.parent_event,
+        if registry is None or source is None:
+            return _Stage((lo, hi), ())
+        return _Stage(
+            (lo, hi),
+            tuple(
+                (
+                    (source, rule.child_event, impaired.start),
+                    EvidenceGap(
+                        source=source,
+                        state=impaired.state,
+                        start=max(lo, impaired.start),
+                        end=hi if impaired.end is None else min(hi, impaired.end),
+                        event=rule.child_event,
+                        parent_event=rule.parent_event,
+                    ),
                 )
-            )
+                for impaired in registry.impaired_intervals(source, lo, hi)
+            ),
+        )
 
-    def _match_rule(
-        self,
-        rule,
-        parent_instance: EventInstance,
-        tracer=NULL_TRACER,
-        plan=None,
-        cancel=None,
+    def _match(
+        self, step: PlanStep, stage: _Stage, parent: EventInstance,
+        tracer, covers, cancel, shared,
     ) -> List[EventInstance]:
-        """Evaluate one rule against one matched parent instance.
+        """Evaluate one step against one matched parent instance.
 
-        One path serves traced and untraced evaluation: the span
-        contexts are no-ops on the null tracer, and span arguments
-        (labels, rule identity strings) are only built when tracing is
-        on.  The stages — retrieve the cover's candidate set once, batch
-        temporal mask over its sorted interval columns, then the
-        columnar spatial join over temporal survivors only,
-        materializing matched instances last — are identical either
-        way, with the join funnel (``candidates`` /
-        ``temporal_survivors`` / ``spatial_survivors``) annotated on the
-        ``rule`` span.
+        One path serves traced and untraced evaluation (span contexts
+        are no-ops on the null tracer; span arguments are only built
+        when tracing is on): the cover's candidate set and the batch
+        temporal mask over its sorted interval columns — both taken
+        from the stage when a sibling left them there — then the
+        columnar spatial join over the temporal survivors only.
         """
-        window = rule.temporal.search_window(parent_instance.interval)
+        rule = step.rule
+        rule_args = stage_args = {}
         if tracer.enabled:
-            label = f"{rule.parent_event} -> {rule.child_event}"
+            stage_args = dict(label=f"{rule.parent_event} -> {rule.child_event}")
             rule_args = dict(
-                label=label,
+                stage_args,
                 priority=rule.priority,
                 temporal=rule.temporal.describe(),
                 spatial=rule.spatial.describe(),
-                window=[window[0], window[1]],
+                window=list(stage.window),
             )
-            stage_args = dict(label=label)
-            trace = tracer
-        else:
-            rule_args = {}
-            stage_args = {}
-            trace = None
         with tracer.span("rule", **rule_args) as rule_span:
-            candidates = self._retrieve(
-                rule.child_event, window, tracer, plan, cancel
-            )
-            with tracer.span("temporal-join", **stage_args) as span:
-                survivors = rule.temporal.joined_batch(
-                    parent_instance.interval, candidates.columns
+            with tracer.span("retrieve", label=rule.child_event) as span:
+                cached = stage.candidates is not None or self._retrieve(
+                    step, stage, tracer, covers, cancel, shared
                 )
+                candidates = stage.candidates
+                span.annotate(cached=cached, records=len(candidates))
+            with tracer.span("temporal-join", **stage_args) as span:
+                survivors = stage.survivors
+                if survivors is None:
+                    survivors = stage.survivors = rule.temporal.joined_batch(
+                        parent.interval, candidates.columns
+                    )
                 span.annotate(candidates=len(candidates), joined=len(survivors))
             with tracer.span("spatial-join", **stage_args) as span:
                 batch = rule.spatial.batch(
-                    self.resolver,
-                    parent_instance.location,
-                    parent_instance.start,
-                    trace=trace,
+                    self.resolver, parent.location, parent.start,
+                    trace=tracer if tracer.enabled else None,
                 )
-                matched = self._spatial_stage(
-                    rule, parent_instance, candidates, survivors, batch
+                matched = (
+                    self._spatial_stage(step, stage, parent.start, batch)
+                    if survivors else []
                 )
                 span.annotate(candidates=len(survivors), joined=len(matched))
             rule_span.annotate(
@@ -738,66 +791,46 @@ class RcaEngine:
         return matched
 
     def _spatial_stage(
-        self,
-        rule,
-        parent_instance: EventInstance,
-        candidates: CandidateSet,
-        survivors: List[int],
-        batch,
+        self, step: PlanStep, stage: _Stage, timestamp: float, batch
     ) -> List[EventInstance]:
         """Columnar spatial join over the temporal survivors.
 
         For epoch-static location columns the cover's expansion map
         (:meth:`CandidateSet.static_expansions`) replaces per-candidate
-        resolver calls with one set intersection per distinct location;
-        a contiguous survivor run — what start-anchored batch joins
-        produce — is then intersected with each passing location's index
-        list by bisection instead of walking every survivor.  Returns
-        exactly the instances a per-candidate loop over
+        resolver calls with one set intersection per distinct location,
+        over survivor rows the stage shares (``location_runs``).
+        Returns exactly what a per-candidate loop over
         :meth:`SpatialJoinRule.joined` would: ascending candidate order,
         capped at ``max_matches_per_rule``.
         """
-        if not survivors:
-            return []
+        candidates, survivors = stage.candidates, stage.survivors
         cap = self.config.max_matches_per_rule
         instances = candidates.instances
         expansions = candidates.static_expansions(
-            self.resolver, rule.spatial.level, parent_instance.start
+            self.resolver, step.level, timestamp
         )
-        if expansions is None:
-            # epoch-dynamic locations (routed paths, prefixes): one
-            # resolver verdict per distinct location
-            verdict_of = batch.joined
-        else:
-            symptom_set = batch.symptom_set
-            lo_k, hi_k = survivors[0], survivors[-1]
-            if symptom_set and hi_k - lo_k + 1 == len(survivors):
-                picked: List[int] = []
-                for parts, (location, idxs) in candidates.location_index.items():
-                    a = bisect.bisect_left(idxs, lo_k)
-                    b = bisect.bisect_right(idxs, hi_k, a)
-                    if a == b:
-                        continue
+        if expansions is not None:
+            runs = stage.runs
+            if runs is None:
+                runs = stage.runs = candidates.location_runs(survivors)
+                for _parts, location, _rows in runs:
                     batch.check_diagnostic(location)
-                    if not symptom_set.isdisjoint(expansions[parts]):
-                        picked.extend(idxs[a:b])
-                picked.sort()
-                return [instances[k] for k in picked[:cap]]
-
-            # non-contiguous survivors (end-anchored joins) or an empty
-            # symptom expansion: verdicts straight off the expansion map
-            def verdict_of(location: Location) -> bool:
-                batch.check_diagnostic(location)
-                return not symptom_set.isdisjoint(expansions[location.parts])
-
+            symptom_set = batch.symptom_set
+            picked: List[int] = []
+            for parts, _location, rows in runs:
+                if not symptom_set.isdisjoint(expansions[parts]):
+                    picked.extend(rows)
+            picked.sort()
+            return [instances[k] for k in picked[:cap]]
+        # epoch-dynamic locations (routed paths, prefixes): one resolver
+        # verdict per distinct location, only as far as the cap needs
         matched: List[EventInstance] = []
-        location_parts = candidates.location_parts
         verdicts: Dict[Tuple[str, ...], bool] = {}
         for k in survivors:
-            parts = location_parts[k]
-            verdict = verdicts.get(parts)
+            location = instances[k].location
+            verdict = verdicts.get(location.parts)
             if verdict is None:
-                verdict = verdicts[parts] = verdict_of(instances[k].location)
+                verdict = verdicts[location.parts] = batch.joined(location)
             if verdict:
                 matched.append(instances[k])
                 if len(matched) >= cap:
@@ -805,99 +838,92 @@ class RcaEngine:
         return matched
 
     def _retrieve(
-        self,
-        event_name: str,
-        window: Tuple[float, float],
-        tracer=NULL_TRACER,
-        plan: Optional[Dict[str, List[Tuple[float, float]]]] = None,
-        cancel=None,
-    ) -> CandidateSet:
-        # bucket windows to 60 s so nearby symptoms share cache entries
-        bucketed = bucket_window(window)
-        # prefer an already-cached cover; else the level plan's
-        # coalesced cover for this event; else the bucketed window
-        cover = self._find_cover(event_name, bucketed)
-        if cover is None and plan:
-            for planned in plan.get(event_name, ()):
+        self, step: PlanStep, stage: _Stage, tracer, covers, cancel, shared
+    ) -> bool:
+        """Fill ``stage`` with a cover's candidates and recorded reads;
+        return whether that cover was already cached.
+
+        Prefers an already-cached cover, else the level plan's coalesced
+        cover for this event, else the bucketed window.  The whole
+        (superset) cover is kept: the batch temporal join is the exact
+        filter, so no per-window candidate list is materialized.
+        """
+        event_name, bucketed = step.rule.child_event, stage.bucketed
+        cover = self._covers.get(event_name, _NO_COVERS).find(*bucketed)
+        if cover is None:
+            cover = bucketed
+            for planned in covers.get(event_name, ()):
                 if planned[0] <= bucketed[0] and bucketed[1] <= planned[1]:
                     cover = planned
                     break
-        if cover is None:
-            cover = bucketed
         key = (event_name, cover[0], cover[1])
-        with tracer.span("retrieve", label=event_name) as span:
-            cached = key in self._retrieval_cache
-            if not cached:
-                # the store round-trip is the expensive stage; a job past
-                # its deadline stops here instead of fetching more data
-                if cancel is not None:
-                    cancel.check()
-                reads: set = set()
-                observers: List[ReadObserver] = [FootprintObserver(reads.add)]
-                if tracer.enabled:
-                    observers.insert(0, TraceObserver(tracer))
-                context = RetrievalContext(
-                    store=ObservedStore(self.store, observers),
-                    start=cover[0],
-                    end=cover[1],
-                    params=self.config.params,
-                    services=self.config.services,
-                )
-                self._retrieval_cache[key] = CandidateSet(
-                    self.library.get(event_name).retrieve(context)
-                )
-                self._retrieval_reads[key] = frozenset(reads)
-                self._covers.setdefault(event_name, CoverIndex()).add(*cover)
-            if self._active_reads is not None:
-                self._active_reads |= self._retrieval_reads.get(key, frozenset())
-            # the whole (superset) cover is returned; the batch temporal
-            # join in _match_rule is the exact filter, so no intermediate
-            # per-window candidate list is materialized
-            candidates = self._retrieval_cache[key]
-            span.annotate(cached=cached, records=len(candidates))
-        return candidates
+        cached = key in self._retrieval_cache
+        if not cached:
+            # the store round-trip is the expensive stage; a job past
+            # its deadline stops here instead of fetching more data
+            if cancel is not None:
+                cancel.check()
+            reads: set = set()
+            observers: List[ReadObserver] = [FootprintObserver(reads.add)]
+            if tracer.enabled:
+                observers.insert(0, TraceObserver(tracer))
+            context = RetrievalContext(
+                ObservedStore(self.store, observers), cover[0], cover[1],
+                self.config.params, self.config.services,
+            )
+            self._retrieval_cache[key] = CandidateSet(step.definition.retrieve(context))
+            self._retrieval_reads[key] = frozenset(reads)
+            self._covers.setdefault(event_name, CoverIndex()).add(*cover)
+            # a new cover may answer this event's later lookups
+            for other in shared[event_name].values():
+                other.reset()
+        stage.candidates = self._retrieval_cache[key]
+        stage.reads = self._retrieval_reads[key]
+        return cached
 
     def clear_cache(self) -> None:
         """Drop all cached retrievals (e.g. after new data lands)."""
-        self._retrieval_cache.clear()
-        self._retrieval_reads.clear()
-        self._covers.clear()
+        # retrieval cache: (event name, cover window) -> candidate set
+        self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
+        # per cache entry: the store reads that produced it
+        self._retrieval_reads: Dict[Tuple[str, float, float], frozenset] = {}
+        # per event: the cached cover windows, indexed for containment
+        self._covers: Dict[str, CoverIndex] = {}
 
     def evict_retrievals_before(self, cutoff: float) -> int:
         """Drop cached covers that end before ``cutoff``; return the count.
 
         Pure cache eviction — never affects results, only reuse.  The
         streaming engine calls this each advance with its re-open
-        horizon: a cover entirely behind every window any future (fresh
-        or re-opened) symptom can request is unreachable, and keeping it
-        would make :meth:`invalidate_deltas` scan an ever-growing entry
-        list on a month-scale replay.  Same threading contract as
-        :meth:`invalidate_deltas`.
+        horizon: a cover behind every window any future (fresh or
+        re-opened) symptom can request is unreachable, and keeping it
+        would make :meth:`invalidate_deltas` scan an ever-growing list.
+        Same threading contract as :meth:`invalidate_deltas`.
         """
-        stale = [
-            key for key in self._retrieval_cache if key[2] < cutoff
-        ]
-        return self._drop_retrievals(stale)
+        return self._drop_retrievals(
+            [key for key in self._retrieval_cache if key[2] < cutoff]
+        )
 
     def invalidate_deltas(self, deltas: Dict[str, List[float]]) -> int:
         """Drop cached retrievals a batch of new records may have changed.
 
         ``deltas`` maps table name to *sorted* record timestamps — the
         per-advance delta buffer the streaming engine drains from the
-        store's insert listeners.  A cache entry goes stale when any of
-        its recorded store reads contains any delta point of that table
-        (:func:`footprint_hit`); everything else survives the advance.
-        Returns the number of entries dropped.  Must be called from the
-        thread that owns this engine (the cache is not locked).
+        store's insert listeners.  An entry goes stale when any of its
+        recorded store reads contains a delta point of that table
+        (:func:`footprint_hit`); returns the number dropped.  Call it
+        from the thread that owns this engine (the cache is not
+        locked), between :meth:`diagnose_all` calls.
         """
-        if not deltas or not self._retrieval_reads:
+        if not deltas:
             return 0
-        stale = [
-            key
-            for key, reads in self._retrieval_reads.items()
-            if footprint_hit(reads, deltas)
-        ]
-        return self._drop_retrievals(stale)
+        return self._drop_retrievals(
+            [
+                key
+                for key, reads in self._retrieval_reads.items()
+                if footprint_hit(reads, deltas)
+            ]
+        )
 
     def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:
         """Remove cache entries, rebuild the cover indexes; return the count."""
@@ -914,15 +940,12 @@ class RcaEngine:
     def isolated(self) -> "RcaEngine":
         """A sibling engine with a *private* retrieval cache.
 
-        Shares the (immutable) graph, event library, resolver, config
-        and the live store — everything that is safe to share across
-        threads — but owns its own retrieval cache, so parallel workers
-        never contend on (or corrupt) each other's cached windows.
+        Shares the graph, its compiled plan, the event library, resolver,
+        config and the live store — everything that is safe to share
+        across threads — so parallel workers never contend on (or
+        corrupt) each other's cached windows.
         """
-        return RcaEngine(
-            graph=self.graph,
-            library=self.library,
-            resolver=self.resolver,
-            store=self.store,
-            config=self.config,
-        )
+        sibling = copy.copy(self)
+        sibling.clear_cache()
+        sibling.synced_revision = None
+        return sibling

@@ -45,6 +45,9 @@ class DiagnosisGraph:
     symptom_event: str
     name: str = ""
     _rules_from: Dict[str, List[DiagnosisRule]] = field(default_factory=dict)
+    #: bumped by every successful :meth:`add_rule`; an engine compares
+    #: it with the revision it compiled its plan at
+    revision: int = field(default=0, init=False, compare=False, repr=False)
 
     def add_rule(self, rule: DiagnosisRule) -> DiagnosisRule:
         """Add an edge; parent must already be reachable from the root."""
@@ -63,6 +66,7 @@ class DiagnosisGraph:
             raise GraphError(
                 f"rule {rule.parent_event!r} -> {rule.child_event!r} creates a cycle"
             )
+        self.revision += 1
         return rule
 
     # ------------------------------------------------------------------

@@ -212,7 +212,7 @@ def _classify_cost_change(
     history, link: str, timestamp: float, weight: int
 ) -> Optional[str]:
     """out/in/None for one weight update against the pre-update weight."""
-    previous = history.weights_at(timestamp - 1e-6).get(link)
+    previous = history.weight_at(link, timestamp - 1e-6)
     now_out = weight >= COST_OUT_WEIGHT
     was_out = previous is not None and previous >= COST_OUT_WEIGHT
     if now_out and not was_out:

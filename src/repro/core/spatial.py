@@ -30,7 +30,7 @@ import enum
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..routing.epoch import RoutingEpoch
 from ..routing.paths import PathService
@@ -251,33 +251,20 @@ class LocationResolver:
             # stale location (element no longer in / never in topology)
             return _EMPTY
 
-    def expand_static_map(
-        self,
-        locations: Iterable[Location],
-        level: JoinLevel,
-        timestamp: float,
-    ) -> Optional[Dict[Tuple[str, ...], FrozenSet[str]]]:
-        """Expansions of epoch-static locations, keyed by their parts.
+    def epoch_static(self, location_type: LocationType, level: JoinLevel) -> bool:
+        """Whether such an expansion reads only the topology model.
 
-        A location is *epoch-static* when its expansion reads only the
-        topology model (containment types, or the ``NETWORK`` /
-        ``SAME_LOCATION`` levels): it can change only when the topology
-        generation does.  Callers that see the same location column over
-        and over — a retrieval cover joined by every symptom of a storm
-        — may therefore memoize the whole returned map per
-        ``(level, epoch.topology_generation)`` and skip the resolver on
-        every later evaluation.  Returns ``None`` when any location's
-        expansion depends on time-varying routing state; those must go
-        through :meth:`expand` per evaluation.
+        True for containment types and for the ``NETWORK`` /
+        ``SAME_LOCATION`` levels: the expansion can change only when
+        ``epoch.topology_generation`` does, so a caller that sees the
+        same location column over and over — a retrieval cover joined by
+        every symptom of a storm — may memoize it per generation.
         """
-        canonical = _LEVEL_CANONICAL.get(level, level)
-        static_level = canonical in (JoinLevel.NETWORK, JoinLevel.SAME_LOCATION)
-        out: Dict[Tuple[str, ...], FrozenSet[str]] = {}
-        for location in locations:
-            if not static_level and location.type not in _STATIC_TYPES:
-                return None
-            out[location.parts] = self.expand(location, level, timestamp)
-        return out
+        level = _LEVEL_CANONICAL.get(level, level)
+        return (
+            level in (JoinLevel.NETWORK, JoinLevel.SAME_LOCATION)
+            or location_type in _STATIC_TYPES
+        )
 
     def joined(
         self,
@@ -287,25 +274,11 @@ class LocationResolver:
         timestamp: float,
         trace=None,
     ) -> bool:
-        """True when the two locations share a join-level identifier.
-
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives a
-        ``location_expansions`` counter per expansion performed, so
-        traced diagnoses show how much location-conversion work each
-        spatial join cost (the short-circuit on an empty symptom set
-        is visible as one expansion instead of two).
-        """
-        symptom_set = self.expand(symptom_location, level, timestamp, trace=trace)
-        if trace is not None:
-            trace.count("location_expansions")
-        if not symptom_set:
-            return False
-        diagnostic_set = self.expand(
-            diagnostic_location, level, timestamp, trace=trace
-        )
-        if trace is not None:
-            trace.count("location_expansions")
-        return not symptom_set.isdisjoint(diagnostic_set)
+        """True when the two locations share a join-level identifier
+        (:meth:`BatchSpatialJoin.joined`, without a rule's type checks)."""
+        return BatchSpatialJoin(
+            self, level, symptom_location, timestamp, trace
+        ).joined(diagnostic_location)
 
     # ------------------------------------------------------------------
     # per-location-type expansions
@@ -620,72 +593,68 @@ class BatchSpatialJoin:
     A batch join expands the symptom exactly once (lazily, so a rule
     whose candidates all fail the temporal join never pays for it) and
     intersects each candidate's expansion against that one set.
+
+    A tracer, when given, counts one ``location_expansions`` per
+    expansion actually performed, so traced diagnoses show the batched
+    symptom expansion as a single conversion instead of one per
+    candidate (and none at all for candidates after an empty symptom
+    expansion).
     """
 
     __slots__ = (
-        "rule", "resolver", "timestamp", "trace", "_symptom",
-        "_symptom_set",
+        "resolver", "level", "timestamp", "trace", "diagnostic_type",
+        "_symptom", "_symptom_set",
     )
 
     def __init__(
         self,
-        rule: "SpatialJoinRule",
         resolver: LocationResolver,
+        level: JoinLevel,
         symptom_location: Location,
         timestamp: float,
         trace=None,
+        diagnostic_type: Optional[LocationType] = None,
     ) -> None:
-        if symptom_location.type is not rule.symptom_type:
-            raise ValueError(
-                f"symptom location is {symptom_location.type.value}, rule "
-                f"expects {rule.symptom_type.value}"
-            )
-        self.rule = rule
         self.resolver = resolver
+        self.level = level
         self.timestamp = timestamp
         self.trace = trace
+        #: the location type candidates must have (None: any)
+        self.diagnostic_type = diagnostic_type
         self._symptom = symptom_location
         self._symptom_set: Optional[FrozenSet[str]] = None
+
+    def _expand(self, location: Location) -> FrozenSet[str]:
+        expanded = self.resolver.expand(
+            location, self.level, self.timestamp, trace=self.trace
+        )
+        if self.trace is not None:
+            self.trace.count("location_expansions")
+        return expanded
 
     @property
     def symptom_set(self) -> FrozenSet[str]:
         """The symptom expansion, computed on first use."""
         if self._symptom_set is None:
-            self._symptom_set = self.resolver.expand(
-                self._symptom, self.rule.level, self.timestamp, trace=self.trace
-            )
-            if self.trace is not None:
-                self.trace.count("location_expansions")
+            self._symptom_set = self._expand(self._symptom)
         return self._symptom_set
 
     def check_diagnostic(self, diagnostic_location: Location) -> None:
         """Raise unless a candidate has the rule's diagnostic type."""
-        if diagnostic_location.type is not self.rule.diagnostic_type:
+        expected = self.diagnostic_type
+        if expected is not None and diagnostic_location.type is not expected:
             raise ValueError(
                 f"diagnostic location is {diagnostic_location.type.value}, "
-                f"rule expects {self.rule.diagnostic_type.value}"
+                f"rule expects {expected.value}"
             )
 
     def joined(self, diagnostic_location: Location) -> bool:
-        """True when a candidate shares a join-level identifier.
-
-        A tracer, when given, counts one ``location_expansions`` per
-        expansion actually performed, so traced diagnoses show the
-        batched symptom expansion as a single conversion instead of one
-        per candidate (and none at all for candidates after an empty
-        symptom expansion).
-        """
+        """True when a candidate shares a join-level identifier."""
         self.check_diagnostic(diagnostic_location)
         symptom_set = self.symptom_set
         if not symptom_set:
             return False
-        diagnostic_set = self.resolver.expand(
-            diagnostic_location, self.rule.level, self.timestamp,
-            trace=self.trace,
-        )
-        if self.trace is not None:
-            self.trace.count("location_expansions")
-        return not symptom_set.isdisjoint(diagnostic_set)
+        return not symptom_set.isdisjoint(self._expand(diagnostic_location))
 
 
 @dataclass(frozen=True)
@@ -715,7 +684,15 @@ class SpatialJoinRule:
         trace=None,
     ) -> BatchSpatialJoin:
         """A reusable join with the symptom side expanded only once."""
-        return BatchSpatialJoin(self, resolver, symptom_location, timestamp, trace)
+        if symptom_location.type is not self.symptom_type:
+            raise ValueError(
+                f"symptom location is {symptom_location.type.value}, rule "
+                f"expects {self.symptom_type.value}"
+            )
+        return BatchSpatialJoin(
+            resolver, self.level, symptom_location, timestamp, trace,
+            self.diagnostic_type,
+        )
 
     def joined(
         self,

@@ -298,9 +298,8 @@ class StreamingRca:
                 produced = self.dispatcher(to_run)
                 span.annotate(jobs=len(to_run), diagnoses=len(produced))
         else:
-            produced = []
-            for instance in to_run:
-                produced.append(self.engine.diagnose(instance, tracer=tracer))
+            # one group: a storm's siblings share their stage work
+            produced = self.engine.diagnose_all(to_run, tracer=tracer)
         emitted: List[Diagnosis] = []
         for diagnosis in produced:
             key = instance_key(diagnosis.symptom)

@@ -235,23 +235,31 @@ class TemporalJoinRule:
             return [k for k in range(j) if ends_arr[k] >= end_cut]
         return sorted(k for k in columns.end_order[p:] if k < j)
 
+    def reaches(self) -> Tuple[float, float]:
+        """How far (before, after) the symptom's expanded window the raw
+        interval of a joinable diagnostic instance may lie.
+
+        The diagnostic expansion inverted conservatively.  A regular
+        window reaches left by max(X, 0) of its earliest anchor and
+        right by max(Y, 0); anchors lie within [start, end].  An
+        *inverted* window (X + Y < 0) collapses to its midpoint, which
+        sits up to -X right of an anchor and up to -Y left of one — so
+        each side's reach is the max over both cases.
+        """
+        d = self.diagnostic
+        return max(d.right, -d.left, 0.0), max(d.left, -d.right, 0.0)
+
     def search_window(self, symptom_interval: Tuple[float, float]) -> Tuple[float, float]:
         """Raw-time range a diagnostic event must intersect to possibly join.
 
-        Used by the engine to bound the store query before the exact
-        check: a diagnostic instance whose raw [start, end] lies wholly
-        outside this range cannot join regardless of its expansion.
+        Bounds the store query before the exact check: a diagnostic
+        instance whose raw [start, end] lies wholly outside this range
+        cannot join regardless of its expansion.  (The engine's compiled
+        plan holds :meth:`reaches` per rule and applies them itself.)
         """
         s_lo, s_hi = self.symptom.expand(*symptom_interval)
-        # invert the diagnostic expansion conservatively.  A regular
-        # window reaches left by max(X, 0) of its earliest anchor and
-        # right by max(Y, 0); anchors lie within [start, end].  An
-        # *inverted* window (X + Y < 0) collapses to its midpoint,
-        # which sits up to -X right of an anchor and up to -Y left of
-        # one — so each side's reach is the max over both cases.
-        reach_left = max(self.diagnostic.left, -self.diagnostic.right, 0.0)
-        reach_right = max(self.diagnostic.right, -self.diagnostic.left, 0.0)
-        return (s_lo - reach_right, s_hi + reach_left)
+        before, after = self.reaches()
+        return (s_lo - before, s_hi + after)
 
 
 def default_rule(slack_seconds: float = 5.0) -> TemporalJoinRule:

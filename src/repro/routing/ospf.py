@@ -88,28 +88,39 @@ class WeightHistory:
         # (stale generation, version) -> full weight map; instants with
         # the same version share one dict instead of rebuilding it
         self._weights_cache: Dict[Tuple[int, int], Dict[str, int]] = {}
+        # link -> (timestamps, weights) of its changes, in applied order
+        self._by_link: Dict[str, Tuple[List[float], List[int]]] = {}
 
     def record(self, change: WeightChange) -> None:
         """Append one observed weight update."""
         self._changes.append(change)
-        self._sorted = False
         if change.timestamp < self._max_timestamp:
             self.stale_generation += 1
+            self._sorted = False  # re-sorted and re-indexed on next read
         else:
             self._max_timestamp = change.timestamp
+            if self._sorted:
+                self._timestamps.append(change.timestamp)
+                self._index(change)
 
     def record_many(self, changes: Iterable[WeightChange]) -> None:
         """Append several observed updates."""
         for change in changes:
             self.record(change)
 
+    def _index(self, change: WeightChange) -> None:
+        times, weights = self._by_link.setdefault(change.link, ([], []))
+        times.append(change.timestamp)
+        weights.append(change.weight)
+
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._changes.sort(key=lambda c: c.timestamp)
             self._timestamps = [c.timestamp for c in self._changes]
+            self._by_link = {}
+            for change in self._changes:
+                self._index(change)
             self._sorted = True
-        elif len(self._timestamps) != len(self._changes):
-            self._timestamps = [c.timestamp for c in self._changes]
 
     def version_at(self, timestamp: float) -> int:
         """Number of changes applied at or before ``timestamp``.
@@ -139,6 +150,21 @@ class WeightHistory:
                 self._weights_cache.clear()
             self._weights_cache[key] = weights
         return weights
+
+    def weight_at(self, link: str, timestamp: float) -> Optional[int]:
+        """One link's weight as of ``timestamp``; None when never known.
+
+        Equals ``weights_at(timestamp).get(link)`` without building the
+        whole-network map: one bisect over that link's own changes —
+        what per-record retrievals (cost in/out classification) need.
+        """
+        self._ensure_sorted()
+        entry = self._by_link.get(link)
+        if entry is not None:
+            applied = bisect.bisect_right(entry[0], timestamp)
+            if applied:
+                return entry[1][applied - 1]
+        return self._initial.get(link)
 
     def changes_between(self, start: float, end: float) -> List[WeightChange]:
         """Updates with ``start <= timestamp <= end`` (the OSPFMon view)."""

@@ -32,7 +32,6 @@ from typing import Callable, List, Optional, Sequence
 
 from ..core.engine import Diagnosis, RcaEngine
 from ..core.events import EventInstance
-from ..obs.trace import Tracer
 from .metrics import ServiceMetrics
 from ..resilience import RetryPolicy
 from .policy import DeadlineExceeded, OperationCancelled
@@ -91,11 +90,9 @@ def _fork_worker(span) -> bytes:
     import pickle
 
     lo, hi = span
-    engine = _FORK_ENGINE
-    diagnoses = [
-        engine.diagnose(s, tracer=Tracer() if _FORK_TRACED else None)
-        for s in _FORK_SYMPTOMS[lo:hi]
-    ]
+    diagnoses = _FORK_ENGINE.diagnose_all(
+        _FORK_SYMPTOMS[lo:hi], traced=_FORK_TRACED
+    )
     return pickle.dumps(diagnoses, protocol=pickle.HIGHEST_PROTOCOL)
 
 

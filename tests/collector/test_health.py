@@ -4,6 +4,7 @@ breaker and dead-letter buffer — all driven by a fake clock, no sleeps."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.collector import DataCollector
 from repro.collector.health import (
@@ -123,6 +124,56 @@ class TestFeedStateMachine:
         feed = FeedHealth("cdn")
         feed.record_outage(T0, None)
         assert feed.impaired_intervals(T0 + 1e6, T0 + 2e6)
+
+
+class TestImpairedIntervalLookup:
+    """The bisect lookup answers what a scan of the history would."""
+
+    OUTAGES = st.lists(
+        st.tuples(
+            st.integers(0, 500),
+            st.one_of(st.none(), st.integers(0, 300)),  # None: still open
+            st.sampled_from([FeedState.LAGGING, FeedState.DEGRADED, FeedState.DOWN]),
+        ),
+        max_size=12,
+    )
+    QUERIES = st.lists(st.tuples(st.integers(-50, 900), st.integers(0, 400)), max_size=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(outages=OUTAGES, live=st.lists(st.integers(1, 900), max_size=6), queries=QUERIES)
+    def test_matches_the_linear_scan(self, outages, live, queries):
+        feed = FeedHealth("syslog", HealthConfig(lag_seconds=100, down_seconds=400))
+        clock = 1000.0
+
+        def check():
+            history = feed.history()
+            assert [i.start for i in history] == sorted(i.start for i in history)
+            for lo, span in queries:
+                scan = [i for i in history if i.overlaps(lo, lo + span)]
+                found = feed.impaired_intervals(lo, lo + span)
+                assert [id(i) for i in found] == [id(i) for i in scan]
+
+        # overlapping, nested and open-ended recorded outages, in any order,
+        # queried between mutations so a stale index would show
+        for start, length, state in outages:
+            feed.record_outage(start, None if length is None else start + length, state)
+            check()
+        # then the live state machine on a forward clock: its transitions
+        # close the open interval and append new ones
+        feed.observe(clock, 5, 0, watermark=clock)
+        for step in live:
+            clock += step
+            if step % 2:
+                feed.observe(clock, 5, 0, watermark=clock)
+            else:
+                feed.reassess(clock)
+            check()
+
+    def test_registry_signature_unchanged(self):
+        registry = HealthRegistry()
+        registry.record_outage("cdn", T0, T0 + 10.0)
+        (interval,) = registry.impaired_intervals("cdn", T0 + 5.0, T0 + 6.0)
+        assert (interval.start, interval.end) == (T0, T0 + 10.0)
 
 
 class TestHealthRegistry:

@@ -467,3 +467,95 @@ class TestColumnarSpatialStage:
             candidates.static_expansions(resolver, JoinLevel.LOGICAL_LINK, 1.0)
             is None
         )
+
+
+class TestCompiledPlan:
+    """The flat plan the walk interprets (``compile_plan``)."""
+
+    @pytest.fixture(scope="class")
+    def platform(self, small_topology):
+        from repro.collector import DataCollector
+        from repro.platform import GrcaPlatform
+
+        return GrcaPlatform.from_collector(
+            small_topology, DataCollector(), config_time=0.0
+        )
+
+    @pytest.mark.parametrize("app_name", ["BackboneApp", "BgpFlapApp", "CdnApp", "PimApp"])
+    def test_plan_follows_rules_from_order(self, platform, app_name):
+        import repro.apps
+        from repro.collector.health import canonical_source
+
+        engine = getattr(repro.apps, app_name).build(platform).engine
+        graph, plan = engine.graph, engine._plan
+        assert set(plan) == graph.events()
+        indexes = []
+        for event in graph.events():
+            steps = plan[event]
+            assert [step.rule for step in steps] == graph.rules_from(event)
+            for step in steps:
+                rule = step.rule
+                assert step.definition is engine.library.get(rule.child_event)
+                assert step.source == canonical_source(step.definition.data_source)
+                assert step.level is rule.spatial.level
+                assert step.expands == bool(graph.rules_from(rule.child_event))
+                # the reaches rebuild the rule's own search window
+                s_lo, s_hi = rule.temporal.symptom.expand(100.0, 160.0)
+                assert (
+                    s_lo - step.reach_before, s_hi + step.reach_after
+                ) == rule.temporal.search_window((100.0, 160.0))
+                indexes.append(step.index)
+        assert sorted(indexes) == list(range(len(graph.all_rules())))
+
+    def test_isolated_siblings_share_the_plan(self, setup):
+        _store, engine = setup
+        assert engine.isolated()._plan is engine._plan
+
+    def test_rule_added_after_construction_is_reflected(self, setup):
+        # documented choice: the graph counts its rules' revisions and
+        # the next diagnose_all recompiles — on every sibling
+        store, engine = setup
+        sibling = engine.isolated()
+        store.insert("ta", 1005.0, router="nyc-per1")
+        store.insert("tb", 1008.0, router="nyc-per1")
+        engine.library.register(store_backed_event("c", "tb"))
+        assert engine.diagnose(symptom_at(1000.0)).root_causes == ["b"]
+        engine.graph.add_rule(
+            DiagnosisRule("b", "c", temporal(), ROUTER_JOIN, priority=30)
+        )
+        for each in (engine, sibling):
+            assert each.diagnose(symptom_at(1000.0)).root_causes == ["c"]
+            assert [s.rule.child_event for s in each._plan["b"]] == ["c"]
+
+    def test_rule_to_an_undefined_event_still_raises(self, setup, resolver):
+        _store, engine = setup
+        message = "diagnosis graph references undefined events: \\['ghost'\\]"
+        engine.graph.add_rule(
+            DiagnosisRule("b", "ghost", temporal(), ROUTER_JOIN, priority=30)
+        )
+        with pytest.raises(KeyError, match=message):
+            RcaEngine(engine.graph, engine.library, resolver, DataStore())
+        with pytest.raises(KeyError, match=message):
+            engine.diagnose(symptom_at(1000.0))
+
+    def test_matched_leaf_is_evidence_but_not_a_node(self, setup):
+        from repro.obs import Tracer
+
+        store, engine = setup
+        for t in (1003.0, 1005.0):
+            store.insert("ta", t, router="nyc-per1")
+        store.insert("tb", 1008.0, router="nyc-per1")
+        diagnosis = engine.diagnose(symptom_at(1000.0), tracer=Tracer())
+        # the leaf 'b' instance joins both 'a' parents: evidence once
+        # per (rule, parent), never a frontier entry
+        leaves = diagnosis.evidence_for("b")
+        assert len(leaves) == 2
+        assert len({e.parent_instance for e in leaves}) == 2
+        nodes = diagnosis.trace.find("node")
+        assert [n.label for n in nodes] == ["s", "a", "a"]
+        assert [n.meta["matched"] for n in nodes] == [2, 1, 1]
+        # one rule span per (rule, parent), with the join funnel
+        rules = diagnosis.trace.find("rule")
+        assert [r.label for r in rules] == ["s -> a", "a -> b", "a -> b"]
+        for span in rules:
+            assert {"candidates", "temporal_survivors", "spatial_survivors"} <= set(span.meta)

@@ -1,6 +1,9 @@
 """Tests for the OSPF simulation: SPF, ECMP, weight history."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.elements import (
     Interface,
@@ -138,6 +141,62 @@ class TestWeightHistory:
             history.record(WeightChange(t, "l1", int(t)))
         window = history.changes_between(10.0, 20.0)
         assert [c.timestamp for c in window] == [10.0, 20.0]
+
+
+class TestWeightAt:
+    """The per-link index behind ``weight_at`` (one link, one bisect)."""
+
+    CHANGES = st.lists(
+        st.tuples(
+            st.integers(0, 60).map(float),  # few instants: ties happen
+            st.sampled_from(["l1", "l2", "l3"]),
+            st.sampled_from([1, 10, COST_OUT_WEIGHT]),
+        ),
+        max_size=20,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(changes=CHANGES, later=CHANGES, with_initial=st.booleans())
+    def test_equals_the_whole_map_lookup(self, changes, later, with_initial):
+        history = WeightHistory({"l1": 7, "l4": 9} if with_initial else None)
+        instants = [t / 2.0 for t in range(-2, 124)]
+
+        def check():
+            for t in instants[:: max(1, len(instants) // 12)]:
+                weights = history.weights_at(t)
+                for link in ("l1", "l2", "l3", "l4", "nope"):
+                    assert history.weight_at(link, t) == weights.get(link)
+
+        # shuffled (out-of-order) records, read back, then more records:
+        # the index must follow in-order appends and re-sorts alike
+        history.record_many(WeightChange(*c) for c in changes)
+        check()
+        for change in later:
+            history.record(WeightChange(*change))
+        check()
+
+    def test_honours_merged_defaults(self, net):
+        history = WeightHistory({"a--b": 5})
+        history.record(WeightChange(10.0, "a--c", 3))
+        sim = OspfSimulator(net)
+        sim.replace_history(history)  # merges the network's default weights
+        assert sim.history.weight_at("a--b", 0.0) == 5
+        assert sim.history.weight_at("b--d", 0.0) == 10
+        assert sim.history.weight_at("a--c", 9.0) == 10
+        assert sim.history.weight_at("a--c", 10.0) == 3
+
+    def test_in_order_queries_stay_logarithmic(self):
+        # one lookup per record just before its own timestamp — what
+        # cost-in/out classification does per OSPFMon row; rebuilding
+        # the whole-network map per distinct version took 1.3 s here
+        history = WeightHistory({f"l{k}": 10 for k in range(40)})
+        n = 8000
+        for i in range(n):
+            history.record(WeightChange(float(i), f"l{i % 40}", 10 + i % 3))
+        began = time.perf_counter()
+        for i in range(n):
+            history.weight_at(f"l{i % 40}", i - 1e-6)
+        assert time.perf_counter() - began < 0.1
 
 
 class TestCaching:
