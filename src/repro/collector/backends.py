@@ -83,9 +83,7 @@ class ListView:
         return self._hi - self._lo
 
     def __iter__(self):
-        data = self._data
-        for position in range(self._lo, self._hi):
-            yield data[position]
+        return iter(self._data[self._lo:self._hi])
 
     def __getitem__(self, key):
         length = self._hi - self._lo
@@ -114,19 +112,30 @@ class ColumnarSlice:
     reports whether the arrays are views into the backend's own columnar
     core (MemoryBackend's sorted run) or were materialized row-by-row
     (SqliteBackend and any filtered query).
+
+    A zero-copy slice also says where it sits: row ``i`` is row
+    ``position + i`` of the sorted run that ``generation`` names.  A run
+    only grows at its end and a tail merge starts a new run under a new
+    generation, so ``(generation, position + i)`` names one row for good
+    — what a consumer keeping per-row derived state keys it on.  Compare
+    generations with ``is``; materialized slices carry ``None``.
     """
 
-    __slots__ = ("timestamps", "records", "zero_copy")
+    __slots__ = ("timestamps", "records", "zero_copy", "position", "generation")
 
     def __init__(
         self,
         timestamps: Any,
         records: Any,
         zero_copy: bool = False,
+        position: int = 0,
+        generation: Optional[object] = None,
     ) -> None:
         self.timestamps = timestamps
         self.records = records
         self.zero_copy = zero_copy
+        self.position = position
+        self.generation = generation
 
     def __len__(self) -> int:
         return len(self.records)
@@ -177,9 +186,7 @@ class StorageBackend:
         genuine zero-copy views.
         """
         rows = self.query(start, end, equals)
-        return ColumnarSlice(
-            [record.timestamp for record in rows], rows, zero_copy=False
-        )
+        return ColumnarSlice([record.timestamp for record in rows], rows)
 
     def scan(self) -> List[Any]:
         """Every record, in ``(timestamp, arrival)`` order."""
@@ -238,6 +245,8 @@ class MemoryBackend(StorageBackend):
             column: {} for column in indexed_columns
         }
         self._next_seq = 0
+        #: names the sorted run; replaced whenever a merge renumbers it
+        self._generation = object()
         self._tail_limit = tail_limit
         self.inserts = 0
         self.out_of_order = 0
@@ -268,11 +277,7 @@ class MemoryBackend(StorageBackend):
                 self._recs.extend(records)
                 self._next_seq += count
                 self.inserts += count
-                for column, index in self._indexes.items():
-                    for position, record in enumerate(records, base):
-                        value = record.get(column)
-                        if value is not None:
-                            index.setdefault(value, []).append(position)
+                self._post(records, base)
                 return
         for record in records:
             self._insert_one(record)
@@ -299,49 +304,34 @@ class MemoryBackend(StorageBackend):
             if value is not None:
                 index.setdefault(value, []).append(position)
 
-    def _merge(self) -> None:
-        """Fold the tail into the sorted run; one pass, amortized."""
-        tail = sorted(self._tail)
-        ts, seqs, recs = self._ts, self._seq, self._recs
-        merged_ts: List[float] = []
-        merged_seq: List[int] = []
-        merged_recs: List[Any] = []
-        i = j = 0
-        n, t = len(ts), len(tail)
-        while i < n and j < t:
-            if (ts[i], seqs[i]) <= (tail[j][0], tail[j][1]):
-                merged_ts.append(ts[i])
-                merged_seq.append(seqs[i])
-                merged_recs.append(recs[i])
-                i += 1
-            else:
-                merged_ts.append(tail[j][0])
-                merged_seq.append(tail[j][1])
-                merged_recs.append(tail[j][2])
-                j += 1
-        while i < n:
-            merged_ts.append(ts[i])
-            merged_seq.append(seqs[i])
-            merged_recs.append(recs[i])
-            i += 1
-        while j < t:
-            merged_ts.append(tail[j][0])
-            merged_seq.append(tail[j][1])
-            merged_recs.append(tail[j][2])
-            j += 1
-        self._ts, self._seq, self._recs = merged_ts, merged_seq, merged_recs
-        self._tail = []
-        for column in self._indexes:
-            rebuilt: Dict[Any, List[int]] = {}
-            for position, record in enumerate(merged_recs):
+    def _post(self, records: Sequence[Any], base: int) -> None:
+        """Index ``records`` as rows ``base``, ``base + 1``, … of the run."""
+        for column, index in self._indexes.items():
+            for position, record in enumerate(records, base):
                 value = record.get(column)
                 if value is not None:
-                    rebuilt.setdefault(value, []).append(position)
-            self._indexes[column] = rebuilt
+                    index.setdefault(value, []).append(position)
+
+    def _merge(self) -> None:
+        """Fold the tail into the sorted run; one pass, amortized."""
+        # (timestamp, seq) is unique, so records are never compared; the
+        # sort finds the run already in order and merges the tail into it
+        merged = sorted([*zip(self._ts, self._seq, self._recs), *self._tail])
+        self._ts, self._seq, self._recs = map(list, zip(*merged))
+        self._tail = []
+        self._generation = object()
+        self._indexes = {column: {} for column in self._indexes}
+        self._post(self._recs, 0)
         self.merges += 1
 
     def __len__(self) -> int:
         return len(self._recs) + len(self._tail)
+
+    def _bounds(self, start: Optional[float], end: Optional[float]) -> Tuple[int, int]:
+        """The sorted run's ``[lo, hi)`` positions inside a window."""
+        lo = 0 if start is None else bisect.bisect_left(self._ts, start)
+        hi = len(self._ts) if end is None else bisect.bisect_right(self._ts, end)
+        return lo, hi
 
     def query(
         self,
@@ -350,27 +340,19 @@ class MemoryBackend(StorageBackend):
         equals: Dict[str, Any],
     ) -> List[Any]:
         """Bisect the sorted run, scan the bounded tail, merge by (ts, seq)."""
-        lo = 0 if start is None else bisect.bisect_left(self._ts, start)
-        hi = (
-            len(self._recs)
-            if end is None
-            else bisect.bisect_right(self._ts, end)
-        )
+        lo, hi = self._bounds(start, end)
         if not equals and not self._tail:
             # unfiltered window over the clean sorted run: one slice,
             # no per-record filter loop
             return self._recs[lo:hi]
-        indexed = [
-            (column, value)
+        postings = [
+            self._indexes[column].get(value, [])
             for column, value in equals.items()
             if column in self._indexes
         ]
-        if indexed:
+        if postings:
             # intersect the smallest index posting list with the time range
-            column, value = min(
-                indexed, key=lambda cv: len(self._indexes[cv[0]].get(cv[1], []))
-            )
-            positions = self._indexes[column].get(value, [])
+            positions = min(postings, key=len)
             p_lo = bisect.bisect_left(positions, lo)
             p_hi = bisect.bisect_left(positions, hi)
             candidates: Iterable[int] = positions[p_lo:p_hi]
@@ -414,16 +396,13 @@ class MemoryBackend(StorageBackend):
         pending out-of-order tail fall back to row materialization.
         """
         if not equals and not self._tail:
-            lo = 0 if start is None else bisect.bisect_left(self._ts, start)
-            hi = (
-                len(self._recs)
-                if end is None
-                else bisect.bisect_right(self._ts, end)
-            )
+            lo, hi = self._bounds(start, end)
             return ColumnarSlice(
                 ListView(self._ts, lo, hi),
                 ListView(self._recs, lo, hi),
                 zero_copy=True,
+                position=lo,
+                generation=self._generation,
             )
         return super().query_columns(start, end, equals)
 
@@ -431,12 +410,7 @@ class MemoryBackend(StorageBackend):
         """Every record in (timestamp, arrival) order, tail included."""
         if not self._tail:
             return list(self._recs)
-        entries = [
-            (ts, seq, rec)
-            for ts, seq, rec in zip(self._ts, self._seq, self._recs)
-        ]
-        entries.extend(self._tail)
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
+        entries = sorted([*zip(self._ts, self._seq, self._recs), *self._tail])
         return [record for _ts, _seq, record in entries]
 
     def distinct(self, column: str) -> List[Any]:
@@ -463,8 +437,7 @@ class MemoryBackend(StorageBackend):
     def stats(self) -> Dict[str, Any]:
         """Tail-buffer and merge counters alongside the backend identity."""
         return {
-            "backend": self.name,
-            "records": len(self),
+            **super().stats(),
             "inserts": self.inserts,
             "out_of_order": self.out_of_order,
             "tail": len(self._tail),
@@ -622,11 +595,7 @@ class SqliteBackend(StorageBackend):
 
     def scan(self) -> List[Any]:
         """Every record, decoded, in (ts, insertion id) order."""
-        with self._lock:
-            rows = self._connection().execute(
-                "SELECT payload FROM records ORDER BY ts, id"
-            ).fetchall()
-        return [pickle.loads(payload) for (payload,) in rows]
+        return self.query(None, None, {})
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None column values over the decoded records."""
@@ -654,8 +623,7 @@ class SqliteBackend(StorageBackend):
     def stats(self) -> Dict[str, Any]:
         """Backend identity, counters and the database file path."""
         return {
-            "backend": self.name,
-            "records": len(self),
+            **super().stats(),
             "inserts": self.inserts,
             "out_of_order": self.out_of_order,
             "path": self.path,

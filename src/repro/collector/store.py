@@ -43,7 +43,8 @@ footprint invalidation and the streaming reorder slack.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import (
     Any,
     Callable,
@@ -63,23 +64,22 @@ from .backends import ColumnarSlice, StorageBackend, resolve_backend
 InsertListener = Callable[[str, List[float], int], None]
 
 
-@dataclass(frozen=True)
 class Record:
     """One normalized row: an epoch-UTC timestamp plus named fields.
 
-    Identity, equality and hashing come from the frozen ``(timestamp,
-    fields)`` tuple pair; field lookup goes through a dict built once at
-    construction, so ``get``/``[]`` in the store's filter loops are O(1)
-    instead of a linear scan over the tuple.
+    The field dict *is* the row — a parser's dict is adopted as is, so a
+    stored row costs one object beside it.  ``fields``, the sorted
+    ``(name, value)`` tuple that hashing, ``repr`` and the pickled
+    payload are defined over, is derived when one of those asks.
+    Immutable: assignment raises
+    :class:`dataclasses.FrozenInstanceError`, as a frozen dataclass's.
     """
 
-    timestamp: float
-    fields: Tuple[Tuple[str, Any], ...]
+    __slots__ = ("timestamp", "_by_name")
 
-    def __post_init__(self) -> None:
-        # cache is derived state: not a dataclass field, so it never
-        # participates in __eq__/__hash__/repr
-        object.__setattr__(self, "_by_name", dict(self.fields))
+    def __init__(self, timestamp: float, fields: Iterable[Tuple[str, Any]]) -> None:
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "_by_name", dict(fields))
 
     @classmethod
     def make(cls, timestamp: float, **fields: Any) -> "Record":
@@ -89,23 +89,38 @@ class Record:
     def adopt(cls, timestamp: float, fields: Dict[str, Any]) -> "Record":
         """The record over a field dict the caller gives up.
 
-        The dict becomes the lookup cache as is — no copy and no trip
-        through ``__init__`` — so it must not be touched afterwards.
-        Attributes are set one by one: an instance built through
-        ``__dict__`` loses its inline attribute storage and costs the
-        store a dict per row.
+        The dict becomes the row as is — no copy — so it must not be
+        touched afterwards.
         """
         record = object.__new__(cls)
         object.__setattr__(record, "timestamp", timestamp)
-        object.__setattr__(record, "fields", tuple(sorted(fields.items())))
         object.__setattr__(record, "_by_name", fields)
         return record
 
+    @property
+    def fields(self) -> Tuple[Tuple[str, Any], ...]:
+        """The fields as ``(name, value)`` pairs sorted by name."""
+        return tuple(sorted(self._by_name.items()))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.timestamp, self._by_name) == (other.timestamp, other._by_name)
+
+    def __hash__(self) -> int:
+        return hash((self.timestamp, self.fields))
+
+    def __repr__(self) -> str:
+        return f"Record(timestamp={self.timestamp!r}, fields={self.fields!r})"
+
     def __getitem__(self, key: str) -> Any:
-        try:
-            return self._by_name[key]
-        except KeyError:
-            raise KeyError(key) from None
+        return self._by_name[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         """Field value by name, with a default when absent."""
@@ -116,12 +131,12 @@ class Record:
         return dict(self.fields)
 
     def __getstate__(self) -> Tuple[float, Tuple[Tuple[str, Any], ...]]:
-        # keep pickles (the SQLite payload format) free of the cache
+        # the pickle (the SQLite payload format) is the frozen
+        # dataclass's: stores written before the dict was the row open
         return (self.timestamp, self.fields)
 
     def __setstate__(self, state) -> None:
         object.__setattr__(self, "timestamp", state[0])
-        object.__setattr__(self, "fields", state[1])
         object.__setattr__(self, "_by_name", dict(state[1]))
 
 
@@ -294,8 +309,7 @@ class TraceObserver(ReadObserver):
 
     The span carries the table name, the requested window and the row
     count — for queries also the sorted filter columns; for distinct
-    reads the column.  This is the observer form of the old
-    ``TracedTable`` proxy and emits byte-identical span shapes.
+    reads the column.
     """
 
     def __init__(self, tracer) -> None:
@@ -349,16 +363,28 @@ class ObservedTable:
         self._observers = tuple(observers)
 
     def _run(self, read: StoreRead, produce: Callable[[], Any]):
+        """``produce()`` — a sized result — between the observers."""
         tokens = [observer.begin(read) for observer in self._observers]
         rows: Optional[int] = None
         try:
-            result, rows = produce()
+            result = produce()
+            rows = len(result)
             return result
         finally:
             for observer, token in zip(
                 reversed(self._observers), reversed(tokens)
             ):
                 observer.end(read, token, rows)
+
+    def _window_read(self, query: Callable[..., Any], start, end, equals):
+        read = StoreRead(
+            table=self._table.name,
+            kind="query",
+            start=start,
+            end=end,
+            filters=tuple(sorted(equals.items())),
+        )
+        return self._run(read, lambda: query(start, end, **equals))
 
     def query(
         self,
@@ -367,19 +393,7 @@ class ObservedTable:
         **equals: Any,
     ) -> List[Record]:
         """Delegate to :meth:`Table.query` through the observers."""
-        read = StoreRead(
-            table=self._table.name,
-            kind="query",
-            start=start,
-            end=end,
-            filters=tuple(sorted(equals.items())),
-        )
-
-        def produce():
-            result = self._table.query(start, end, **equals)
-            return result, len(result)
-
-        return self._run(read, produce)
+        return self._window_read(self._table.query, start, end, equals)
 
     def query_columns(
         self,
@@ -393,39 +407,17 @@ class ObservedTable:
         produce — columnar retrievals keep the same footprint coverage
         and ``store-query`` trace spans as their row twins.
         """
-        read = StoreRead(
-            table=self._table.name,
-            kind="query",
-            start=start,
-            end=end,
-            filters=tuple(sorted(equals.items())),
-        )
-
-        def produce():
-            result = self._table.query_columns(start, end, **equals)
-            return result, len(result)
-
-        return self._run(read, produce)
+        return self._window_read(self._table.query_columns, start, end, equals)
 
     def scan(self) -> Iterator[Record]:
         """Delegate to :meth:`Table.scan` through the observers."""
         read = StoreRead(table=self._table.name, kind="scan")
-
-        def produce():
-            result = list(self._table.scan())
-            return iter(result), len(result)
-
-        return self._run(read, produce)
+        return iter(self._run(read, lambda: list(self._table.scan())))
 
     def distinct(self, column: str) -> List[Any]:
         """Delegate to :meth:`Table.distinct` through the observers."""
         read = StoreRead(table=self._table.name, kind="distinct", column=column)
-
-        def produce():
-            result = self._table.distinct(column)
-            return result, len(result)
-
-        return self._run(read, produce)
+        return self._run(read, lambda: self._table.distinct(column))
 
     def __len__(self) -> int:
         return len(self._table)
@@ -503,11 +495,18 @@ class DataStore:
         """Get (creating on first use) the table for a data source."""
         with self._lock:
             if name not in self.tables:
+                # the store owns its tables; a strong reference back would
+                # leave every dropped store, rows and all, to the cycle
+                # collector
+                owner = weakref.ref(self)
+
+                def notify(table: str, timestamps: List[float]) -> None:
+                    store = owner()
+                    if store is not None:
+                        store._note_insert(table, timestamps)
+
                 self.tables[name] = Table(
-                    name,
-                    DEFAULT_INDEXES.get(name, ()),
-                    on_insert=self._note_insert,
-                    backend=self._factory,
+                    name, DEFAULT_INDEXES.get(name, ()), notify, self._factory
                 )
             return self.tables[name]
 

@@ -93,6 +93,24 @@ def footprint_hit(
     return False
 
 
+def note_reach(reach: Dict[str, float], reads: Iterable[FootprintEntry]) -> None:
+    """Raise ``reach`` — per table, the furthest any noted read goes."""
+    for table, _lo, hi in reads:
+        if hi > reach.get(table, float("-inf")):
+            reach[table] = hi
+
+
+def may_hit(deltas: Dict[str, List[float]], reach: Dict[str, float]) -> bool:
+    """Whether some table's oldest delta point is within that table's
+    ``reach``.  If none is, no read noted there contains a delta point
+    and a :func:`footprint_hit` sweep would come back empty — as for an
+    in-order feed, whose new points lie past everything already read."""
+    return any(
+        points and points[0] <= reach.get(table, float("-inf"))
+        for table, points in deltas.items()
+    )
+
+
 def evidence_sources(graph: DiagnosisGraph, library: EventLibrary) -> Set[str]:
     """Collector feeds backing any event in a diagnosis graph.
 
@@ -145,7 +163,8 @@ def coalesce_windows(
 
 
 class CandidateSet:
-    """One cached retrieval cover: instances plus lazy join columns.
+    """One cached retrieval cover: instances, the store reads that
+    produced them, and lazy join columns.
 
     Every rule/parent hitting the same cover shares one columnar
     ``(starts, ends)`` build — and, through
@@ -153,10 +172,13 @@ class CandidateSet:
     permutation — for the batch temporal join.
     """
 
-    __slots__ = ("instances", "_columns", "_location_index", "_expansions")
+    __slots__ = ("instances", "reads", "_columns", "_location_index", "_expansions")
 
-    def __init__(self, instances: List[EventInstance]) -> None:
+    def __init__(
+        self, instances: List[EventInstance], reads: FrozenSet[FootprintEntry] = frozenset()
+    ) -> None:
         self.instances = instances
+        self.reads = reads
         self._columns: Optional[IntervalColumns] = None
         self._location_index: Optional[
             Dict[Tuple[str, ...], Tuple[Location, List[int]]]
@@ -360,15 +382,15 @@ class _Stage:
     """What one ``(plan step, parent interval)`` evaluation shares.
 
     Stages live for one :meth:`RcaEngine.diagnose_all` call.  The window
-    and the impaired-feed overlaps depend on nothing else.  The cover
-    (with its recorded reads), the temporal survivors and the survivor
-    run's per-location slices also depend on which cached cover answers
-    the window; inside a call the retrieval cache is only ever added to,
-    so that answer holds until a new cover of the child event is indexed
-    — :meth:`RcaEngine._retrieve` then resets the event's stages.
+    and the impaired-feed overlaps depend on nothing else.  The cover,
+    the temporal survivors and the survivor run's per-location slices
+    also depend on which cached cover answers the window; inside a call
+    the retrieval cache is only ever added to, so that answer holds
+    until a new cover of the child event is indexed —
+    :meth:`RcaEngine._retrieve` then resets the event's stages.
     """
 
-    __slots__ = ("window", "bucketed", "gaps", "candidates", "reads", "survivors", "runs")
+    __slots__ = ("window", "bucketed", "gaps", "candidates", "survivors", "runs")
 
     def __init__(self, window: Tuple[float, float], gaps: tuple) -> None:
         self.window = window
@@ -379,7 +401,6 @@ class _Stage:
 
     def reset(self) -> None:
         self.candidates: Optional[CandidateSet] = None
-        self.reads: frozenset = frozenset()
         self.survivors: Optional[List[int]] = None
         self.runs: Optional[list] = None
 
@@ -646,7 +667,7 @@ class RcaEngine:
                         matches = self._match(
                             step, stage, parent, tracer, covers, cancel, shared
                         )
-                        reads |= stage.reads
+                        reads |= stage.candidates.reads
                         matched_here += len(matches)
                         rule = step.rule
                         for instance in matches:
@@ -840,8 +861,8 @@ class RcaEngine:
     def _retrieve(
         self, step: PlanStep, stage: _Stage, tracer, covers, cancel, shared
     ) -> bool:
-        """Fill ``stage`` with a cover's candidates and recorded reads;
-        return whether that cover was already cached.
+        """Fill ``stage`` with a cover's candidates; return whether that
+        cover was already cached.
 
         Prefers an already-cached cover, else the level plan's coalesced
         cover for this event, else the bucketed window.  The whole
@@ -871,24 +892,28 @@ class RcaEngine:
                 ObservedStore(self.store, observers), cover[0], cover[1],
                 self.config.params, self.config.services,
             )
-            self._retrieval_cache[key] = CandidateSet(step.definition.retrieve(context))
-            self._retrieval_reads[key] = frozenset(reads)
+            self._retrieval_cache[key] = CandidateSet(
+                step.definition.retrieve(context), frozenset(reads)
+            )
+            note_reach(self._reach, reads)
+            self._oldest_hi = min(self._oldest_hi, cover[1])
             self._covers.setdefault(event_name, CoverIndex()).add(*cover)
             # a new cover may answer this event's later lookups
             for other in shared[event_name].values():
                 other.reset()
         stage.candidates = self._retrieval_cache[key]
-        stage.reads = self._retrieval_reads[key]
         return cached
 
     def clear_cache(self) -> None:
         """Drop all cached retrievals (e.g. after new data lands)."""
         # retrieval cache: (event name, cover window) -> candidate set
         self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
-        # per cache entry: the store reads that produced it
-        self._retrieval_reads: Dict[Tuple[str, float, float], frozenset] = {}
         # per event: the cached cover windows, indexed for containment
         self._covers: Dict[str, CoverIndex] = {}
+        # per table, an upper bound on where the cached entries' reads end
+        self._reach: Dict[str, float] = {}
+        # the earliest end of any cached cover
+        self._oldest_hi = float("inf")
 
     def evict_retrievals_before(self, cutoff: float) -> int:
         """Drop cached covers that end before ``cutoff``; return the count.
@@ -900,6 +925,8 @@ class RcaEngine:
         would make :meth:`invalidate_deltas` scan an ever-growing list.
         Same threading contract as :meth:`invalidate_deltas`.
         """
+        if cutoff <= self._oldest_hi:
+            return 0
         return self._drop_retrievals(
             [key for key in self._retrieval_cache if key[2] < cutoff]
         )
@@ -915,13 +942,13 @@ class RcaEngine:
         from the thread that owns this engine (the cache is not
         locked), between :meth:`diagnose_all` calls.
         """
-        if not deltas:
+        if not may_hit(deltas, self._reach):
             return 0
         return self._drop_retrievals(
             [
                 key
-                for key, reads in self._retrieval_reads.items()
-                if footprint_hit(reads, deltas)
+                for key, cover in self._retrieval_cache.items()
+                if footprint_hit(cover.reads, deltas)
             ]
         )
 
@@ -929,12 +956,14 @@ class RcaEngine:
         """Remove cache entries, rebuild the cover indexes; return the count."""
         for key in stale:
             del self._retrieval_cache[key]
-            del self._retrieval_reads[key]
         if stale:
             covers: Dict[str, CoverIndex] = {}
             for event_name, lo, hi in self._retrieval_cache:
                 covers.setdefault(event_name, CoverIndex()).add(lo, hi)
             self._covers = covers
+            self._oldest_hi = min(
+                (key[2] for key in self._retrieval_cache), default=float("inf")
+            )
         return len(stale)
 
     def isolated(self) -> "RcaEngine":

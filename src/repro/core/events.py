@@ -23,7 +23,7 @@ from ..collector.store import DataStore
 from .locations import Location, LocationType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventInstance:
     """One occurrence of an event: when, where and extra detail."""
 
@@ -32,6 +32,8 @@ class EventInstance:
     end: float
     location: Location
     info: Tuple[Tuple[str, Any], ...] = ()
+    #: the hash of the five fields above, once something asked for it
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.end < self.start:
@@ -43,7 +45,7 @@ class EventInstance:
         # instances sit in dedupe sets and cache keys on the diagnosis
         # hot path; the generated frozen-dataclass hash would re-hash
         # the nested location/info tuple on every lookup
-        value = self.__dict__.get("_hash")
+        value = self._hash
         if value is None:
             value = hash(
                 (self.name, self.start, self.end, self.location, self.info)

@@ -10,7 +10,7 @@ re-threshold "Link congestion alarm" to 90%).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ...collector.sources import syslog as syslog_codes
 from ...collector.sources.misc import (
@@ -27,10 +27,10 @@ from ...collector.sources.snmp import (
     METRIC_LINK_UTIL,
     POLL_INTERVAL_SECONDS,
 )
-from ...routing.ospf import COST_OUT_WEIGHT
 from ..events import EventDefinition, EventInstance, EventLibrary, RetrievalContext
 from ..locations import Location, LocationType
 from . import names
+from .cost_changes import retrieve_cost_changes
 from .detectors import TimedPoint, detect_shift, merge_intervals, pair_flaps
 
 #: Default down->up pairing window for flap events, seconds.
@@ -208,36 +208,12 @@ def _retrieve_ospf_reconvergence(context: RetrievalContext) -> Iterable[EventIns
             )
 
 
-def _classify_cost_change(
-    history, link: str, timestamp: float, weight: int
-) -> Optional[str]:
-    """out/in/None for one weight update against the pre-update weight."""
-    previous = history.weight_at(link, timestamp - 1e-6)
-    now_out = weight >= COST_OUT_WEIGHT
-    was_out = previous is not None and previous >= COST_OUT_WEIGHT
-    if now_out and not was_out:
-        return "out"
-    if was_out and not now_out:
-        return "in"
-    return None
-
-
 def _cost_retrieval(name: str, wanted: str):
     def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
-        history = context.service("weight_history")
-        columns = context.store.table("ospfmon").query_columns(
-            context.start, context.end
-        )
-        for timestamp, record in zip(columns.timestamps, columns.records):
-            change = _classify_cost_change(
-                history, record["link"], timestamp, record["weight"]
-            )
+        for timestamp, link, change in retrieve_cost_changes(context):
             if change == wanted:
                 yield EventInstance.make(
-                    name,
-                    timestamp,
-                    timestamp,
-                    Location.logical_link(record["link"]),
+                    name, timestamp, timestamp, Location.logical_link(link)
                 )
 
     return retrieve
@@ -245,18 +221,11 @@ def _cost_retrieval(name: str, wanted: str):
 
 def _retrieve_router_cost(context: RetrievalContext) -> Iterable[EventInstance]:
     """All of a router's links costed in/out together -> router event."""
-    history = context.service("weight_history")
     network = context.service("network")
     group_window = context.param("router_cost_window", 15.0)
     by_router: Dict[Tuple[str, str], List[float]] = {}
-    columns = context.store.table("ospfmon").query_columns(context.start, context.end)
-    for timestamp, record in zip(columns.timestamps, columns.records):
-        change = _classify_cost_change(
-            history, record["link"], timestamp, record["weight"]
-        )
-        if change is None:
-            continue
-        link = network.logical_links.get(record["link"])
+    for timestamp, link_name, change in retrieve_cost_changes(context):
+        link = network.logical_links.get(link_name)
         if link is None:
             continue
         for router in link.routers:

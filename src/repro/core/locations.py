@@ -13,8 +13,8 @@ pair-valued location types below.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 
 class LocationType(enum.Enum):
@@ -63,7 +63,7 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A concrete location: a type plus its identifier part(s).
 
@@ -74,6 +74,8 @@ class Location:
 
     type: LocationType
     parts: Tuple[str, ...]
+    #: the hash of the two fields above, once something asked for it
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.parts) != self.type.arity:
@@ -88,7 +90,7 @@ class Location:
         # locations key resolver caches, verdict maps and dedupe sets;
         # the generated frozen-dataclass hash would re-hash the parts
         # tuple (and the enum) on every lookup
-        value = self.__dict__.get("_hash")
+        value = self._hash
         if value is None:
             value = hash((self.type, self.parts))
             object.__setattr__(self, "_hash", value)

@@ -41,13 +41,16 @@ Design points:
 
 from __future__ import annotations
 
+import gc
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..collector.health import FeedState
 from ..obs.trace import NULL_TRACER
-from .engine import Diagnosis, RcaEngine, evidence_sources, footprint_hit
+from .engine import (
+    Diagnosis, RcaEngine, evidence_sources, footprint_hit, may_hit, note_reach,
+)
 from .events import EventInstance, InstanceKey, RetrievalContext, instance_key
 
 DiagnosisCallback = Callable[[Diagnosis], None]
@@ -80,6 +83,33 @@ class StreamingConfig:
     max_reopen_per_advance: int = 64
 
 
+class _Retained(dict):
+    """What an advance keeps until it ends before a horizon.
+
+    A dict that also knows a lower bound of its values' end times, so
+    :meth:`forget_before` — called on every advance — returns at once
+    while nothing kept has fallen behind the horizon.
+    """
+
+    def __init__(self, end_of: Callable[[Any], float]) -> None:
+        super().__init__()
+        self._end_of = end_of
+        self._oldest = float("inf")
+
+    def __setitem__(self, key, value) -> None:
+        self._oldest = min(self._oldest, self._end_of(value))
+        super().__setitem__(key, value)
+
+    def forget_before(self, horizon: float) -> None:
+        """Delete the entries that ended before ``horizon``."""
+        if self._oldest >= horizon:
+            return
+        end_of = self._end_of
+        for key in [k for k, value in self.items() if end_of(value) < horizon]:
+            del self[key]
+        self._oldest = min(map(end_of, self.values()), default=float("inf"))
+
+
 class StreamingRca:
     """Incremental symptom detection and diagnosis over a live store."""
 
@@ -104,7 +134,8 @@ class StreamingRca:
         self.dispatcher = dispatcher
         self._start = start
         self._watermark: Optional[float] = None
-        self._seen: Dict[InstanceKey, float] = {}
+        #: de-duplication keys of retrieved symptoms -> the instance's end
+        self._seen: Dict[InstanceKey, float] = _Retained(lambda end: end)
         self.diagnosed_count = 0
         self._required_sources: Optional[Set[str]] = None
         # --- delta state -----------------------------------------------
@@ -116,7 +147,11 @@ class StreamingRca:
         #: settled symptoms eligible for re-opening: identity -> the
         #: instance and its latest diagnosis (whose footprint is the
         #: re-open trigger surface)
-        self._settled: Dict[InstanceKey, Tuple[EventInstance, Diagnosis]] = {}
+        self._settled: Dict[InstanceKey, Tuple[EventInstance, Diagnosis]] = (
+            _Retained(lambda entry: entry[0].end)
+        )
+        #: per table, an upper bound on where settled footprints end
+        self._settled_reach: Dict[str, float] = {}
         #: cache entries dropped by delta invalidation (cumulative)
         self.invalidated_count = 0
         #: settled symptoms re-opened by a delta (cumulative)
@@ -127,12 +162,18 @@ class StreamingRca:
         self.evicted_count = 0
         engine.store.subscribe(self._on_insert)
         self._subscribed = True
+        # set-up ends here: topology, routing state, the compiled plan
+        # and this object live as long as the stream does, so full
+        # collections during it need not walk them
+        gc.freeze()
 
     def close(self) -> None:
-        """Detach from the store's insert listeners (idempotent)."""
+        """Detach from the store's insert listeners and hand what
+        :meth:`__init__` froze back to the collector (idempotent)."""
         if self._subscribed:
             self.engine.store.unsubscribe(self._on_insert)
             self._subscribed = False
+            gc.unfreeze()
 
     @property
     def watermark(self) -> Optional[float]:
@@ -166,7 +207,7 @@ class StreamingRca:
         transitively, since reaching it requires a parent match whose
         own window the record must first land in.
         """
-        if not deltas or not self._settled:
+        if not may_hit(deltas, self._settled_reach):
             return []
         hits = [
             (key, instance, diagnosis)
@@ -218,9 +259,7 @@ class StreamingRca:
             if self._watermark is not None and settled_until <= self._watermark:
                 # nothing newly settled, but memory bounds still apply —
                 # and buffered deltas may still re-open settled symptoms
-                horizon = max(settled_until, self._watermark)
-                self._gc_dedupe(horizon)
-                self._gc_settled(horizon)
+                self._forget(max(settled_until, self._watermark))
                 adv.annotate(fresh=0)
                 if not reopens:
                     return []
@@ -254,8 +293,7 @@ class StreamingRca:
                         fresh.append(instance)
                     det.annotate(retrieved=retrieved, fresh=len(fresh))
                 self._watermark = settled_until
-                self._gc_dedupe(settled_until)
-                self._gc_settled(settled_until)
+                self._forget(settled_until)
                 # covers behind every window a fresh or re-opened
                 # symptom can still request are pure memory (and
                 # invalidation-scan) cost; the slack generously bounds
@@ -304,6 +342,7 @@ class StreamingRca:
         for diagnosis in produced:
             key = instance_key(diagnosis.symptom)
             self._settled[key] = (diagnosis.symptom, diagnosis)
+            note_reach(self._settled_reach, diagnosis.footprint)
             if key not in previous:
                 self.diagnosed_count += 1
                 emitted.append(diagnosis)
@@ -341,25 +380,11 @@ class StreamingRca:
             )
         return self._required_sources
 
-    def _gc_dedupe(self, settled_until: float) -> None:
-        """Forget dedupe keys whose instances ended before the horizon."""
-        horizon = settled_until - self.config.dedupe_horizon
-        stale = [key for key, end in self._seen.items() if end < horizon]
-        for key in stale:
-            del self._seen[key]
-
-    def _gc_settled(self, settled_until: float) -> None:
-        """Forget re-openable symptoms older than the re-open horizon."""
-        if not self._settled:
-            return
-        horizon = settled_until - self.config.reopen_horizon
-        stale = [
-            key
-            for key, (instance, _diagnosis) in self._settled.items()
-            if instance.end < horizon
-        ]
-        for key in stale:
-            del self._settled[key]
+    def _forget(self, settled_until: float) -> None:
+        """Memory bounds: drop dedupe keys and re-openable symptoms that
+        ended before their horizons."""
+        self._seen.forget_before(settled_until - self.config.dedupe_horizon)
+        self._settled.forget_before(settled_until - self.config.reopen_horizon)
 
 
 class FeedReplayer:

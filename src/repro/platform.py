@@ -10,6 +10,8 @@ the same wiring from the Data Collector's store, producing the
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -17,6 +19,7 @@ from .collector import DataCollector
 from .collector.sources.bgpmon import update_log_from_store
 from .collector.sources.ospfmon import weight_history_from_store
 from .core.knowledge import KnowledgeLibrary
+from .core.knowledge.cost_changes import CostChangeIndex
 from .core.spatial import LocationResolver
 from .routing.bgp import BgpEmulator
 from .routing.ospf import OspfSimulator
@@ -209,11 +212,14 @@ class GrcaPlatform:
         services = {
             "network": topology.network,
             "weight_history": ospf.history,
+            # classifies against whichever history is wired above when
+            # it is asked, so it follows refresh_routing() by itself
+            "cost_changes": CostChangeIndex(),
             "bgp_log": bgp_log,
             "loopbacks": loopbacks,
             "paths": paths,
         }
-        return cls(
+        platform = cls(
             topology=topology,
             collector=collector,
             paths=paths,
@@ -221,3 +227,10 @@ class GrcaPlatform:
             knowledge=knowledge or KnowledgeLibrary(),
             services=services,
         )
+        # what exists now — topology, routing state, a bulk-loaded store
+        # — is what every diagnosis reads and nothing frees: move it out
+        # of the collector's sight until the platform is dropped
+        # (StreamingRca.close and RcaService.shutdown hand it back too)
+        gc.freeze()
+        weakref.finalize(platform, gc.unfreeze)
+        return platform

@@ -103,6 +103,13 @@ class WeightHistory:
                 self._timestamps.append(change.timestamp)
                 self._index(change)
 
+    @property
+    def change_count(self) -> int:
+        """Updates recorded so far.  With :attr:`stale_generation` it
+        dates anything derived from this history: both unchanged means
+        every ``weight_at`` answer is."""
+        return len(self._changes)
+
     def record_many(self, changes: Iterable[WeightChange]) -> None:
         """Append several observed updates."""
         for change in changes:

@@ -28,6 +28,7 @@ Everything observable lands in :class:`ServiceMetrics`.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from collections import OrderedDict
@@ -213,6 +214,9 @@ class RcaService:
         self.pool.start()
         if self.supervisor is not None:
             self.supervisor.start()
+        # the store, the apps and the pool outlive every job: keep full
+        # collections from walking them while the service runs
+        gc.freeze()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait until the queue is empty and no job is in flight."""
@@ -245,6 +249,7 @@ class RcaService:
             self.queue.join(timeout=timeout)
         self.pool.stop(timeout=timeout)
         self.cache.detach(self.store)
+        gc.unfreeze()
 
     @property
     def elapsed_seconds(self) -> float:

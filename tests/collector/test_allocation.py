@@ -1,0 +1,51 @@
+"""Allocation budget of the ingest path: what a stored row leaves behind.
+
+Counted in GC-tracked objects, which no machine makes faster or slower:
+every tracked object is one more thing each collection walks, for as
+long as the row is stored.
+"""
+
+import gc
+
+import pytest
+
+from repro.collector import DataCollector
+from repro.collector.sources.misc import render_perfmon_row
+from repro.collector.sources.ospfmon import render_ospfmon_row
+from repro.collector.store import DataStore
+
+ROWS = 5000
+#: batch lists, table and parser bookkeeping — independent of ROWS
+CONSTANT = 128
+
+LINES = {
+    "perfmon": [
+        render_perfmon_row(
+            1262692800.0 + i, f"per{i % 7}", f"per{i % 5 + 7}", "delay_ms", 30.0 + i % 9
+        )
+        for i in range(ROWS)
+    ],
+    "ospfmon": [
+        render_ospfmon_row(1262692800.0 + i, f"l{i % 40}", 10 + i % 3)
+        for i in range(ROWS)
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(LINES))
+def test_a_stored_row_leaves_one_tracked_object(source):
+    collector = DataCollector(store=DataStore(backend="memory"))
+    collector.ingest(source, LINES[source][:8])  # tables, parsers, indexes exist
+    lines = LINES[source][8:]
+    gc.collect()
+    # off while counting: a collection in between would untrack some
+    # containers of atoms and make the count depend on its timing
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        collector.ingest(source, lines)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(collector.store.table(source)) == ROWS
+    assert grown <= len(lines) + CONSTANT

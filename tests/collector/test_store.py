@@ -1,5 +1,8 @@
 """Tests for the normalized record store."""
 
+import gc
+import weakref
+
 from repro.collector.store import DataStore, Record, Table
 
 
@@ -94,3 +97,22 @@ class TestDataStore:
         store.insert("snmp", 10.0, router="r1", metric="cpu", value=1.0)
         assert store.summary() == {"snmp": 1, "syslog": 2}
         assert store.total_records() == 3
+
+    def test_a_dropped_store_needs_no_cycle_collector(self):
+        # tables reference their store weakly: rows are freed when the
+        # last reference to the store goes, collector or no collector
+        gc.disable()
+        try:
+            store = DataStore(backend="memory")
+            store.insert("t", 1.0, router="r1")
+            table = weakref.ref(store.table("t"))
+            backend = weakref.ref(store.table("t")._backend)
+            del store
+            assert table() is None and backend() is None
+        finally:
+            gc.enable()
+
+    def test_a_table_outliving_its_store_still_inserts(self):
+        table = DataStore(backend="memory").table("t")
+        table.insert_row(1.0, router="r1")
+        assert len(table) == 1

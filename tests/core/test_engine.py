@@ -349,7 +349,6 @@ class TestRetrievalEviction:
         assert engine.evict_retrievals_before(1e12) == count
         assert engine._retrieval_cache == {}
         assert engine._covers == {}
-        assert engine._retrieval_reads == {}
 
     def test_partial_eviction_keeps_cover_index_consistent(self, setup):
         store, engine = setup

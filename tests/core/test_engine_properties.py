@@ -1,9 +1,13 @@
 """Engine-level properties: determinism and margin monotonicity."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.collector.store import DataStore
-from repro.core.engine import EngineConfig, RcaEngine
+from repro.core.engine import (
+    EngineConfig, RcaEngine, footprint_hit, may_hit, note_reach,
+)
 from repro.core.events import EventLibrary
 from repro.core.graph import DiagnosisGraph, DiagnosisRule
 from repro.core.locations import LocationType
@@ -76,3 +80,29 @@ class TestDeterminism:
         assert {e.instance for e in cached.evidence} == {
             e.instance for e in fresh.evidence
         }
+
+
+class TestFrontierCheck:
+    """``may_hit`` is a sound pre-check for a ``footprint_hit`` sweep."""
+
+    tables = st.sampled_from(["ta", "tb", "tc"])
+    bounds = st.one_of(st.just(float("-inf")), st.just(float("inf")), st.floats(-1e4, 1e4))
+    reads = st.lists(
+        st.tuples(tables, bounds, bounds).map(
+            lambda read: (read[0], min(read[1:]), max(read[1:]))
+        ),
+        max_size=6,
+    )
+
+    @given(
+        st.lists(reads, max_size=5),
+        st.dictionaries(
+            tables, st.lists(st.floats(-1e4, 1e4), max_size=5).map(sorted), max_size=3
+        ),
+    )
+    def test_no_hit_without_may_hit(self, footprints, deltas):
+        reach = {}
+        for footprint in footprints:
+            note_reach(reach, footprint)
+        if any(footprint_hit(footprint, deltas) for footprint in footprints):
+            assert may_hit(deltas, reach)

@@ -1,5 +1,9 @@
 """Tests for event definitions, instances and the library."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.collector.store import DataStore
@@ -42,6 +46,31 @@ class TestEventInstance:
     def test_str(self):
         instance = EventInstance.make("x", 10.0, 20.0, Location.router("r1"))
         assert "x@router[r1]" in str(instance)
+
+
+    def test_cached_hash_lives_in_a_slot(self):
+        # the hash is kept in a declared field: hashing must not cost a
+        # per-instance __dict__, and the copy protocols must not carry a
+        # stale value into a different instance
+        location = Location.pair(LocationType.INGRESS_EGRESS, "a", "b")
+        instance = EventInstance.make("x", 10.0, 20.0, location, util=97.0)
+        for obj in (instance, location):
+            value = hash(obj)
+            assert not hasattr(obj, "__dict__")
+            assert hash(obj) == value == hash(copy.copy(obj))
+            clone = pickle.loads(pickle.dumps(obj))
+            assert clone == obj and hash(clone) == value
+            assert "_hash" not in repr(obj)
+            with pytest.raises(FrozenInstanceError):
+                obj._hash = 1
+        moved = replace(instance, start=11.0)
+        assert moved != instance and hash(moved) != hash(instance)
+        assert hash(moved) == hash(EventInstance.make("x", 11.0, 20.0, location, util=97.0))
+        assert replace(location, parts=("a", "c")) == Location.pair(
+            LocationType.INGRESS_EGRESS, "a", "c"
+        )
+        with pytest.raises(TypeError):
+            EventInstance("x", 10.0, 20.0, location, (), 5)  # not an init argument
 
 
 class TestEventDefinition:

@@ -1,11 +1,16 @@
 """Tests for the streaming (real-time) RCA extension."""
 
+import gc
 import random
+import zlib
 
 import pytest
 
 from repro.apps.bgp_flaps import BgpFlapApp
 from repro.collector import DataCollector
+from repro.core import engine as engine_module
+from repro.core import streaming as streaming_module
+from repro.core.engine import footprint_hit
 from repro.core.streaming import FeedReplayer, StreamingConfig, StreamingRca
 from repro.platform import GrcaPlatform
 from repro.simulation.faults import FaultInjector
@@ -150,6 +155,29 @@ class TestPlatformRefresh:
         assert decision.egress_router == "chi-per1"
 
 
+class TestGcFreeze:
+    def test_set_up_is_frozen_from_construction_to_close(self, live_setup):
+        _topo, app, replayer, truths, t0 = live_setup
+        gc.unfreeze()  # the platform's own freeze, and earlier tests'
+        streaming = StreamingRca(app.engine, start=t0 - 600.0)
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        # what full collections walk no longer includes the set-up
+        assert all(obj is not app.engine for obj in gc.get_objects())
+        collected = []
+        now = t0 - 600.0
+        while now < t0 + 20000.0:
+            now += 900.0
+            replayer.deliver_until(now)
+            collected.extend(streaming.advance(now))
+            gc.collect()
+            assert gc.get_freeze_count() >= frozen
+        assert len(collected) == len(truths)
+        streaming.close()
+        assert gc.get_freeze_count() == 0
+        streaming.close()  # idempotent: a second close unfreezes nothing new
+
+
 class TestDedupePruning:
     def test_keys_older_than_horizon_pruned_on_advance(self, live_setup):
         _topo, app, replayer, truths, t0 = live_setup
@@ -269,11 +297,13 @@ class TestBatchDispatcher:
         assert streaming.advance(t0 + 30000.0) == []
 
 
-def _staged_run(setup, config, withhold=None, clear_everything=False):
+def _staged_run(setup, config, withhold=None, clear_everything=False, delay=None):
     """Drive a streaming run in 900 s ticks; return (rca, diagnoses).
 
     ``withhold`` keeps matching telemetry lines out of the replay; the
-    caller delivers them late by hand.  ``clear_everything`` empties the
+    caller delivers them late by hand.  ``delay`` maps a telemetry entry
+    to how many seconds late (and so out of order) the replay delivers
+    it.  ``clear_everything`` empties the
     engine's retrieval cache before every advance: the obviously-correct
     cache discipline (nothing cached can be stale) that delta
     invalidation and horizon eviction must be indistinguishable from.
@@ -283,6 +313,11 @@ def _staged_run(setup, config, withhold=None, clear_everything=False):
         replayer._stream = [
             entry for entry in replayer._stream if not withhold(entry)
         ]
+    if delay is not None:
+        replayer._stream = sorted(
+            ((entry[0] + delay(entry),) + entry[1:] for entry in replayer._stream),
+            key=lambda entry: entry[:2],
+        )
     streaming = StreamingRca(app.engine, config, start=t0 - 600.0)
     collected = []
     now = t0 - 600.0
@@ -313,6 +348,48 @@ class TestIncrementalRediagnosis:
         # the twin never had a cached cover to invalidate or evict
         assert legacy.invalidated_count == legacy.evicted_count == 0
         assert by_incremental == by_legacy  # byte-identical diagnoses
+
+    def test_frontier_check_skips_no_sweep_that_would_hit(self, monkeypatch):
+        # two evidence lines in three arrive 20 or 40 minutes late, behind
+        # what cached covers and settled footprints already reach, so
+        # sweeps must run; the twin sweeps on every delta it is handed
+        # (and caches nothing)
+        def delay(entry):
+            _time, source, line = entry
+            if source == "bgpmon":
+                return 0.0  # the symptoms themselves arrive on time
+            return (1200.0, 0.0, 2400.0)[zlib.crc32(line.encode()) % 3]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "may_hit", lambda deltas, reach: True)
+            patch.setattr(streaming_module, "may_hit", lambda deltas, reach: True)
+            twin, by_twin = _staged_run(
+                make_live_setup(), StreamingConfig(), clear_everything=True,
+                delay=delay,
+            )
+        streaming, collected = _staged_run(
+            make_live_setup(), StreamingConfig(), delay=delay
+        )
+        assert collected == by_twin  # re-emitted corrections included
+        assert streaming.reopened_count == twin.reopened_count > 0
+        assert streaming.reemitted_count == twin.reemitted_count
+        assert streaming.invalidated_count > 0
+
+    def test_in_order_replay_never_sweeps(self, monkeypatch):
+        # in-order deltas lie past everything cached or settled: the
+        # frontier check alone answers, no footprint is looked at
+        swept = []
+
+        def counted(reads, deltas):
+            swept.append(reads)
+            return footprint_hit(reads, deltas)
+
+        monkeypatch.setattr(engine_module, "footprint_hit", counted)
+        monkeypatch.setattr(streaming_module, "footprint_hit", counted)
+        streaming, collected = _staged_run(make_live_setup(), StreamingConfig())
+        assert len(collected) == 4
+        assert streaming.invalidated_count == streaming.reopened_count == 0
+        assert swept == []
 
     def test_covers_behind_the_horizon_evicted_without_effect(self):
         # a tight re-open horizon lets the loop drop covers that no

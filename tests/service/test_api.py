@@ -1,6 +1,7 @@
 """Tests for the RcaService facade: submit/poll, cache, scheduling,
 health-aware priority, drain and shutdown."""
 
+import gc
 import threading
 import time
 
@@ -233,6 +234,18 @@ class TestDrainAndShutdown:
         slow.release.set()
         assert service.drain(timeout=30.0)
         assert job.state is JobState.DONE
+
+    def test_set_up_is_frozen_while_the_service_runs(self, mini_app):
+        gc.unfreeze()  # whatever earlier set-ups in this process froze
+        svc = RcaService(store=mini_app.store, workers=1)
+        svc.register_app("mini", mini_app)
+        svc.start()
+        try:
+            assert gc.get_freeze_count() > 0
+            assert all(obj is not svc for obj in gc.get_objects())
+        finally:
+            svc.shutdown(graceful=False, timeout=5.0)
+        assert gc.get_freeze_count() == 0
 
     def test_graceful_shutdown_finishes_queued_jobs(self, mini_app, seed_scene):
         seed_scene(mini_app.store, n=3)

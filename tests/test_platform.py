@@ -1,5 +1,7 @@
 """Tests for platform assembly and the top-level public API."""
 
+import gc
+
 import pytest
 
 import repro
@@ -37,6 +39,14 @@ class TestFromCollector:
         assert platform.paths.ospf.history.weights_at(200.0)[link] == 42
         decision = platform.paths.bgp.best_egress("nyc-per1", "198.51.100.9", 200.0)
         assert decision.egress_router == "chi-per1"
+
+    def test_what_set_up_built_is_frozen(self, topo, collector):
+        gc.unfreeze()
+        platform = GrcaPlatform.from_collector(topo, collector)
+        assert gc.get_freeze_count() > 0
+        assert all(obj is not platform for obj in gc.get_objects())
+        del platform  # handed back when the platform goes
+        assert gc.get_freeze_count() == 0
 
     def test_ingress_map_learned_from_netflow(self, topo, collector):
         collector.ingest(
