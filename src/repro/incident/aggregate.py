@@ -138,6 +138,7 @@ class IncidentAggregator:
         self._active: Dict[IncidentGroupKey, Incident] = {}
         self._closed: List[Incident] = []
         self._members: Dict[str, Set[InstanceKey]] = {}
+        self._by_id: Dict[str, Incident] = {}
         self.observed = 0
         self.deduped = 0
 
@@ -161,11 +162,13 @@ class IncidentAggregator:
             incident = self._active.get(group)
             if incident is not None:
                 if member in self._members[incident.incident_id]:
-                    # streaming re-emission of a known instance: refresh
-                    # rollups that may have changed, never the flap count
+                    # re-emission of a known instance (streaming re-diagnosis,
+                    # a served cache hit): refresh rollups that may have
+                    # changed, never the flap count; a revision only if one did
                     self.deduped += 1
-                    self._refold(incident, diagnosis)
-                    self._emit(incident)
+                    if self._refold(incident, diagnosis):
+                        incident.revision += 1
+                        self._emit(incident)
                     return incident
                 if symptom.start - incident.last_seen > self.gap_seconds:
                     incident.open = False
@@ -195,6 +198,7 @@ class IncidentAggregator:
                 )
                 self._active[group] = incident
                 self._members[incident.incident_id] = {member}
+                self._by_id[incident.incident_id] = incident
                 self._emit(incident)
                 return incident
             # a new flap of the active incident
@@ -211,13 +215,16 @@ class IncidentAggregator:
             self._emit(incident)
             return incident
 
-    def _refold(self, incident: Incident, diagnosis: Diagnosis) -> None:
-        """A re-emitted instance: refresh gap rollups, bump the revision."""
-        incident.revision += 1
+    def _refold(self, incident: Incident, diagnosis: Diagnosis) -> bool:
+        """A re-emitted instance: refresh rollups; True if any changed."""
+        before = (incident.confidence_min, incident.degraded_count, incident.caveats)
         incident.confidence_min = min(
             incident.confidence_min, diagnosis.confidence
         )
         self._roll_gaps(incident, diagnosis)
+        return before != (
+            incident.confidence_min, incident.degraded_count, incident.caveats
+        )
 
     @staticmethod
     def _roll_gaps(incident: Incident, diagnosis: Diagnosis) -> None:
@@ -269,10 +276,8 @@ class IncidentAggregator:
 
     def get(self, incident_id: str) -> Incident:
         """One incident by id; raises :class:`KeyError` when unknown."""
-        for incident in self.incidents():
-            if incident.incident_id == incident_id:
-                return incident
-        raise KeyError(incident_id)
+        with self._lock:
+            return self._by_id[incident_id]
 
     def stats(self) -> Dict[str, int]:
         """Counters for metrics surfaces."""

@@ -6,7 +6,12 @@ lands as one record carrying the full ``grca-incident/1`` document.
 Reads group by incident id and keep the highest revision — so the
 store answers both "what is the incident now?" (latest revision) and
 "how did it evolve?" (the revision log *is* the drill-down timeline),
-with no in-place updates for backends to coordinate.
+with no in-place updates for backends to coordinate.  "Now" comes from
+a latest-revision index (incident id → highest-revision record) that
+:meth:`IncidentStore.record` keeps current and a read rescans the log
+for only when the log outgrew it (a store opened on existing data, a
+second writer on the same SQLite file); windowed reads are *as-of*
+reads and scan their window.
 
 Default backend is in-memory; point :meth:`IncidentStore.sqlite` at a
 directory for a durable WAL-mode SQLite log (cause / location /
@@ -19,16 +24,28 @@ connection internally.
 
 from __future__ import annotations
 
+import copy
 import os
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..collector.backends import MemoryBackend, SqliteBackend, StorageBackend
 from ..collector.store import Record
+from ..core.serialize import decode_float
 from .aggregate import Incident
 from .serialize import incident_from_dict, incident_to_dict
 
 #: Columns mirrored into backend indexes for query pushdown.
 INDEXED_COLUMNS = ("incident_id", "cause", "location", "symptom")
+
+
+def _keep_latest(latest: Dict[str, list], row: Record) -> None:
+    """Fold one log record into ``incident id -> [record, decoded]``: an
+    incident's highest revision wins, whatever the arrival order, and
+    takes the slot with its decode (made on first use) still empty."""
+    kept = latest.get(row["incident_id"])
+    if kept is None or row["revision"] > kept[0]["revision"]:
+        latest[row["incident_id"]] = [row, None]
 
 
 class IncidentStore:
@@ -38,6 +55,11 @@ class IncidentStore:
         if backend is None:
             backend = MemoryBackend(INDEXED_COLUMNS)
         self.backend = backend
+        #: guards the log append and the index that mirrors it
+        self._lock = threading.Lock()
+        #: latest revision per incident among the log's first ``_seen``
+        self._index: Dict[str, list] = {}
+        self._seen = 0
 
     @classmethod
     def sqlite(cls, directory: str, synchronous: str = "NORMAL") -> "IncidentStore":
@@ -56,36 +78,48 @@ class IncidentStore:
 
     def record(self, incident: Incident) -> None:
         """Append one revision; plugs into ``IncidentAggregator(sink=)``."""
-        self.backend.insert(
-            Record.make(
-                incident.last_seen,
-                incident_id=incident.incident_id,
-                cause=incident.cause,
-                location=str(incident.location),
-                symptom=incident.symptom_name,
-                revision=incident.revision,
-                payload=incident_to_dict(incident),
-            )
+        row = Record.make(
+            incident.last_seen,
+            incident_id=incident.incident_id,
+            cause=incident.cause,
+            location=str(incident.location),
+            symptom=incident.symptom_name,
+            revision=incident.revision,
+            payload=incident_to_dict(incident),
         )
+        with self._lock:
+            self.backend.insert(row)
+            self._seen += 1
+            _keep_latest(self._index, row)
 
     # ------------------------------------------------------------------
     # reads
 
-    def _latest(
-        self,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        **equals: Any,
-    ) -> Dict[str, Record]:
-        """Highest-revision record per incident id in the window."""
-        pushdown = {k: v for k, v in equals.items() if v is not None}
-        latest: Dict[str, Record] = {}
-        for record in self.backend.query(start, end, pushdown):
-            incident_id = record["incident_id"]
-            kept = latest.get(incident_id)
-            if kept is None or record["revision"] > kept["revision"]:
-                latest[incident_id] = record
-        return latest
+    def _synced(self) -> Dict[str, list]:
+        """The index (lock held), rescanned if the log outgrew it: a
+        store opened on existing data, or a second writer on its file."""
+        if len(self.backend) > self._seen:
+            rows = self.backend.query(None, None, {})
+            for row in rows:
+                _keep_latest(self._index, row)
+            self._seen = len(rows)
+        return self._index
+
+    def _latest(self, **equals: Any) -> List[list]:
+        """Index entries of the incidents matching every non-None filter."""
+        wanted = [(k, v) for k, v in equals.items() if v is not None]
+        return [
+            entry
+            for entry in self._synced().values()
+            if all(entry[0].get(column) == value for column, value in wanted)
+        ]
+
+    @staticmethod
+    def _decoded(entry: list) -> Incident:
+        """A copy of the entry's one decode (``example`` shared, read-only)."""
+        if entry[1] is None:
+            entry[1] = incident_from_dict(entry[0]["payload"])
+        return copy.copy(entry[1])
 
     def incidents(
         self,
@@ -99,23 +133,43 @@ class IncidentStore:
         """Latest revision of every matching incident, oldest first.
 
         ``start``/``end`` bound the incident's *last activity* (the
-        revision timestamp); ``location`` matches the rendered form,
+        revision timestamp): the answer is the store as of that window,
+        found by scanning it.  ``location`` matches the rendered form,
         e.g. ``"router[nyc-per1]"``.
         """
-        rows = self._latest(
-            start, end, cause=cause, location=location, symptom=symptom
-        )
-        incidents = [incident_from_dict(r["payload"]) for r in rows.values()]
+        equals = {"cause": cause, "location": location, "symptom": symptom}
+        if start is None and end is None:
+            with self._lock:
+                incidents = [self._decoded(e) for e in self._latest(**equals)]
+        else:
+            pushdown = {k: v for k, v in equals.items() if v is not None}
+            window: Dict[str, list] = {}
+            for row in self.backend.query(start, end, pushdown):
+                _keep_latest(window, row)
+            incidents = [
+                incident_from_dict(row["payload"]) for row, _ in window.values()
+            ]
         if open is not None:
             incidents = [i for i in incidents if i.open == open]
         return sorted(incidents, key=lambda i: (i.first_seen, i.incident_id))
 
+    def documents(
+        self, cause: Optional[str] = None, location: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """Latest stored ``grca-incident/1`` document of every matching
+        incident, in :meth:`incidents` order — the log's own payloads,
+        not copies: encode them, never edit them."""
+        with self._lock:
+            entries = self._latest(cause=cause, location=location)
+        return sorted(
+            (row["payload"] for row, _decoded in entries),
+            key=lambda d: (decode_float(d["window"]["first_seen"]), d["incident_id"]),
+        )
+
     def get(self, incident_id: str) -> Incident:
         """Latest revision of one incident; raises :class:`KeyError`."""
-        rows = self._latest(incident_id=incident_id)
-        if incident_id not in rows:
-            raise KeyError(incident_id)
-        return incident_from_dict(rows[incident_id]["payload"])
+        with self._lock:
+            return self._decoded(self._synced()[incident_id])
 
     def timeline(self, incident_id: str) -> List[Incident]:
         """Every persisted revision of one incident, in revision order.
@@ -197,7 +251,8 @@ class IncidentStore:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._latest())
+        with self._lock:
+            return len(self._synced())
 
     def revisions(self) -> int:
         """Total persisted revision records (the log length)."""

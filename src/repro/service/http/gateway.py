@@ -25,7 +25,13 @@ Overload is expressed in HTTP, not by blocking the socket:
 * brownout shed (degraded, low prio)    → ``503`` + ``Retry-After``
 * wedged shard / queue closed           → ``503``
 * unknown app or job id                 → ``404``
-* malformed request                     → ``400``
+* malformed request / ``Content-Length``→ ``400``
+* body above :data:`MAX_BODY_BYTES`     → ``413``
+
+Every response leaves through one writer, as one ``sendall``: a header
+flush of its own is a second segment (``TCP_NODELAY``) and a second GIL
+release, which strands the client on a body-less header block while the
+worker its ``POST`` just woke runs.
 
 Each connection is served by its own thread
 (:class:`~http.server.ThreadingHTTPServer`), so a long-poll on one
@@ -49,6 +55,10 @@ from .router import ShardRouter, ShardUnavailable
 #: default: clients wanting longer simply poll again — unbounded waits
 #: would pin one handler thread per slow job forever.
 MAX_WAIT_SECONDS = 30.0
+
+#: Largest request body read (bytes); a longer ``Content-Length`` is a
+#: ``413`` before any of it is buffered.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Suggested client back-off on 429/503 responses (seconds).
 RETRY_AFTER_SECONDS = 1
@@ -118,28 +128,46 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def router(self) -> ShardRouter:
         return self.server.router  # type: ignore[attr-defined]
 
-    def _send_json(
+    def _send(
         self,
         status: int,
-        payload: Dict[str, Any],
+        content_type: str,
+        body: bytes,
         retry_after: Optional[int] = None,
     ) -> None:
-        body = json.dumps(payload).encode()
+        """The one response writer: one ``sendall`` per response."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # has no header block
+            self.wfile.write(body)
+            return
+        # not end_headers(): its flush would leave the body to a second write
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
+
+    def _send_json(
+        self, status: int, payload: Dict[str, Any], retry_after: Optional[int] = None
+    ) -> None:
+        body = json.dumps(payload).encode()
+        self._send(status, "application/json", body, retry_after)
 
     def _send_error(self, exc: ApiError) -> None:
-        self._send_json(
-            exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-        )
+        self._send_json(exc.status, {"error": str(exc)}, exc.retry_after)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body is left undrained: no further request can follow
+            self.close_connection = True
+            if length < 0:
+                raise ApiError(400, "invalid Content-Length header")
+            raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "request body required")
@@ -327,19 +355,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         store = self._incident_store()
         cause = query.get("cause", [None])[0]
         location = query.get("location", [None])[0]
-        incidents = store.incidents(cause=cause, location=location)
+        # the stored grca-incident/1 documents, served as stored
+        documents = store.documents(cause=cause, location=location)
         if query.get("open"):
             want = query["open"][0] not in ("0", "false", "no")
-            incidents = [i for i in incidents if i.open == want]
+            documents = [d for d in documents if d["open"] == want]
         if query.get("flapping"):
-            incidents = [i for i in incidents if i.flap_count > 1]
-        self._send_json(
-            200,
-            {
-                "count": len(incidents),
-                "incidents": [i.to_json() for i in incidents],
-            },
-        )
+            documents = [d for d in documents if d["flap_count"] > 1]
+        self._send_json(200, {"count": len(documents), "incidents": documents})
 
     def _incident_show(self, incident_id: str, query: dict) -> None:
         store = self._incident_store()
@@ -369,11 +392,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         body = render_incident_report(
             incident, related=store.incidents(cause=incident.cause)
         ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/markdown; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, "text/markdown; charset=utf-8", body)
 
 
 def _expect_int(body: Dict[str, Any], field: str) -> int:

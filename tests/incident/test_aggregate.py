@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.locations import Location
-from repro.incident import IncidentAggregator
+from repro.incident import IncidentAggregator, IncidentStore
 from repro.incident.aggregate import incident_id_for
 
 from .conftest import diagnosis
@@ -91,6 +91,25 @@ class TestReemission:
         incident = aggregator.observe(d)  # streaming re-diagnosis
         assert incident.flap_count == 1
         assert aggregator.stats()["deduped_reemissions"] == 1
+
+    def test_unchanged_reemission_is_not_a_revision(self):
+        """A client polling one symptom (every served cache hit reaches
+        the sink) must not grow the revision log."""
+        store = IncidentStore()
+        aggregator = IncidentAggregator(gap_seconds=GAP, sink=store.record)
+        d = diagnosis(t=1000.0, caveats=("feed lagging",))
+        for _ in range(3):
+            incident = aggregator.observe(d)
+        assert incident.revision == 1
+        assert store.revisions() == 1
+        assert store.get(incident.incident_id).revision == 1
+        assert aggregator.stats()["deduped_reemissions"] == 2
+        # an equal-or-higher confidence and a known caveat change nothing;
+        # a lower confidence does, once
+        aggregator.observe(diagnosis(t=1000.0, confidence=0.4))
+        aggregator.observe(diagnosis(t=1000.0, confidence=0.4))
+        assert (incident.revision, store.revisions()) == (2, 2)
+        assert incident.confidence_min == 0.4
 
     def test_reemission_still_bumps_revision_and_rollups(self, aggregator):
         aggregator.observe(diagnosis(t=1000.0, confidence=1.0))

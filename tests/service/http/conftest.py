@@ -8,9 +8,11 @@ respectively, giving every test a deterministic cross-shard split.
 
 import http.client
 import json
+import threading
 
 import pytest
 
+from repro.service import RcaService
 from repro.service.http import RcaGateway, ShardRouter, build_shards
 
 #: topology routers whose mini-app routing keys land on distinct shards
@@ -34,6 +36,32 @@ def gateway(router2):
     gw = RcaGateway(router2).start()
     yield gw
     gw.stop(shutdown_shards=False)  # router2's fixture owns the shards
+
+
+#: a ``run`` job body for :func:`full_queue_gateway` (add a ``key``)
+RUN_JOB = {"kind": "run", "app": "mini", "start": 0.0, "end": 1.0}
+
+
+@pytest.fixture
+def full_queue_gateway(mini_app):
+    """A gateway over one 1-worker / depth-1 shard whose worker parks on
+    its first job: a second submit fills the queue, a third gets 429."""
+    release = threading.Event()
+
+    class Gate:
+        engine = mini_app.engine
+
+        def find_symptoms(self, start, end):
+            assert release.wait(timeout=30.0)
+            return []
+
+    service = RcaService(store=mini_app.store, workers=1, queue_depth=1)
+    service.register_app("mini", Gate())
+    service.start()
+    gw = RcaGateway(ShardRouter([service])).start()
+    yield gw
+    release.set()
+    gw.stop()
 
 
 class JsonClient:

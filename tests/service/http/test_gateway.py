@@ -13,7 +13,7 @@ from repro.service import RcaService
 from repro.service.http import RcaGateway, ShardRouter
 from repro.service.policy import ServiceHealth
 
-from .conftest import SHARD0_ROUTER, SHARD1_ROUTER
+from .conftest import RUN_JOB, SHARD0_ROUTER, SHARD1_ROUTER, JsonClient
 
 
 def submit_diagnose(client, symptoms, **extra):
@@ -171,39 +171,16 @@ class TestErrorMapping:
 
 
 class TestOverload:
-    def test_queue_full_is_429_with_retry_after(self, mini_app, seed_scene):
+    def test_queue_full_is_429_with_retry_after(self, full_queue_gateway):
         """Saturate a 1-worker/depth-1 shard: the worker is parked on a
         blocked job, one job fills the queue, the next submit gets 429."""
-        release = threading.Event()
-
-        class Gate:
-            def __init__(self, inner):
-                self.inner = inner
-                self.engine = inner.engine
-
-            def find_symptoms(self, start, end):
-                assert release.wait(timeout=30.0)
-                return []
-
-        service = RcaService(store=mini_app.store, workers=1, queue_depth=1)
-        service.register_app("mini", Gate(mini_app))
-        service.start()
-        router = ShardRouter([service])
-        gw = RcaGateway(router).start()
-        try:
-            from .conftest import JsonClient
-
-            client = JsonClient(gw)
-            run = {"kind": "run", "app": "mini", "start": 0.0, "end": 1.0}
-            assert client.post("/v1/jobs", dict(run, key="k1"))[0] == 202
-            assert client.post("/v1/jobs", dict(run, key="k2"))[0] == 202
-            status, headers, doc = client.post("/v1/jobs", dict(run, key="k3"))
-            assert status == 429
-            assert headers.get("Retry-After") == "1"
-            assert "refused" in doc["error"]
-        finally:
-            release.set()
-            gw.stop()
+        client = JsonClient(full_queue_gateway)
+        assert client.post("/v1/jobs", dict(RUN_JOB, key="k1"))[0] == 202
+        assert client.post("/v1/jobs", dict(RUN_JOB, key="k2"))[0] == 202
+        status, headers, doc = client.post("/v1/jobs", dict(RUN_JOB, key="k3"))
+        assert status == 429
+        assert headers.get("Retry-After") == "1"
+        assert "refused" in doc["error"]
 
     def test_brownout_shed_is_503_with_retry_after(
         self, client, router2, seeded_symptoms
