@@ -190,7 +190,7 @@ class StorageBackend:
 
     def scan(self) -> List[Any]:
         """Every record, in ``(timestamp, arrival)`` order."""
-        raise NotImplementedError
+        return self.query(None, None, {})
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None values of a column, sorted by ``repr``."""
@@ -341,43 +341,47 @@ class MemoryBackend(StorageBackend):
     ) -> List[Any]:
         """Bisect the sorted run, scan the bounded tail, merge by (ts, seq)."""
         lo, hi = self._bounds(start, end)
+        recs = self._recs
         if not equals and not self._tail:
             # unfiltered window over the clean sorted run: one slice,
             # no per-record filter loop
-            return self._recs[lo:hi]
-        postings = [
-            self._indexes[column].get(value, [])
-            for column, value in equals.items()
-            if column in self._indexes
-        ]
-        if postings:
-            # intersect the smallest index posting list with the time range
-            positions = min(postings, key=len)
-            p_lo = bisect.bisect_left(positions, lo)
-            p_hi = bisect.bisect_left(positions, hi)
-            candidates: Iterable[int] = positions[p_lo:p_hi]
+            return recs[lo:hi]
+        # The smallest posting list is the answer for its own column —
+        # every row on it holds the value, in ascending position, which
+        # is (ts, seq) order — so only the other filters remain to check.
+        # A row lacking a column is on none of its lists (what a None
+        # filter asks for), and no row equals a value unequal to itself.
+        posting = served = None
+        for column, value in equals.items():
+            index = self._indexes.get(column)
+            if index is not None and value is not None and value == value:
+                found = index.get(value, ())
+                if posting is None or len(found) < len(posting):
+                    posting, served = found, column
+        if posting is None:
+            positions: Sequence[int] = range(lo, hi)
         else:
-            candidates = range(lo, hi)
-        result: List[Tuple[float, int, Any]] = []
-        for p in candidates:
-            record = self._recs[p]
-            if all(record.get(column) == value for column, value in equals.items()):
-                result.append((self._ts[p], self._seq[p], record))
+            positions = posting[
+                bisect.bisect_left(posting, lo):bisect.bisect_left(posting, hi)
+            ]
+        for column, value in equals.items():
+            if column != served:
+                positions = [p for p in positions if recs[p].get(column) == value]
         if self._tail:
-            matched_tail = [
+            late = [
                 entry
                 for entry in self._tail
                 if (start is None or entry[0] >= start)
                 and (end is None or entry[0] <= end)
-                and all(
-                    entry[2].get(column) == value
-                    for column, value in equals.items()
-                )
             ]
-            if matched_tail:
-                result.extend(matched_tail)
-                result.sort(key=lambda entry: (entry[0], entry[1]))
-        return [record for _ts, _seq, record in result]
+            for column, value in equals.items():
+                late = [entry for entry in late if entry[2].get(column) == value]
+            if late:
+                # (timestamp, seq) is unique: records are never compared
+                ts, seq = self._ts, self._seq
+                merged = sorted([*((ts[p], seq[p], recs[p]) for p in positions), *late])
+                return [record for _ts, _seq, record in merged]
+        return [recs[p] for p in positions]
 
     def query_columns(
         self,
@@ -405,13 +409,6 @@ class MemoryBackend(StorageBackend):
                 generation=self._generation,
             )
         return super().query_columns(start, end, equals)
-
-    def scan(self) -> List[Any]:
-        """Every record in (timestamp, arrival) order, tail included."""
-        if not self._tail:
-            return list(self._recs)
-        entries = sorted([*zip(self._ts, self._seq, self._recs), *self._tail])
-        return [record for _ts, _seq, record in entries]
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None column values, from the index when available."""
@@ -592,10 +589,6 @@ class SqliteBackend(StorageBackend):
             if all(record.get(column) == value for column, value in equals.items()):
                 result.append(record)
         return result
-
-    def scan(self) -> List[Any]:
-        """Every record, decoded, in (ts, insertion id) order."""
-        return self.query(None, None, {})
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None column values over the decoded records."""

@@ -255,21 +255,27 @@ class Table:
 # the read-path observer seam
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StoreRead:
     """One read issued against a table, as observers see it.
 
     ``kind`` is ``"query"``, ``"scan"`` or ``"distinct"``; ``filters``
     holds the equality filters of a query as sorted ``(column, value)``
-    pairs; ``column`` is set for ``distinct`` reads.
+    pairs, derived when read; ``column`` is set for ``distinct`` reads.
+    A description only: the read runs on the caller's own arguments.
     """
 
     table: str
     kind: str
     start: Optional[float] = None
     end: Optional[float] = None
-    filters: Tuple[Tuple[str, Any], ...] = ()
+    _equals: Dict[str, Any] = field(default_factory=dict, repr=False)
     column: Optional[str] = None
+
+    @property
+    def filters(self) -> Tuple[Tuple[str, Any], ...]:
+        """The equality filters as sorted ``(column, value)`` pairs."""
+        return tuple(sorted(self._equals.items()))
 
     @property
     def window(self) -> Tuple[float, float]:
@@ -322,8 +328,9 @@ class TraceObserver(ReadObserver):
         if rows is not None:
             if read.kind == "query":
                 span.annotate(rows=rows, window=[read.start, read.end])
-                if read.filters:
-                    span.annotate(filters=[column for column, _ in read.filters])
+                filters = read.filters
+                if filters:
+                    span.annotate(filters=[column for column, _ in filters])
             elif read.kind == "scan":
                 span.annotate(rows=rows, window=[None, None])
             else:
@@ -362,29 +369,17 @@ class ObservedTable:
         self._table = table
         self._observers = tuple(observers)
 
-    def _run(self, read: StoreRead, produce: Callable[[], Any]):
-        """``produce()`` — a sized result — between the observers."""
+    def _run(self, read: StoreRead, equals, call: Callable[..., Any], *args: Any):
+        """``call(*args, **equals)`` — a sized result — between the observers."""
         tokens = [observer.begin(read) for observer in self._observers]
         rows: Optional[int] = None
         try:
-            result = produce()
+            result = call(*args, **equals)
             rows = len(result)
             return result
         finally:
-            for observer, token in zip(
-                reversed(self._observers), reversed(tokens)
-            ):
-                observer.end(read, token, rows)
-
-    def _window_read(self, query: Callable[..., Any], start, end, equals):
-        read = StoreRead(
-            table=self._table.name,
-            kind="query",
-            start=start,
-            end=end,
-            filters=tuple(sorted(equals.items())),
-        )
-        return self._run(read, lambda: query(start, end, **equals))
+            for observer in reversed(self._observers):
+                observer.end(read, tokens.pop(), rows)
 
     def query(
         self,
@@ -393,7 +388,8 @@ class ObservedTable:
         **equals: Any,
     ) -> List[Record]:
         """Delegate to :meth:`Table.query` through the observers."""
-        return self._window_read(self._table.query, start, end, equals)
+        read = StoreRead(self._table.name, "query", start, end, equals)
+        return self._run(read, equals, self._table.query, start, end)
 
     def query_columns(
         self,
@@ -407,17 +403,18 @@ class ObservedTable:
         produce — columnar retrievals keep the same footprint coverage
         and ``store-query`` trace spans as their row twins.
         """
-        return self._window_read(self._table.query_columns, start, end, equals)
+        read = StoreRead(self._table.name, "query", start, end, equals)
+        return self._run(read, equals, self._table.query_columns, start, end)
 
     def scan(self) -> Iterator[Record]:
         """Delegate to :meth:`Table.scan` through the observers."""
-        read = StoreRead(table=self._table.name, kind="scan")
-        return iter(self._run(read, lambda: list(self._table.scan())))
+        read = StoreRead(self._table.name, "scan")
+        return iter(self._run(read, {}, lambda: list(self._table.scan())))
 
     def distinct(self, column: str) -> List[Any]:
         """Delegate to :meth:`Table.distinct` through the observers."""
-        read = StoreRead(table=self._table.name, kind="distinct", column=column)
-        return self._run(read, lambda: self._table.distinct(column))
+        read = StoreRead(self._table.name, "distinct", column=column)
+        return self._run(read, {}, self._table.distinct, column)
 
     def __len__(self) -> int:
         return len(self._table)

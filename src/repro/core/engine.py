@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
@@ -322,10 +323,6 @@ class CoverIndex:
         return (self._los[k], self._his[k])
 
 
-#: what an event without any cached cover is looked up in
-_NO_COVERS = CoverIndex()
-
-
 class PlanStep(NamedTuple):
     """One rule out of an event, with all the walk needs resolved once."""
 
@@ -352,7 +349,9 @@ def compile_plan(
     """Flatten a diagnosis graph: event name -> its steps, in rule order.
 
     Definitions are resolved here: a library ``override`` made later
-    needs a new engine.  Raises ``KeyError`` naming undefined events.
+    needs a new engine.  Raises ``KeyError`` naming undefined events and
+    ``ValueError`` for a rule joining on another location type than its
+    parent event's (the walk builds a join only once candidates survive).
     """
     missing = [name for name in graph.events() if name not in library]
     if missing:
@@ -363,7 +362,13 @@ def compile_plan(
     index = 0
     for event in sorted(graph.events()):
         steps = []
+        located = library.get(event).location_type
         for rule in graph.rules_from(event):
+            if rule.spatial.symptom_type is not located:
+                raise ValueError(
+                    f"rule {event} -> {rule.child_event} joins "
+                    f"{rule.spatial.describe()}; {event} is a {located.value}"
+                )
             definition = library.get(rule.child_event)
             before, after = rule.temporal.reaches()
             steps.append(
@@ -716,7 +721,7 @@ class RcaEngine:
                     stage = by_key[key] = self._new_stage(step, parent)
                 # a filled stage implies a cover containing its window
                 if stage.candidates is None and (
-                    self._covers.get(event, _NO_COVERS).find(*stage.bucketed) is None
+                    self._covers[event].find(*stage.bucketed) is None
                 ):
                     wants.setdefault(event, []).append(stage.bucketed)
                 stages.append(stage)
@@ -770,7 +775,8 @@ class RcaEngine:
         """
         rule = step.rule
         rule_args = stage_args = {}
-        if tracer.enabled:
+        traced = tracer.enabled
+        if traced:
             stage_args = dict(label=f"{rule.parent_event} -> {rule.child_event}")
             rule_args = dict(
                 stage_args,
@@ -780,41 +786,41 @@ class RcaEngine:
                 window=list(stage.window),
             )
         with tracer.span("rule", **rule_args) as rule_span:
-            with tracer.span("retrieve", label=rule.child_event) as span:
+            with tracer.span("retrieve", label=rule.child_event) as retrieve_span:
                 cached = stage.candidates is not None or self._retrieve(
                     step, stage, tracer, covers, cancel, shared
                 )
-                candidates = stage.candidates
-                span.annotate(cached=cached, records=len(candidates))
-            with tracer.span("temporal-join", **stage_args) as span:
+                candidates = stage.candidates.instances
+            with tracer.span("temporal-join", **stage_args) as temporal_span:
                 survivors = stage.survivors
                 if survivors is None:
-                    survivors = stage.survivors = rule.temporal.joined_batch(
-                        parent.interval, candidates.columns
+                    # nothing retrieved, nothing joins: no columns are built
+                    survivors = stage.survivors = (
+                        rule.temporal.joined_batch(
+                            parent.interval, stage.candidates.columns
+                        )
+                        if candidates else []
                     )
-                span.annotate(candidates=len(candidates), joined=len(survivors))
-            with tracer.span("spatial-join", **stage_args) as span:
-                batch = rule.spatial.batch(
-                    self.resolver, parent.location, parent.start,
-                    trace=tracer if tracer.enabled else None,
-                )
+            with tracer.span("spatial-join", **stage_args) as spatial_span:
                 matched = (
-                    self._spatial_stage(step, stage, parent.start, batch)
+                    self._spatial_stage(step, stage, parent, tracer if traced else None)
                     if survivors else []
                 )
-                span.annotate(candidates=len(survivors), joined=len(matched))
-            rule_span.annotate(
-                matched=len(matched),
-                candidates=len(candidates),
-                temporal_survivors=len(survivors),
-                spatial_survivors=len(matched),
-            )
+            if traced:
+                found, joined, kept = len(candidates), len(survivors), len(matched)
+                retrieve_span.annotate(cached=cached, records=found)
+                temporal_span.annotate(candidates=found, joined=joined)
+                spatial_span.annotate(candidates=joined, joined=kept)
+                rule_span.annotate(
+                    matched=kept, candidates=found,
+                    temporal_survivors=joined, spatial_survivors=kept,
+                )
         return matched
 
     def _spatial_stage(
-        self, step: PlanStep, stage: _Stage, timestamp: float, batch
+        self, step: PlanStep, stage: _Stage, parent: EventInstance, trace
     ) -> List[EventInstance]:
-        """Columnar spatial join over the temporal survivors.
+        """Columnar spatial join over the (non-empty) temporal survivors.
 
         For epoch-static location columns the cover's expansion map
         (:meth:`CandidateSet.static_expansions`) replaces per-candidate
@@ -825,10 +831,13 @@ class RcaEngine:
         capped at ``max_matches_per_rule``.
         """
         candidates, survivors = stage.candidates, stage.survivors
+        batch = step.rule.spatial.batch(
+            self.resolver, parent.location, parent.start, trace=trace
+        )
         cap = self.config.max_matches_per_rule
         instances = candidates.instances
         expansions = candidates.static_expansions(
-            self.resolver, step.level, timestamp
+            self.resolver, step.level, parent.start
         )
         if expansions is not None:
             runs = stage.runs
@@ -870,7 +879,7 @@ class RcaEngine:
         filter, so no per-window candidate list is materialized.
         """
         event_name, bucketed = step.rule.child_event, stage.bucketed
-        cover = self._covers.get(event_name, _NO_COVERS).find(*bucketed)
+        cover = self._covers[event_name].find(*bucketed)
         if cover is None:
             cover = bucketed
             for planned in covers.get(event_name, ()):
@@ -878,30 +887,31 @@ class RcaEngine:
                     cover = planned
                     break
         key = (event_name, cover[0], cover[1])
-        cached = key in self._retrieval_cache
+        candidates = self._retrieval_cache.get(key)
+        cached = candidates is not None
         if not cached:
             # the store round-trip is the expensive stage; a job past
             # its deadline stops here instead of fetching more data
             if cancel is not None:
                 cancel.check()
-            reads: set = set()
-            observers: List[ReadObserver] = [FootprintObserver(reads.add)]
+            reads: List[FootprintEntry] = []
+            observers: Tuple[ReadObserver, ...] = (FootprintObserver(reads.append),)
             if tracer.enabled:
-                observers.insert(0, TraceObserver(tracer))
+                observers = (TraceObserver(tracer), *observers)
             context = RetrievalContext(
                 ObservedStore(self.store, observers), cover[0], cover[1],
                 self.config.params, self.config.services,
             )
-            self._retrieval_cache[key] = CandidateSet(
+            candidates = self._retrieval_cache[key] = CandidateSet(
                 step.definition.retrieve(context), frozenset(reads)
             )
             note_reach(self._reach, reads)
             self._oldest_hi = min(self._oldest_hi, cover[1])
-            self._covers.setdefault(event_name, CoverIndex()).add(*cover)
+            self._covers[event_name].add(*cover)
             # a new cover may answer this event's later lookups
             for other in shared[event_name].values():
                 other.reset()
-        stage.candidates = self._retrieval_cache[key]
+        stage.candidates = candidates
         return cached
 
     def clear_cache(self) -> None:
@@ -909,7 +919,8 @@ class RcaEngine:
         # retrieval cache: (event name, cover window) -> candidate set
         self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
         # per event: the cached cover windows, indexed for containment
-        self._covers: Dict[str, CoverIndex] = {}
+        # (looking an event up files an empty index for it)
+        self._covers: Dict[str, CoverIndex] = defaultdict(CoverIndex)
         # per table, an upper bound on where the cached entries' reads end
         self._reach: Dict[str, float] = {}
         # the earliest end of any cached cover
@@ -957,10 +968,9 @@ class RcaEngine:
         for key in stale:
             del self._retrieval_cache[key]
         if stale:
-            covers: Dict[str, CoverIndex] = {}
+            self._covers = defaultdict(CoverIndex)
             for event_name, lo, hi in self._retrieval_cache:
-                covers.setdefault(event_name, CoverIndex()).add(lo, hi)
-            self._covers = covers
+                self._covers[event_name].add(lo, hi)
             self._oldest_hi = min(
                 (key[2] for key in self._retrieval_cache), default=float("inf")
             )

@@ -17,6 +17,7 @@ event ("the event 'link congestion alarm' ... can be easily redefined as
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..collector.store import DataStore
@@ -83,7 +84,7 @@ class EventInstance:
         return f"{self.name}@{self.location} [{self.start:.0f},{self.end:.0f}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalContext:
     """What a retrieval process gets: the store, a window, parameters.
 
@@ -118,6 +119,9 @@ class RetrievalContext:
 
 
 RetrievalProcess = Callable[[RetrievalContext], Iterable[EventInstance]]
+
+#: the order retrieved instances are kept in: by ``(start, end)``
+_BY_INTERVAL = attrgetter("start", "end")
 
 #: An instance's canonical identity: (name, location parts, start rounded
 #: to 0.1 s).  Hashable and order-insensitive to retrieval jitter.
@@ -163,7 +167,7 @@ class EventDefinition:
                     f"{instance.location.type.value}"
                 )
             instances.append(instance)
-        instances.sort(key=lambda i: (i.start, i.end))
+        instances.sort(key=_BY_INTERVAL)
         return instances
 
     def redefined(self, retrieval: RetrievalProcess, description: str = "") -> "EventDefinition":

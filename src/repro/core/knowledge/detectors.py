@@ -8,7 +8,6 @@ program" that Section II-A allows a retrieval process to be.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
@@ -83,12 +82,20 @@ def detect_shift(
         raise ValueError(f"direction must be increase/decrease, got {direction!r}")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1.0")
+    if min_baseline_samples < 1:
+        raise ValueError("a baseline needs at least one sample")
     history: Dict[Hashable, List[float]] = {}
     anomalies: List[Anomaly] = []
     for timestamp, key, value in sorted(samples, key=lambda s: s[0]):
         past = history.setdefault(key, [])
         if len(past) >= min_baseline_samples:
-            baseline = statistics.median(past[-baseline_window:])
+            # the trailing median, as statistics.median computes it
+            trailing = sorted(past[-baseline_window:])
+            middle = len(trailing) // 2
+            baseline = (
+                trailing[middle] if len(trailing) % 2
+                else (trailing[middle - 1] + trailing[middle]) / 2
+            )
             if direction == "increase":
                 flagged = value >= max(baseline * factor, baseline + absolute_floor)
             else:

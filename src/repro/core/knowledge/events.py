@@ -106,17 +106,19 @@ def _make_updown_retrievals(code: str, down_name: str, up_name: str, flap_name: 
         window = context.param("flap_window", DEFAULT_FLAP_WINDOW)
         # widen both edges so flaps straddling the window boundary are
         # still paired: a down before context.start may pair with an up
-        # inside it, and a down inside may pair with an up after the end
-        wide = RetrievalContext(
-            store=context.store,
-            start=context.start - window,
-            end=context.end + window,
-            params=context.params,
-            services=context.services,
-        )
-        downs = _updown_points(wide, code, "down")
-        ups = _updown_points(wide, code, "up")
-        for down, up in pair_flaps(downs, ups, window):
+        # inside it, and a down inside may pair with an up after the end;
+        # one read of the widened window, split by state
+        points = {"down": [], "up": []}
+        for record in context.store.table("syslog").query(
+            context.start - window, context.end + window, code=code
+        ):
+            interface = record.get("interface")
+            side = points.get(record.get("state"))
+            if interface is not None and side is not None:
+                side.append(
+                    TimedPoint(record.timestamp, f"{record['router']}:{interface}")
+                )
+        for down, up in pair_flaps(points["down"], points["up"], window):
             if up.timestamp < context.start or down.timestamp > context.end:
                 continue
             yield EventInstance.make(

@@ -144,6 +144,35 @@ class TestBackendOracle:
             backend.close()
 
 
+#: one rule for a ``None`` filter, wherever the row sits and whether or
+#: not the column is indexed: it matches the rows lacking the column
+NONE_FILTER_PLACEMENTS = {
+    "memory-tail": lambda: MemoryBackend(("code",)),
+    "memory-merged": lambda: MemoryBackend(("code",), tail_limit=0),
+    "memory-non-indexed": lambda: MemoryBackend(()),
+    "sqlite": lambda: SqliteBackend("t", ("code",)),
+}
+
+
+@pytest.mark.parametrize("placement", sorted(NONE_FILTER_PLACEMENTS))
+def test_none_filter_matches_rows_lacking_the_column(placement):
+    backend = NONE_FILTER_PLACEMENTS[placement]()
+    backend.insert(Record.make(10.0, code="X", k=0))
+    backend.insert(Record.make(20.0, k=1))  # in the sorted run, no code
+    backend.insert(Record.make(30.0, code="X", k=2))
+    backend.insert(Record.make(5.0, k=3))  # late, no code
+    backend.insert(Record.make(15.0, code=None, k=4))  # late, code is None
+    if placement == "memory-tail":
+        assert backend.stats()["tail"] == 2
+    elif placement == "memory-merged":
+        assert backend.stats()["tail"] == 0 and backend.stats()["merges"] == 2
+    assert [r["k"] for r in backend.query(None, None, {"code": None})] == [3, 4, 1]
+    assert [r["k"] for r in backend.query(12.0, None, {"code": None})] == [4, 1]
+    assert [r["k"] for r in backend.query(None, None, {"code": None, "k": 1})] == [1]
+    assert [r["k"] for r in backend.query(None, None, {"code": "X"})] == [0, 2]
+    backend.close()
+
+
 class TestMemoryTailBuffer:
     def test_out_of_order_lands_in_tail_then_merges(self):
         backend = MemoryBackend(("router",), tail_limit=4)

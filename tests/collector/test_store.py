@@ -3,7 +3,16 @@
 import gc
 import weakref
 
-from repro.collector.store import DataStore, Record, Table
+import pytest
+
+from repro.collector.store import (
+    DataStore,
+    ObservedStore,
+    ObservedTable,
+    ReadObserver,
+    Record,
+    Table,
+)
 
 
 class TestRecord:
@@ -116,3 +125,119 @@ class TestDataStore:
         table = DataStore(backend="memory").table("t")
         table.insert_row(1.0, router="r1")
         assert len(table) == 1
+
+
+INF = float("inf")
+
+
+def view(read):
+    """Everything a ``StoreRead`` shows an observer."""
+    return (
+        read.table, read.kind, read.start, read.end, read.filters,
+        read.window, read.column,
+    )
+
+
+class Recording(ReadObserver):
+    """Logs what it is shown, and checks its own token comes back."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def begin(self, read):
+        self.log.append((self.name, "begin", view(read)))
+        return (self.name, len(self.log))
+
+    def end(self, read, token, rows):
+        assert token[0] == self.name
+        self.log.append((self.name, "end", view(read), rows))
+
+
+class TestReadSeam:
+    def _store(self):
+        store = DataStore()
+        store.insert("syslog", 10.0, router="r1", code="X")
+        store.insert("syslog", 20.0, router="r2", code="Y")
+        store.insert("syslog", 30.0, router="r1", code="Y")
+        return store
+
+    def test_observers_see_the_same_view_of_each_kind_of_read(self):
+        log = []
+        table = ObservedStore(self._store(), [Recording("a", log)]).table("syslog")
+        assert len(table.query(5.0, 25.0, router="r1", code="X")) == 1
+        assert len(table.query_columns(None, 25.0, code="Y")) == 1
+        assert len(table.query()) == 3
+        assert len(list(table.scan())) == 3
+        assert table.distinct("router") == ["r1", "r2"]
+        filtered = (
+            "syslog", "query", 5.0, 25.0,
+            (("code", "X"), ("router", "r1")), (5.0, 25.0), None,
+        )
+        columns = (
+            "syslog", "query", None, 25.0, (("code", "Y"),), (-INF, 25.0), None,
+        )
+        unfiltered = ("syslog", "query", None, None, (), (-INF, INF), None)
+        scan = ("syslog", "scan", None, None, (), (-INF, INF), None)
+        distinct = ("syslog", "distinct", None, None, (), (-INF, INF), "router")
+        assert log == [
+            ("a", "begin", filtered), ("a", "end", filtered, 1),
+            ("a", "begin", columns), ("a", "end", columns, 1),
+            ("a", "begin", unfiltered), ("a", "end", unfiltered, 3),
+            ("a", "begin", scan), ("a", "end", scan, 3),
+            ("a", "begin", distinct), ("a", "end", distinct, 2),
+        ]
+
+    def test_begin_in_order_end_in_reverse_around_one_read(self):
+        log = []
+        store = self._store()
+        reads = []
+        backend_query = store.table("syslog")._backend.query
+
+        def query(start, end, equals):
+            reads.append(len(log))
+            return backend_query(start, end, equals)
+
+        store.table("syslog")._backend.query = query
+        observed = ObservedStore(store, [Recording("a", log), Recording("b", log)])
+        observed.table("syslog").query(0.0, 15.0)
+        assert [(name, event) for name, event, *_ in log] == [
+            ("a", "begin"), ("b", "begin"), ("b", "end"), ("a", "end"),
+        ]
+        assert reads == [2]  # one backend read, after both begins
+        assert [entry[3] for entry in log[2:]] == [1, 1]
+
+    def test_rows_is_none_when_the_read_raises(self):
+        log = []
+        store = self._store()
+
+        def boom(start, end, equals):
+            raise RuntimeError("backend exploded mid-read")
+
+        store.table("syslog")._backend.query = boom
+        observed = ObservedStore(store, [Recording("a", log), Recording("b", log)])
+        with pytest.raises(RuntimeError):
+            observed.table("syslog").query(0.0, 15.0, code="X")
+        assert [(name, event) for name, event, *_ in log] == [
+            ("a", "begin"), ("b", "begin"), ("b", "end"), ("a", "end"),
+        ]
+        assert [entry[3] for entry in log[2:]] == [None, None]
+
+    def test_any_column_name_passes_through_as_a_filter(self):
+        store = DataStore()
+        store.insert("t", 1.0, read="x", call="y", args="z")
+        table = ObservedTable(store.table("t"), [ReadObserver()])
+        assert len(table.query(read="x", call="y", args="z")) == 1
+        assert len(table.query_columns(read="x", call="no")) == 0
+
+    def test_an_observer_cannot_alter_the_read(self):
+        class Meddling(ReadObserver):
+            def begin(self, read):
+                # a StoreRead describes the read; it is not what runs
+                read.start, read.end = 25.0, 26.0
+                assert isinstance(read.filters, tuple)
+                assert not hasattr(read, "equals")
+
+        table = ObservedStore(self._store(), [Meddling()]).table("syslog")
+        assert [r.timestamp for r in table.query(5.0, 35.0, router="r1")] == [10.0, 30.0]
+        assert list(table.query_columns(5.0, 15.0, router="r1").timestamps) == [10.0]

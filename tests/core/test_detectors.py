@@ -1,5 +1,7 @@
 """Tests for flap pairing, anomaly detection and interval merging."""
 
+import statistics
+
 from hypothesis import given, strategies as st
 
 from repro.core.knowledge.detectors import (
@@ -123,6 +125,35 @@ class TestDetectShift:
     def test_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             detect_shift([], "increase", factor=1.0)
+
+    def test_baseline_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            detect_shift([], "increase", factor=2.0, min_baseline_samples=0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-5, 5),  # few distinct values: ties
+                st.integers(-10**6, 10**6),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=3,
+            max_size=20,
+        ),
+        st.integers(3, 12),
+    )
+    def test_baseline_is_the_trailing_median(self, values, window):
+        # a floor no prefix value clears keeps every one of them in the
+        # history; the closing spike clears it and reports its baseline
+        spike = 1e15
+        anomalies = detect_shift(
+            self.samples(values + [spike]), "increase", factor=2.0,
+            baseline_window=window, absolute_floor=1e12,
+        )
+        assert [a.value for a in anomalies] == [spike]
+        expected = statistics.median(values[-window:])
+        assert anomalies[0].baseline == expected
+        assert type(anomalies[0].baseline) is type(expected)
 
 
 class TestMergeIntervals:

@@ -537,6 +537,26 @@ class TestCompiledPlan:
         with pytest.raises(KeyError, match=message):
             engine.diagnose(symptom_at(1000.0))
 
+    def test_rule_joining_on_another_type_raises_with_no_data(self, setup, resolver):
+        # the walk builds a rule's join only once candidates survive, so
+        # a mismatched rule is refused when compiled — every store is
+        # empty here, nothing would ever reach the join
+        _store, engine = setup
+        engine.library.register(store_backed_event("c", "tb"))
+        engine.graph.add_rule(
+            DiagnosisRule(
+                "b", "c", temporal(), priority=30,
+                spatial=SpatialJoinRule(
+                    LocationType.INTERFACE, LocationType.ROUTER, JoinLevel.ROUTER
+                ),
+            )
+        )
+        message = "rule b -> c joins interface~router@router; b is a router"
+        with pytest.raises(ValueError, match=message):
+            RcaEngine(engine.graph, engine.library, resolver, DataStore())
+        with pytest.raises(ValueError, match=message):
+            engine.diagnose(symptom_at(1000.0))
+
     def test_matched_leaf_is_evidence_but_not_a_node(self, setup):
         from repro.obs import Tracer
 

@@ -1,0 +1,62 @@
+"""The read path's obviously-correct spellings.
+
+What ``MemoryBackend.query`` and the Knowledge Library's ``retrieve_flap``
+did before they stopped working to find nothing, kept as what they must
+stay equal to: a window query that looks at every row and every filter,
+and a flap retrieval that reads its window once per state.
+"""
+
+from typing import Any, Dict, Iterable, List, Optional, Sequence
+
+from repro.core.events import EventInstance, RetrievalContext
+from repro.core.knowledge.detectors import pair_flaps
+from repro.core.knowledge.events import DEFAULT_FLAP_WINDOW, _updown_points
+from repro.core.locations import Location
+
+
+def filter_every_row(
+    records: Sequence[Any],
+    start: Optional[float],
+    end: Optional[float],
+    equals: Dict[str, Any],
+) -> List[Any]:
+    """The rows of ``records`` (in arrival order) a window query returns.
+
+    ``start <= timestamp <= end`` with ``None`` bounds open, every filter
+    checked on every row — a row lacking a column reads ``None`` there —
+    and the canonical ``(timestamp, arrival)`` order.
+    """
+    matched = [
+        (record.timestamp, arrival, record)
+        for arrival, record in enumerate(records)
+        if (start is None or record.timestamp >= start)
+        and (end is None or record.timestamp <= end)
+        and all(record.get(column) == value for column, value in equals.items())
+    ]
+    matched.sort(key=lambda entry: (entry[0], entry[1]))
+    return [record for _timestamp, _arrival, record in matched]
+
+
+def two_read_flap_retrieval(code: str, flap_name: str):
+    """A flap retrieval that reads the widened window once per state."""
+
+    def retrieve_flap(context: RetrievalContext) -> Iterable[EventInstance]:
+        window = context.param("flap_window", DEFAULT_FLAP_WINDOW)
+        wide = RetrievalContext(
+            store=context.store,
+            start=context.start - window,
+            end=context.end + window,
+            params=context.params,
+            services=context.services,
+        )
+        downs = _updown_points(wide, code, "down")
+        ups = _updown_points(wide, code, "up")
+        for down, up in pair_flaps(downs, ups, window):
+            if up.timestamp < context.start or down.timestamp > context.end:
+                continue
+            yield EventInstance.make(
+                flap_name, down.timestamp, up.timestamp,
+                Location.interface(down.key),
+            )
+
+    return retrieve_flap

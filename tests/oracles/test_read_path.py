@@ -1,0 +1,199 @@
+"""The read path equals its obviously-correct spellings.
+
+``MemoryBackend.query`` answers from the smallest posting list and
+checks only the filters that list does not already guarantee; the flap
+retrievals read their widened window once and split it by state.  Both
+must return exactly what ``tests/oracles/read_path.py`` returns — the
+window query that checks every filter on every row (and
+``SqliteBackend.query``, which re-filters every decoded row), and the
+flap retrieval that reads once per state.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.collector.backends import MemoryBackend, SqliteBackend, memory_backend
+from repro.collector.sources import syslog as syslog_codes
+from repro.collector.store import (
+    DataStore,
+    FootprintObserver,
+    ObservedStore,
+    Record,
+)
+from repro.core.events import RetrievalContext
+from repro.core.knowledge import names
+from repro.core.knowledge.events import build_common_events
+
+from .read_path import filter_every_row, two_read_flap_retrieval
+
+INDEXED = ("router", "code")
+
+# a column is absent from a row when its value is drawn as ABSENT; an
+# explicit None value is stored (and reads like an absent column)
+ABSENT = object()
+
+
+def _value(*values):
+    return st.sampled_from([*values, None, ABSENT])
+
+
+rows = st.lists(
+    st.tuples(
+        st.integers(0, 12).map(float),  # few distinct stamps: duplicates
+        _value("r1", "r2"),  # router: indexed
+        _value("X", "Y", 7),  # code: indexed, one non-string value
+        _value("up", "down"),  # state: not indexed
+        _value(0, 1),  # n: not indexed, numeric
+    ),
+    max_size=40,
+)
+
+bound = st.one_of(st.none(), st.integers(-1, 13).map(float))
+
+filters = st.fixed_dictionaries(
+    {},
+    optional={
+        "router": st.sampled_from(["r1", "r2", "ghost", None]),
+        "code": st.sampled_from(["X", "Y", 7, 7.0, "ghost", None]),
+        "state": st.sampled_from(["up", "down", "ghost", None]),
+        "n": st.sampled_from([0, 1, 2, None]),
+    },
+)
+
+
+def _records(drawn):
+    columns = ("router", "code", "state", "n")
+    return [
+        Record.adopt(
+            stamp,
+            {c: v for c, v in zip(columns, values) if v is not ABSENT},
+        )
+        for stamp, *values in drawn
+    ]
+
+
+class TestQueryEqualsTheNaiveFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(rows, bound, bound, filters, st.sampled_from([None, 0, 3]))
+    def test_memory_and_sqlite_equal_filter_every_row(
+        self, drawn, start, end, equals, tail_limit
+    ):
+        records = _records(drawn)
+        expected = filter_every_row(records, start, end, equals)
+        # tail_limit None leaves every late row pending (the tail merges
+        # past 256 rows), 0 merges on each late row, 3 now and then
+        memory = MemoryBackend(INDEXED, tail_limit=tail_limit)
+        sqlite = SqliteBackend("t", INDEXED)
+        try:
+            for backend in (memory, sqlite):
+                backend.insert_many(records[: len(records) // 2])
+                for record in records[len(records) // 2:]:
+                    backend.insert(record)
+                assert backend.query(start, end, dict(equals)) == expected, backend.name
+                assert backend.scan() == filter_every_row(records, None, None, {})
+        finally:
+            sqlite.close()
+
+    def test_a_pending_tail_row_sorts_by_arrival_among_equal_stamps(self):
+        backend = MemoryBackend(INDEXED)
+        records = [
+            Record.make(5.0, router="r1", k=0),
+            Record.make(9.0, router="r1", k=1),
+            Record.make(5.0, router="r1", k=2),  # late: waits in the tail
+        ]
+        for record in records:
+            backend.insert(record)
+        assert backend.stats()["tail"] == 1
+        assert [r["k"] for r in backend.query(None, None, {"router": "r1"})] == [0, 2, 1]
+
+    def test_a_value_unequal_to_itself_matches_no_row(self):
+        nan = float("nan")
+        backend = MemoryBackend(("code",))
+        backend.insert(Record.make(1.0, code=nan))
+        assert backend.query(None, None, {"code": nan}) == []
+        assert filter_every_row(backend.scan(), None, None, {"code": nan}) == []
+
+
+# ---------------------------------------------------------------------------
+# one-read flap retrieval == two-read flap retrieval
+
+FLAPS = {
+    names.INTERFACE_FLAP: syslog_codes.CODE_LINK,
+    names.LINEPROTO_FLAP: syslog_codes.CODE_LINEPROTO,
+}
+
+syslog_rows = st.lists(
+    st.tuples(
+        st.integers(0, 300).map(lambda k: 10.0 * k),  # 0 .. 3000 s
+        st.sampled_from(["r1", "r2"]),
+        st.sampled_from(["e0", "e1", ABSENT]),
+        st.sampled_from([*FLAPS.values(), "SYS-5-RESTART"]),
+        st.sampled_from(["up", "down", "down", "up", "administratively down", ABSENT]),
+    ),
+    max_size=60,
+)
+
+
+def _syslog_store(drawn, tail_limit):
+    store = DataStore(backend=memory_backend(tail_limit=tail_limit))
+    columns = ("router", "interface", "code", "state")
+    for stamp, *values in drawn:
+        store.insert(
+            "syslog", stamp,
+            **{c: v for c, v in zip(columns, values) if v is not ABSENT},
+        )
+    return store
+
+
+def _run(definition, store, start, end, flap_window):
+    notes = []
+    context = RetrievalContext(
+        ObservedStore(store, [FootprintObserver(notes.append)]),
+        start, end, {"flap_window": flap_window},
+    )
+    raw = list(definition.retrieval(context))  # pairing order
+    return raw, definition.retrieve(context), notes
+
+
+class TestOneReadFlapEqualsTwoRead:
+    @pytest.mark.parametrize("flap_name", sorted(FLAPS))
+    @settings(max_examples=120, deadline=None)
+    @given(
+        syslog_rows,
+        st.integers(40, 260).map(lambda k: 10.0 * k),
+        st.integers(0, 60).map(lambda k: 10.0 * k),
+        st.sampled_from([60.0, 600.0]),
+        st.sampled_from([None, 0]),
+    )
+    def test_instances_order_and_footprint_notes(
+        self, flap_name, drawn, start, length, flap_window, tail_limit
+    ):
+        # windows sit inside the rows' span and flap_window reaches past
+        # both edges, so downs before ``start`` pair with ups inside and
+        # downs inside with ups after ``end``
+        store = _syslog_store(drawn, tail_limit)
+        one_read = build_common_events().get(flap_name)
+        two_read = one_read.redefined(
+            two_read_flap_retrieval(FLAPS[flap_name], flap_name)
+        )
+        end = start + length
+        raw, kept, notes = _run(one_read, store, start, end, flap_window)
+        raw2, kept2, notes2 = _run(two_read, store, start, end, flap_window)
+        assert raw == raw2
+        assert kept == kept2
+        wide = ("syslog", start - flap_window, end + flap_window)
+        # ``retrieval`` and ``retrieve`` each ran once: one read apiece,
+        # where the oracle reads the same window twice
+        assert notes == [wide] * 2
+        assert notes2 == [wide] * 4
+
+    def test_a_flap_straddling_each_edge_is_kept(self):
+        store = DataStore()
+        code = syslog_codes.CODE_LINK
+        for stamp, state in ((90.0, "down"), (110.0, "up"), (190.0, "down"), (210.0, "up")):
+            store.insert(
+                "syslog", stamp, router="r1", interface="e0", code=code, state=state
+            )
+        definition = build_common_events().get(names.INTERFACE_FLAP)
+        _raw, kept, _notes = _run(definition, store, 100.0, 200.0, 600.0)
+        assert [(i.start, i.end) for i in kept] == [(90.0, 110.0), (190.0, 210.0)]
