@@ -19,14 +19,27 @@ behind a small versioned JSON API:
 ``GET /v1/incidents/{id}/report``  the standardized RCA report as markdown
 ============================  =====================================================
 
-Overload is expressed in HTTP, not by blocking the socket:
+Every outcome is an HTTP status, and every error body is ``{"error": …}``:
 
-* admission rejection (queue full)      → ``429`` + ``Retry-After``
-* brownout shed (degraded, low prio)    → ``503`` + ``Retry-After``
-* wedged shard / queue closed           → ``503``
-* unknown app or job id                 → ``404``
-* malformed request / ``Content-Length``→ ``400``
-* body above :data:`MAX_BODY_BYTES`     → ``413``
+* accepted job / cancellation request     → ``202``; every other success ``200``
+* malformed request line, header line (no colon, no name, a blank before
+  the colon, obsolete folding, control characters), body, field or
+  ``Content-Length``; two different ``Content-Length`` values → ``400``
+* unknown app, job id, incident or path   → ``404``
+* a method the resource does not take, ``PUT`` / ``PATCH`` → ``405``
+* body above :data:`MAX_BODY_BYTES`       → ``413``
+* admission rejection (queue full)        → ``429`` + ``Retry-After``
+* request line above :data:`MAX_LINE_BYTES` → ``414``; a header line above
+  it, or more than :data:`MAX_HEADER_LINES` of them        → ``431``
+* an exception that escaped a route       → ``500``
+* ``Transfer-Encoding`` (only ``Content-Length`` frames a body); a method
+  without a handler (``OPTIONS``, ``HEAD``, …)             → ``501``
+* brownout shed, wedged shard (+ ``Retry-After``), queue closed → ``503``
+* ``HTTP/2.0`` and above                  → ``505``
+
+Request heads are read by :meth:`_GatewayHandler.parse_request`, the only
+parser: what it will not interpret it refuses before reading any body byte
+and closes, since what follows a request not understood is not a request.
 
 Every response leaves through one writer, as one ``sendall``: a header
 flush of its own is a second segment (``TCP_NODELAY``) and a second GIL
@@ -42,10 +55,13 @@ daemons: a hung client cannot prevent shutdown.
 from __future__ import annotations
 
 import json
+import re
 import threading
+import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from ...core.serialize import instance_from_dict
 from ..queue import Job, JobShed, JobState, QueueClosed, QueueFull
@@ -60,8 +76,38 @@ MAX_WAIT_SECONDS = 30.0
 #: ``413`` before any of it is buffered.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Longest request or header line read (bytes, line end included).
+MAX_LINE_BYTES = 65536
+
+#: Most lines a header block may run to, its blank line included.
+MAX_HEADER_LINES = 100
+
 #: Suggested client back-off on 429/503 responses (seconds).
 RETRY_AFTER_SECONDS = 1
+
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})").fullmatch
+
+#: ``name:[blanks]value[line end]``, the name visible ASCII, the value without
+#: control characters but tab: what fails, some parser would fold, split or drop.
+_HEADER_LINE = re.compile(r"([!-9;-~]+):[ \t]*([\t -~\xa0-\xff]*)\r?\n?").fullmatch
+
+_DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _date_line(now: int) -> bytes:
+    """The ``Date`` header line of one second (RFC 7231 IMF-fixdate)."""
+    year, month, day, hour, minute, second, weekday = time.gmtime(now)[:7]
+    return b"Date: %b, %02d %b %04d %02d:%02d:%02d GMT\r\n" % (
+        _DAYS[weekday], day, _MONTHS[month - 1], year, hour, minute, second
+    )  # fmt: skip
+
+
+class RequestHeaders(dict):
+    """Lower-cased name → its first value; ``get`` takes any spelling."""
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        return super().get(name.lower(), default)
 
 
 class ApiError(Exception):
@@ -119,43 +165,92 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
-    def log_message(self, format: str, *args: Any) -> None:
-        # per-request stderr lines would swamp benchmarks; the gateway's
-        # observability lives in /v1/metrics instead
-        pass
-
     @property
     def router(self) -> ShardRouter:
         return self.server.router  # type: ignore[attr-defined]
 
+    def parse_request(self) -> bool:
+        """Read one request head off ``rfile`` in one pass (``False``: refused),
+        leaving what the stdlib parser leaves (``tests/oracles/test_http_head.py``
+        compares them) — but ``HTTP/0.9``, which only EOF ends, always closes."""
+        self.request_version = ""  # until accepted: refusals get a status line
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False  # a blank line: nothing to answer
+        version, keep_alive = "HTTP/0.9", False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _HTTP_VERSION(version)
+            if match is None:
+                return self.send_error(400, f"Bad request version ({version!r})")
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                return self.send_error(505, f"Invalid HTTP version ({version})")
+            keep_alive = number >= (1, 1)
+        if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
+            return self.send_error(400, f"Bad request line ({self.requestline!r})")
+        self.command, path = words[:2]
+        # a leading // is a path, never an authority (gh-87389)
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.headers = fields = RequestHeaders()
+        readline = self.rfile.readline
+        for _ in range(MAX_HEADER_LINES):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                return self.send_error(431, "Header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            match = _HEADER_LINE(str(line, "iso-8859-1"))
+            if match is None:
+                return self.send_error(400, "Malformed header line")
+            name, value = match[1].lower(), match[2]
+            if fields.setdefault(name, value) != value and name == "content-length":
+                return self.send_error(400, "Conflicting Content-Length headers")
+        else:
+            return self.send_error(431, "Too many header lines")
+        if "transfer-encoding" in fields:
+            return self.send_error(501, "Transfer-Encoding is not supported")
+        self.request_version = version
+        connection = fields.get("connection", "").lower()
+        if connection != "close" and version != "HTTP/0.9":
+            self.close_connection = not (keep_alive or connection == "keep-alive")
+        if fields.get("expect", "").lower() == "100-continue" and version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> bool:
+        """Every refusal — this parser's, ``handle_one_request``'s ``414`` and
+        unknown-method ``501`` — leaves as JSON through the one writer and
+        closes the connection.  ``False``: what ``parse_request`` then says."""
+        self.close_connection = True
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+        return False
+
     def _send(
-        self,
-        status: int,
-        content_type: str,
-        body: bytes,
+        self, status: int, content_type: bytes, body: bytes,
         retry_after: Optional[int] = None,
-    ) -> None:
+    ) -> None:  # fmt: skip
         """The one response writer: one ``sendall`` per response."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
         if self.request_version == "HTTP/0.9":  # has no header block
             self.wfile.write(body)
             return
-        # not end_headers(): its flush would leave the body to a second write
-        self._headers_buffer += (b"\r\n", body)
-        self.flush_headers()
+        now = int(time.time())
+        stamp = self.server.date_stamp  # type: ignore[attr-defined]
+        if stamp[0] != now:  # threads racing here format the same line
+            stamp = self.server.date_stamp = (now, _date_line(now))  # type: ignore
+        retry = b"" if retry_after is None else b"Retry-After: %d\r\n" % retry_after
+        self.wfile.write(b"".join((
+            _STATUS_HEADS[status], stamp[1], b"Content-Type: ", content_type,
+            b"\r\nContent-Length: %d\r\n" % len(body), retry, b"\r\n", body,
+        )))  # fmt: skip
 
     def _send_json(
         self, status: int, payload: Dict[str, Any], retry_after: Optional[int] = None
     ) -> None:
         body = json.dumps(payload).encode()
-        self._send(status, "application/json", body, retry_after)
-
-    def _send_error(self, exc: ApiError) -> None:
-        self._send_json(exc.status, {"error": str(exc)}, exc.retry_after)
+        self._send(status, b"application/json", body, retry_after)
 
     def _read_body(self) -> Dict[str, Any]:
         try:
@@ -179,38 +274,24 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             raise ApiError(400, "request body must be a JSON object")
         return body
 
-    def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
-        segments = [part for part in split.path.split("/") if part]
-        query = parse_qs(split.query)
+    def _dispatch(self) -> None:
+        path, _, query = self.path.partition("?")
+        segments = [part for part in path.split("/") if part]
         try:
-            self._route(method, segments, query)
+            self._route(self.command, segments, parse_qs(query) if query else {})
         except ApiError as exc:
-            self._send_error(exc)
+            self._send_json(exc.status, {"error": str(exc)}, exc.retry_after)
         except Exception as exc:  # a handler bug must not kill keep-alive
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._reject_verb()
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self._reject_verb()
+    do_GET = do_POST = do_DELETE = _dispatch  # noqa: N815 (http.server naming)
 
     def _reject_verb(self) -> None:
-        """JSON 405 for verbs no route accepts (the stdlib default is a
-        bare 501).  The request body, if any, is left undrained, so the
-        connection must close rather than carry further requests."""
-        self.close_connection = True
-        self._send_error(ApiError(405, f"unsupported: {self.command} {self.path}"))
+        """``405`` for verbs no route accepts (without a ``do_*`` they
+        would be a ``501``); the body, if any, is left undrained."""
+        self.send_error(405, f"unsupported: {self.command} {self.path}")
+
+    do_PUT = do_PATCH = _reject_verb  # noqa: N815
 
     # -- routing -------------------------------------------------------
 
@@ -392,7 +473,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         body = render_incident_report(
             incident, related=store.incidents(cause=incident.cause)
         ).encode()
-        self._send(200, "text/markdown; charset=utf-8", body)
+        self._send(200, b"text/markdown; charset=utf-8", body)
+
+
+#: Status line + ``Server`` line of every status, ready to send.
+_STATUS_HEADS = {
+    s.value: "{0.protocol_version} {1.value} {1.phrase}\r\nServer: {0.server_version} "
+    "{0.sys_version}\r\n".format(_GatewayHandler, s).encode()
+    for s in HTTPStatus
+}
 
 
 def _expect_int(body: Dict[str, Any], field: str) -> int:
@@ -422,6 +511,8 @@ class _GatewayServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], router: ShardRouter) -> None:
         super().__init__(address, _GatewayHandler)
         self.router = router
+        #: ``(second, its Date header line)``: formatted once a second
+        self.date_stamp: Tuple[int, bytes] = (0, b"")
 
 
 class RcaGateway:

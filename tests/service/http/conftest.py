@@ -45,13 +45,16 @@ RUN_JOB = {"kind": "run", "app": "mini", "start": 0.0, "end": 1.0}
 @pytest.fixture
 def full_queue_gateway(mini_app):
     """A gateway over one 1-worker / depth-1 shard whose worker parks on
-    its first job: a second submit fills the queue, a third gets 429."""
-    release = threading.Event()
+    its first job: a second submit fills the queue, a third gets 429.
+    ``gw.parked`` is set once the worker holds the first job — a second
+    submit racing it to the queue would be the one refused."""
+    parked, release = threading.Event(), threading.Event()
 
     class Gate:
         engine = mini_app.engine
 
         def find_symptoms(self, start, end):
+            parked.set()
             assert release.wait(timeout=30.0)
             return []
 
@@ -59,6 +62,7 @@ def full_queue_gateway(mini_app):
     service.register_app("mini", Gate())
     service.start()
     gw = RcaGateway(ShardRouter([service])).start()
+    gw.parked = parked
     yield gw
     release.set()
     gw.stop()

@@ -176,6 +176,7 @@ class TestOverload:
         blocked job, one job fills the queue, the next submit gets 429."""
         client = JsonClient(full_queue_gateway)
         assert client.post("/v1/jobs", dict(RUN_JOB, key="k1"))[0] == 202
+        assert full_queue_gateway.parked.wait(timeout=10.0)
         assert client.post("/v1/jobs", dict(RUN_JOB, key="k2"))[0] == 202
         status, headers, doc = client.post("/v1/jobs", dict(RUN_JOB, key="k3"))
         assert status == 429

@@ -1,10 +1,16 @@
-"""What the gateway puts on the wire: one write per response, a total
-``Content-Length`` parse, and incident listings served as stored."""
+"""What the gateway puts on the wire: one write per response with the
+response head ``http.server`` would have framed, a total ``Content-Length``
+parse, one response then EOF for every framing it refuses, JSON for every
+error, and incident listings served as stored."""
 
+import email.utils
 import http.client
+import io
 import itertools
 import json
 import socket
+import time
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -124,6 +130,7 @@ class TestOneWritePerResponse:
                     conn, "POST", "/v1/jobs", dict(RUN_JOB, key=key)
                 )
                 statuses.append(status)
+                assert full_queue_gateway.parked.wait(timeout=10.0)
             assert statuses == [202, 202, 429]
             assert headers["Retry-After"] == "1"
             assert len(writes) == 3
@@ -131,24 +138,58 @@ class TestOneWritePerResponse:
             conn.close()
 
 
-def raw_exchange(gateway, request: bytes):
-    """Send raw bytes, read until the server closes: ``(status, body)``.
+def read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes.  A reset counts as the
+    close it is: the server hung up on request bytes it had not read."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    return b"".join(chunks)
+
+
+def split_responses(stream: bytes):
+    """``[(status, head lines, body)]`` of a byte stream of responses, each
+    framed by its ``Content-Length``; nothing may be left over.
 
     Totality is the point of every raw-socket case, so a ``500`` — an
     exception that escaped a route — fails here, whatever the caller
     goes on to assert.
     """
+    responses = []
+    while stream:
+        head, separator, stream = stream.partition(b"\r\n\r\n")
+        assert separator, head
+        lines = head.split(b"\r\n")
+        version, status, _phrase = lines[0].split(b" ", 2)
+        assert version == b"HTTP/1.1"
+        assert int(status) != 500, stream
+        fields = dict(line.split(b": ", 1) for line in lines[1:])
+        length = int(fields[b"Content-Length"])
+        assert len(stream) >= length, (lines, stream)
+        responses.append((int(status), lines, stream[:length]))
+        stream = stream[length:]
+    return responses
+
+
+def raw_responses(gateway, *segments: bytes):
+    """Send each segment with its own ``send``, read until the server
+    closes: every response it made."""
     with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
-        sock.sendall(request)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    assert status != 500, body
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for segment in segments:
+                sock.sendall(segment)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # refused and closed before the last byte was sent
+        return split_responses(read_to_eof(sock))
+
+
+def raw_exchange(gateway, request: bytes):
+    """One request, exactly one response, then EOF: ``(status, body)``."""
+    [(status, _lines, body)] = raw_responses(gateway, request)
     return status, body
 
 
@@ -191,6 +232,179 @@ class TestContentLengthIsTotal:
         with socket.create_connection((gateway.host, gateway.port), timeout=10) as s:
             s.sendall(b"GET /v1/apps\r\n\r\n")
             assert json.loads(s.makefile("rb").read()) == {"apps": ["mini"]}
+
+
+APPS = b'{"apps": ["mini"]}'
+
+
+class TestRefusedFramingsEndTheConnection:
+    """A request whose length the gateway will not guess at gets one JSON
+    refusal and EOF — its body bytes are never read as the next request."""
+
+    def test_chunked_body_is_not_parsed_as_requests(self, gateway):
+        status, body = raw_exchange(
+            gateway,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        )
+        assert status == 501
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+
+    def test_conflicting_lengths_do_not_smuggle_a_request(self, gateway):
+        status, body = raw_exchange(
+            gateway,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n"
+            b"Content-Length: 26\r\n\r\n{}GET /v1/apps HTTP/1.1\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_equal_repeated_lengths_are_one_length(self, gateway):
+        responses = raw_responses(
+            gateway,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n"
+            b"content-length:  2\r\n\r\n{}"
+            b"GET /v1/apps HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert [status for status, _lines, _body in responses] == [400, 200]
+        assert b"'app'" in responses[0][2] and responses[1][2] == APPS
+
+
+REFUSALS = {
+    "one-word": (b"GARBAGE\r\n\r\n", 400),
+    "http09-post": (b"POST /v1/jobs\r\n\r\n", 400),
+    "four-words": (b"GET / HTTP/1.1 extra\r\n\r\n", 400),
+    "bad-version": (b"GET / HTTP/one.one\r\n\r\n", 400),
+    "no-colon": (b"GET /v1/apps HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+    "folded-line": (b"GET /v1/apps HTTP/1.1\r\nHost: t\r\n folded\r\n\r\n", 400),
+    "blank-before-colon": (b"GET /v1/apps HTTP/1.1\r\nHost : t\r\n\r\n", 400),
+    "put": (b"PUT /v1/apps HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 405),
+    "patch": (b"PATCH /v1/jobs/1.1 HTTP/1.1\r\n\r\n", 405),
+    "long-request-line": (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+    "long-header-line": (
+        b"GET /v1/apps HTTP/1.1\r\nX: " + b"v" * 65532 + b"\r\n\r\n", 431
+    ),
+    "101-header-lines": (
+        b"GET /v1/apps HTTP/1.1\r\n" + b"X: 1\r\n" * 100 + b"\r\n", 431
+    ),
+    "options": (b"OPTIONS /v1/apps HTTP/1.1\r\n\r\n", 501),
+    "head": (b"HEAD /v1/apps HTTP/1.1\r\n\r\n", 501),
+    "http2": (b"GET / HTTP/2.0\r\n\r\n", 505),
+}  # fmt: skip
+
+
+class TestEveryErrorIsJson:
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_one_json_write_then_eof(self, gateway, case):
+        request_bytes, want = REFUSALS[case]
+        # every request here asks for keep-alive: EOF is the gateway's doing
+        writes = count_writes(gateway)
+        [(status, lines, body)] = raw_responses(gateway, request_bytes)
+        assert status == want
+        assert b"Content-Type: application/json" in lines
+        assert set(json.loads(body)) == {"error"}
+        assert writes == [len(b"\r\n".join(lines)) + 4 + len(body)]
+
+
+def stdlib_response_head(status, content_type, length, retry_after=None) -> bytes:
+    """The head ``http.server``'s own idiom frames: ``send_response``, a
+    ``send_header`` per field, ``end_headers``."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = gateway_module._GatewayHandler.protocol_version
+        server_version = gateway_module._GatewayHandler.server_version
+
+        def __init__(self):  # no socket
+            self.wfile, self.request_version = io.BytesIO(), "HTTP/1.1"
+
+        def log_request(self, code="-", size="-"):
+            pass
+
+    handler = Handler()
+    handler.send_response(status)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(length))
+    if retry_after is not None:
+        handler.send_header("Retry-After", str(retry_after))
+    handler.end_headers()
+    return handler.wfile.getvalue()
+
+
+def assert_stdlib_head(lines, status, content_type, length, retry_after=None):
+    """``lines`` is that head, give or take the clock."""
+    expected = stdlib_response_head(status, content_type, length, retry_after)
+    expected = expected[:-4].split(b"\r\n")
+    names = [line.split(b":")[0] for line in lines[1:]]
+    assert names[:4] == [b"Server", b"Date", b"Content-Type", b"Content-Length"]
+    assert names[4:] == ([] if retry_after is None else [b"Retry-After"])
+    assert lines[:2] + lines[3:] == expected[:2] + expected[3:]
+    sent = email.utils.parsedate_to_datetime(lines[2][len("Date: "):].decode())
+    assert lines[2] == b"Date: " + email.utils.format_datetime(sent, usegmt=True).encode()
+    assert abs(sent.timestamp() - time.time()) <= 1.5  # whole seconds, sent just now
+
+
+class TestRequestsOffTheWire:
+    def test_pipelined_requests_are_answered_in_order(self, gateway):
+        writes = count_writes(gateway)
+        responses = raw_responses(
+            gateway,
+            b"GET /v1/apps HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /v1/jobs/no-such-job?wait=0 HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /v1/apps HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        assert [status for status, _lines, _body in responses] == [200, 404, 200]
+        assert responses[0][2] == responses[2][2] == APPS
+        assert len(writes) == 3  # one connection, one write each
+        for status, lines, body in responses:
+            assert_stdlib_head(lines, status, "application/json", len(body))
+
+    def test_a_head_dribbled_one_byte_per_send(self, gateway):
+        request = b"GET /v1/apps HTTP/1.1\r\nHost: t\r\nConnection:  Close\r\n\r\n"
+        segments = [request[k : k + 1] for k in range(len(request))]
+        [(status, _lines, body)] = raw_responses(gateway, *segments)
+        assert (status, body) == (200, APPS)
+
+    def test_http_10_closes_unless_asked_to_keep_alive(self, gateway):
+        responses = raw_responses(
+            gateway,
+            b"GET /v1/apps HTTP/1.0\r\n\r\nGET /v1/apps HTTP/1.0\r\n\r\n",
+        )
+        assert [status for status, _lines, _body in responses] == [200]
+        responses = raw_responses(
+            gateway,
+            b"GET /v1/apps HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+            b"GET /v1/apps HTTP/1.0\r\n\r\nGET /v1/apps HTTP/1.0\r\n\r\n",
+        )
+        assert [status for status, _lines, _body in responses] == [200, 200]
+
+    def test_expect_100_continue_is_honoured_before_the_body(self, gateway):
+        body = json.dumps(RUN_JOB).encode()
+        with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                b"Expect: 100-Continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+            assert sock.recv(len(interim)) == interim  # nothing else: no body yet
+            sock.sendall(body)
+            [(status, _lines, raw)] = split_responses(read_to_eof(sock))
+        assert status == 202 and json.loads(raw)["state"]
+
+    def test_429_head_carries_retry_after_last(self, full_queue_gateway):
+        request = json.dumps(dict(RUN_JOB, key="k")).encode()
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(request)
+            + request
+        )
+        address = full_queue_gateway.host, full_queue_gateway.port
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(request)
+            assert full_queue_gateway.parked.wait(timeout=10.0)
+            sock.sendall(request * 2 + b"GET / HTTP/1.0\r\n\r\n")
+            responses = split_responses(read_to_eof(sock))
+        assert [status for status, _lines, _body in responses] == [202, 202, 429, 404]
+        status, lines, body = responses[2]
+        assert_stdlib_head(lines, 429, "application/json", len(body), retry_after=1)
 
 
 class TestIncidentsServedAsStored:
