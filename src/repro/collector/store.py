@@ -28,26 +28,28 @@ The guarantees are:
 * ``DataStore.table`` may be called concurrently for the same name and
   returns the one shared :class:`Table`;
 * monotonicity: :attr:`DataStore.revision` increases by one for every
-  row inserted through the store's tables, and insert listeners (see
-  :meth:`DataStore.subscribe`) are called once per batch with
-  ``(table, timestamps, first_revision)`` — row ``i`` of the batch has
-  revision ``first_revision + i`` — so every row is reported exactly
-  once, after the whole batch is visible to readers.
+  row inserted through the store's tables, a whole batch at a time, and
+  each batch enters the change log (:meth:`DataStore.changes_since`) as
+  ``(first_revision, table, timestamps)`` — row ``i`` of the batch has
+  revision ``first_revision + i`` — exactly once, after the whole batch
+  is visible to readers.  Ingest runs no code of whoever reads the log.
 
 There is *no* cross-table transaction: a reader joining two tables can
 observe one table ahead of the other.  Retrieval correctness does not
-require it — late rows are handled by the service result cache's
-footprint invalidation and the streaming reorder slack.
+require it — late rows are handled by footprint invalidation off the
+change log and the streaming reorder slack.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -59,9 +61,10 @@ from typing import (
 
 from .backends import ColumnarSlice, StorageBackend, resolve_backend
 
-#: Insert listener signature: (table name, the batch's record timestamps
-#: in arrival order, store revision of the first of them).
-InsertListener = Callable[[str, List[float], int], None]
+#: Rows the change log reaches back (the newest batch is kept whole
+#: whatever its size): 15 of the densest ticks of the benchmark's PIM
+#: storm, 1 085 rows each, may pass between two looks at it.
+CHANGE_LOG_ROWS = 16384
 
 
 class Record:
@@ -155,7 +158,7 @@ class Table:
         self,
         name: str,
         indexed_columns: Iterable[str] = (),
-        on_insert: Optional[Callable[[str, List[float]], None]] = None,
+        store: Optional["DataStore"] = None,
         backend: Any = None,
     ) -> None:
         self.name = name
@@ -164,7 +167,9 @@ class Table:
             backend = factory(name, tuple(indexed_columns))
         self._backend = backend
         self._lock = threading.RLock()
-        self._on_insert = on_insert
+        # the owning store, weakly: a strong reference back would leave
+        # every dropped store, rows and all, to the cycle collector
+        self._store = None if store is None else weakref.ref(store)
 
     @property
     def backend_name(self) -> str:
@@ -190,10 +195,11 @@ class Table:
             return
         with self._lock:
             self._backend.insert_many(records)
-        # notify outside the table lock: listeners may take their own
-        # locks (cache invalidation) and must never deadlock ingest
-        if self._on_insert is not None:
-            self._on_insert(self.name, [record.timestamp for record in records])
+        # logged once the batch is visible, outside the table lock (the
+        # store takes its own)
+        store = self._store and self._store()
+        if store is not None:
+            store._log_batch(self.name, [record.timestamp for record in records])
 
     def insert(self, record: Record) -> None:
         """Insert one record (a batch of one)."""
@@ -464,10 +470,9 @@ class DataStore:
 
     Safe for concurrent ingest and query (see module docstring).  The
     :attr:`revision` counter increments for every row inserted through
-    the store's tables; subscribers registered with :meth:`subscribe`
-    are invoked after each batch with ``(table, timestamps,
-    first_revision)`` — the hook the service result cache uses to
-    invalidate entries whose retrieval windows a late record lands in.
+    the store's tables, and :meth:`changes_since` says what landed
+    after a revision — what every cache over the store reads, when next
+    used, to drop what a late record may have changed.
 
     ``backend`` picks the storage engine for tables this store creates:
     ``"memory"`` (default), ``"sqlite"``, or a factory from
@@ -482,7 +487,8 @@ class DataStore:
     revision: int = 0
     #: backend spec for tables created by this store (resolved once)
     backend: Any = None
-    _listeners: List[InsertListener] = field(default_factory=list, repr=False)
+    #: the change log, oldest batch first: (first revision, table, timestamps)
+    _log: Deque[Tuple[int, str, List[float]]] = field(default_factory=deque, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def __post_init__(self) -> None:
@@ -492,18 +498,8 @@ class DataStore:
         """Get (creating on first use) the table for a data source."""
         with self._lock:
             if name not in self.tables:
-                # the store owns its tables; a strong reference back would
-                # leave every dropped store, rows and all, to the cycle
-                # collector
-                owner = weakref.ref(self)
-
-                def notify(table: str, timestamps: List[float]) -> None:
-                    store = owner()
-                    if store is not None:
-                        store._note_insert(table, timestamps)
-
                 self.tables[name] = Table(
-                    name, DEFAULT_INDEXES.get(name, ()), notify, self._factory
+                    name, DEFAULT_INDEXES.get(name, ()), self, self._factory
                 )
             return self.tables[name]
 
@@ -511,23 +507,40 @@ class DataStore:
         """Insert one row into the named table."""
         self.table(table).insert_row(timestamp, **fields)
 
-    def subscribe(self, listener: InsertListener) -> None:
-        """Register a callback fired after every batch (any table)."""
+    def _log_batch(self, table: str, timestamps: List[float]) -> None:
         with self._lock:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: InsertListener) -> None:
-        """Remove a previously registered insert listener."""
-        with self._lock:
-            self._listeners.remove(listener)
-
-    def _note_insert(self, table: str, timestamps: List[float]) -> None:
-        with self._lock:
-            first_revision = self.revision + 1
+            log = self._log
+            log.append((self.revision + 1, table, timestamps))
             self.revision += len(timestamps)
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(table, timestamps, first_revision)
+            # rows held: every revision from the oldest batch's first on
+            while self.revision - log[0][0] >= CHANGE_LOG_ROWS and len(log) > 1:
+                log.popleft()
+
+    def changes_since(
+        self, revision: int
+    ) -> Tuple[int, Optional[Dict[str, List[float]]]]:
+        """The head revision and the rows that landed after ``revision``.
+
+        The rows come as ``{table: sorted timestamps}`` — all of them,
+        or ``None`` when the log no longer reaches back to ``revision``:
+        the caller cannot know what it missed and must treat everything
+        it cached as changed.  One comparison when nothing landed.
+        """
+        if revision == self.revision:
+            return revision, {}
+        with self._lock:
+            head, log = self.revision, self._log
+            if revision > head or not log or log[0][0] > revision + 1:
+                return head, None
+            deltas: Dict[str, List[float]] = {}
+            for first, table, timestamps in reversed(log):
+                if first + len(timestamps) <= revision + 1:
+                    break
+                skip = max(0, revision + 1 - first)
+                deltas.setdefault(table, []).extend(timestamps[skip:])
+        for points in deltas.values():
+            points.sort()
+        return head, deltas
 
     def total_records(self) -> int:
         """Total record count across all tables."""

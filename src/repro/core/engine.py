@@ -541,9 +541,6 @@ class RcaEngine:
         self.config = config or EngineConfig()
         self._compile()
         self.clear_cache()
-        #: last store revision the retrieval cache was synced to (kept by
-        #: the owner: service workers drop the windows late records hit)
-        self.synced_revision: Optional[int] = None
 
     def _compile(self) -> None:
         self._plan = compile_plan(self.graph, self.library)
@@ -578,7 +575,8 @@ class RcaEngine:
         that point, on this engine produces — evidence order, gaps and
         footprint included; the group only shares what sibling symptoms
         on one interval repeat (:class:`_Stage`).  Rules added to the
-        graph since the last call are picked up here.
+        graph since the last call are picked up here, and so are rows
+        that landed in the store since (:meth:`sync`).
 
         ``tracer`` opts into span recording: each symptom gets one
         ``diagnose`` span (under the tracer's current span) with
@@ -600,6 +598,7 @@ class RcaEngine:
         """
         if self._plan_revision != self.graph.revision:
             self._compile()
+        self.sync()
         # child event -> (step index, parent start, parent end) -> stage
         shared: Dict[str, Dict[Tuple[int, float, float], _Stage]] = {}
         diagnoses = []
@@ -914,8 +913,32 @@ class RcaEngine:
         stage.candidates = candidates
         return cached
 
+    def sync(self) -> int:
+        """Catch the retrieval cache up with the store's change log.
+
+        Drops the cached retrievals whose recorded store reads contain
+        the timestamp of a row that landed in that table since the last
+        sync (:func:`footprint_hit`) — all of them when the log no longer
+        reaches back that far — and returns how many.  Every
+        :meth:`diagnose_all` starts here; call it only from the thread
+        that owns this engine (the cache is not locked), between calls.
+        """
+        self._synced, deltas = self.store.changes_since(self._synced)
+        if deltas is not None and not may_hit(deltas, self._reach):
+            return 0
+        return self._drop_retrievals(
+            [
+                key
+                for key, cover in self._retrieval_cache.items()
+                if deltas is None or footprint_hit(cover.reads, deltas)
+            ]
+        )
+
     def clear_cache(self) -> None:
-        """Drop all cached retrievals (e.g. after new data lands)."""
+        """Drop all cached retrievals (freshness is :meth:`sync`'s job:
+        this only gives the memory back)."""
+        # store revision the cache is in sync with: an empty one, any
+        self._synced: int = self.store.revision
         # retrieval cache: (event name, cover window) -> candidate set
         self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
         # per event: the cached cover windows, indexed for containment
@@ -933,34 +956,13 @@ class RcaEngine:
         streaming engine calls this each advance with its re-open
         horizon: a cover behind every window any future (fresh or
         re-opened) symptom can request is unreachable, and keeping it
-        would make :meth:`invalidate_deltas` scan an ever-growing list.
-        Same threading contract as :meth:`invalidate_deltas`.
+        would make :meth:`sync` scan an ever-growing list.  Same
+        threading contract as :meth:`sync`.
         """
         if cutoff <= self._oldest_hi:
             return 0
         return self._drop_retrievals(
             [key for key in self._retrieval_cache if key[2] < cutoff]
-        )
-
-    def invalidate_deltas(self, deltas: Dict[str, List[float]]) -> int:
-        """Drop cached retrievals a batch of new records may have changed.
-
-        ``deltas`` maps table name to *sorted* record timestamps — the
-        per-advance delta buffer the streaming engine drains from the
-        store's insert listeners.  An entry goes stale when any of its
-        recorded store reads contains a delta point of that table
-        (:func:`footprint_hit`); returns the number dropped.  Call it
-        from the thread that owns this engine (the cache is not
-        locked), between :meth:`diagnose_all` calls.
-        """
-        if not may_hit(deltas, self._reach):
-            return 0
-        return self._drop_retrievals(
-            [
-                key
-                for key, cover in self._retrieval_cache.items()
-                if footprint_hit(cover.reads, deltas)
-            ]
         )
 
     def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:
@@ -986,5 +988,4 @@ class RcaEngine:
         """
         sibling = copy.copy(self)
         sibling.clear_cache()
-        sibling.synced_revision = None
         return sibling

@@ -266,20 +266,6 @@ class LocationResolver:
             or location_type in _STATIC_TYPES
         )
 
-    def joined(
-        self,
-        symptom_location: Location,
-        diagnostic_location: Location,
-        level: JoinLevel,
-        timestamp: float,
-        trace=None,
-    ) -> bool:
-        """True when the two locations share a join-level identifier
-        (:meth:`BatchSpatialJoin.joined`, without a rule's type checks)."""
-        return BatchSpatialJoin(
-            self, level, symptom_location, timestamp, trace
-        ).joined(diagnostic_location)
-
     # ------------------------------------------------------------------
     # per-location-type expansions
 

@@ -18,19 +18,20 @@ Design points:
   before the previous watermark so out-of-order feed arrivals are not
   lost; already-diagnosed instances are de-duplicated by identity.
 * **Incremental cache discipline** — the engine's retrieval cache is
-  *not* cleared per advance.  The streaming engine subscribes to the
-  store's insert listeners, buffers every ``(table, timestamp)`` delta,
-  and on each advance drops exactly the cached covers a new record
-  landed in (:meth:`RcaEngine.invalidate_deltas`); covers behind the
-  data frontier stay warm across advances, and covers behind the
-  re-open horizon are evicted.
+  *not* cleared per advance.  Each advance reads what landed since the
+  last one from the store's change log
+  (:meth:`~repro.collector.store.DataStore.changes_since`) and the
+  engine drops exactly the cached covers a new record landed in
+  (:meth:`RcaEngine.sync`); covers behind the data frontier stay warm
+  across advances, and covers behind the re-open horizon are evicted.
 * **Delta-driven re-diagnosis** — the same deltas re-open
   previously-settled symptoms: a late or out-of-order record that lands
   inside a settled diagnosis's read footprint triggers exactly that
   symptom's re-diagnosis (bounded by ``max_reopen_per_advance`` and
-  ``reopen_horizon``, keyed by ``instance_key``).  A re-diagnosis whose
-  conclusion changed is re-emitted through ``on_diagnosis``; unchanged
-  ones are absorbed silently.
+  ``reopen_horizon``, keyed by ``instance_key``; when the log cannot
+  say what landed, every settled symptom is a candidate).  A
+  re-diagnosis whose conclusion changed is re-emitted through
+  ``on_diagnosis``; unchanged ones are absorbed silently.
 * **Watermark deferral** — when the engine has a feed-health registry
   and a required evidence feed is ``LAGGING``, settling is deferred to
   that feed's watermark (bounded by ``max_watermark_defer``) so slow
@@ -42,7 +43,6 @@ Design points:
 from __future__ import annotations
 
 import gc
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -139,11 +139,8 @@ class StreamingRca:
         self.diagnosed_count = 0
         self._required_sources: Optional[Set[str]] = None
         # --- delta state -----------------------------------------------
-        #: pending (unsorted) insert timestamps per table, fed by the
-        #: store's insert listeners from ingest threads; drained on the
-        #: engine-owning thread at the top of every advance
-        self._pending: Dict[str, List[float]] = {}
-        self._pending_lock = threading.Lock()
+        #: store revision up to which re-opens have been selected
+        self._revision = engine.store.revision
         #: settled symptoms eligible for re-opening: identity -> the
         #: instance and its latest diagnosis (whose footprint is the
         #: re-open trigger surface)
@@ -160,19 +157,17 @@ class StreamingRca:
         self.reemitted_count = 0
         #: cache entries evicted behind the re-open horizon (cumulative)
         self.evicted_count = 0
-        engine.store.subscribe(self._on_insert)
-        self._subscribed = True
         # set-up ends here: topology, routing state, the compiled plan
         # and this object live as long as the stream does, so full
         # collections during it need not walk them
         gc.freeze()
+        self._frozen = True
 
     def close(self) -> None:
-        """Detach from the store's insert listeners and hand what
-        :meth:`__init__` froze back to the collector (idempotent)."""
-        if self._subscribed:
-            self.engine.store.unsubscribe(self._on_insert)
-            self._subscribed = False
+        """Hand what :meth:`__init__` froze back to the collector
+        (idempotent).  Nothing else holds on to a stream."""
+        if self._frozen:
+            self._frozen = False
             gc.unfreeze()
 
     @property
@@ -180,26 +175,11 @@ class StreamingRca:
         """End of the last settled region that has been diagnosed."""
         return self._watermark
 
-    def _on_insert(
-        self, table: str, timestamps: List[float], first_revision: int
-    ) -> None:
-        """Insert listener: buffer a batch's deltas (called from ingest
-        threads)."""
-        with self._pending_lock:
-            self._pending.setdefault(table, []).extend(timestamps)
-
-    def _drain_deltas(self) -> Dict[str, List[float]]:
-        """Take the pending delta buffer, sorted per table."""
-        with self._pending_lock:
-            pending, self._pending = self._pending, {}
-        for points in pending.values():
-            points.sort()
-        return pending
-
     def _select_reopens(
-        self, deltas: Dict[str, List[float]]
+        self, deltas: Optional[Dict[str, List[float]]]
     ) -> List[Tuple[InstanceKey, EventInstance, Diagnosis]]:
-        """Settled symptoms whose read footprint a delta landed in.
+        """Settled symptoms whose read footprint a delta landed in —
+        all of them when ``deltas`` is ``None`` (the log cannot say).
 
         Sound because every record that can change a diagnosis lands in
         some window that diagnosis read (its footprint — recorded even
@@ -207,12 +187,12 @@ class StreamingRca:
         transitively, since reaching it requires a parent match whose
         own window the record must first land in.
         """
-        if not may_hit(deltas, self._settled_reach):
+        if deltas is not None and not may_hit(deltas, self._settled_reach):
             return []
         hits = [
             (key, instance, diagnosis)
             for key, (instance, diagnosis) in self._settled.items()
-            if footprint_hit(diagnosis.footprint, deltas)
+            if deltas is None or footprint_hit(diagnosis.footprint, deltas)
         ]
         hits.sort(key=lambda item: (item[1].start, item[0]))
         cap = self.config.max_reopen_per_advance
@@ -248,17 +228,18 @@ class StreamingRca:
                 now - config.settle_seconds
             )
             adv.annotate(settled_until=settled_until)
-            reopens: List[Tuple[InstanceKey, EventInstance, Diagnosis]] = []
-            deltas = self._drain_deltas()
-            if deltas:
-                invalidated = self.engine.invalidate_deltas(deltas)
+            self._revision, deltas = self.engine.store.changes_since(
+                self._revision
+            )
+            if deltas != {}:  # rows landed, or the log cannot say
+                invalidated = self.engine.sync()
                 self.invalidated_count += invalidated
                 adv.annotate(invalidated=invalidated)
-                reopens = self._select_reopens(deltas)
+            reopens = self._select_reopens(deltas)
             fresh: List[EventInstance] = []
             if self._watermark is not None and settled_until <= self._watermark:
                 # nothing newly settled, but memory bounds still apply —
-                # and buffered deltas may still re-open settled symptoms
+                # and what landed may still re-open settled symptoms
                 self._forget(max(settled_until, self._watermark))
                 adv.annotate(fresh=0)
                 if not reopens:

@@ -149,8 +149,7 @@ class RcaService:
         #: does not pass its own; ``None`` = unbounded jobs
         self.default_deadline = default_deadline
         self.queue = JobQueue(max_depth=queue_depth)
-        self.cache = ResultCache(metrics=self.metrics)
-        self.cache.attach(store)
+        self.cache = ResultCache(store, metrics=self.metrics)
         self.pool = WorkerPool(
             # the executor seam lets the chaos harness interpose faults
             # between the pool and the real _execute
@@ -248,7 +247,6 @@ class RcaService:
         else:
             self.queue.join(timeout=timeout)
         self.pool.stop(timeout=timeout)
-        self.cache.detach(self.store)
         gc.unfreeze()
 
     @property
@@ -579,7 +577,7 @@ class RcaService:
                     if cached is not None:
                         diagnoses.append(cached)
                         continue
-                revision = self._sync_engine(engine)
+                revision = self.store.revision
                 started = self.clock()
                 diagnosis = engine.diagnose(
                     symptom, tracer=tracer, cancel=job.cancel,
@@ -603,36 +601,6 @@ class RcaService:
                 except Exception:  # noqa: BLE001 - sink bugs stay out of jobs
                     pass
         return diagnoses
-
-    def _sync_engine(self, engine: RcaEngine) -> int:
-        """Bring a worker engine's retrieval cache up to the store head.
-
-        Late records evict entries from the shared :class:`ResultCache`
-        as they land, but each worker engine also keeps a *private*
-        retrieval cache; without this sync a re-diagnosis after an
-        eviction could rebuild the result from stale cached windows.
-        Applies the cache's mutation log to the engine in one batch
-        (dropping exactly the windows a record landed in), falling back to a
-        full :meth:`~repro.core.engine.RcaEngine.clear_cache` when the
-        bounded log cannot prove completeness.  Runs on the worker
-        thread that owns the engine; returns the synced revision.
-        """
-        current = self.store.revision
-        last = engine.synced_revision
-        if last is None or last > current:
-            # fresh engine (empty cache): nothing cached predates now
-            engine.synced_revision = current
-            return current
-        if last == current:
-            return current
-        deltas = self.cache.mutations_since(last, current)
-        if deltas is None:
-            # the log cannot account for every insert since `last`
-            engine.clear_cache()
-        else:
-            engine.invalidate_deltas(deltas)
-        engine.synced_revision = current
-        return current
 
     # ------------------------------------------------------------------
 

@@ -14,25 +14,27 @@ streaming engine's dedupe, and records two freshness anchors:
 * the diagnosis **footprint** — every (table, window) the engine
   actually read while correlating.
 
-Invalidation is push-based: the cache subscribes to the
-:class:`~repro.collector.store.DataStore` insert feed, and a late
-record landing *inside* a cached footprint window evicts exactly the
+Invalidation is pulled: :meth:`ResultCache.lookup` and
+:meth:`ResultCache.store` first read what landed since the cache last
+looked from the :class:`~repro.collector.store.DataStore` change log,
+and a late record *inside* a cached footprint window evicts exactly the
 entries whose evidence it could have changed — entries whose windows
-the record misses are untouched.  A graph edit changes the fingerprint,
-so stale rule sets miss rather than serve.
+the record misses are untouched; when the log cannot say what landed,
+everything goes.  A graph edit changes the fingerprint, so stale rule
+sets miss rather than serve.
 
 The write path is race-safe: :meth:`store` refuses to cache a result
-whose computation overlapped a relevant insert (checked against a
-bounded mutation log), so a worker racing the ingest path can never
-publish a diagnosis that was already stale when it finished.
+whose computation overlapped a relevant insert (checked against the
+same log), so a worker racing the ingest path can never publish a
+diagnosis that was already stale when it finished.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import Diagnosis, FootprintEntry, footprint_hit
 from ..core.events import EventInstance, instance_key
@@ -57,45 +59,40 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Bounded LRU cache of diagnoses, invalidated by late records."""
+    """Bounded LRU cache of diagnoses over one
+    :class:`~repro.collector.store.DataStore`, invalidated by the
+    records that land in it."""
 
     def __init__(
         self,
+        store,
         capacity: int = 4096,
         metrics: Optional[ServiceMetrics] = None,
-        mutation_log_size: int = 4096,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.metrics = metrics
+        self._store = store
+        #: store revision the entries have been checked against
+        self._revision = store.revision
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
-        # per-table interval lists for O(table entries) invalidation
-        self._by_table: Dict[str, List[CacheKey]] = {}
-        # recent inserts: (revision, table, timestamp); bounds the
-        # store()-time race check
-        self._mutations: Deque[Tuple[int, str, float]] = deque(
-            maxlen=mutation_log_size
-        )
+        # per table, the keys whose footprint reads it: invalidation
+        # looks at one table's entries, removal is one dict delete
+        self._by_table: Dict[str, Dict[CacheKey, None]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
         with self._lock:
+            self._catch_up()
             return len(self._entries)
-
-    def attach(self, store) -> None:
-        """Subscribe to a DataStore's insert feed for invalidation."""
-        store.subscribe(self.note_insert)
-
-    def detach(self, store) -> None:
-        """Unsubscribe from a DataStore previously attached."""
-        store.unsubscribe(self.note_insert)
 
     # ------------------------------------------------------------------
 
     def lookup(self, key: CacheKey) -> Optional[Diagnosis]:
         """The cached diagnosis, or None; counts hit/miss metrics."""
         with self._lock:
+            self._catch_up()
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -118,11 +115,13 @@ class ResultCache:
         ``store_revision`` is the store's revision *before* the
         diagnosis ran.  Returns False (and caches nothing) when a
         relevant record landed during the computation, or when the
-        mutation log can no longer prove there wasn't one.
+        store's change log can no longer prove there wasn't one.
         """
         footprint = diagnosis.footprint if footprint is None else footprint
         with self._lock:
-            if not self._publishable(footprint, store_revision):
+            self._catch_up()
+            _, landed = self._store.changes_since(store_revision)
+            if landed is None or footprint_hit(footprint, landed):
                 return False
             if key in self._entries:
                 self._remove(key)
@@ -133,39 +132,32 @@ class ResultCache:
             )
             self._entries[key] = entry
             for table, _, _ in footprint:
-                self._by_table.setdefault(table, []).append(key)
+                self._by_table.setdefault(table, {})[key] = None
             while len(self._entries) > self.capacity:
-                oldest, _ = self._entries.popitem(last=False)
-                self._unindex(oldest)
+                self._remove(next(iter(self._entries)))
             return True
 
-    def note_insert(
-        self, table: str, timestamps: List[float], first_revision: int
-    ) -> None:
-        """Store-insert hook: evict entries the batch's records could
-        change, in one sweep over the table's entries."""
-        with self._lock:
-            self._mutations.extend(
-                (revision, table, timestamp)
-                for revision, timestamp in enumerate(timestamps, first_revision)
-            )
-            keys = self._by_table.get(table)
-            if not keys:
-                return
-            delta = {table: sorted(timestamps)}
-            stale = [
-                key
-                for key in keys
-                if key in self._entries
-                and footprint_hit(self._entries[key].footprint, delta)
-            ]
-            for key in stale:
-                self._remove(key)
+    def _catch_up(self) -> None:
+        """Evict the entries a record that landed since the last look
+        could change: one sweep over each touched table's entries, or
+        everything when the log cannot say.  Called under the lock."""
+        self._revision, landed = self._store.changes_since(self._revision)
+        if landed is None:
+            self.invalidate_all()
+            return
+        stale = {
+            key
+            for table in landed
+            for key in self._by_table.get(table, ())
+            if footprint_hit(self._entries[key].footprint, landed)
+        }
+        for key in stale:
+            self._remove(key)
         if stale and self.metrics is not None:
             self.metrics.cache_invalidations.increment(len(stale))
 
     def invalidate_all(self) -> int:
-        """Drop everything (e.g. after routing state was rebuilt)."""
+        """Drop everything (what the store's log can no longer vouch for)."""
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
@@ -177,49 +169,11 @@ class ResultCache:
     def keys(self) -> List[CacheKey]:
         """Current cache keys, oldest first."""
         with self._lock:
+            self._catch_up()
             return list(self._entries)
-
-    def mutations_since(
-        self, revision: int, head: int
-    ) -> Optional[Dict[str, List[float]]]:
-        """Inserts logged after ``revision``, as ``{table: sorted timestamps}``.
-
-        Returns ``None`` unless the bounded log holds every revision in
-        ``(revision, head]`` — the caller cannot know what it missed and
-        must invalidate wholesale.  Workers use this to sync their
-        engines' private retrieval caches before diagnosing.
-        """
-        with self._lock:
-            newer = [m for m in self._mutations if m[0] > revision]
-        if newer and newer[0][0] != revision + 1:
-            return None  # log dropped entries in (revision, newer[0])
-        if (newer[-1][0] if newer else revision) < head:
-            return None  # log has not caught up with the store head
-        deltas: Dict[str, List[float]] = {}
-        for _, table, timestamp in newer:
-            deltas.setdefault(table, []).append(timestamp)
-        for points in deltas.values():
-            points.sort()
-        return deltas
 
     # ------------------------------------------------------------------
 
-    def _publishable(
-        self, footprint: Tuple[FootprintEntry, ...], store_revision: int
-    ) -> bool:
-        # a log that no longer reaches back to the computation's start
-        # may have dropped a relevant insert — refuse to cache; nothing
-        # newer than that start is required of it (head = start)
-        deltas = self.mutations_since(store_revision, store_revision)
-        return deltas is not None and not footprint_hit(footprint, deltas)
-
     def _remove(self, key: CacheKey) -> None:
-        self._entries.pop(key, None)
-        self._unindex(key)
-
-    def _unindex(self, key: CacheKey) -> None:
-        for keys in self._by_table.values():
-            try:
-                keys.remove(key)
-            except ValueError:
-                pass
+        for table, _, _ in self._entries.pop(key).footprint:
+            self._by_table[table].pop(key, None)

@@ -2,9 +2,10 @@
 
 The thread-safety contract (see ``repro/collector/store.py``): inserts
 are atomic, queries and scans return consistent snapshots, ``revision``
-is monotonic, and insert listeners fire once per batch — reporting every
-row exactly once, with contiguous revisions — after the whole batch is
-visible to readers, who never see part of one.
+is monotonic, and every batch enters the change log once — every row
+exactly once, with contiguous revisions — after the whole batch is
+visible to readers, who never see part of one.  Nothing runs on the
+ingesting thread but the collector.
 """
 
 import sys
@@ -12,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.collector import store as store_module
 from repro.collector.store import DataStore, Record
 
 N_RECORDS = 400
@@ -84,17 +86,10 @@ def _batch(base, size=25):
     return [Record.make(float(base + i), seq=i) for i in range(size)]
 
 
-class TestInsertListeners:
-    def test_each_insert_notifies_exactly_once_with_monotonic_revision(self):
+class TestChangeLog:
+    def test_each_row_is_logged_once_gap_free(self):
         store = DataStore()
-        seen = []
-        lock = threading.Lock()
-
-        def listener(table, timestamps, first_revision):
-            with lock:
-                seen.append((table, list(timestamps), first_revision))
-
-        store.subscribe(listener)
+        heads = []  # what concurrent readers of the log were told
 
         def write(base):
             table = store.table("syslog")
@@ -102,6 +97,7 @@ class TestInsertListeners:
             table.insert_many(_batch(base * 1000 + 500))
             for i in range(10):  # one-row calls are batches of one
                 store.insert("syslog", float(base * 1000 + 900 + i), seq=i)
+                heads.append(store.changes_since(0))
 
         threads = [threading.Thread(target=write, args=(base,)) for base in range(4)]
         for thread in threads:
@@ -109,47 +105,68 @@ class TestInsertListeners:
         for thread in threads:
             thread.join(timeout=60.0)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(seen) == 4 * 12  # one call per batch, not per row
-        revisions = sorted(
+        log = list(store._log)
+        assert len(log) == 4 * 12  # one entry per batch, not per row
+        revisions = [
             first + offset
-            for _, timestamps, first in seen
+            for first, _, timestamps in log
             for offset in range(len(timestamps))
-        )
+        ]
         assert revisions == list(range(1, 241))  # each row once, no gaps
         assert store.revision == 240
-        reported = sorted(ts for _, timestamps, _ in seen for ts in timestamps)
-        assert reported == [r.timestamp for r in store.table("syslog").scan()]
+        head, landed = store.changes_since(0)
+        assert head == 240 and list(landed) == ["syslog"]
+        assert landed["syslog"] == [r.timestamp for r in store.table("syslog").scan()]
+        # a racing reader is told a whole number of batches, as many
+        # rows as the head it is handed says
+        assert all(len(rows["syslog"]) == head for head, rows in heads)
 
-    def test_row_visible_before_listener_fires(self):
+    def test_row_visible_before_it_is_logged(self):
         store = DataStore()
-        observed = []
+        stop = threading.Event()
+        short = []
 
-        def listener(table, timestamps, first_revision):
-            records = store.table(table).query(min(timestamps), max(timestamps))
-            observed.append((len(records), store.revision))
+        def read():
+            # whatever the log reports must already be readable
+            while not stop.is_set():
+                head, _ = store.changes_since(0)
+                if len(store.table("syslog")) < head:
+                    short.append(head)
 
-        store.subscribe(listener)
-        store.insert("syslog", 42.0, router="r1")
-        store.table("syslog").insert_many(_batch(100, size=8))
-        assert observed == [(1, 1), (8, 9)]
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for base in range(200):
+                store.table("syslog").insert_many(_batch(base * 100, size=8))
+        finally:
+            stop.set()
+            reader.join(timeout=60.0)
+        assert not reader.is_alive()
+        assert short == [] and store.revision == 1600
 
     def test_empty_batch_is_silent(self):
         store = DataStore()
-        seen = []
-        store.subscribe(lambda *args: seen.append(args))
         store.table("syslog").insert_many([])
-        assert seen == [] and store.revision == 0
+        assert store.revision == 0 and not store._log
+        assert store.changes_since(0) == (0, {})
 
-    def test_unsubscribe_stops_notifications(self):
+    def test_log_is_bounded_and_keeps_the_newest_batch_whole(self, monkeypatch):
+        monkeypatch.setattr(store_module, "CHANGE_LOG_ROWS", 60)
         store = DataStore()
-        seen = []
-        listener = lambda *args: seen.append(args)  # noqa: E731
-        store.subscribe(listener)
-        store.insert("syslog", 1.0)
-        store.unsubscribe(listener)
-        store.insert("syslog", 2.0)
-        assert len(seen) == 1
-        assert store.revision == 2  # revision still advances
+        for base in range(4):  # 100 rows in batches of 25: two are kept
+            store.table("syslog").insert_many(_batch(base * 100))
+        assert [first for first, _, _ in store._log] == [51, 76]
+        assert store.changes_since(49) == (100, None)  # revision 50 is gone
+        head, landed = store.changes_since(50)
+        assert head == 100 and len(landed["syslog"]) == 50
+        # mid-batch: the rows after it, not the whole batch
+        assert store.changes_since(97) == (100, {"syslog": [322.0, 323.0, 324.0]})
+        store.table("syslog").insert_many(_batch(9000, size=500))
+        assert [(first, len(ts)) for first, _, ts in store._log] == [(101, 500)]
+        assert store.changes_since(100)[1] == {
+            "syslog": [float(9000 + i) for i in range(500)]
+        }
+        assert store.changes_since(99) == (600, None)
 
 
 class TestBatchAtomicity:

@@ -290,7 +290,8 @@ class TestRetrievalPlanner:
         assert engine._covers
         # a late record inside the read windows drops those entries and
         # their covers, so the next diagnosis re-retrieves
-        dropped = engine.invalidate_deltas({"ta": [1006.0]})
+        store.insert("ta", 1006.0, router="chi-cr1")
+        dropped = engine.sync()
         assert dropped >= 1
         remaining = {
             (name, lo, hi) for name, windows in engine._covers.items()
@@ -578,3 +579,110 @@ class TestCompiledPlan:
         assert [r.label for r in rules] == ["s -> a", "a -> b", "a -> b"]
         for span in rules:
             assert {"candidates", "temporal_survivors", "spatial_survivors"} <= set(span.meta)
+
+
+class TestSelfSync:
+    """A bare engine reads the store's change log at the top of every
+    call: no owner has to clear or invalidate anything for it."""
+
+    @pytest.fixture
+    def world(self):
+        from repro.apps import BgpFlapApp
+        from repro.simulation import bgp_month
+
+        result = bgp_month(seed=1, total_flaps=30)
+        app = BgpFlapApp.build(result.platform())
+        symptoms = app.find_symptoms(result.start, result.end)
+        return app, symptoms, (result.start, result.end)
+
+    @staticmethod
+    def second_flap(store, symptom):
+        """Land a second flap of the symptom's interface, late, inside
+        the syslog window its diagnosis read."""
+        for offset, code, state in (
+            (-12.0, "LINEPROTO-5-UPDOWN", "down"), (-11.0, "LINK-3-UPDOWN", "down"),
+            (-8.0, "LINEPROTO-5-UPDOWN", "up"), (-7.0, "LINK-3-UPDOWN", "up"),
+        ):
+            store.insert(
+                "syslog", symptom.start + offset, code=code, state=state,
+                router="sea-per3", interface="se1/0", message="late",
+            )
+
+    @staticmethod
+    def cached_flags(diagnosis):
+        return [span.meta["cached"] for span in diagnosis.trace.find("retrieve")]
+
+    def test_row_inside_a_read_window_is_seen_by_the_next_diagnosis(self, world):
+        from repro.obs import Tracer
+
+        app, symptoms, _span = world
+        engine, symptom = app.engine, symptoms[0]
+        first = engine.diagnose(symptom)
+        assert len(first.evidence) == 3
+        (window,) = [read for read in first.footprint if read[0] == "syslog"]
+        assert window[1] <= symptom.start - 12.0 <= window[2]
+        self.second_flap(engine.store, symptom)
+        second = engine.diagnose(symptom, tracer=Tracer())
+        assert second == engine.isolated().diagnose(symptom)
+        assert len(second.evidence) == 8
+        assert not all(self.cached_flags(second))
+
+    def test_row_outside_every_read_window_leaves_the_cache_warm(self, world):
+        from repro.obs import Tracer
+
+        app, symptoms, (_start, end) = world
+        engine, symptom = app.engine, symptoms[0]
+        first = engine.diagnose(symptom)
+        engine.store.insert(
+            "syslog", end + 86400.0, code="SYS-5-RESTART", router="sea-per3",
+            message="System restarted",
+        )
+        again = engine.diagnose(symptom, tracer=Tracer())
+        assert again == first
+        flags = self.cached_flags(again)
+        assert len(flags) == 9 and all(flags)
+
+    def test_nothing_landed_walks_no_log_entry(self, world):
+        app, symptoms, _span = world
+        engine, store = app.engine, app.engine.store
+        first = engine.diagnose(symptoms[0])
+
+        class Untouchable(type(store._log)):
+            def _touched(self, *args):
+                raise AssertionError("the log was read")
+
+            __iter__ = __reversed__ = __getitem__ = _touched
+
+        store._log = Untouchable(store._log)
+        assert engine.diagnose(symptoms[0]) == first
+
+    def test_app_run_and_serial_batch_see_late_rows(self, world):
+        from repro.service.workers import parallel_diagnose
+
+        app, symptoms, (start, end) = world
+        before = app.run(start, end).diagnoses
+        assert len(before[0].evidence) == 3
+        self.second_flap(app.engine.store, symptoms[0])
+        rerun = app.run(start, end).diagnoses
+        assert rerun == app.engine.isolated().diagnose_all(symptoms)
+        assert len(rerun[0].evidence) == 8
+        app.engine.store.insert(
+            "syslog", symptoms[0].start - 40.0, code="SYS-5-RESTART",
+            router="sea-per3", message="System restarted",
+        )
+        batch = parallel_diagnose(app.engine, symptoms, jobs=1)
+        assert batch == app.engine.isolated().diagnose_all(symptoms)
+        assert batch[0].primary_cause == "Router reboot" != rerun[0].primary_cause
+
+    def test_log_that_cannot_say_drops_the_whole_cache(self, world, monkeypatch):
+        from repro.collector import store as store_module
+
+        monkeypatch.setattr(store_module, "CHANGE_LOG_ROWS", 2)
+        app, symptoms, (_start, end) = world
+        engine, symptom = app.engine, symptoms[0]
+        engine.diagnose(symptom)
+        cached = len(engine._retrieval_cache)
+        self.second_flap(engine.store, symptom)  # four rows: two are kept
+        assert engine.store.changes_since(engine.store.revision - 4)[1] is None
+        assert engine.sync() == cached and not engine._retrieval_cache
+        assert len(engine.diagnose(symptom).evidence) == 8

@@ -9,7 +9,7 @@ join predicate itself must be symmetric at every level.
 import pytest
 
 from repro.core.locations import Location, LocationType
-from repro.core.spatial import JoinLevel
+from repro.core.spatial import BatchSpatialJoin, JoinLevel
 
 T = 500.0
 
@@ -62,6 +62,10 @@ class TestContainmentDuality:
                 assert device in back
 
 
+def joined(resolver, symptom, diagnostic, level):
+    return BatchSpatialJoin(resolver, level, symptom, T).joined(diagnostic)
+
+
 class TestJoinSymmetry:
     @pytest.mark.parametrize(
         "level",
@@ -78,7 +82,7 @@ class TestJoinSymmetry:
         ]
         for a in samples:
             for b in samples:
-                assert resolver.joined(a, b, level, T) == resolver.joined(b, a, level, T)
+                assert joined(resolver, a, b, level) == joined(resolver, b, a, level)
 
     def test_every_resolvable_location_self_joins(self, resolver, small_topology):
         samples = [
@@ -88,8 +92,8 @@ class TestJoinSymmetry:
             Location.logical_link(sorted(small_topology.network.logical_links)[0]),
         ]
         for loc in samples:
-            assert resolver.joined(loc, loc, JoinLevel.ROUTER, T) or resolver.joined(
-                loc, loc, JoinLevel.LOGICAL_LINK, T
+            assert joined(resolver, loc, loc, JoinLevel.ROUTER) or joined(
+                resolver, loc, loc, JoinLevel.LOGICAL_LINK
             )
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import weakref
 import zlib
 
 import pytest
@@ -531,15 +532,36 @@ class TestIncrementalRediagnosis:
         )
         assert len(streaming._settled) < len(truths)
 
-    def test_close_detaches_from_store(self):
+    def test_dropped_stream_leaves_nothing_behind(self):
+        # a stream registers nothing with the store, so there is nothing
+        # to detach: closed or merely dropped, ingest goes on without it
+        # and the engine it used keeps syncing itself
         setup = make_live_setup()
         _topo, app, replayer, truths, t0 = setup
-        streaming, collected = _staged_run(setup, StreamingConfig())
-        assert len(collected) == len(truths)
+        held = [e for e in replayer._stream if "CPUHOG" in e[2]]
+        streaming, collected = _staged_run(
+            setup, StreamingConfig(), withhold=lambda e: "CPUHOG" in e[2]
+        )
+        cpu_truth = next(t for t in truths if t.cause == "CPU high (spike)")
+        wrong = next(
+            d for d in collected
+            if abs(d.symptom.start - cpu_truth.time) < 120.0
+        )
+        assert wrong.primary_cause != "CPU high (spike)"
+        dropped = StreamingRca(app.engine)  # never closed
+        gone = [weakref.ref(streaming), weakref.ref(dropped)]
         streaming.close()
         streaming.close()  # idempotent
-        app.engine.store.insert("syslog", t0, router="chi-per1")
-        assert streaming._pending == {}
+        del streaming, dropped
+        try:
+            # the withheld evidence lands, hours late, with no stream left
+            FeedReplayer(replayer.collector, held).deliver_until(t0 + 20000.0)
+            assert [ref() for ref in gone] == [None, None]  # nobody kept them
+            assert app.engine.diagnose(wrong.symptom).primary_cause == (
+                "CPU high (spike)"
+            )
+        finally:
+            gc.unfreeze()  # what the dropped stream never handed back
 
     def test_lagging_feed_defers_then_incremental_catches_up(self):
         # watermark deferral and incremental re-diagnosis compose: a

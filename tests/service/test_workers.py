@@ -102,11 +102,13 @@ class TestEngineIsolation:
         cached_before = len(engine._retrieval_cache)
         assert cached_before > 0
         # a record far outside every cached window drops nothing
-        assert engine.invalidate_deltas({"ta": [times[-1] + 10_000.0]}) == 0
+        mini_app.store.insert("ta", times[-1] + 10_000.0, router="chi-cr1")
+        assert engine.sync() == 0
         assert len(engine._retrieval_cache) == cached_before
         # a record inside the first symptom's evidence window drops the
         # covering entries only
-        dropped = engine.invalidate_deltas({"ta": [times[0]]})
+        mini_app.store.insert("ta", times[0], router="chi-cr1")
+        dropped = engine.sync()
         assert dropped > 0
         assert len(engine._retrieval_cache) == cached_before - dropped
 

@@ -58,3 +58,63 @@ def test_no_collector_module_imports_the_service_package():
 def test_the_kit_imports_neither_layer():
     text = (SRC / "repro" / "resilience.py").read_text()
     assert not re.search(r"^\s*(from|import)\s+(\.|repro\b)", text, re.MULTILINE)
+
+
+def test_no_collector_module_imports_the_engine_package():
+    pattern = re.compile(
+        r"^\s*(from\s+(\.\.+core|repro\.core)\b|import\s+repro\.core\b)",
+        re.MULTILINE,
+    )
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "repro" / "collector").rglob("*.py"))
+        if pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_ingest_runs_no_engine_or_service_frame():
+    """The collector calls nobody above it — at run time too: with a
+    stream and a serving service live on the store, the ingesting thread
+    executes collector code only; what they cache catches up when they
+    are next used, on their own threads."""
+    from tests.core.test_streaming import make_live_setup
+
+    from repro.core.streaming import StreamingRca
+    from repro.service import RcaService
+
+    _topo, app, replayer, _truths, t0 = make_live_setup()
+    streaming = StreamingRca(app.engine, start=t0 - 600.0)
+    service = RcaService(app.engine.store, workers=1)
+    service.register_app("bgp", app)
+    service.start()
+    above = (os.sep + os.path.join("repro", "core") + os.sep,
+             os.sep + os.path.join("repro", "service") + os.sep)
+    frames, offenders = [0], set()
+
+    def watch(frame, event, _arg):
+        if event == "call":
+            frames[0] += 1
+            if any(part in frame.f_code.co_filename for part in above):
+                offenders.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    try:
+        replayer.deliver_until(t0 + 4000.0)
+        diagnoses = streaming.advance(t0 + 4000.0)
+        assert diagnoses and service.diagnose_now("bgp", [diagnoses[0].symptom])
+        assert len(service.cache) == 1  # both consumers hold cached state
+        rest = {}
+        for _time, source, line in replayer._stream[-replayer.pending:]:
+            rest.setdefault(source, []).append(line)
+        delivered = sum(map(len, rest.values()))
+        sys.setprofile(watch)  # this thread only: the one that ingests
+        try:
+            for source, lines in rest.items():
+                replayer.collector.ingest(source, lines, now=t0 + 20000.0)
+        finally:
+            sys.setprofile(None)
+    finally:
+        service.shutdown()
+        streaming.close()
+    assert delivered > 0 and frames[0] > delivered  # the profile did run
+    assert offenders == set()
