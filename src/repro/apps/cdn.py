@@ -27,7 +27,7 @@ from ..core.events import (
 )
 from ..core.graph import DiagnosisGraph, DiagnosisRule
 from ..core.knowledge import names
-from ..core.knowledge.detectors import detect_shift
+from ..core.knowledge.detectors import detect_shift, pair_samples
 from ..core.knowledge.rules import expansion
 from ..core.locations import Location, LocationType
 from ..core.spatial import JoinLevel, SpatialJoinRule
@@ -48,12 +48,11 @@ def _retrieve_rtt_increase(context: RetrievalContext) -> Iterable[EventInstance]
     factor = context.param("cdn_rtt_factor", 1.8)
     interval = context.param("cdn_rtt_interval", RTT_INTERVAL)
     lookback = context.param("cdn_rtt_lookback", 12 * RTT_INTERVAL)
-    samples = [
-        (r.timestamp, (r["source"], r["destination"]), r["value"])
-        for r in context.store.table("perfmon").query(
+    samples = pair_samples(
+        context.store.table("perfmon").query_columns(
             context.start - lookback, context.end, metric="rtt_ms"
         )
-    ]
+    )
     for anomaly in detect_shift(samples, "increase", factor, absolute_floor=5.0):
         if anomaly.timestamp < context.start:
             continue

@@ -6,8 +6,9 @@ storage as swappable infrastructure behind the correlation engine.
 This module is that seam: a :class:`StorageBackend` contract plus two
 implementations —
 
-* :class:`MemoryBackend` — sorted columnar timestamps with an unsorted
-  *tail buffer* for out-of-order arrivals, merged lazily.  An
+* :class:`MemoryBackend` — rows at rest are columns: sorted timestamps
+  plus one list per field name (:mod:`repro.collector.rows`), with an
+  unsorted *tail buffer* for out-of-order arrivals, merged lazily.  An
   out-of-order insert is an O(1) append plus an amortized share of the
   next merge, instead of the seed store's per-insert O(n·k) wholesale
   index rebuild.
@@ -44,6 +45,7 @@ ends; ``None`` bounds are open.
 from __future__ import annotations
 
 import bisect
+import operator
 import os
 import pickle
 import sqlite3
@@ -52,6 +54,9 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, TransientError
+from .rows import MISSING, ColumnarSlice, Columns, ListView, Record, RowBatch
+
+_TIMESTAMP = operator.attrgetter("timestamp")
 
 #: Builds a backend for one table: ``factory(table_name, indexed_columns)``.
 BackendFactory = Callable[[str, Tuple[str, ...]], "StorageBackend"]
@@ -59,86 +64,6 @@ BackendFactory = Callable[[str, Tuple[str, ...]], "StorageBackend"]
 #: What ``DataStore(backend=...)`` accepts: a name, a factory, or None
 #: (meaning the process default, see :func:`set_default_backend`).
 BackendSpec = Any
-
-
-class ListView:
-    """A zero-copy ``[lo, hi)`` window over a list.
-
-    Supports just enough of the sequence protocol for columnar
-    consumers (len / index / slice / iterate).  The window keeps a
-    *reference* to the backing list: :class:`MemoryBackend` only ever
-    appends past a served window's upper bound or replaces the backing
-    lists wholesale on a tail merge, so a captured view stays a
-    consistent snapshot either way.
-    """
-
-    __slots__ = ("_data", "_lo", "_hi")
-
-    def __init__(self, data: List[Any], lo: int, hi: int) -> None:
-        self._data = data
-        self._lo = lo
-        self._hi = max(lo, hi)
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __iter__(self):
-        return iter(self._data[self._lo:self._hi])
-
-    def __getitem__(self, key):
-        length = self._hi - self._lo
-        if isinstance(key, slice):
-            start, stop, step = key.indices(length)
-            if step == 1:
-                return ListView(self._data, self._lo + start, self._lo + stop)
-            return self._data[self._lo:self._hi][key]
-        if key < 0:
-            key += length
-        if not 0 <= key < length:
-            raise IndexError(key)
-        return self._data[self._lo + key]
-
-    def __repr__(self) -> str:
-        return f"ListView({list(self)!r})"
-
-
-class ColumnarSlice:
-    """One retrieval window as parallel ``(timestamps, records)`` arrays.
-
-    The columnar face of a backend query: ``timestamps`` is sorted
-    non-decreasing and aligned index-for-index with ``records`` (both in
-    the backend's canonical ``(timestamp, arrival)`` order, exactly the
-    rows :meth:`StorageBackend.query` would return).  ``zero_copy``
-    reports whether the arrays are views into the backend's own columnar
-    core (MemoryBackend's sorted run) or were materialized row-by-row
-    (SqliteBackend and any filtered query).
-
-    A zero-copy slice also says where it sits: row ``i`` is row
-    ``position + i`` of the sorted run that ``generation`` names.  A run
-    only grows at its end and a tail merge starts a new run under a new
-    generation, so ``(generation, position + i)`` names one row for good
-    — what a consumer keeping per-row derived state keys it on.  Compare
-    generations with ``is``; materialized slices carry ``None``.
-    """
-
-    __slots__ = ("timestamps", "records", "zero_copy", "position", "generation")
-
-    def __init__(
-        self,
-        timestamps: Any,
-        records: Any,
-        zero_copy: bool = False,
-        position: int = 0,
-        generation: Optional[object] = None,
-    ) -> None:
-        self.timestamps = timestamps
-        self.records = records
-        self.zero_copy = zero_copy
-        self.position = position
-        self.generation = generation
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class StorageBackend:
@@ -152,10 +77,12 @@ class StorageBackend:
     #: short identity string surfaced in summaries ("memory", "sqlite")
     name: str = "abstract"
 
-    def insert_many(self, records: Sequence[Any]) -> None:
-        """Add a batch of records, in arrival order (timestamps may
-        arrive out of order).  The one write entry point: the result is
-        the same as adding the records one at a time."""
+    def insert_many(self, records: Any) -> None:
+        """Add a batch of rows — a sequence of records or one
+        :class:`~repro.collector.rows.RowBatch` — in arrival order
+        (timestamps may arrive out of order).  The one write entry
+        point: the result is the same as adding the rows one at a time
+        in either shape."""
         raise NotImplementedError
 
     def insert(self, record) -> None:
@@ -217,16 +144,19 @@ class StorageBackend:
 
 
 class MemoryBackend(StorageBackend):
-    """Sorted columnar arrays plus a lazily merged out-of-order tail.
+    """Columns in timestamp order plus a lazily merged out-of-order tail.
 
-    In-order inserts append to the sorted run and its per-column hash
-    indexes.  Out-of-order inserts land in an unsorted *tail buffer*;
-    queries consult both (the tail linearly — it is bounded), and once
-    the tail outgrows ``max(256, sorted_len // 16)`` it is merged into
-    the sorted run in one O(n + t) pass that also rebuilds the index
-    posting lists.  The merge cost is amortized over the inserts that
-    filled the tail, so ingest never pays the seed store's per-insert
-    wholesale rebuild.
+    No object is kept per stored row: the sorted run is one
+    :class:`~repro.collector.rows.Columns` (timestamps and a list per
+    field name), each indexed column a hash from value to the ascending
+    run positions holding it.  In-order inserts extend the run and its
+    posting lists.  Out-of-order inserts land in a second, unsorted
+    ``Columns`` — the *tail*; queries consult both (the tail linearly —
+    it is bounded), and once the tail outgrows
+    ``max(256, sorted_len // 16)`` it is merged into the run in one
+    O(n + t) pass that permutes every column, rebuilds the posting
+    lists and renames the run (``generation``).  The merge cost is
+    amortized over the inserts that filled the tail.
     """
 
     name = "memory"
@@ -236,15 +166,12 @@ class MemoryBackend(StorageBackend):
         indexed_columns: Iterable[str] = (),
         tail_limit: Optional[int] = None,
     ) -> None:
-        self._ts: List[float] = []
-        self._seq: List[int] = []
-        self._recs: List[Any] = []
-        #: out-of-order arrivals: (timestamp, arrival seq, record)
-        self._tail: List[Tuple[float, int, Any]] = []
+        self._run = Columns()
+        #: out-of-order arrivals, in arrival order
+        self._tail = Columns()
         self._indexes: Dict[str, Dict[Any, List[int]]] = {
             column: {} for column in indexed_columns
         }
-        self._next_seq = 0
         #: names the sorted run; replaced whenever a merge renumbers it
         self._generation = object()
         self._tail_limit = tail_limit
@@ -260,97 +187,86 @@ class MemoryBackend(StorageBackend):
     def _tail_threshold(self) -> int:
         if self._tail_limit is not None:
             return self._tail_limit
-        return max(256, len(self._ts) // 16)
+        return max(256, len(self._run.ts) // 16)
 
-    def insert_many(self, records: Sequence[Any]) -> None:
-        """One ``extend`` per column when the batch continues the sorted
-        run in order; record by record (append or tail) otherwise, and
-        for a batch of one, which has nothing to amortize."""
-        count = len(records)
-        if count > 1:
-            timestamps = [record.timestamp for record in records]
-            late = self._ts and timestamps[0] < self._ts[-1]
-            if not late and timestamps == sorted(timestamps):
-                base = len(self._recs)
-                self._ts.extend(timestamps)
-                self._seq.extend(range(self._next_seq, self._next_seq + count))
-                self._recs.extend(records)
-                self._next_seq += count
-                self.inserts += count
-                self._post(records, base)
-                return
-        for record in records:
-            self._insert_one(record)
-
-    def _insert_one(self, record) -> None:
-        """Append in order, or buffer an out-of-order arrival in the tail."""
-        seq = self._next_seq
-        self._next_seq += 1
-        self.inserts += 1
-        if self._ts and record.timestamp < self._ts[-1]:
-            self._tail.append((record.timestamp, seq, record))
-            self.out_of_order += 1
-            if len(self._tail) > self.max_tail:
-                self.max_tail = len(self._tail)
-            if len(self._tail) > self._tail_threshold():
-                self._merge()
+    def insert_many(self, records: Any) -> None:
+        """One ``extend`` per column when the whole batch continues the
+        sorted run in order; row by row (append or tail) otherwise."""
+        batch = RowBatch.of(records)
+        timestamps, columns, sparse = batch.timestamps, batch.columns, batch.sparse
+        if not timestamps:
             return
-        position = len(self._recs)
-        self._ts.append(record.timestamp)
-        self._seq.append(seq)
-        self._recs.append(record)
-        for column, index in self._indexes.items():
-            value = record.get(column)
-            if value is not None:
-                index.setdefault(value, []).append(position)
+        late = self._run.ts and timestamps[0] < self._run.ts[-1]
+        if not late and timestamps == sorted(timestamps):
+            self._append(timestamps, columns, zip(*batch.rows), sparse)
+            return
+        for timestamp, values in zip(timestamps, batch.rows):
+            if self._run.ts and timestamp < self._run.ts[-1]:
+                self._tail.extend((timestamp,), columns, zip(values), sparse)
+                self.inserts += 1
+                self.out_of_order += 1
+                if len(self._tail.ts) > self.max_tail:
+                    self.max_tail = len(self._tail.ts)
+                if len(self._tail.ts) > self._tail_threshold():
+                    self._merge()
+            else:
+                self._append((timestamp,), columns, zip(values), sparse)
 
-    def _post(self, records: Sequence[Any], base: int) -> None:
-        """Index ``records`` as rows ``base``, ``base + 1``, … of the run."""
-        for column, index in self._indexes.items():
-            for position, record in enumerate(records, base):
-                value = record.get(column)
-                if value is not None:
-                    index.setdefault(value, []).append(position)
+    def _append(self, timestamps, names, columns, sparse) -> None:
+        """Extend the run with in-order rows given column by column."""
+        base, columns = len(self._run.ts), list(columns)
+        self._run.extend(timestamps, names, columns, sparse)
+        self.inserts += len(timestamps)
+        self._post(base, names, columns)
+
+    def _post(self, base: int, names, columns) -> None:
+        """Index the rows just appended at ``base``, given as in
+        :meth:`Columns.extend`."""
+        # one int per row, shared by every posting list it lands on
+        positions = list(range(base, len(self._run.ts)))
+        for name, values in zip(names, columns):
+            index = self._indexes.get(name)
+            if index is None:
+                continue
+            for position, value in zip(positions, values):
+                if value is not None and value is not MISSING:
+                    try:
+                        index[value].append(position)
+                    except KeyError:
+                        index[value] = [position]
 
     def _merge(self) -> None:
         """Fold the tail into the sorted run; one pass, amortized."""
-        # (timestamp, seq) is unique, so records are never compared; the
-        # sort finds the run already in order and merges the tail into it
-        merged = sorted([*zip(self._ts, self._seq, self._recs), *self._tail])
-        self._ts, self._seq, self._recs = map(list, zip(*merged))
-        self._tail = []
+        both = Columns()
+        for part in (self._run, self._tail):
+            both.extend(part.ts, tuple(part.fields), part.fields.values(), part.sparse)
+        # the sort is stable: among equal stamps the run's rows, which
+        # all arrived before the tail's, stay first, then arrival order
+        self._run = both.take(sorted(range(len(both.ts)), key=both.ts.__getitem__))
+        self._tail = Columns()
         self._generation = object()
         self._indexes = {column: {} for column in self._indexes}
-        self._post(self._recs, 0)
+        self._post(0, tuple(self._run.fields), self._run.fields.values())
         self.merges += 1
 
     def __len__(self) -> int:
-        return len(self._recs) + len(self._tail)
+        return len(self._run.ts) + len(self._tail.ts)
 
-    def _bounds(self, start: Optional[float], end: Optional[float]) -> Tuple[int, int]:
-        """The sorted run's ``[lo, hi)`` positions inside a window."""
-        lo = 0 if start is None else bisect.bisect_left(self._ts, start)
-        hi = len(self._ts) if end is None else bisect.bisect_right(self._ts, end)
-        return lo, hi
-
-    def query(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> List[Any]:
-        """Bisect the sorted run, scan the bounded tail, merge by (ts, seq)."""
-        lo, hi = self._bounds(start, end)
-        recs = self._recs
-        if not equals and not self._tail:
-            # unfiltered window over the clean sorted run: one slice,
-            # no per-record filter loop
-            return recs[lo:hi]
+    def _select(
+        self, start: Optional[float], end: Optional[float], equals: Dict[str, Any]
+    ) -> Tuple[Sequence[int], List[int]]:
+        """Positions of the rows a window query returns: in the sorted
+        run (ascending — a ``range`` when nothing filtered them) and in
+        the tail."""
+        run = self._run
+        lo = 0 if start is None else bisect.bisect_left(run.ts, start)
+        hi = len(run.ts) if end is None else bisect.bisect_right(run.ts, end)
         # The smallest posting list is the answer for its own column —
         # every row on it holds the value, in ascending position, which
-        # is (ts, seq) order — so only the other filters remain to check.
-        # A row lacking a column is on none of its lists (what a None
-        # filter asks for), and no row equals a value unequal to itself.
+        # is (ts, arrival) order — so only the other filters remain to
+        # check.  A row lacking a column is on none of its lists (what a
+        # None filter asks for), and no row equals a value unequal to
+        # itself.
         posting = served = None
         for column, value in equals.items():
             index = self._indexes.get(column)
@@ -359,29 +275,41 @@ class MemoryBackend(StorageBackend):
                 if posting is None or len(found) < len(posting):
                     posting, served = found, column
         if posting is None:
-            positions: Sequence[int] = range(lo, hi)
+            positions: Sequence[int] = range(lo, max(lo, hi))
         else:
             positions = posting[
                 bisect.bisect_left(posting, lo):bisect.bisect_left(posting, hi)
             ]
         for column, value in equals.items():
             if column != served:
-                positions = [p for p in positions if recs[p].get(column) == value]
-        if self._tail:
+                positions = run.matching(positions, column, value)
+        late: Sequence[int] = []
+        if self._tail.ts:
             late = [
-                entry
-                for entry in self._tail
-                if (start is None or entry[0] >= start)
-                and (end is None or entry[0] <= end)
+                p
+                for p, stamp in enumerate(self._tail.ts)
+                if (start is None or stamp >= start) and (end is None or stamp <= end)
             ]
             for column, value in equals.items():
-                late = [entry for entry in late if entry[2].get(column) == value]
-            if late:
-                # (timestamp, seq) is unique: records are never compared
-                ts, seq = self._ts, self._seq
-                merged = sorted([*((ts[p], seq[p], recs[p]) for p in positions), *late])
-                return [record for _ts, _seq, record in merged]
-        return [recs[p] for p in positions]
+                late = self._tail.matching(late, column, value)
+        return positions, late
+
+    def _rows(self, positions: Sequence[int], late: Sequence[int]) -> List[Record]:
+        rows = self._run.records(positions)
+        if late:
+            rows += self._tail.records(late)
+            # stable, as in _merge: run rows first among equal stamps
+            rows.sort(key=_TIMESTAMP)
+        return rows
+
+    def query(
+        self,
+        start: Optional[float],
+        end: Optional[float],
+        equals: Dict[str, Any],
+    ) -> List[Record]:
+        """Bisect the sorted run, scan the bounded tail, build the rows."""
+        return self._rows(*self._select(start, end, equals))
 
     def query_columns(
         self,
@@ -389,47 +317,50 @@ class MemoryBackend(StorageBackend):
         end: Optional[float],
         equals: Dict[str, Any],
     ) -> ColumnarSlice:
-        """Zero-copy window views over the sorted columnar run.
+        """The window as a snapshot of the run's columns; no row is built.
 
-        An unfiltered query over a clean (tail-free) run is served as
-        :class:`ListView` windows directly into ``_ts``/``_recs`` — no
-        rows are touched at all.  The views stay consistent snapshots:
-        in-order inserts append past the window's upper bound, and a
-        tail merge replaces the backing lists wholesale (the view keeps
-        the pre-merge snapshot).  Filtered queries and runs with a
-        pending out-of-order tail fall back to row materialization.
+        An unfiltered window is one contiguous stretch of the run,
+        served as :class:`~repro.collector.rows.ListView` windows into
+        the stored lists (``zero_copy``); a filtered one gathers what is
+        asked for at the matching positions.  Either stays a consistent
+        snapshot: in-order inserts append past the window, and a tail
+        merge replaces the lists wholesale.  Only a window that pending
+        out-of-order rows fall into is materialized row by row.
         """
-        if not equals and not self._tail:
-            lo, hi = self._bounds(start, end)
+        positions, late = self._select(start, end, equals)
+        if late:
+            rows = self._rows(positions, late)
+            return ColumnarSlice([record.timestamp for record in rows], rows)
+        run = self._run.snapshot()
+        if equals:
             return ColumnarSlice(
-                ListView(self._ts, lo, hi),
-                ListView(self._recs, lo, hi),
-                zero_copy=True,
-                position=lo,
-                generation=self._generation,
+                [run.ts[p] for p in positions], columns=run, positions=positions
             )
-        return super().query_columns(start, end, equals)
+        return ColumnarSlice(
+            ListView(run.ts, positions.start, positions.stop),
+            columns=run,
+            positions=positions,
+            zero_copy=True,
+            generation=self._generation,
+        )
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None column values, from the index when available."""
         if column in self._indexes:
             values = set(self._indexes[column])
         else:
-            values = {record.get(column) for record in self._recs}
-        for _ts, _seq, record in self._tail:
-            values.add(record.get(column))
-        values.discard(None)
+            values = set(self._run.fields.get(column, ()))
+        values.update(self._tail.fields.get(column, ()))
+        values -= {None, MISSING}
         return sorted(values, key=repr)
 
     def time_span(self) -> Optional[Tuple[float, float]]:
         """(oldest, newest) timestamp across sorted run and tail."""
-        if not self._ts:
+        ts = self._run.ts
+        if not ts:
             return None
-        oldest = self._ts[0]
-        if self._tail:
-            oldest = min(oldest, min(entry[0] for entry in self._tail))
         # tail entries are always older than the sorted run's newest
-        return oldest, self._ts[-1]
+        return min([ts[0], *self._tail.ts]), ts[-1]
 
     def stats(self) -> Dict[str, Any]:
         """Tail-buffer and merge counters alongside the backend identity."""
@@ -437,7 +368,7 @@ class MemoryBackend(StorageBackend):
             **super().stats(),
             "inserts": self.inserts,
             "out_of_order": self.out_of_order,
-            "tail": len(self._tail),
+            "tail": len(self._tail.ts),
             "max_tail": self.max_tail,
             "merges": self.merges,
         }
@@ -516,6 +447,12 @@ class SqliteBackend(StorageBackend):
             "id INTEGER PRIMARY KEY AUTOINCREMENT, "
             f"ts REAL NOT NULL{columns}, payload BLOB NOT NULL)"
         )
+        # a file created under another index declaration keeps its own
+        # columns: only those hold every stored row's value, so only
+        # those may be written or pushed down (SQLite reads a quoted
+        # unknown column as a string literal — a filter matching nothing)
+        present = {row[1] for row in cur.execute("PRAGMA table_info(records)")}
+        self._columns = tuple(c for c in self._columns if "col_" + c in present)
         cur.execute("CREATE INDEX IF NOT EXISTS idx_ts ON records (ts)")
         for i, column in enumerate(self._columns):
             cur.execute(
@@ -531,9 +468,11 @@ class SqliteBackend(StorageBackend):
             self._connect()
         return self._conn
 
-    def insert_many(self, records: Sequence[Any]) -> None:
+    def insert_many(self, records: Any) -> None:
         """Insert a batch in one transaction: per row, ts + mirrored
         string index columns + pickle; all of it commits or none does."""
+        if isinstance(records, RowBatch):
+            records = records.records()
         rows = []
         for record in records:
             values: List[Any] = [record.timestamp]
@@ -657,7 +596,7 @@ class DelegatingBackend(StorageBackend):
         """Run one read of the inner backend, ``op(*args)``."""
         return op(*args)
 
-    def insert_many(self, records: Sequence[Any]) -> None:
+    def insert_many(self, records: Any) -> None:
         """Pass the write straight through."""
         self.inner.insert_many(records)
 

@@ -150,6 +150,8 @@ def _zone_offset_seconds(timezone: str, when: datetime.datetime) -> float:
 
 def _parse_local(text: str, default_year: int) -> Optional[datetime.datetime]:
     """The naive local datetime a text stamp spells, or None."""
+    if not text.isascii():
+        return None  # strptime would read any script's digits
     for fmt in _TIMESTAMP_FORMATS:
         try:
             parsed = datetime.datetime.strptime(text, fmt)
@@ -170,6 +172,8 @@ def _parse_general(raw: str, text: str, timezone: str, default_year: int) -> flo
     parsed = _parse_local(text, default_year)
     if parsed is None:
         try:
+            if "_" in text or not text.isascii():
+                raise ValueError  # float() reads Python literal syntax
             epoch = float(text)  # already epoch seconds
         except ValueError:
             raise NormalizationError(f"unparseable timestamp {raw!r}") from None

@@ -1,0 +1,383 @@
+"""The shapes a row takes: in transit, at rest, and while someone reads it.
+
+A stored row is not an object.  Parsers emit value tuples against their
+declared columns (:class:`RowBatch`), the in-memory backend keeps one
+list per field name (:class:`Columns`; a row lacking a field holds
+:data:`MISSING` there), and a :class:`Record` — the row as a reader
+sees it — is built from the columns when a read asks for one and lives
+as long as that reader keeps it.  Bulk readers need no rows at all:
+:class:`ColumnarSlice` hands out the timestamps and any field of a
+retrieval window column by column.
+"""
+
+from __future__ import annotations
+
+from dataclasses import FrozenInstanceError
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+
+class _Missing:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+#: What a column holds for a row that lacks the field.  Private to the
+#: storage layer: readers are handed ``None`` (``get`` / ``column``) or
+#: a row without the field (``Record``), never this.
+MISSING = _Missing()
+
+
+class Record:
+    """One normalized row: an epoch-UTC timestamp plus named fields.
+
+    A view for readers, built on demand — the store keeps columns, not
+    records, so two reads of one stored row give equal records, not the
+    same object.  ``fields``, the sorted ``(name, value)`` tuple that
+    hashing, ``repr`` and the pickled payload are defined over, is
+    derived when one of those asks.  Immutable: assignment raises
+    :class:`dataclasses.FrozenInstanceError`, as a frozen dataclass's.
+    """
+
+    __slots__ = ("timestamp", "_by_name")
+    # where the pickled payloads (every SQLite file written so far) say
+    # the class lives; ``repro.collector.store`` re-exports it
+    __module__ = "repro.collector.store"
+
+    def __init__(self, timestamp: float, fields: Iterable[Tuple[str, Any]]) -> None:
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "_by_name", dict(fields))
+
+    @classmethod
+    def make(cls, timestamp: float, **fields: Any) -> "Record":
+        return cls.adopt(timestamp, fields)
+
+    @classmethod
+    def adopt(cls, timestamp: float, fields: Dict[str, Any]) -> "Record":
+        """The record over a field dict the caller gives up.
+
+        The dict becomes the row as is — no copy — so it must not be
+        touched afterwards.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "timestamp", timestamp)
+        object.__setattr__(record, "_by_name", fields)
+        return record
+
+    @property
+    def fields(self) -> Tuple[Tuple[str, Any], ...]:
+        """The fields as ``(name, value)`` pairs sorted by name."""
+        return tuple(sorted(self._by_name.items()))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.timestamp, self._by_name) == (other.timestamp, other._by_name)
+
+    def __hash__(self) -> int:
+        return hash((self.timestamp, self.fields))
+
+    def __repr__(self) -> str:
+        return f"Record(timestamp={self.timestamp!r}, fields={self.fields!r})"
+
+    def __getitem__(self, key: str) -> Any:
+        return self._by_name[key]
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """Field value by name, with a default when absent."""
+        return self._by_name.get(key, default)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The record's fields as a plain dictionary."""
+        return dict(self.fields)
+
+    def __getstate__(self) -> Tuple[float, Tuple[Tuple[str, Any], ...]]:
+        # the pickle (the SQLite payload format) is the frozen
+        # dataclass's: stores written before rows were columns open
+        return (self.timestamp, self.fields)
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "timestamp", state[0])
+        object.__setattr__(self, "_by_name", dict(state[1]))
+
+
+def fields_of(columns: Sequence[str], values: Sequence[Any]) -> Dict[str, Any]:
+    """The field dict of one value tuple: its columns minus the missing."""
+    return {
+        name: value for name, value in zip(columns, values) if value is not MISSING
+    }
+
+
+class RowBatch:
+    """Rows in transit: what a parser emits and a write takes.
+
+    ``rows[i]`` holds row ``i``'s values against ``columns``,
+    ``timestamps[i]`` its epoch; a row lacking a field carries
+    :data:`MISSING` there, which only the columns named in ``sparse``
+    may.  The lists are handed over, not copied — whoever builds a
+    batch starts new ones for the next.
+    """
+
+    __slots__ = ("columns", "timestamps", "rows", "sparse")
+
+    def __init__(
+        self,
+        columns: Tuple[str, ...],
+        timestamps: List[float],
+        rows: List[Tuple[Any, ...]],
+        sparse: Iterable[str] = (),
+    ) -> None:
+        self.columns = columns
+        self.timestamps = timestamps
+        self.rows = rows
+        self.sparse = sparse
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @classmethod
+    def of(cls, records: Any) -> "RowBatch":
+        """A sequence of records scattered into batch shape (a batch
+        passes through): the columns are every field name any of them
+        carries, in first-seen order."""
+        if isinstance(records, cls):
+            return records
+        names: Dict[str, Any] = {}
+        for record in records:
+            names.update(record._by_name)
+        columns = tuple(names)
+        width = len(columns)
+        rows, sparse = [], set()
+        for record in records:
+            by_name = record._by_name
+            rows.append(tuple([by_name.get(name, MISSING) for name in columns]))
+            if len(by_name) < width:
+                sparse.update(names.keys() - by_name.keys())
+        return cls(columns, [record.timestamp for record in records], rows, sparse)
+
+    def records(self) -> List[Record]:
+        """The batch as rows, one :class:`Record` each."""
+        columns = self.columns
+        return [
+            Record.adopt(timestamp, fields_of(columns, values))
+            for timestamp, values in zip(self.timestamps, self.rows)
+        ]
+
+
+class ListView:
+    """A zero-copy ``[lo, hi)`` window over a list.
+
+    Supports just enough of the sequence protocol for columnar
+    consumers (len / index / slice / iterate).  The window keeps a
+    *reference* to the backing list: :class:`Columns` lists only ever
+    grow past a served window's upper bound or are replaced wholesale
+    on a tail merge, so a captured view stays a consistent snapshot
+    either way.
+    """
+
+    __slots__ = ("_data", "_lo", "_hi")
+
+    def __init__(self, data: List[Any], lo: int, hi: int) -> None:
+        self._data = data
+        self._lo = lo
+        self._hi = max(lo, hi)
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self):
+        return iter(self._data[self._lo:self._hi])
+
+    def __getitem__(self, key):
+        length = self._hi - self._lo
+        if isinstance(key, slice):
+            start, stop, step = key.indices(length)
+            if step == 1:
+                return ListView(self._data, self._lo + start, self._lo + stop)
+            return self._data[self._lo:self._hi][key]
+        if key < 0:
+            key += length
+        if not 0 <= key < length:
+            raise IndexError(key)
+        return self._data[self._lo + key]
+
+    def __repr__(self) -> str:
+        return f"ListView({list(self)!r})"
+
+
+class Columns:
+    """Rows at rest: timestamps plus one value list per field name.
+
+    Every list is index-aligned with ``ts``.  A field first seen
+    mid-run is back-filled with :data:`MISSING` for the rows before it,
+    a batch lacking a known field pads it; ``sparse`` names the columns
+    that ever held a ``MISSING``, every other one can be handed out as
+    is.  Lists grow only at the end and are never edited in place
+    (:meth:`take` builds new ones), which is what keeps a
+    :meth:`snapshot` consistent while writers go on.
+    """
+
+    __slots__ = ("ts", "fields", "sparse")
+
+    def __init__(self) -> None:
+        self.ts: List[float] = []
+        self.fields: Dict[str, List[Any]] = {}
+        self.sparse: set = set()
+
+    def extend(
+        self,
+        timestamps: Iterable[float],
+        names: Sequence[str],
+        columns: Iterable[Sequence[Any]],
+        sparse: Iterable[str] = (),
+    ) -> None:
+        """Append rows given column by column: ``columns`` holds, for
+        each of ``names``, that field's value in every new row."""
+        base = len(self.ts)
+        self.ts.extend(timestamps)
+        mine = self.fields
+        for name, values in zip(names, columns):
+            column = mine.get(name)
+            if column is None:
+                column = mine[name] = [MISSING] * base
+                if base:
+                    self.sparse.add(name)
+            column.extend(values)
+        self.sparse.update(sparse)
+        if len(mine) > len(names):
+            size = len(self.ts)
+            for name, column in mine.items():
+                if len(column) < size:
+                    column.extend([MISSING] * (size - len(column)))
+                    self.sparse.add(name)
+
+    def take(self, order: Sequence[int]) -> "Columns":
+        """New columns holding rows ``order[0]``, ``order[1]``, …"""
+        taken = Columns()
+        taken.ts = [self.ts[p] for p in order]
+        taken.fields = {
+            name: [column[p] for p in order] for name, column in self.fields.items()
+        }
+        taken.sparse = set(self.sparse)
+        return taken
+
+    def snapshot(self) -> "Columns":
+        """The columns as of now, for a reader outside the table lock:
+        the same lists under its own field dict (a writer may add a
+        field while the reader walks it)."""
+        shot = Columns()
+        shot.ts, shot.fields, shot.sparse = self.ts, dict(self.fields), self.sparse
+        return shot
+
+    def matching(self, positions: Sequence[int], name: str, value: Any) -> Sequence[int]:
+        """The ``positions`` whose field ``name`` equals ``value`` — a
+        row lacking the field reads ``None`` there."""
+        column = self.fields.get(name)
+        if column is None:
+            return positions if value is None else []
+        if value is None:
+            return [
+                p for p in positions if column[p] is None or column[p] is MISSING
+            ]
+        return [p for p in positions if column[p] == value]
+
+    def records(self, positions: Sequence[int]) -> List[Record]:
+        """One :class:`Record` per position, field values handed out
+        as stored."""
+        if not positions:
+            return []
+        ts, items, adopt = self.ts, tuple(self.fields.items()), Record.adopt
+        return [
+            adopt(
+                ts[p],
+                {
+                    name: value
+                    for name, column in items
+                    if (value := column[p]) is not MISSING
+                },
+            )
+            for p in positions
+        ]
+
+    def values(self, name: str, positions: Sequence[int]) -> Sequence[Any]:
+        """Field ``name`` at ``positions``, ``None`` where a row lacks
+        it: a window into the stored list when the positions are
+        contiguous and the column never held a missing value."""
+        column = self.fields.get(name)
+        if column is None:
+            return [None] * len(positions)
+        if name in self.sparse:
+            return [
+                None if (value := column[p]) is MISSING else value for p in positions
+            ]
+        if type(positions) is range:
+            return ListView(column, positions.start, positions.stop)
+        return [column[p] for p in positions]
+
+
+class ColumnarSlice:
+    """One retrieval window, column by column or row by row.
+
+    ``timestamps`` is sorted non-decreasing; :meth:`column` and
+    ``records`` are aligned with it index for index, in the backend's
+    canonical ``(timestamp, arrival)`` order — exactly the rows
+    :meth:`StorageBackend.query` would return.  Over the in-memory
+    backend the slice is a snapshot of stored columns and builds no row
+    until ``records`` is read; a backend without columns (SQLite), and a
+    window that out-of-order rows still wait to be merged into, hands in
+    the materialized rows instead.
+
+    ``zero_copy`` says the slice is one contiguous stretch of the sorted
+    run: row ``i`` is row ``position + i`` of the run that ``generation``
+    names.  A run only grows at its end and a tail merge starts a new
+    run under a new generation, so ``(generation, position + i)`` names
+    one row for good — what a consumer keeping per-row derived state
+    keys it on.  Compare generations with ``is``; other slices carry
+    ``None``.
+    """
+
+    __slots__ = (
+        "timestamps", "zero_copy", "position", "generation",
+        "_records", "_columns", "_positions",
+    )
+
+    def __init__(
+        self,
+        timestamps: Any,
+        records: Optional[List[Record]] = None,
+        columns: Optional[Columns] = None,
+        positions: Sequence[int] = (),
+        zero_copy: bool = False,
+        generation: Optional[object] = None,
+    ) -> None:
+        self.timestamps = timestamps
+        self._records = records
+        self._columns = columns
+        self._positions = positions
+        self.zero_copy = zero_copy
+        self.position = positions.start if zero_copy else 0
+        self.generation = generation
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def records(self) -> List[Record]:
+        """The window's rows, built on first use."""
+        if self._records is None:
+            self._records = self._columns.records(self._positions)
+        return self._records
+
+    def column(self, name: str) -> Sequence[Any]:
+        """One field of every row of the window, ``None`` where a row
+        lacks it (what ``record.get(name)`` gives) — no row is built."""
+        if self._columns is None:
+            return [record.get(name) for record in self._records]
+        return self._columns.values(name, self._positions)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..health import DeadLetter, DeadLetterBuffer
 from ..normalizer import DeviceRegistry, NormalizationError, brief_reason
-from ..store import DataStore, Record, Table
+from ..rows import RowBatch, fields_of
+from ..store import DataStore, Table
 
 #: Cap on distinct reject reasons tracked per source (top-N, approximate).
 MAX_REJECT_REASONS = 16
@@ -69,9 +70,16 @@ class ParseStats:
         return self.rejected / total if total else 0.0
 
 
+# ``int()`` and ``float()`` read Python literal syntax — ``1_0`` is 10,
+# a full-width ``１２`` is 12 — which no feed writes: a numeric field is
+# ASCII without underscores or it is rejected, before either sees it.
+
+
 def parse_epoch(raw: str) -> float:
     """Parse an epoch-seconds field, rejecting NaN/inf/out-of-range."""
     try:
+        if "_" in raw or not raw.isascii():
+            raise ValueError
         epoch = float(raw)
     except ValueError:
         raise NormalizationError(f"unparseable epoch {raw!r}") from None
@@ -83,10 +91,19 @@ def parse_epoch(raw: str) -> float:
 def parse_value(raw: str) -> float:
     """Parse a metric value field, rejecting NaN and the infinities
     (one of them poisons every median and threshold downstream)."""
+    if "_" in raw or not raw.isascii():
+        raise NormalizationError(f"malformed number {raw!r}")
     value = float(raw)
     if not math.isfinite(value):
         raise NormalizationError("non-finite value")
     return value
+
+
+def parse_count(raw: str) -> int:
+    """Parse an integer field written in plain ASCII digits."""
+    if "_" in raw or not raw.isascii():
+        raise NormalizationError(f"malformed number {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -101,22 +118,28 @@ class SourceParser:
 
     #: override in subclasses
     table_name: str = ""
+    #: the field names :meth:`parse` emits values against, in order
+    columns: ClassVar[Tuple[str, ...]] = ()
+    #: the columns a line may lack (``MISSING`` in its value tuple)
+    optional: ClassVar[FrozenSet[str]] = frozenset()
 
     def ingest(self, lines: Iterable[str]) -> ParseStats:
         """Parse an iterable of raw lines and store the rows in batches.
 
         Malformed lines are counted and dead-lettered where they occur;
         accepted rows reach the table, the accept count and the
-        watermark :data:`FLUSH_ROWS` at a time.
+        watermark :data:`FLUSH_ROWS` at a time — as value tuples, no
+        object per row.
         """
-        stats = self.stats
+        stats, parse = self.stats, self.parse
         table = self.store.table(self.table_name)
-        records: List[Record] = []
+        timestamps: List[float] = []
+        rows: List[Tuple[Any, ...]] = []
         for line in lines:
             if not line or line.isspace():
                 continue
             try:
-                timestamp, fields = self.parse(line)
+                timestamp, values = parse(line)
             except (NormalizationError, ValueError) as exc:
                 reason = str(exc)
                 stats.reject(reason, line)
@@ -125,21 +148,29 @@ class SourceParser:
                         DeadLetter(self.table_name, line, brief_reason(reason))
                     )
                 continue
-            records.append(Record.adopt(timestamp, fields))
-            if len(records) >= FLUSH_ROWS:
-                self._flush(table, records)
-                records = []
-        self._flush(table, records)
+            timestamps.append(timestamp)
+            rows.append(values)
+            if len(rows) >= FLUSH_ROWS:
+                self._flush(table, timestamps, rows)
+                timestamps, rows = [], []  # the batch keeps the old ones
+        self._flush(table, timestamps, rows)
         return stats
 
-    def _flush(self, table: Table, records: List[Record]) -> None:
-        if records:
-            table.insert_many(records)
-            self.stats.accepted += len(records)
-            self.stats.note_insert(max(record.timestamp for record in records))
+    def _flush(self, table: Table, timestamps: List[float], rows: list) -> None:
+        if rows:
+            table.insert_many(RowBatch(self.columns, timestamps, rows, self.optional))
+            self.stats.accepted += len(rows)
+            self.stats.note_insert(max(timestamps))
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:  # pragma: no cover - abstract
-        """Normalize one raw line to ``(timestamp, fields)``; stores
-        nothing.  Raises :class:`NormalizationError` (or ``ValueError``)
-        for a line that must be rejected."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:  # pragma: no cover - abstract
+        """Normalize one raw line to ``(timestamp, values)`` — the
+        values against :attr:`columns`, ``MISSING`` for an optional
+        field the line lacks; stores nothing.  Raises
+        :class:`NormalizationError` (or ``ValueError``) for a line that
+        must be rejected."""
         raise NotImplementedError
+
+    def parse_fields(self, line: str) -> Tuple[float, Dict[str, Any]]:
+        """:meth:`parse` with the values as the row's field dict."""
+        timestamp, values = self.parse(line)
+        return timestamp, fields_of(self.columns, values)

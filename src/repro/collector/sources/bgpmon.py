@@ -14,12 +14,12 @@ preference and AS-path length.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from ...routing.bgp import BgpRoute, BgpUpdate, BgpUpdateLog
 from ..normalizer import NormalizationError
 from ..store import DataStore
-from .base import SourceParser, parse_epoch
+from .base import SourceParser, parse_count, parse_epoch
 
 
 @dataclass
@@ -27,9 +27,12 @@ class BgpMonParser(SourceParser):
     """Parses reflector-feed updates into the ``bgpmon`` table."""
 
     table_name: str = "bgpmon"
+    columns = (
+        "kind", "prefix", "egress_router", "next_hop", "local_pref", "as_path_len"
+    )
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 7:
             raise NormalizationError("expected 7 pipe-separated fields")
@@ -39,14 +42,14 @@ class BgpMonParser(SourceParser):
         if "/" not in prefix:
             raise NormalizationError(f"malformed prefix {prefix!r}")
         timestamp = parse_epoch(raw_time)
-        return timestamp, {
-            "kind": kind,
-            "prefix": prefix,
-            "egress_router": self.registry.canonical_name(raw_egress),
-            "next_hop": next_hop,
-            "local_pref": int(raw_pref or 0),
-            "as_path_len": int(raw_aslen or 0),
-        }
+        return timestamp, (
+            kind,
+            prefix,
+            self.registry.canonical_name(raw_egress),
+            next_hop,
+            parse_count(raw_pref or "0"),
+            parse_count(raw_aslen or "0"),
+        )
 
 
 def render_bgpmon_row(

@@ -11,13 +11,14 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from ..normalizer import (
     NormalizationError,
     normalize_interface_name,
     parse_timestamp,
 )
+from ..rows import MISSING
 from .base import SourceParser, parse_epoch, parse_value
 
 # ---------------------------------------------------------------------------
@@ -31,20 +32,18 @@ from .base import SourceParser, parse_epoch, parse_value
 @dataclass
 class TacacsParser(SourceParser):
     table_name: str = "tacacs"
+    columns = ("router", "user", "command", "interface")
+    optional = frozenset({"interface"})
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|", 3)
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, raw_router, user, command = parts
         timestamp = parse_timestamp(raw_time, "UTC")
         router = self.registry.canonical_name(raw_router)
-        fields = {"router": router, "user": user, "command": command}
-        interface = _interface_in_command(command)
-        if interface:
-            fields["interface"] = interface
-        return timestamp, fields
+        return timestamp, (router, user, command, _interface_in_command(command))
 
 
 _COMMAND_INTERFACE_RE = re.compile(r"interface\s+([A-Za-z]+[\d/.:]+)")
@@ -56,8 +55,8 @@ def _interface_in_command(command: str):
         try:
             return normalize_interface_name(match.group(1))
         except NormalizationError:
-            return None
-    return None
+            pass
+    return MISSING
 
 
 def render_tacacs_row(timestamp: float, router: str, user: str, command: str) -> str:
@@ -85,20 +84,17 @@ _LAYER1_EVENTS = {EVENT_SONET, EVENT_MESH_REGULAR, EVENT_MESH_FAST}
 @dataclass
 class Layer1Parser(SourceParser):
     table_name: str = "layer1"
+    columns = ("device", "event", "circuit")
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, device, event, circuit = parts
         if event not in _LAYER1_EVENTS:
             raise NormalizationError(f"unknown layer-1 event {event!r}")
-        return parse_epoch(raw_time), {
-            "device": device.strip().lower(),
-            "event": event,
-            "circuit": circuit,
-        }
+        return parse_epoch(raw_time), (device.strip().lower(), event, circuit)
 
 
 def render_layer1_row(timestamp: float, device: str, event: str, circuit: str) -> str:
@@ -124,21 +120,22 @@ _PERF_METRICS = {METRIC_DELAY, METRIC_LOSS, METRIC_THROUGHPUT, METRIC_RTT}
 @dataclass
 class PerfMonParser(SourceParser):
     table_name: str = "perfmon"
+    columns = ("source", "destination", "metric", "value")
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 5:
             raise NormalizationError("expected 5 pipe-separated fields")
         raw_time, source, destination, metric, raw_value = parts
         if metric not in _PERF_METRICS:
             raise NormalizationError(f"unknown perf metric {metric!r}")
-        return parse_epoch(raw_time), {
-            "source": sys.intern(source.strip().lower()),
-            "destination": sys.intern(destination.strip().lower()),
-            "metric": sys.intern(metric),
-            "value": parse_value(raw_value),
-        }
+        return parse_epoch(raw_time), (
+            sys.intern(source.strip().lower()),
+            sys.intern(destination.strip().lower()),
+            sys.intern(metric),
+            parse_value(raw_value),
+        )
 
 
 def render_perfmon_row(
@@ -158,18 +155,19 @@ def render_perfmon_row(
 @dataclass
 class NetflowParser(SourceParser):
     table_name: str = "netflow"
+    columns = ("source", "source_ip", "ingress_router")
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, source, source_ip, raw_ingress = parts
-        return parse_epoch(raw_time), {
-            "source": sys.intern(source.strip().lower()),
-            "source_ip": source_ip,
-            "ingress_router": self.registry.canonical_name(raw_ingress),
-        }
+        return parse_epoch(raw_time), (
+            sys.intern(source.strip().lower()),
+            source_ip,
+            self.registry.canonical_name(raw_ingress),
+        )
 
 
 def render_netflow_row(
@@ -190,20 +188,21 @@ def render_netflow_row(
 @dataclass
 class WorkflowParser(SourceParser):
     table_name: str = "workflow"
+    columns = ("router", "activity", "detail")
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|", 3)
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, raw_router, activity, detail = parts
         if not activity:
             raise NormalizationError("empty activity")
-        return parse_timestamp(raw_time, "UTC"), {
-            "router": self.registry.canonical_name(raw_router),
-            "activity": activity,
-            "detail": detail,
-        }
+        return parse_timestamp(raw_time, "UTC"), (
+            self.registry.canonical_name(raw_router),
+            activity,
+            detail,
+        )
 
 
 def render_workflow_row(timestamp: float, router: str, activity: str, detail: str) -> str:
@@ -223,21 +222,20 @@ def render_workflow_row(timestamp: float, router: str, activity: str, detail: st
 @dataclass
 class CdnLogParser(SourceParser):
     table_name: str = "cdn"
+    columns = ("server", "kind", "value", "detail")
+    optional = frozenset({"value", "detail"})
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 4:
             raise NormalizationError("expected 4 pipe-separated fields")
         raw_time, server, kind, value = parts
         if kind not in ("load", "policy_change"):
             raise NormalizationError(f"unknown cdn record kind {kind!r}")
-        fields = {"server": sys.intern(server.strip().lower()), "kind": kind}
-        if kind == "load":
-            fields["value"] = parse_value(value)
-        else:
-            fields["detail"] = value
-        return parse_epoch(raw_time), fields
+        server = sys.intern(server.strip().lower())
+        load, detail = (parse_value(value), MISSING) if kind == "load" else (MISSING, value)
+        return parse_epoch(raw_time), (server, kind, load, detail)
 
 
 def render_cdn_row(timestamp: float, server: str, kind: str, value) -> str:

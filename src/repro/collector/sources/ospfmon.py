@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from ...routing.ospf import WeightChange, WeightHistory
 from ..normalizer import NormalizationError
 from ..store import DataStore
-from .base import SourceParser, parse_epoch
+from .base import SourceParser, parse_count, parse_epoch
 
 
 @dataclass
@@ -28,9 +28,10 @@ class OspfMonParser(SourceParser):
     """Parses weight updates into the ``ospfmon`` table."""
 
     table_name: str = "ospfmon"
+    columns = ("link", "weight")
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 3:
             raise NormalizationError("expected 3 pipe-separated fields")
@@ -38,10 +39,10 @@ class OspfMonParser(SourceParser):
         if not link:
             raise NormalizationError("empty link identifier")
         timestamp = parse_epoch(raw_time)
-        weight = int(raw_weight)
+        weight = parse_count(raw_weight)
         if weight < 0:
             raise NormalizationError("negative weight")
-        return timestamp, {"link": sys.intern(link), "weight": weight}
+        return timestamp, (sys.intern(link), weight)
 
 
 def render_ospfmon_row(timestamp: float, link: str, weight: int) -> str:
@@ -52,8 +53,9 @@ def render_ospfmon_row(timestamp: float, link: str, weight: int) -> str:
 def weight_history_from_store(store: DataStore) -> WeightHistory:
     """Build the routing simulator's weight history from the table."""
     history = WeightHistory()
-    for record in store.table("ospfmon").scan():
-        history.record(
-            WeightChange(record.timestamp, record["link"], record["weight"])
-        )
+    rows = store.table("ospfmon").query_columns()
+    for change in map(
+        WeightChange, rows.timestamps, rows.column("link"), rows.column("weight")
+    ):
+        history.record(change)
     return history

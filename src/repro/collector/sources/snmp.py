@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from ..normalizer import (
     NormalizationError,
     normalize_interface_name,
     parse_timestamp,
 )
+from ..rows import MISSING
 from .base import SourceParser, parse_value
 
 #: Metric names exported by the poller.
@@ -44,9 +45,11 @@ class SnmpParser(SourceParser):
     """Parses poller export rows into the ``snmp`` table."""
 
     table_name: str = "snmp"
+    columns = ("router", "metric", "value", "interface")
+    optional = frozenset({"interface"})
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         parts = line.strip().split("|")
         if len(parts) != 5:
             raise NormalizationError("expected 5 pipe-separated fields")
@@ -56,10 +59,8 @@ class SnmpParser(SourceParser):
         timestamp = parse_timestamp(raw_time, "UTC")
         router = self.registry.canonical_name(raw_router)
         value = parse_value(raw_value)
-        fields = {"router": router, "metric": sys.intern(metric), "value": value}
-        if raw_interface:
-            fields["interface"] = normalize_interface_name(raw_interface)
-        return timestamp, fields
+        interface = normalize_interface_name(raw_interface) if raw_interface else MISSING
+        return timestamp, (router, sys.intern(metric), value, interface)
 
 
 def render_snmp_row(

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..normalizer import NormalizationError, normalize_interface_name
-from .base import SourceParser
+from ..rows import MISSING
+from .base import SourceParser, parse_count
 
 _LINE_RE = re.compile(
     r"^(?P<timestamp>\w{3}\s+\d+\s+[\d:]+|\d{4}-\d{2}-\d{2}[ T][\d:]+)\s+"
@@ -60,9 +61,16 @@ class SyslogParser(SourceParser):
     """Parses syslog lines into the ``syslog`` table."""
 
     table_name: str = "syslog"
+    columns = (
+        "router", "code", "message",
+        "interface", "state", "neighbor", "vrf", "reason", "direction",
+        "cpu_pct", "slot",
+    )
+    #: the typed fields :func:`_extract_structured` may find in the body
+    optional = frozenset(columns[3:])
 
-    def parse(self, line: str) -> Tuple[float, Dict[str, Any]]:
-        """Normalize one raw line to ``(timestamp, fields)``."""
+    def parse(self, line: str) -> Tuple[float, Tuple[Any, ...]]:
+        """Normalize one raw line to ``(timestamp, values)``."""
         match = _LINE_RE.match(line.strip())
         if not match:
             raise NormalizationError("unrecognized syslog line")
@@ -70,52 +78,46 @@ class SyslogParser(SourceParser):
         timestamp = self.registry.parse_device_timestamp(match.group("timestamp"), router)
         code = match.group("code")
         message = match.group("message")
-        fields: Dict[str, Any] = {
-            "router": router,
-            "code": code,
-            "message": message,
-        }
-        fields.update(_extract_structured(code, message))
-        return timestamp, fields
+        return timestamp, (router, code, message, *_extract_structured(code, message))
 
 
-def _extract_structured(code: str, message: str) -> Dict[str, Any]:
-    """Pull typed fields out of the free-text message body."""
-    fields: Dict[str, Any] = {}
+def _extract_structured(code: str, message: str) -> Tuple[Any, ...]:
+    """Pull typed fields out of the free-text message body: one value
+    per optional column, ``MISSING`` for what the body does not say."""
+    interface = state = neighbor = vrf = reason = direction = cpu_pct = slot = MISSING
     if code == CODE_PIM_NBRCHG:
         match = _PIM_RE.search(message)
         if match:
-            fields["neighbor"] = match.group("neighbor")
-            fields["state"] = match.group("state").lower()
-            fields["interface"] = normalize_interface_name(match.group("interface"))
-            if match.group("vrf"):
-                fields["vrf"] = match.group("vrf")
-        return fields
-    iface = _INTERFACE_RE.search(message)
-    if iface:
-        fields["interface"] = normalize_interface_name(iface.group(1))
-    state = _STATE_RE.search(message)
-    if state:
-        fields["state"] = state.group(1).lower()
-    neighbor = _NEIGHBOR_RE.search(message)
-    if neighbor:
-        fields["neighbor"] = neighbor.group(1)
+            neighbor = match.group("neighbor")
+            state = match.group("state").lower()
+            interface = normalize_interface_name(match.group("interface"))
+            vrf = match.group("vrf") or MISSING
+        return interface, state, neighbor, vrf, reason, direction, cpu_pct, slot
+    found = _INTERFACE_RE.search(message)
+    if found:
+        interface = normalize_interface_name(found.group(1))
+    found = _STATE_RE.search(message)
+    if found:
+        state = found.group(1).lower()
+    found = _NEIGHBOR_RE.search(message)
+    if found:
+        neighbor = found.group(1)
     if code == CODE_BGP_ADJCHANGE:
-        bgp_state = _BGP_STATE_RE.search(message)
-        if bgp_state:
-            fields["state"] = bgp_state.group(1).lower()
-    if code == CODE_BGP_NOTIFICATION:
-        fields["reason"] = _notification_reason(message)
-        fields["direction"] = "sent" if "sent to" in message else "received"
-    if code == CODE_CPUHOG:
-        cpu = _CPU_RE.search(message)
-        if cpu:
-            fields["cpu_pct"] = int(cpu.group(1))
-    if code == CODE_LINECARD:
-        slot = _SLOT_RE.search(message)
-        if slot:
-            fields["slot"] = int(slot.group(1))
-    return fields
+        found = _BGP_STATE_RE.search(message)
+        if found:
+            state = found.group(1).lower()
+    elif code == CODE_BGP_NOTIFICATION:
+        reason = _notification_reason(message)
+        direction = "sent" if "sent to" in message else "received"
+    elif code == CODE_CPUHOG:
+        found = _CPU_RE.search(message)
+        if found:
+            cpu_pct = parse_count(found.group(1))
+    elif code == CODE_LINECARD:
+        found = _SLOT_RE.search(message)
+        if found:
+            slot = parse_count(found.group(1))
+    return interface, state, neighbor, vrf, reason, direction, cpu_pct, slot
 
 
 def _notification_reason(message: str) -> Optional[str]:

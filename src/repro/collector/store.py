@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -57,90 +57,16 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from .backends import ColumnarSlice, StorageBackend, resolve_backend
+from .backends import StorageBackend, resolve_backend
+from .rows import ColumnarSlice, Record, RowBatch
 
 #: Rows the change log reaches back (the newest batch is kept whole
 #: whatever its size): 15 of the densest ticks of the benchmark's PIM
 #: storm, 1 085 rows each, may pass between two looks at it.
 CHANGE_LOG_ROWS = 16384
-
-
-class Record:
-    """One normalized row: an epoch-UTC timestamp plus named fields.
-
-    The field dict *is* the row — a parser's dict is adopted as is, so a
-    stored row costs one object beside it.  ``fields``, the sorted
-    ``(name, value)`` tuple that hashing, ``repr`` and the pickled
-    payload are defined over, is derived when one of those asks.
-    Immutable: assignment raises
-    :class:`dataclasses.FrozenInstanceError`, as a frozen dataclass's.
-    """
-
-    __slots__ = ("timestamp", "_by_name")
-
-    def __init__(self, timestamp: float, fields: Iterable[Tuple[str, Any]]) -> None:
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "_by_name", dict(fields))
-
-    @classmethod
-    def make(cls, timestamp: float, **fields: Any) -> "Record":
-        return cls.adopt(timestamp, fields)
-
-    @classmethod
-    def adopt(cls, timestamp: float, fields: Dict[str, Any]) -> "Record":
-        """The record over a field dict the caller gives up.
-
-        The dict becomes the row as is — no copy — so it must not be
-        touched afterwards.
-        """
-        record = object.__new__(cls)
-        object.__setattr__(record, "timestamp", timestamp)
-        object.__setattr__(record, "_by_name", fields)
-        return record
-
-    @property
-    def fields(self) -> Tuple[Tuple[str, Any], ...]:
-        """The fields as ``(name, value)`` pairs sorted by name."""
-        return tuple(sorted(self._by_name.items()))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.timestamp, self._by_name) == (other.timestamp, other._by_name)
-
-    def __hash__(self) -> int:
-        return hash((self.timestamp, self.fields))
-
-    def __repr__(self) -> str:
-        return f"Record(timestamp={self.timestamp!r}, fields={self.fields!r})"
-
-    def __getitem__(self, key: str) -> Any:
-        return self._by_name[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Field value by name, with a default when absent."""
-        return self._by_name.get(key, default)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The record's fields as a plain dictionary."""
-        return dict(self.fields)
-
-    def __getstate__(self) -> Tuple[float, Tuple[Tuple[str, Any], ...]]:
-        # the pickle (the SQLite payload format) is the frozen
-        # dataclass's: stores written before the dict was the row open
-        return (self.timestamp, self.fields)
-
-    def __setstate__(self, state) -> None:
-        object.__setattr__(self, "timestamp", state[0])
-        object.__setattr__(self, "_by_name", dict(state[1]))
 
 
 class Table:
@@ -185,11 +111,14 @@ class Table:
         with self._lock:
             return len(self._backend)
 
-    def insert_many(self, records: Sequence[Record]) -> None:
+    def insert_many(self, records: Union[RowBatch, Sequence[Record]]) -> None:
         """Insert a batch keeping timestamp order; the one write path.
 
-        Readers see none of the batch or all of it, in arrival order
-        among equal timestamps (append-fast for ordered feeds).
+        Takes the rows in either shape — the :class:`RowBatch` a parser
+        emits or a sequence of records — and hands them to the backend
+        as they came.  Readers see none of the batch or all of it, in
+        arrival order among equal timestamps (append-fast for ordered
+        feeds).
         """
         if not records:
             return
@@ -199,7 +128,11 @@ class Table:
         # store takes its own)
         store = self._store and self._store()
         if store is not None:
-            store._log_batch(self.name, [record.timestamp for record in records])
+            if isinstance(records, RowBatch):
+                timestamps = records.timestamps
+            else:
+                timestamps = [record.timestamp for record in records]
+            store._log_batch(self.name, timestamps)
 
     def insert(self, record: Record) -> None:
         """Insert one record (a batch of one)."""
@@ -231,7 +164,7 @@ class Table:
         :meth:`repro.collector.backends.MemoryBackend.query_columns`);
         row-materializing everywhere else.  Either way
         ``slice.timestamps`` is sorted and index-aligned with
-        ``slice.records``.
+        ``slice.column(name)`` and ``slice.records``.
         """
         with self._lock:
             return self._backend.query_columns(start, end, equals)
@@ -460,7 +393,7 @@ DEFAULT_INDEXES: Dict[str, Tuple[str, ...]] = {
     "perfmon": ("source", "destination", "metric"),
     "netflow": ("source", "ingress_router"),
     "workflow": ("router", "activity"),
-    "cdn": ("server",),
+    "cdn": ("kind",),
 }
 
 

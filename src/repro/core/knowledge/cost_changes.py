@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ...routing.ospf import COST_OUT_WEIGHT
 from ..events import RetrievalContext
@@ -38,16 +38,20 @@ def classify_cost_change(
 
 
 def classify_rows(
-    history, timestamps: Sequence[float], records: Sequence[Any], base: int = 0
+    history, columns, lo: int = 0, hi: Optional[int] = None
 ) -> Tuple[List[int], List[CostChange]]:
-    """Classify ``ospfmon`` rows one by one: the positions (counted
-    from ``base``) of the rows that changed a link's state, and those
-    changes, in row order."""
+    """Classify rows ``[lo, hi)`` of an ``ospfmon`` slice one by one,
+    off its columns: the run positions of the rows that changed a
+    link's state, and those changes, in row order."""
     positions: List[int] = []
     changes: List[CostChange] = []
-    for position, (timestamp, record) in enumerate(zip(timestamps, records), base):
-        link = record["link"]
-        change = classify_cost_change(history, link, timestamp, record["weight"])
+    rows = zip(
+        columns.timestamps[lo:hi],
+        columns.column("link")[lo:hi],
+        columns.column("weight")[lo:hi],
+    )
+    for position, (timestamp, link, weight) in enumerate(rows, columns.position + lo):
+        change = classify_cost_change(history, link, timestamp, weight)
         if change is not None:
             positions.append(position)
             changes.append((timestamp, link, change))
@@ -99,18 +103,12 @@ class CostChangeIndex:
             if key != self._key or lo > self._hi or hi < self._lo:
                 self._restart(key, lo)
             if lo < self._lo:
-                count = self._lo - lo
-                positions, changes = classify_rows(
-                    history, columns.timestamps[:count], columns.records[:count], lo
-                )
+                positions, changes = classify_rows(history, columns, 0, self._lo - lo)
                 self._positions[:0] = positions
                 self._changes[:0] = changes
                 self._lo = lo
             if hi > self._hi:
-                skip = self._hi - lo
-                positions, changes = classify_rows(
-                    history, columns.timestamps[skip:], columns.records[skip:], self._hi
-                )
+                positions, changes = classify_rows(history, columns, self._hi - lo)
                 self._positions += positions
                 self._changes += changes
                 self._hi = hi
@@ -132,4 +130,4 @@ def retrieve_cost_changes(context: RetrievalContext) -> List[CostChange]:
     index = context.services.get("cost_changes")
     if index is not None and columns.zero_copy:
         return index.window(history, columns)
-    return classify_rows(history, columns.timestamps, columns.records)[1]
+    return classify_rows(history, columns)[1]

@@ -62,6 +62,16 @@ class Anomaly:
     baseline: float
 
 
+def pair_samples(columns) -> Iterable[Tuple[float, Hashable, float]]:
+    """A ``perfmon`` window as :func:`detect_shift` samples keyed by
+    ``(source, destination)``, read off its columns — no row is built."""
+    return zip(
+        columns.timestamps,
+        zip(columns.column("source"), columns.column("destination")),
+        columns.column("value"),
+    )
+
+
 def detect_shift(
     samples: Iterable[Tuple[float, Hashable, float]],
     direction: str,

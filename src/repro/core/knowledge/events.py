@@ -31,7 +31,13 @@ from ..events import EventDefinition, EventInstance, EventLibrary, RetrievalCont
 from ..locations import Location, LocationType
 from . import names
 from .cost_changes import retrieve_cost_changes
-from .detectors import TimedPoint, detect_shift, merge_intervals, pair_flaps
+from .detectors import (
+    TimedPoint,
+    detect_shift,
+    merge_intervals,
+    pair_flaps,
+    pair_samples,
+)
 
 #: Default down->up pairing window for flap events, seconds.
 DEFAULT_FLAP_WINDOW = 600.0
@@ -198,11 +204,11 @@ def _retrieve_ospf_reconvergence(context: RetrievalContext) -> Iterable[EventIns
     """One instance per link per re-convergence episode."""
     settle = context.param("reconvergence_settle", 10.0)
     by_link: Dict[str, List[float]] = {}
-    # unfiltered window query: the columnar view is zero-copy on the
-    # memory backend, and the timestamp rides alongside each record
+    # unfiltered window query: two columns, zero-copy on the memory
+    # backend — no row is built
     columns = context.store.table("ospfmon").query_columns(context.start, context.end)
-    for timestamp, record in zip(columns.timestamps, columns.records):
-        by_link.setdefault(record["link"], []).append(timestamp)
+    for timestamp, link in zip(columns.timestamps, columns.column("link")):
+        by_link.setdefault(link, []).append(timestamp)
     for link, points in sorted(by_link.items()):
         for start, end in merge_intervals(points, settle):
             yield EventInstance.make(
@@ -258,10 +264,11 @@ def _cmd_retrieval(name: str, direction: str):
         columns = context.store.table("tacacs").query_columns(
             context.start, context.end
         )
-        for timestamp, record in zip(columns.timestamps, columns.records):
-            command = record.get("command", "")
-            interface = record.get("interface")
-            if interface is None or "cost" not in command:
+        for timestamp, command, interface, router, user in zip(
+            columns.timestamps,
+            *map(columns.column, ("command", "interface", "router", "user")),
+        ):
+            if interface is None or "cost" not in (command or ""):
                 continue
             is_out = COST_OUT_COMMAND_MARKER in command
             if (direction == "out") != is_out:
@@ -270,8 +277,8 @@ def _cmd_retrieval(name: str, direction: str):
                 name,
                 timestamp,
                 timestamp,
-                Location.interface(f"{record['router']}:{interface}"),
-                user=record.get("user"),
+                Location.interface(f"{router}:{interface}"),
+                user=user,
             )
 
     return retrieve
@@ -309,12 +316,11 @@ def _perf_retrieval(name: str, metric: str, direction: str, factor_key: str):
         lookback = context.param("perf_baseline_lookback", 3600.0)
         floor = context.param("perf_absolute_floor", 0.5)
         interval = context.param("perf_interval", POLL_INTERVAL_SECONDS)
-        samples = [
-            (r.timestamp, (r["source"], r["destination"]), r["value"])
-            for r in context.store.table("perfmon").query(
+        samples = pair_samples(
+            context.store.table("perfmon").query_columns(
                 context.start - lookback, context.end + interval, metric=metric
             )
-        ]
+        )
         for anomaly in detect_shift(samples, direction, factor, absolute_floor=floor):
             if anomaly.timestamp < context.start:
                 continue

@@ -299,6 +299,30 @@ class TestSqliteBackend:
         assert got.get("value") == 1.5
         backend.close()
 
+    def test_a_file_created_under_other_index_columns_answers_the_same(self, tmp_path):
+        # the cdn table indexed ``server`` until its readers' filter,
+        # ``kind``, took its place: files written before keep working
+        path = str(tmp_path / "cdn.sqlite")
+        rows = [
+            Record.make(1.0, server="s1", kind="load", value=0.9),
+            Record.make(2.0, server="s1", kind="policy_change", detail="v2"),
+        ]
+        old = SqliteBackend("cdn", ("server",), path=path)
+        old.insert_many(rows[:1])
+        old.close()
+        new = SqliteBackend("cdn", ("kind",), path=path)
+        new.insert_many(rows[1:])
+        # the file's own columns are the ones kept up to date
+        assert new.indexed_columns == ()
+        assert new.query(None, None, {"kind": "load"}) == rows[:1]
+        assert new.query(None, None, {"kind": "policy_change"}) == rows[1:]
+        assert new.query(None, None, {"server": "s1"}) == rows
+        new.close()
+        # and a fresh file mirrors what was declared
+        fresh = SqliteBackend("cdn", ("kind",), path=str(tmp_path / "fresh.sqlite"))
+        assert fresh.indexed_columns == ("kind",)
+        fresh.close()
+
     def test_stats_identify_backend_and_path(self, tmp_path):
         path = str(tmp_path / "stats.sqlite")
         backend = SqliteBackend("t", (), path=path)

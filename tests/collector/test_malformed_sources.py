@@ -91,6 +91,31 @@ MALFORMED = {
     + [f"1262692800.0|srv1|load|{raw}" for raw in NON_FINITE],
 }
 
+#: every numeric field of every feed, one template each ("12" is good in all)
+NUMERIC_FIELDS = {
+    "syslog": [
+        "Jan  5 10:25:00 nyc-per1 %SYS-3-CPUHOG: CPU utilization for five seconds: {}%",
+        "Jan  5 10:25:00 nyc-per1 %OIR-3-CRASH: Card in slot {} crashed",
+    ],
+    "snmp": [
+        "2010-01-05 10:25:00|nyc-per1|cpu_util_5min||{}",
+        "{}|nyc-per1|cpu_util_5min||72",  # epoch seconds are a timestamp spelling
+    ],
+    "ospfmon": ["{}|l:1|10", "1262692800.0|l:1|{}"],
+    "bgpmon": [
+        "{}|A|10.0.0.0/8|nyc-cr1|192.0.2.1|100|3",
+        "1262692800.0|A|10.0.0.0/8|nyc-cr1|192.0.2.1|{}|3",
+        "1262692800.0|A|10.0.0.0/8|nyc-cr1|192.0.2.1|100|{}",
+    ],
+    "tacacs": ["{}|nyc-cr1|op17|conf t"],
+    "layer1": ["{}|adm-1|sonet_restoration|c-1"],
+    "perfmon": ["{}|a|b|rtt_ms|3.5", "1262692800.0|a|b|rtt_ms|{}"],
+    "netflow": ["{}|agent|198.51.100.9|nyc-per1"],
+    "workflow": ["{}|nyc-per1|provisioning.x|t"],
+    "cdn": ["{}|srv1|load|0.5", "1262692800.0|srv1|load|{}"],
+}
+LITERAL_SYNTAX = ["1_0", "１２", "1２"]
+
 GOOD = {
     "syslog": render_syslog_line(T0, "nyc-per1", "US/Eastern", "LINK-3-UPDOWN",
                                  "Interface Serial1/0, changed state to down"),
@@ -155,6 +180,27 @@ class TestMalformedPerSource:
         letters = collector.dead_letters.entries(source)
         assert [letter.line for letter in letters] == lines
         assert {letter.reason for letter in letters} == {"non-finite value"}
+
+    @pytest.mark.parametrize(
+        "source,template,literal",
+        [
+            (source, template, literal)
+            for source in sorted(NUMERIC_FIELDS)
+            for template in NUMERIC_FIELDS[source]
+            for literal in LITERAL_SYNTAX
+            # a syslog body is searched for digits: of "1_0" it finds "0"
+            if not (source == "syslog" and "_" in literal)
+        ],
+    )
+    def test_python_literal_syntax_is_not_feed_syntax(
+        self, collector, source, template, literal
+    ):
+        # int() and float() would read these as 10, 10.5, 12 and 12.5
+        line = template.format(literal)
+        stats = collector.ingest(source, [line, template.format("12")])
+        assert (stats.accepted, stats.rejected) == (1, 1), stats.last_error
+        assert len(collector.store.table(source)) == 1
+        assert [letter.line for letter in collector.dead_letters.entries(source)] == [line]
 
     def test_unknown_devices_normalized_not_rejected(self, collector):
         """A router the registry has never seen still ingests (UTC)."""

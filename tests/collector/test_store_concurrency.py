@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.collector import store as store_module
+from repro.collector.backends import memory_backend
 from repro.collector.store import DataStore, Record
 
 N_RECORDS = 400
@@ -220,3 +221,66 @@ class TestBatchAtomicity:
         assert not errors
         assert len(table) == 2 * batches * size
         assert store.revision == 2 * batches * size
+
+
+class TestSliceReadOutsideTheLock:
+    def test_a_slice_is_one_window_while_writers_add_rows_fields_and_merges(self):
+        """A ``ColumnarSlice`` is captured under the table lock and read
+        outside it.  While writers append batches that each bring a field
+        nobody has seen (a new column, back-filled) and late batches that
+        force tail merges (every column replaced), whatever a reader pulls
+        out of one slice — timestamps, columns, rows — is one consistent
+        window."""
+        store = DataStore(backend=memory_backend(tail_limit=64))
+        table = store.table("syslog")
+        size, batches = 20, 40
+        errors = []
+        done = threading.Event()
+
+        def write(late):
+            try:
+                for k in range(batches):
+                    base = (batches - k if late else batches + k) * 1000
+                    extra = {f"f{late}_{k}": k}
+                    table.insert_many(
+                        [Record.make(float(base + i), seq=base + i, **extra) for i in range(size)]
+                    )
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        def read():
+            try:
+                while not done.is_set():
+                    for window in (table.query_columns(None, None),
+                                   table.query_columns(None, None, seq=batches * 1000)):
+                        stamps = list(window.timestamps)
+                        seqs = list(window.column("seq"))
+                        rows = window.records
+                        assert len(stamps) == len(seqs) == len(rows) == len(window)
+                        assert stamps == sorted(stamps)
+                        assert seqs == [float(stamp) for stamp in stamps]
+                        for stamp, row in zip(stamps, rows):
+                            # seq plus the one field its batch brought
+                            assert row.timestamp == stamp == row["seq"]
+                            assert len(row.fields) == 2, row
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(late,)) for late in (0, 1)]
+            readers = [threading.Thread(target=read) for _ in range(N_READERS)]
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60.0)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert not errors, errors[:1]
+        assert len(table) == 2 * batches * size
+        assert table.stats()["merges"] > 0

@@ -37,6 +37,17 @@ def filter_every_row(
     return [record for _timestamp, _arrival, record in matched]
 
 
+def scan_cdn_rows(context: RetrievalContext, kind: str) -> List[Any]:
+    """The ``cdn`` rows of one kind inside a context's window, found by
+    looking at every row of the table — no index, no ``kind=`` filter."""
+    return [
+        record
+        for record in context.store.table("cdn").scan()
+        if context.start <= record.timestamp <= context.end
+        and record.get("kind") == kind
+    ]
+
+
 def two_read_flap_retrieval(code: str, flap_name: str):
     """A flap retrieval that reads the widened window once per state."""
 

@@ -12,6 +12,7 @@ flap retrieval that reads once per state.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.cdn import _retrieve_policy_change, _retrieve_server_issue
 from repro.collector.backends import MemoryBackend, SqliteBackend, memory_backend
 from repro.collector.sources import syslog as syslog_codes
 from repro.collector.store import (
@@ -24,7 +25,7 @@ from repro.core.events import RetrievalContext
 from repro.core.knowledge import names
 from repro.core.knowledge.events import build_common_events
 
-from .read_path import filter_every_row, two_read_flap_retrieval
+from .read_path import filter_every_row, scan_cdn_rows, two_read_flap_retrieval
 
 INDEXED = ("router", "code")
 
@@ -112,6 +113,61 @@ class TestQueryEqualsTheNaiveFilter:
         backend.insert(Record.make(1.0, code=nan))
         assert backend.query(None, None, {"code": nan}) == []
         assert filter_every_row(backend.scan(), None, None, {"code": nan}) == []
+
+
+# ---------------------------------------------------------------------------
+# the cdn table: both CDN retrievals filter ``kind=``, so that is its index
+
+cdn_rows = st.lists(
+    st.tuples(
+        st.integers(0, 12).map(float),
+        st.sampled_from(["srv1", "srv2"]),
+        st.sampled_from(["load", "load", "policy_change", ABSENT]),
+        st.sampled_from([0.5, 0.9, 0.95]),
+    ),
+    max_size=40,
+)
+
+
+class TestTheCdnTableAnswersAsTheNaiveScan:
+    @settings(max_examples=100, deadline=None)
+    @given(cdn_rows, bound, bound, st.sampled_from([None, 0, 3]))
+    def test_kind_reads_and_both_retrievals(self, drawn, start, end, tail_limit):
+        store = DataStore(backend=memory_backend(tail_limit=tail_limit))
+        table = store.table("cdn")
+        assert "kind" in table.indexed_columns
+        records = []
+        for stamp, server, kind, value in drawn:
+            fields = {"server": server}
+            fields.update({"value": value} if kind == "load" else {"detail": f"map-{value}"})
+            if kind is not ABSENT:
+                fields["kind"] = kind
+            records.append(Record.adopt(stamp, fields))
+            table.insert(Record.adopt(stamp, dict(fields)))
+        for kind in ("load", "policy_change", "ghost", None):
+            assert table.query(start, end, kind=kind) == filter_every_row(
+                records, start, end, {"kind": kind}
+            )
+        context = RetrievalContext(
+            store, -1.0 if start is None else start, 13.0 if end is None else end,
+            {"cdn_load_threshold": 0.9},
+        )
+        issues = [
+            (i.start, i.location.parts[0]) for i in _retrieve_server_issue(context)
+        ]
+        assert issues == [
+            (r.timestamp, r["server"])
+            for r in scan_cdn_rows(context, "load")
+            if r["value"] >= 0.9
+        ]
+        changes = [
+            (i.start, i.location.parts[0], dict(i.info)["detail"])
+            for i in _retrieve_policy_change(context)
+        ]
+        assert changes == [
+            (r.timestamp, r["server"], r["detail"])
+            for r in scan_cdn_rows(context, "policy_change")
+        ]
 
 
 # ---------------------------------------------------------------------------
