@@ -14,8 +14,9 @@ from typing import Any, Dict, List, Optional
 
 from ..core.browser import ResultBrowser
 from ..core.engine import EngineConfig, RcaEngine
-from ..core.events import EventInstance, EventLibrary, RetrievalContext
+from ..core.events import EventInstance, EventLibrary
 from ..core.graph import DiagnosisGraph
+from ..obs.trace import Tracer
 from ..platform import GrcaPlatform
 from ..service.workers import parallel_diagnose
 
@@ -53,26 +54,20 @@ class RcaApp:
         )
         return cls(platform=platform, events=events, engine=engine)
 
-    def find_symptoms(self, start: float, end: float) -> List[EventInstance]:
-        """Retrieve the application's symptom instances in a window."""
-        context = RetrievalContext(
-            store=self.platform.store, start=start, end=end,
-            services=self.engine.config.services,
-        )
-        return self.events.get(self.engine.graph.symptom_event).retrieve(context)
+    def find_symptoms(
+        self, start: float, end: float, tracer: Optional[Tracer] = None
+    ) -> List[EventInstance]:
+        """Retrieve the application's symptom instances in a window
+        (:meth:`RcaEngine.find_symptoms`)."""
+        return self.engine.find_symptoms(start, end, tracer)
 
-    def run(
-        self, start: float, end: float, jobs: int = 1, traced: bool = False
-    ) -> ResultBrowser:
+    def run(self, start: float, end: float, jobs: int = 1) -> ResultBrowser:
         """Diagnose every symptom in the window; browse the results.
 
         ``jobs > 1`` diagnoses contiguous time chunks in forked workers
         where the machine allows (see
         :func:`~repro.service.workers.parallel_diagnose`); results are
-        identical to the serial path.  ``traced=True`` attaches one span
-        tree per diagnosis (see :mod:`repro.obs`).
+        identical to the serial path.
         """
         symptoms = self.find_symptoms(start, end)
-        return ResultBrowser(
-            parallel_diagnose(self.engine, symptoms, jobs=jobs, traced=traced)
-        )
+        return ResultBrowser(parallel_diagnose(self.engine, symptoms, jobs=jobs))

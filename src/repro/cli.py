@@ -309,11 +309,7 @@ def _traced_run(app, result, scenario: str):
 
     tracer = Tracer()
     with tracer.span("run", label=scenario, scenario=scenario) as root:
-        with tracer.span(
-            "detect", label=app.engine.graph.symptom_event
-        ) as span:
-            symptoms = app.find_symptoms(result.start, result.end)
-            span.annotate(retrieved=len(symptoms))
+        symptoms = app.find_symptoms(result.start, result.end, tracer)
         diagnoses = app.engine.diagnose_all(symptoms, tracer=tracer)
         root.annotate(symptoms=len(symptoms))
     return ResultBrowser(diagnoses), root

@@ -548,6 +548,23 @@ class RcaEngine:
 
     # ------------------------------------------------------------------
 
+    def find_symptoms(
+        self, start: float, end: float, tracer: Optional[Tracer] = None
+    ) -> List[EventInstance]:
+        """The graph's symptom instances in ``[start, end]``: the one
+        symptom retrieval every run path shares, with the store, params
+        and services evidence retrievals get; ``tracer`` records one
+        ``detect`` span."""
+        definition = self.library.get(self.graph.symptom_event)
+        with (tracer or NULL_TRACER).span("detect", label=definition.name) as span:
+            symptoms = definition.retrieve(
+                RetrievalContext(
+                    self.store, start, end, self.config.params, self.config.services
+                )
+            )
+            span.annotate(retrieved=len(symptoms), window=[start, end])
+        return symptoms
+
     def diagnose(
         self,
         symptom: EventInstance,

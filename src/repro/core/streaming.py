@@ -51,13 +51,9 @@ from ..obs.trace import NULL_TRACER
 from .engine import (
     Diagnosis, RcaEngine, evidence_sources, footprint_hit, may_hit, note_reach,
 )
-from .events import EventInstance, InstanceKey, RetrievalContext, instance_key
+from .events import EventInstance, InstanceKey, instance_key
 
 DiagnosisCallback = Callable[[Diagnosis], None]
-
-#: Diagnoses a batch of settled symptoms; a worker-pool dispatcher (see
-#: ``RcaService.dispatcher``) plugs in here to parallelize advances.
-BatchDispatcher = Callable[[List[EventInstance]], List[Diagnosis]]
 
 #: how far before the previous watermark symptom retrieval reaches back,
 #: seconds, so out-of-order feed arrivals are not lost
@@ -119,19 +115,13 @@ class StreamingRca:
         config: Optional[StreamingConfig] = None,
         on_diagnosis: Optional[DiagnosisCallback] = None,
         start: Optional[float] = None,
-        dispatcher: Optional[BatchDispatcher] = None,
     ) -> None:
         """``start`` sets where the first advance begins looking for
         symptoms; omit it to stream "from now" (the first advance covers
-        one settle window only, ignoring older backlog).  ``dispatcher``
-        replaces inline diagnosis with a batch executor — pass
-        ``RcaService.dispatcher(app)`` to run each advance's settled
-        symptoms on the service worker pool (parallel, cached, metered)
-        instead of on the caller's thread."""
+        one settle window only, ignoring older backlog)."""
         self.engine = engine
         self.config = config or StreamingConfig()
         self.on_diagnosis = on_diagnosis
-        self.dispatcher = dispatcher
         self._start = start
         self._watermark: Optional[float] = None
         #: de-duplication keys of retrieved symptoms -> the instance's end
@@ -210,13 +200,12 @@ class StreamingRca:
         changed (also delivered to ``on_diagnosis``).
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) records one
-        ``advance`` span covering the whole call, with a ``detect``
-        child for symptom retrieval and — on the inline path — one
-        ``diagnose`` subtree per settled symptom, each also attached to
-        its :attr:`Diagnosis.trace`.  Dispatcher-executed batches trace
-        on the service side instead (per-job tracers), not here.  The
-        ``advance`` span carries ``invalidated`` / ``reopened`` /
-        ``evicted`` counters.
+        ``advance`` span covering the whole call, with the engine's
+        ``detect`` child for symptom retrieval and one ``diagnose``
+        subtree per settled symptom, each also attached to its
+        :attr:`Diagnosis.trace`.  The ``advance`` span carries
+        ``fresh`` / ``invalidated`` / ``reopened`` / ``evicted``
+        counters.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         config = self.config
@@ -251,28 +240,16 @@ class StreamingRca:
                     window_start = self._start
                 else:
                     window_start = settled_until - config.settle_seconds
-                definition = self.engine.library.get(
-                    self.engine.graph.symptom_event
-                )
-                with tracer.span("detect", label=definition.name) as det:
-                    context = RetrievalContext(
-                        store=self.engine.store,
-                        start=window_start,
-                        end=settled_until,
-                        params=self.engine.config.params,
-                        services=self.engine.config.services,
-                    )
-                    retrieved = 0
-                    for instance in definition.retrieve(context):
-                        retrieved += 1
-                        if instance.end > settled_until:
-                            continue  # not settled yet; next advance takes it
-                        key = instance_key(instance)
-                        if key in self._seen:
-                            continue
-                        self._seen[key] = instance.end
-                        fresh.append(instance)
-                    det.annotate(retrieved=retrieved, fresh=len(fresh))
+                for instance in self.engine.find_symptoms(
+                    window_start, settled_until, tracer
+                ):
+                    if instance.end > settled_until:
+                        continue  # not settled yet; next advance takes it
+                    key = instance_key(instance)
+                    if key in self._seen:
+                        continue
+                    self._seen[key] = instance.end
+                    fresh.append(instance)
                 self._watermark = settled_until
                 self._forget(settled_until)
                 # covers behind every window a fresh or re-opened
@@ -312,13 +289,8 @@ class StreamingRca:
         to_run = fresh + [instance for _key, instance, _diag in reopens]
         if not to_run:
             return []
-        if self.dispatcher is not None:
-            with tracer.span("dispatch") as span:
-                produced = self.dispatcher(to_run)
-                span.annotate(jobs=len(to_run), diagnoses=len(produced))
-        else:
-            # one group: a storm's siblings share their stage work
-            produced = self.engine.diagnose_all(to_run, tracer=tracer)
+        # one group: a storm's siblings share their stage work
+        produced = self.engine.diagnose_all(to_run, tracer=tracer)
         emitted: List[Diagnosis] = []
         for diagnosis in produced:
             key = instance_key(diagnosis.symptom)

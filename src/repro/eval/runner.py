@@ -1,20 +1,21 @@
 """Scenario replay: simulate, inject failures, diagnose, measure.
 
 The runner is the only part of the harness that touches wall-clock
-time, and only to *measure* it (per-diagnosis latency).  Everything
+time, and only to *measure* it (per-chunk latency).  Everything
 that determines the diagnoses themselves — topology, mixture, injection
 placement — comes from the scenario's seeds, so a scenario's scores are
 identical run to run.
 
-Three execution modes, increasing in realism:
+Three execution modes, increasing in realism, each diagnosing every
+:data:`JOB_CHUNK` symptoms as one unit (:meth:`ScenarioRunner._run_chunks`):
 
-* ``engine`` — symptoms diagnosed inline on the application's engine
-  (the unit of the paper's accuracy claims);
-* ``service`` — the same symptoms submitted as jobs to a supervised
+* ``engine`` — one inline ``diagnose_all`` group on the application's
+  engine (the unit of the paper's accuracy claims);
+* ``service`` — one job on a supervised
   :class:`~repro.service.RcaService` worker pool, optionally with
   chaos (worker crashes / delays / transient failures) scripted via
   :class:`~repro.service.faults.ServiceFaultInjector`;
-* ``http`` — end to end: jobs POSTed to the sharded HTTP gateway and
+* ``http`` — end to end: one job POSTed to the sharded HTTP gateway,
   diagnoses decoded back from ``grca-diagnosis/1`` JSON.
 """
 
@@ -24,7 +25,8 @@ import http.client
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.engine import Diagnosis
 from ..core.serialize import diagnosis_from_dict, instance_to_dict
@@ -42,8 +44,8 @@ from ..simulation import (
 from ..topology.builder import TopologyParams
 from .scenario import FailureInjection, Scenario
 
-#: batch size for service/http job submission: one job per chunk keeps
-#: per-job accounting meaningful without one HTTP round trip per symptom
+#: symptoms per engine group / job: per-job accounting stays meaningful
+#: without one HTTP round trip per symptom
 JOB_CHUNK = 10
 
 
@@ -59,7 +61,7 @@ class RunOutcome:
     end: float
     #: injected feed impairments (empty for clean scenarios)
     feed_faults: List[FeedFault] = field(default_factory=list)
-    #: wall-clock seconds per diagnosis (engine) or per job (service/http)
+    #: wall-clock seconds per chunk, from its submission to its answer
     latencies: List[float] = field(default_factory=list)
     #: total wall-clock seconds of the diagnosis phase
     wall_seconds: float = 0.0
@@ -173,7 +175,10 @@ class ScenarioRunner:
         )
         t0 = self.clock()
         if scenario.mode == "engine":
-            self._run_engine(app, symptoms, outcome)
+            self._run_chunks(
+                symptoms, lambda chunk: partial(app.engine.diagnose_all, chunk),
+                outcome,
+            )
         elif scenario.mode == "service":
             self._run_service(scenario, app, symptoms, outcome)
         else:  # http
@@ -241,12 +246,18 @@ class ScenarioRunner:
                 )
         return faults
 
-    def _run_engine(self, app, symptoms, outcome: RunOutcome) -> None:
-        """Inline diagnosis; one latency sample per symptom."""
-        for symptom in symptoms:
-            t0 = self.clock()
-            outcome.diagnoses.append(app.engine.diagnose(symptom))
-            outcome.latencies.append(self.clock() - t0)
+    def _run_chunks(self, symptoms, submit, outcome: RunOutcome) -> None:
+        """The loop every mode shares: ``submit(chunk)`` returns what
+        waits for that chunk's diagnoses.  All chunks are submitted
+        before the first wait (the engine mode runs a chunk when it is
+        awaited), answers are collected in order, one latency sample —
+        submission to answer — per chunk."""
+        pending = [
+            (self.clock(), submit(chunk)) for chunk in _chunks(symptoms, JOB_CHUNK)
+        ]
+        for submitted, answer in pending:
+            outcome.diagnoses.extend(answer())
+            outcome.latencies.append(self.clock() - submitted)
 
     def _chaos_executor(self, scenario: Scenario, holder: Dict[str, Any]):
         """A ServiceFaultInjector executor honouring the chaos script."""
@@ -273,7 +284,7 @@ class ScenarioRunner:
         return injector
 
     def _run_service(self, scenario: Scenario, app, symptoms, outcome: RunOutcome) -> None:
-        """Job-pool diagnosis with optional chaos, one latency per job."""
+        """Job-pool diagnosis with optional chaos."""
         from ..service import RcaService
         from ..resilience import RetryPolicy
 
@@ -289,14 +300,14 @@ class ScenarioRunner:
         service.register_app(scenario.app, app)
         service.start()
         try:
-            jobs = []
-            for chunk in _chunks(symptoms, JOB_CHUNK):
-                jobs.append(
-                    (self.clock(), service.submit_diagnosis(scenario.app, chunk))
-                )
-            for submitted, job in jobs:
-                outcome.diagnoses.extend(job.outcome(timeout=120.0))
-                outcome.latencies.append(self.clock() - submitted)
+            self._run_chunks(
+                symptoms,
+                lambda chunk: partial(
+                    service.submit_diagnosis(scenario.app, chunk).outcome,
+                    timeout=120.0,
+                ),
+                outcome,
+            )
             outcome.service_metrics = service.metrics_snapshot()
             injector = holder.get("injector")
             if injector is not None:
@@ -318,29 +329,23 @@ class ScenarioRunner:
             workers=max(1, scenario.workers),
         )
         gateway = RcaGateway(router).start()
+
+        def submit(chunk):
+            body = {
+                "app": scenario.app,
+                "symptoms": [instance_to_dict(s) for s in chunk],
+            }
+            doc = _http_json(gateway.host, gateway.port, "POST", "/v1/jobs", body)
+            return partial(self._poll_done, gateway, doc["job_id"])
+
         try:
-            pending: List[Tuple[float, str]] = []
-            for chunk in _chunks(symptoms, JOB_CHUNK):
-                body = {
-                    "app": scenario.app,
-                    "symptoms": [instance_to_dict(s) for s in chunk],
-                }
-                doc = _http_json(
-                    gateway.host, gateway.port, "POST", "/v1/jobs", body
-                )
-                pending.append((self.clock(), doc["job_id"]))
-            for submitted, job_id in pending:
-                doc = self._poll_done(gateway, job_id)
-                outcome.latencies.append(self.clock() - submitted)
-                outcome.diagnoses.extend(
-                    diagnosis_from_dict(d) for d in doc.get("diagnoses", [])
-                )
+            self._run_chunks(symptoms, submit, outcome)
         finally:
             gateway.stop(shutdown_shards=True)
 
     @staticmethod
-    def _poll_done(gateway, job_id: str, timeout: float = 120.0) -> Dict[str, Any]:
-        """Long-poll one job until it finishes (bounded)."""
+    def _poll_done(gateway, job_id: str, timeout: float = 120.0) -> List[Diagnosis]:
+        """Long-poll one job until it finishes (bounded); its diagnoses."""
         deadline = time.monotonic() + timeout
         while True:
             doc = _http_json(
@@ -352,7 +357,7 @@ class ScenarioRunner:
                         f"job {job_id} finished {doc.get('state')!r}: "
                         f"{doc.get('error')}"
                     )
-                return doc
+                return [diagnosis_from_dict(d) for d in doc.get("diagnoses", [])]
             if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} did not finish in {timeout}s")
 

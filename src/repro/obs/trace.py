@@ -24,8 +24,7 @@ kind        meaning
 run         one whole CLI/benchmark run (root; covers every diagnosis)
 job         one service job executed by a worker (root on that path)
 advance     one streaming advance (root on the streaming path)
-detect      symptom detection during a streaming advance
-dispatch    hand-off of settled symptoms to a service dispatcher
+detect      symptom retrieval (``RcaEngine.find_symptoms``, every path)
 diagnose    one symptom diagnosed by the engine
 node        one diagnosis-graph node visit (the BFS frontier pop)
 rule        one diagnosis rule (edge) evaluated out of a node

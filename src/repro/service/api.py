@@ -33,7 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..collector.health import IMPAIRED_STATES, HealthRegistry
 from ..core.engine import Diagnosis, RcaEngine, evidence_sources
@@ -74,11 +74,26 @@ class AppHandle:
     """One registered RCA application."""
 
     name: str
-    app: object  # exposes .engine and find_symptoms(start, end)
+    app: object  # exposes .engine and find_symptoms(start, end, tracer)
     engine: RcaEngine
-    fingerprint: str
-    #: collector feeds that can carry this app's evidence
-    sources: Set[str] = field(default_factory=set)
+    _graph: Tuple[int, str, FrozenSet[str]] = field(
+        default=(-1, "", frozenset()), init=False, repr=False
+    )
+
+    def graph_state(self) -> Tuple[int, str, FrozenSet[str]]:
+        """(revision, fingerprint, evidence feeds) of the app's graph as
+        it is now — the result cache's key and the feeds that demote —
+        re-read only when ``graph.revision`` moved (one int compare per
+        job, never a hash); one tuple, so racing workers never mix two
+        revisions' parts."""
+        graph = self.engine.graph
+        state = self._graph
+        if state[0] != graph.revision:
+            state = self._graph = (
+                graph.revision, graph.fingerprint(),
+                frozenset(evidence_sources(graph, self.engine.library)),
+            )
+        return state
 
 
 @dataclass
@@ -182,14 +197,8 @@ class RcaService:
 
     def register_app(self, name: str, app) -> AppHandle:
         """Register an application (its engine becomes the prototype)."""
-        engine = app.engine
-        handle = AppHandle(
-            name=name,
-            app=app,
-            engine=engine,
-            fingerprint=engine.graph.fingerprint(),
-            sources=evidence_sources(engine.graph, engine.library),
-        )
+        handle = AppHandle(name=name, app=app, engine=app.engine)
+        handle.graph_state()  # an undefined event fails here, not in a job
         with self._lock:
             if name in self._apps:
                 raise ValueError(f"application {name!r} already registered")
@@ -372,25 +381,6 @@ class RcaService:
         )
         return self._submit(job, block=block, timeout=timeout, deadline=deadline)
 
-    def diagnose_now(
-        self, app: str, symptoms: Sequence[EventInstance], timeout: Optional[float] = None
-    ) -> List[Diagnosis]:
-        """Submit an interactive batch and wait for its diagnoses."""
-        return self.submit_diagnosis(app, symptoms, block=True).outcome(timeout)
-
-    def dispatcher(self, app: str) -> Callable[[List[EventInstance]], List[Diagnosis]]:
-        """A StreamingRca dispatcher that routes through this service.
-
-        Plug into :class:`repro.core.streaming.StreamingRca` so each
-        ``advance`` diagnoses its settled symptoms on the worker pool
-        (with caching and metrics) instead of inline.
-        """
-        def dispatch(instances: List[EventInstance]) -> List[Diagnosis]:
-            if not instances:
-                return []
-            return self.diagnose_now(app, instances)
-        return dispatch
-
     def effective_priority(self, handle: AppHandle, base: int) -> int:
         """Base priority, demoted while the app's evidence feeds are impaired.
 
@@ -401,7 +391,7 @@ class RcaService:
         """
         if self.health is None:
             return base
-        for source in handle.sources:
+        for source in handle.graph_state()[2]:
             if self.health.state(source) in IMPAIRED_STATES:
                 return base + PRIORITY_IMPAIRED_PENALTY
         return base
@@ -556,40 +546,37 @@ class RcaService:
             if job.cancel is not None:
                 job.cancel.check()
             if job.kind == "run":
-                start, end = job.payload
-                with tracer.span(
-                    "detect", label=handle.engine.graph.symptom_event
-                ) as span:
-                    symptoms = handle.app.find_symptoms(start, end)
-                    span.annotate(retrieved=len(symptoms), window=[start, end])
+                symptoms = handle.app.find_symptoms(*job.payload, tracer=tracer)
             elif job.kind == "diagnose":
                 symptoms = job.payload
             else:
                 raise ValueError(f"unknown job kind {job.kind!r}")
-            engine = worker.engine_for(handle.name, handle.engine)
-            diagnoses: List[Diagnosis] = []
-            for symptom in symptoms:
-                if job.cancel is not None:
-                    job.cancel.check()
-                if not job.traced:
-                    key = cache_key(handle.name, symptom, handle.fingerprint)
-                    cached = self.cache.lookup(key)
-                    if cached is not None:
-                        diagnoses.append(cached)
-                        continue
-                revision = self.store.revision
+            # cache hits first, then every miss as one group; misses are
+            # cached under the store revision read before the group,
+            # unless traced (the trace must be real work), depth-capped
+            # (a re-run after recovery must not see trimmed results) or
+            # the graph moved meanwhile
+            revision, fingerprint, _sources = handle.graph_state()
+            keys = [] if job.traced else [
+                cache_key(handle.name, symptom, fingerprint) for symptom in symptoms
+            ]
+            diagnoses = [self.cache.lookup(key) for key in keys] or [None] * len(symptoms)
+            misses = [k for k, diagnosis in enumerate(diagnoses) if diagnosis is None]
+            if misses:
+                engine = worker.engine_for(handle.name, handle.engine)
+                store_revision = self.store.revision
                 started = self.clock()
-                diagnosis = engine.diagnose(
-                    symptom, tracer=tracer, cancel=job.cancel,
-                    max_depth=max_depth,
+                group = engine.diagnose_all(
+                    [symptoms[k] for k in misses], tracer=tracer,
+                    cancel=job.cancel, max_depth=max_depth,
                 )
                 self.metrics.diagnosis_latency.observe(self.clock() - started)
-                self.metrics.symptoms_diagnosed.increment()
-                if not job.traced and max_depth is None:
-                    # depth-capped diagnoses are never cached: a full
-                    # re-run after recovery must not see trimmed results
-                    self.cache.store(key, diagnosis, revision)
-                diagnoses.append(diagnosis)
+                self.metrics.symptoms_diagnosed.increment(len(misses))
+                cache = keys and max_depth is None and engine.graph.revision == revision
+                for k, diagnosis in zip(misses, group):
+                    diagnoses[k] = diagnosis
+                    if cache:
+                        self.cache.store(keys[k], diagnosis, store_revision)
             root.annotate(symptoms=len(symptoms))
         if traced:
             job.trace = root

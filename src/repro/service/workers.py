@@ -56,7 +56,6 @@ class WorkerCrash(BaseException):
 #: Module-level slot a forked child inherits its engine through.
 _FORK_ENGINE: Optional[RcaEngine] = None
 _FORK_SYMPTOMS: Optional[Sequence[EventInstance]] = None
-_FORK_TRACED: bool = False
 
 
 def available_cpus() -> int:
@@ -80,27 +79,16 @@ def contiguous_chunks(items: Sequence, n: int) -> List[Sequence]:
 
 
 def _fork_worker(span) -> bytes:
-    """Runs in the forked child: diagnose one index range, pickle back.
-
-    When the parent requested tracing, each diagnosis gets its own
-    fresh tracer *in the child*; the finished span tree rides back to
-    the parent attached to the pickled :class:`Diagnosis` — spans never
-    share state across processes, so jobs cannot leak into each other.
-    """
+    """Runs in the forked child: diagnose one index range, pickle back."""
     import pickle
 
     lo, hi = span
-    diagnoses = _FORK_ENGINE.diagnose_all(
-        _FORK_SYMPTOMS[lo:hi], traced=_FORK_TRACED
-    )
+    diagnoses = _FORK_ENGINE.diagnose_all(_FORK_SYMPTOMS[lo:hi])
     return pickle.dumps(diagnoses, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def parallel_diagnose(
-    engine: RcaEngine,
-    symptoms: Sequence[EventInstance],
-    jobs: int = 1,
-    traced: bool = False,
+    engine: RcaEngine, symptoms: Sequence[EventInstance], jobs: int = 1
 ) -> List[Diagnosis]:
     """Diagnose a batch with up to ``jobs`` forked workers.
 
@@ -109,12 +97,6 @@ def parallel_diagnose(
     more than one symptom, a platform with ``os.fork`` and more than one
     available CPU — and otherwise *is* the serial path, with zero
     overhead.
-
-    ``traced=True`` records one span tree per symptom (a fresh
-    :class:`repro.obs.Tracer` each), attached as
-    :attr:`~repro.core.engine.Diagnosis.trace`.  Fork workers build
-    their traces in the child and pickle them back, so spans never mix
-    between symptoms.
     """
     if (
         jobs > 1
@@ -122,20 +104,17 @@ def parallel_diagnose(
         and hasattr(os, "fork")
         and available_cpus() > 1
     ):
-        return _fork_diagnose(engine, symptoms, jobs, traced)
-    return engine.diagnose_all(symptoms, traced=traced)
+        return _fork_diagnose(engine, symptoms, jobs)
+    return engine.diagnose_all(symptoms)
 
 
 def _fork_diagnose(
-    engine: RcaEngine,
-    symptoms: Sequence[EventInstance],
-    jobs: int,
-    traced: bool = False,
+    engine: RcaEngine, symptoms: Sequence[EventInstance], jobs: int
 ) -> List[Diagnosis]:
     import multiprocessing as mp
     import pickle
 
-    global _FORK_ENGINE, _FORK_SYMPTOMS, _FORK_TRACED
+    global _FORK_ENGINE, _FORK_SYMPTOMS
     chunks = contiguous_chunks(symptoms, jobs)
     spans, start = [], 0
     for chunk in chunks:
@@ -147,14 +126,12 @@ def _fork_diagnose(
     # the serial path would have left it
     _FORK_ENGINE = engine.isolated()
     _FORK_SYMPTOMS = symptoms
-    _FORK_TRACED = traced
     try:
         with context.Pool(processes=len(spans)) as pool:
             blobs = pool.map(_fork_worker, spans)
     finally:
         _FORK_ENGINE = None
         _FORK_SYMPTOMS = None
-        _FORK_TRACED = False
     ordered: List[Diagnosis] = []
     for blob in blobs:
         ordered.extend(pickle.loads(blob))

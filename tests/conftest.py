@@ -9,6 +9,7 @@ from repro.core.spatial import LocationResolver
 from repro.routing.bgp import BgpEmulator, BgpUpdateLog
 from repro.routing.ospf import OspfSimulator
 from repro.routing.paths import IngressMap, PathService
+from repro.service import workers
 from repro.topology import TopologyParams, build_topology, snapshot_network
 
 
@@ -61,6 +62,22 @@ def path_service(small_topology, ospf, bgp_log, config_archive):
 @pytest.fixture
 def resolver(path_service):
     return LocationResolver(path_service)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Show ``parallel_diagnose`` a two-CPU box, so ``jobs > 1`` really
+    forks; the returned list records the ``jobs`` of each forked batch."""
+    calls = []
+    real = workers._fork_diagnose
+
+    def recording(engine, symptoms, jobs):
+        calls.append(jobs)
+        return real(engine, symptoms, jobs)
+
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_fork_diagnose", recording)
+    return calls
 
 
 @pytest.fixture

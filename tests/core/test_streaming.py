@@ -260,44 +260,6 @@ class TestWatermarkDeferral:
         assert registry.state("snmp").value == "down"
 
 
-class TestBatchDispatcher:
-    def test_dispatcher_replaces_inline_diagnosis(self, live_setup):
-        _topo, app, replayer, truths, t0 = live_setup
-        replayer.deliver_until(t0 + 20000.0)
-        inline = StreamingRca(app.engine, start=t0 - 600.0)
-        expected = inline.advance(t0 + 20000.0)
-
-        batches = []
-
-        def dispatch(instances):
-            batches.append(list(instances))
-            return app.engine.diagnose_all(instances)
-
-        seen = []
-        streaming = StreamingRca(
-            app.engine, on_diagnosis=seen.append, start=t0 - 600.0,
-            dispatcher=dispatch,
-        )
-        dispatched = streaming.advance(t0 + 20000.0)
-        assert dispatched == expected
-        assert len(dispatched) == len(truths)
-        assert sum(len(batch) for batch in batches) == len(truths)
-        assert seen == dispatched  # callback still fires per diagnosis
-        assert streaming.diagnosed_count == len(truths)
-
-    def test_dispatcher_and_inline_share_dedupe_identity(self, live_setup):
-        _topo, app, replayer, truths, t0 = live_setup
-        replayer.deliver_until(t0 + 20000.0)
-        streaming = StreamingRca(
-            app.engine, start=t0 - 600.0,
-            dispatcher=lambda batch: app.engine.diagnose_all(batch),
-        )
-        first = streaming.advance(t0 + 20000.0)
-        assert len(first) == len(truths)
-        # re-advancing must not re-dispatch already-diagnosed symptoms
-        assert streaming.advance(t0 + 30000.0) == []
-
-
 def _staged_run(setup, config, withhold=None, clear_everything=False, delay=None):
     """Drive a streaming run in 900 s ticks; return (rca, diagnoses).
 

@@ -16,6 +16,7 @@ from repro.eval import (
     run_matrix,
     scenario_names,
 )
+from repro.eval.runner import JOB_CHUNK
 
 TINY_TOPOLOGY = (("n_pops", 3), ("pers_per_pop", 2), ("customers_per_per", 3))
 
@@ -68,7 +69,8 @@ class TestEngineRun:
         outcome = ScenarioRunner().run(_tiny())
         assert outcome.n_symptoms > 0
         assert len(outcome.diagnoses) == outcome.n_symptoms
-        assert len(outcome.latencies) == outcome.n_symptoms
+        # one sample per JOB_CHUNK group, as in the service and http modes
+        assert len(outcome.latencies) == -(-outcome.n_symptoms // JOB_CHUNK)
         assert outcome.ground_truth
         assert outcome.feed_faults == []
 

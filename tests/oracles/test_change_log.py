@@ -162,9 +162,8 @@ class World:
         graph.add_rule(DiagnosisRule("a", "b", TemporalJoinRule(window, window), join, 20))
         self.engine = RcaEngine(graph, self.library, resolver, self.store)
 
-    def find_symptoms(self, start, end):  # the service's app protocol
-        context = RetrievalContext(store=self.store, start=start, end=end)
-        return self.library.get("s").retrieve(context)
+    def find_symptoms(self, start, end, tracer=None):  # the service's app protocol
+        return self.engine.find_symptoms(start, end, tracer)
 
     def cold(self, symptoms):
         """What an engine with nothing cached concludes, right now."""
@@ -226,7 +225,9 @@ def test_service_worker_job_is_the_cold_twin(small_topology, steps):
                 symptoms = [symptom(row) for row in asked]
                 # twice: the worker's engine, then (mostly) the result cache
                 for _ in range(2):
-                    served = service.diagnose_now("mini", symptoms, timeout=30.0)
+                    served = service.submit_diagnosis(
+                        "mini", symptoms, block=True
+                    ).outcome(timeout=30.0)
                     assert served == world.cold(symptoms)
         finally:
             service.shutdown()

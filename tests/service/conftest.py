@@ -21,7 +21,6 @@ from repro.core.graph import DiagnosisGraph, DiagnosisRule
 from repro.core.locations import Location, LocationType
 from repro.core.spatial import JoinLevel, SpatialJoinRule
 from repro.core.temporal import ExpandOption, TemporalExpansion, TemporalJoinRule
-from repro.service import workers
 
 ROUTER_JOIN = SpatialJoinRule(
     LocationType.ROUTER, LocationType.ROUTER, JoinLevel.ROUTER
@@ -54,25 +53,8 @@ class MiniApp:
         self.library = library
         self.store = store
 
-    def find_symptoms(self, start, end):
-        context = RetrievalContext(store=self.store, start=start, end=end)
-        return self.library.get("s").retrieve(context)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Show ``parallel_diagnose`` a two-CPU box, so ``jobs > 1`` really
-    forks; the returned list records the ``jobs`` of each forked batch."""
-    calls = []
-    real = workers._fork_diagnose
-
-    def recording(engine, symptoms, jobs, traced=False):
-        calls.append(jobs)
-        return real(engine, symptoms, jobs, traced)
-
-    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
-    monkeypatch.setattr(workers, "_fork_diagnose", recording)
-    return calls
+    def find_symptoms(self, start, end, tracer=None):
+        return self.engine.find_symptoms(start, end, tracer)
 
 
 @pytest.fixture

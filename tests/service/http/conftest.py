@@ -53,7 +53,7 @@ def full_queue_gateway(mini_app):
     class Gate:
         engine = mini_app.engine
 
-        def find_symptoms(self, start, end):
+        def find_symptoms(self, start, end, tracer=None):
             parked.set()
             assert release.wait(timeout=30.0)
             return []

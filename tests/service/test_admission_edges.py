@@ -24,10 +24,10 @@ class Gate:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def find_symptoms(self, start, end):
+    def find_symptoms(self, start, end, tracer=None):
         self.entered.set()
         assert self.release.wait(timeout=30.0), "test never released the gate"
-        return self.inner.find_symptoms(start, end)
+        return self.inner.find_symptoms(start, end, tracer)
 
 
 class TestQueueFullDuringDrain:

@@ -1,12 +1,15 @@
 """Tests for the RcaService facade: submit/poll, cache, scheduling,
 health-aware priority, drain and shutdown."""
 
+import dataclasses
 import gc
 import threading
 import time
 
 import pytest
 
+from repro.core.events import EventDefinition
+from repro.core.locations import LocationType
 from repro.service.api import RcaService
 from repro.service.queue import (
     PRIORITY_IMPAIRED_PENALTY,
@@ -39,10 +42,10 @@ class SlowApp:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def find_symptoms(self, start, end):
+    def find_symptoms(self, start, end, tracer=None):
         self.started.set()
         assert self.release.wait(timeout=10.0), "test never released the job"
-        return self.inner.find_symptoms(start, end)
+        return self.inner.find_symptoms(start, end, tracer)
 
 
 class TestRegistration:
@@ -81,20 +84,15 @@ class TestSubmitAndPoll:
         assert job.outcome(timeout=30.0) == serial
         assert service.metrics.jobs_completed.value == 1
 
-    def test_diagnose_now_blocks_for_results(self, service, mini_app, seed_scene):
+    def test_blocking_submit_answers_in_submission_order(
+        self, service, mini_app, seed_scene
+    ):
         times = seed_scene(mini_app.store, n=3)
         symptoms = mini_app.find_symptoms(*window(times))
         service.start()
-        diagnoses = service.diagnose_now("mini", symptoms, timeout=30.0)
+        job = service.submit_diagnosis("mini", symptoms, block=True)
+        diagnoses = job.outcome(timeout=30.0)
         assert [d.symptom for d in diagnoses] == symptoms
-
-    def test_dispatcher_routes_batches(self, service, mini_app, seed_scene):
-        times = seed_scene(mini_app.store, n=3)
-        symptoms = mini_app.find_symptoms(*window(times))
-        service.start()
-        dispatch = service.dispatcher("mini")
-        assert dispatch([]) == []
-        assert dispatch(symptoms) == mini_app.engine.diagnose_all(symptoms)
 
     def test_admission_rejection_is_counted(self, service, mini_app, seed_scene):
         tight = RcaService(store=mini_app.store, workers=1, queue_depth=1)
@@ -156,6 +154,43 @@ class TestResultCache:
         mini_app.store.insert("ta", times[-1] + 10_000.0, router="nyc-per1")
         assert len(service.cache) == cached
         assert service.metrics.cache_invalidations.value == 0
+
+
+    def test_graph_edit_is_never_served_from_the_old_rule_set(self):
+        # a rule re-added with +1000 priority moves the fingerprint and
+        # changes diagnoses; the cache must key on the graph as it is
+        from repro.apps import BgpFlapApp
+        from repro.simulation import bgp_month
+
+        result = bgp_month(total_flaps=30, seed=1)
+        app = BgpFlapApp.build(result.platform())
+        symptoms = app.find_symptoms(result.start, result.end)
+        svc = RcaService(store=app.engine.store, workers=1)
+        svc.register_app("bgp", app)
+        svc.start()
+        try:
+            first = svc.submit_diagnosis("bgp", symptoms).outcome(timeout=60.0)
+            graph = app.engine.graph
+            rule = graph.rules_from(graph.symptom_event)[0]
+            graph.add_rule(dataclasses.replace(rule, priority=rule.priority + 1000))
+            second = svc.submit_diagnosis("bgp", symptoms).outcome(timeout=60.0)
+            assert svc.metrics.cache_hits.value == 0
+        finally:
+            svc.shutdown(graceful=False, timeout=5.0)
+        assert second == app.engine.isolated().diagnose_all(symptoms) != first
+
+    def test_graph_edit_moves_the_feeds_that_demote(
+        self, service, mini_app, health_registry
+    ):
+        health_registry.mark_down("netflow", now=1000.0)
+        assert service.submit_diagnosis("mini", []).priority == PRIORITY_INTERACTIVE
+        mini_app.library.register(
+            EventDefinition("c", LocationType.ROUTER, lambda _: [], data_source="netflow")
+        )
+        graph = mini_app.engine.graph
+        graph.add_rule(dataclasses.replace(graph.rules_from("a")[0], child_event="c"))
+        demoted = service.submit_diagnosis("mini", [])
+        assert demoted.priority == PRIORITY_INTERACTIVE + PRIORITY_IMPAIRED_PENALTY
 
 
 class TestPeriodicScheduling:

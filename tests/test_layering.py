@@ -101,7 +101,9 @@ def test_ingest_runs_no_engine_or_service_frame():
     try:
         replayer.deliver_until(t0 + 4000.0)
         diagnoses = streaming.advance(t0 + 4000.0)
-        assert diagnoses and service.diagnose_now("bgp", [diagnoses[0].symptom])
+        assert diagnoses and service.submit_diagnosis(
+            "bgp", [diagnoses[0].symptom], block=True
+        ).outcome(timeout=30.0)
         assert len(service.cache) == 1  # both consumers hold cached state
         rest = {}
         for _time, source, line in replayer._stream[-replayer.pending:]:
