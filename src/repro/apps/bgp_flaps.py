@@ -238,7 +238,7 @@ class BgpFlapApp(RcaApp):
 
     def bayesian_features(self, diagnosis: Diagnosis) -> Set[str]:
         """Per-symptom evidence features: matched diagnostic event names."""
-        return {item.rule.child_event for item in diagnosis.evidence}
+        return {rule.child_event for rule, *_ in diagnosis.evidence.runs()}
 
     def group_by_line_card(
         self,

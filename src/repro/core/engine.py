@@ -42,27 +42,22 @@ from ..collector.store import (
     ReadObserver,
     TraceObserver,
 )
-from ..obs.trace import NULL_TRACER, Span, Tracer
+from ..obs.trace import NULL_TRACER, Tracer
+from .diagnosis import Diagnosis, FootprintEntry
 from .events import (
     EventDefinition, EventInstance, EventLibrary, RetrievalContext,
 )
 from .graph import DiagnosisGraph, DiagnosisRule
 from .locations import Location
 from .reasoning.rule_based import (
-    UNKNOWN_DEGRADED,
-    UNKNOWN_NO_EVIDENCE,
+    NO_EVIDENCE,
+    Evidence,
     EvidenceGap,
-    MatchedEvidence,
-    RuleBasedResult,
     assess_confidence,
     reason,
 )
 from .spatial import JoinLevel, LocationResolver
 from .temporal import IntervalColumns
-
-#: One recorded store read: (table name, window start, window end).
-#: ``-inf``/``inf`` bounds mean an unbounded scan of that table.
-FootprintEntry = Tuple[str, float, float]
 
 
 def merge_footprint(reads: Iterable[FootprintEntry]) -> Tuple[FootprintEntry, ...]:
@@ -411,105 +406,6 @@ class _Stage:
 
 
 @dataclass
-class Diagnosis:
-    """Everything the engine concluded about one symptom instance."""
-
-    symptom: EventInstance
-    evidence: List[MatchedEvidence]
-    result: RuleBasedResult
-    #: evidence feeds found impaired inside retrieval windows
-    gaps: List[EvidenceGap] = field(default_factory=list)
-    #: 1.0 with fully healthy evidence feeds, discounted per gap
-    confidence: float = 1.0
-    #: human-readable degraded-evidence notes (one per gap)
-    caveats: List[str] = field(default_factory=list)
-    #: store windows read while correlating, per table (merged); the
-    #: service result cache invalidates on late records landing inside,
-    #: and the streaming engine re-opens settled symptoms on the same
-    #: signal.  Excluded from equality: which cached covers served a
-    #: diagnosis is provenance, not a conclusion — two runs reaching the
-    #: same evidence and result are the *same* diagnosis even when one
-    #: read wider (shared) covers than the other.
-    footprint: Tuple[FootprintEntry, ...] = field(default=(), compare=False)
-    #: span tree of this diagnosis when it was traced (``None`` when
-    #: tracing was off).  Excluded from equality: a traced and an
-    #: untraced run of the same symptom are the *same* diagnosis.
-    trace: Optional[Span] = field(default=None, compare=False, repr=False)
-
-    @property
-    def primary_cause(self) -> str:
-        return self.result.primary
-
-    @property
-    def root_causes(self) -> List[str]:
-        return self.result.root_causes
-
-    @property
-    def is_explained(self) -> bool:
-        return bool(self.result.root_causes)
-
-    @property
-    def is_degraded(self) -> bool:
-        """True when some evidence feed was impaired during correlation."""
-        return bool(self.gaps)
-
-    @property
-    def annotated_cause(self) -> str:
-        """The primary cause with ``Unknown`` split by evidence health.
-
-        ``Unknown (no evidence found)``: feeds were healthy and carried
-        nothing — the paper's genuine Unknown.  ``Unknown (evidence
-        unavailable)``: a feed that could have carried the deciding
-        evidence was lagging, degraded or down.
-        """
-        if self.is_explained:
-            return self.primary_cause
-        return UNKNOWN_DEGRADED if self.gaps else UNKNOWN_NO_EVIDENCE
-
-    def evidence_for(self, event_name: str) -> List[MatchedEvidence]:
-        """Matched evidence items for one diagnostic event."""
-        return [e for e in self.evidence if e.rule.child_event == event_name]
-
-    def to_json(self) -> Dict[str, Any]:
-        """This diagnosis as a JSON-ready dict (``grca-diagnosis/1``).
-
-        One serialization shared by the HTTP gateway's job responses
-        and offline exports; :meth:`from_json` rebuilds an equal
-        diagnosis (the attached trace rides along when present but is
-        excluded from equality, as always).
-        """
-        from .serialize import diagnosis_to_dict
-
-        return diagnosis_to_dict(self)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Diagnosis":
-        """Rebuild a diagnosis from its :meth:`to_json` form."""
-        from .serialize import diagnosis_from_dict
-
-        return diagnosis_from_dict(data)
-
-    def explain(self) -> str:
-        """Human-readable trace for the Result Browser's detail pane."""
-        lines = [f"symptom: {self.symptom}"]
-        for item in sorted(self.evidence, key=lambda e: e.depth):
-            marker = "*" if item.rule.child_event in self.result.root_causes else " "
-            lines.append(
-                f" {marker} depth {item.depth} priority {item.rule.priority:>4} "
-                f"{item.rule.parent_event} -> {item.instance}"
-            )
-        if self.is_explained:
-            lines.append(f"root cause: {', '.join(self.root_causes)}")
-        else:
-            lines.append(f"root cause: {self.annotated_cause}")
-        if self.gaps:
-            lines.append(f"confidence: {self.confidence:.2f}")
-            for caveat in self.caveats:
-                lines.append(f" ! {caveat}")
-        return "\n".join(lines)
-
-
-@dataclass
 class EngineConfig:
     """Tunables shared by all diagnoses of one engine instance."""
 
@@ -655,9 +551,9 @@ class RcaEngine:
 
     def _correlate(
         self, symptom: EventInstance, tracer, cancel, max_depth, shared
-    ) -> Tuple[List[MatchedEvidence], List[EvidenceGap], Tuple[FootprintEntry, ...]]:
+    ) -> Tuple[Evidence, List[EvidenceGap], Tuple[FootprintEntry, ...]]:
         """The level-order walk of one symptom over the compiled plan."""
-        evidence: List[MatchedEvidence] = []
+        runs: list = []  # Evidence's layout: rule, parent, depth, count, matches
         gaps: List[EvidenceGap] = []
         gap_keys: set = set()
         reads: set = set()
@@ -689,24 +585,25 @@ class RcaEngine:
                             step, stage, parent, tracer, covers, cancel, shared
                         )
                         reads |= stage.candidates.reads
+                        if not matches:
+                            continue
                         matched_here += len(matches)
-                        rule = step.rule
-                        for instance in matches:
-                            evidence.append(
-                                MatchedEvidence(rule, parent, instance, depth + 1)
-                            )
-                            # a matched leaf has no rules to evaluate: it
-                            # is evidence only, never a frontier entry
-                            if step.expands and deeper:
-                                key = (rule.child_event, instance)
+                        runs += (step.rule, parent, depth + 1, len(matches))
+                        runs += matches
+                        # a matched leaf has no rules to evaluate: it is
+                        # evidence only, never a frontier entry
+                        if step.expands and deeper:
+                            event = step.rule.child_event
+                            for instance in matches:
+                                key = (event, instance)
                                 if key not in seen:
                                     seen.add(key)
                                     next_level.append(
-                                        (self._plan[rule.child_event], instance, depth + 1)
+                                        (self._plan[event], instance, depth + 1)
                                     )
                     node_span.annotate(matched=matched_here)
             level = next_level
-        return evidence, gaps, merge_footprint(reads)
+        return Evidence(runs) if runs else NO_EVIDENCE, gaps, merge_footprint(reads)
 
     def _plan_level(
         self, level, shared

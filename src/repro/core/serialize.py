@@ -4,7 +4,7 @@ The HTTP gateway (:mod:`repro.service.http`) answers ``GET /v1/jobs/{id}``
 with finished diagnoses, the trace export writes them next to span
 trees, and downstream tooling (RCA-Copilot-style consumers) wants both
 to agree on one stable shape.  This module is that shape: a pure-data
-round-trip for :class:`~repro.core.engine.Diagnosis` and everything it
+round-trip for :class:`~repro.core.diagnosis.Diagnosis` and everything it
 carries — symptom/evidence instances, the diagnosis rules they joined
 along, evidence gaps, confidence caveats and the store footprint.
 
@@ -23,15 +23,17 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from ..collector.health import FeedState
+from .diagnosis import Diagnosis
 from .events import EventInstance
 from .graph import DiagnosisRule
 from .locations import Location, LocationType
 from .reasoning.rule_based import (
+    NO_EVIDENCE,
+    Evidence,
     EvidenceGap,
-    MatchedEvidence,
     RuleBasedResult,
 )
 from .spatial import JoinLevel, SpatialJoinRule
@@ -198,28 +200,7 @@ def _expansion_from_dict(data: Dict[str, Any]) -> TemporalExpansion:
 
 
 # ---------------------------------------------------------------------------
-# evidence, gaps, results
-
-
-def evidence_to_dict(item: MatchedEvidence) -> Dict[str, Any]:
-    """A :class:`MatchedEvidence` edge (rule + both instances) as a dict."""
-    return {
-        "rule": rule_to_dict(item.rule),
-        "parent_instance": instance_to_dict(item.parent_instance),
-        "instance": instance_to_dict(item.instance),
-        "depth": item.depth,
-    }
-
-
-def evidence_from_dict(data: Dict[str, Any]) -> MatchedEvidence:
-    """Rebuild a :class:`MatchedEvidence` from :func:`evidence_to_dict` output."""
-    return MatchedEvidence(
-        rule=rule_from_dict(data["rule"]),
-        parent_instance=instance_from_dict(data["parent_instance"]),
-        instance=instance_from_dict(data["instance"]),
-        depth=data["depth"],
-    )
-
+# gaps
 
 def gap_to_dict(gap: EvidenceGap) -> Dict[str, Any]:
     """An :class:`EvidenceGap` as a dict (infinite bounds as strings)."""
@@ -245,42 +226,35 @@ def gap_from_dict(data: Dict[str, Any]) -> EvidenceGap:
     )
 
 
-def _supporting_indices(
-    evidence: Sequence[MatchedEvidence], supporting: Sequence[MatchedEvidence]
-) -> List[int]:
-    """Supporting items as indices into the evidence list (no duplication).
-
-    Reasoning builds ``supporting`` from the very objects in
-    ``evidence``, so identity lookup covers the normal path; equality
-    is the fallback for hand-built results.
-    """
-    by_identity = {id(item): index for index, item in enumerate(evidence)}
-    indices = []
-    for item in supporting:
-        index = by_identity.get(id(item))
-        if index is None:
-            index = list(evidence).index(item)
-        indices.append(index)
-    return indices
-
-
 # ---------------------------------------------------------------------------
 # the diagnosis envelope
 
 
-def diagnosis_to_dict(diagnosis) -> Dict[str, Any]:
-    """One :class:`~repro.core.engine.Diagnosis` as a JSON-ready dict."""
+def diagnosis_to_dict(diagnosis: Diagnosis) -> Dict[str, Any]:
+    """One :class:`~repro.core.diagnosis.Diagnosis` as a JSON-ready dict."""
     evidence = diagnosis.evidence
+    items: List[Dict[str, Any]] = []
+    # one item document per matched instance; the items of one run share
+    # its rule and parent documents (encoded once)
+    for rule, parent, depth, instances in evidence.runs():
+        rule_doc, parent_doc = rule_to_dict(rule), instance_to_dict(parent)
+        items += [
+            {
+                "rule": rule_doc,
+                "parent_instance": parent_doc,
+                "instance": instance_to_dict(instance),
+                "depth": depth,
+            }
+            for instance in instances
+        ]
     document = {
         "schema": DIAGNOSIS_SCHEMA,
         "symptom": instance_to_dict(diagnosis.symptom),
-        "evidence": [evidence_to_dict(item) for item in evidence],
+        "evidence": items,
         "result": {
             "root_causes": list(diagnosis.result.root_causes),
             "priority": diagnosis.result.priority,
-            "supporting": _supporting_indices(
-                evidence, diagnosis.result.supporting
-            ),
+            "supporting": evidence.offsets(diagnosis.result.supporting),
         },
         "gaps": [gap_to_dict(gap) for gap in diagnosis.gaps],
         "confidence": _encode_float(diagnosis.confidence),
@@ -298,17 +272,71 @@ def diagnosis_to_dict(diagnosis) -> Dict[str, Any]:
     return document
 
 
-def diagnosis_from_dict(data: Dict[str, Any]):
-    """Rebuild a :class:`~repro.core.engine.Diagnosis` from its dict form.
+def _decode_evidence(items: List[Dict[str, Any]], supporting: Any):
+    """Item documents as :class:`Evidence` runs, plus the supporting part.
+
+    ``supporting`` must be distinct integer indices into ``items``
+    (``true`` is not an index).  Consecutive items whose rule, parent and
+    depth documents are equal form one run, decoded once; a run also
+    ends wherever a stretch of consecutive supporting indices starts or
+    stops, so the supporting part is whole runs of the same list.
+    """
+    if supporting.__class__ is not list:
+        raise ValueError(f"supporting indices must be a list, got {supporting!r}")
+    cuts: Dict[int, bool] = {}  # item indices a run must start at
+    taken: Dict[int, bool] = {}
+    previous = -2  # no index before the first: its stretch starts there
+    for index in supporting:
+        if index.__class__ is not int:
+            raise ValueError(f"supporting indices {supporting} are not all integers")
+        if index in taken:
+            raise ValueError(f"supporting indices {supporting} repeat {index}")
+        taken[index] = True
+        if index != previous + 1:
+            cuts[index] = cuts[previous + 1] = True
+        previous = index
+    cuts[previous + 1] = True
+    runs: List[Any] = []
+    head_at: Dict[int, int] = {}  # item index starting a run -> its header
+    head, last = 0, None
+    for index, item in enumerate(items):
+        if index in cuts or last is None or (
+            item["rule"] != last["rule"]
+            or item["parent_instance"] != last["parent_instance"]
+            or item["depth"] != last["depth"]
+        ):
+            # the previous run (if any) ends where this one's header goes
+            head = head_at[index] = head + 4 + runs[head + 3] if runs else 0
+            runs += (
+                rule_from_dict(item["rule"]),
+                instance_from_dict(item["parent_instance"]),
+                item["depth"],
+                0,
+            )
+        runs[head + 3] += 1
+        runs += (instance_from_dict(item["instance"]),)
+        last = item
+    evidence = Evidence(runs) if runs else NO_EVIDENCE
+    if not supporting:
+        return evidence, NO_EVIDENCE
+    count = len(evidence)
+    bad = [i for i in supporting if not 0 <= i < count]
+    if bad:
+        raise ValueError(
+            f"supporting indices {bad} out of range for {count} evidence items"
+        )
+    return evidence, Evidence(runs, [head_at[i] for i in supporting if i in head_at])
+
+
+def diagnosis_from_dict(data: Dict[str, Any]) -> Diagnosis:
+    """Rebuild a :class:`~repro.core.diagnosis.Diagnosis` from its dict form.
 
     Raises :class:`ValueError` on any malformed payload — wrong or
     missing schema tag, truncated documents, missing evidence fields,
-    dangling supporting indices — so API clients see one exception type
-    instead of raw ``KeyError``/``IndexError`` from deep inside the
-    decoder.
+    dangling, repeated or non-integer supporting indices — so API
+    clients see one exception type instead of raw
+    ``KeyError``/``IndexError`` from deep inside the decoder.
     """
-    from .engine import Diagnosis  # local import: engine imports this module
-
     if not isinstance(data, dict):
         raise ValueError(
             f"diagnosis payload must be a JSON object, got {type(data).__name__}"
@@ -320,19 +348,14 @@ def diagnosis_from_dict(data: Dict[str, Any]):
             f"expected {DIAGNOSIS_SCHEMA!r}"
         )
     try:
-        evidence = [evidence_from_dict(item) for item in data.get("evidence", [])]
         result_data = data["result"]
-        supporting_indices = result_data.get("supporting", [])
-        bad = [i for i in supporting_indices if not 0 <= i < len(evidence)]
-        if bad:
-            raise ValueError(
-                f"supporting indices {bad} out of range for "
-                f"{len(evidence)} evidence items"
-            )
+        evidence, supporting = _decode_evidence(
+            data.get("evidence", []), result_data.get("supporting", [])
+        )
         result = RuleBasedResult(
             root_causes=list(result_data.get("root_causes", [])),
             priority=result_data.get("priority", 0),
-            supporting=[evidence[index] for index in supporting_indices],
+            supporting=supporting,
         )
         trace = None
         if data.get("trace") is not None:

@@ -1,6 +1,6 @@
 """The incident lifecycle layer (ROADMAP item 5).
 
-Diagnoses end at :class:`~repro.core.engine.Diagnosis` objects and the
+Diagnoses end at :class:`~repro.core.diagnosis.Diagnosis` objects and the
 Result Browser; operators need the workflow *around* them — repeated
 symptoms collapsed into a handful of actionable incidents, standardized
 write-ups for the next shift, and a store they can query for root-cause

@@ -8,15 +8,14 @@ its own — a float, a slot in each of its columns, an int on its posting
 lists.
 """
 
-import gc
-import tracemalloc
-
 import pytest
 
 from repro.collector import DataCollector
 from repro.collector.sources.misc import render_perfmon_row
 from repro.collector.sources.ospfmon import render_ospfmon_row
 from repro.collector.store import DataStore
+
+from ..budget import traced_bytes, tracked_objects
 
 ROWS = 5000
 #: batch lists, table and parser bookkeeping — independent of ROWS
@@ -44,18 +43,10 @@ def test_a_stored_row_leaves_no_tracked_object(source):
     collector = DataCollector(store=DataStore(backend="memory"))
     collector.ingest(source, LINES[source][:8])  # tables, parsers, indexes exist
     lines = LINES[source][8:]
-    gc.collect()
-    # off while counting: a collection in between would untrack some
-    # containers of atoms and make the count depend on its timing
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
+    with tracked_objects() as grown:
         collector.ingest(source, lines)
-        grown = len(gc.get_objects()) - before
-    finally:
-        gc.enable()
     assert len(collector.store.table(source)) == ROWS
-    assert grown <= CONSTANT
+    assert grown.value <= CONSTANT
 
 
 @pytest.mark.parametrize("source", sorted(LINES))
@@ -63,13 +54,7 @@ def test_bytes_a_stored_row_holds(source):
     collector = DataCollector(store=DataStore(backend="memory"))
     collector.ingest(source, LINES[source][:8])
     lines = LINES[source][8:]
-    gc.collect()
-    tracemalloc.start()
-    try:
+    with traced_bytes() as held:
         collector.ingest(source, lines)
-        gc.collect()
-        held, _peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert len(collector.store.table(source)) == ROWS
-    assert held / len(lines) <= BYTES_PER_ROW[source]
+    assert held.value / len(lines) <= BYTES_PER_ROW[source]

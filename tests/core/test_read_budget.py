@@ -8,14 +8,14 @@ which no machine makes faster or slower: a failure here is a regression
 in the read path, never a slow runner.
 """
 
-import sys
-
 import pytest
 
 from repro.apps import BgpFlapApp
 from repro.core.engine import RcaEngine
 from repro.core.spatial import BatchSpatialJoin
 from repro.simulation import bgp_month
+
+from ..budget import profile_events
 
 #: profile events per rule evaluation, everything included (the walk,
 #: retrieval, the store read, joins, reasoning).  188 on this world
@@ -37,29 +37,13 @@ def profiled(engine, symptoms):
     """Diagnose on a cold twin; count profile events by code object."""
     engine.resolver.clear_cache()
     twin = engine.isolated()
-    calls = {"all": 0}
     watched = {
         RcaEngine._match.__code__: "evaluations",
         BatchSpatialJoin.__init__.__code__: "spatial_batches",
     }
-    for name in watched.values():
-        calls[name] = 0
-
-    def count(frame, event, _arg):
-        if event == "call":
-            calls["all"] += 1
-            name = watched.get(frame.f_code)
-            if name is not None:
-                calls[name] += 1
-        elif event == "c_call":
-            calls["all"] += 1
-
-    sys.setprofile(count)
-    try:
+    with profile_events(watched) as events:
         diagnoses = [twin.diagnose(symptom) for symptom in symptoms]
-    finally:
-        sys.setprofile(None)
-    return calls, diagnoses
+    return dict(events.calls, all=events.total), diagnoses
 
 
 def test_calls_per_rule_evaluation_stay_in_budget(bgp):

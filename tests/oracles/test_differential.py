@@ -103,10 +103,9 @@ def interval_event(name, location_type, locations):
     return EventDefinition(name, location_type, retrieve)
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_generated_worlds_match_reference(small_topology, data):
-    network = small_topology.network
+def draw_world(topology, data):
+    """``(engine, symptoms)``: a generated world, up to four symptoms."""
+    network = topology.network
     routers = sorted(network.routers)
     links = sorted(network.logical_links)
 
@@ -173,10 +172,16 @@ def test_generated_worlds_match_reference(small_topology, data):
     engine = RcaEngine(
         graph, library, resolver, store, EngineConfig(max_matches_per_rule=cap)
     )
-    reference = ReferenceEngine(engine)
 
     context = RetrievalContext(store=store, start=0.0, end=600.0)
-    symptoms = library.get("s").retrieve(context)[:4]
+    return engine, library.get("s").retrieve(context)[:4]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_generated_worlds_match_reference(small_topology, data):
+    engine, symptoms = draw_world(small_topology, data)
+    reference = ReferenceEngine(engine)
     for symptom in symptoms:  # one engine: later symptoms reuse its covers
         diagnosis = engine.diagnose(symptom)
         assert_agrees(diagnosis, reference.diagnose(symptom))

@@ -11,10 +11,10 @@ import email
 import http.client
 import json
 import os
-import threading
 
 from repro.core.serialize import instance_to_dict
 
+from ...budget import profile_events
 from .conftest import SHARD1_ROUTER
 
 #: profile events per request on the connection thread, averaged over
@@ -51,32 +51,23 @@ def test_connection_thread_calls_stay_in_budget(gateway, seeded_symptoms):
     served_pair(warm)  # the miss: every pair below is answered from the cache
     warm.close()
 
-    calls = {}  # thread ident → profile events
-    email_frames = set()
-
-    def count(frame, event, _arg):
-        if event == "call":
-            if frame.f_code.co_filename.startswith(EMAIL_PACKAGE):
-                email_frames.add((frame.f_code.co_filename, frame.f_code.co_name))
-        elif event != "c_call":
-            return
-        ident = threading.get_ident()
-        calls[ident] = calls.get(ident, 0) + 1
-
     hits_before = gateway.router.metrics()["aggregate"]["cache"]["hits"]
-    threading.setprofile(count)  # installed in threads started from here on
-    try:
+    # installed in threads started from here on
+    with profile_events(threads=True) as events:
         conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
         for _ in range(PAIRS):
             served_pair(conn)
         conn.close()
-    finally:
-        threading.setprofile(None)
+    email_frames = sorted(
+        (code.co_filename, code.co_name)
+        for code in events.codes
+        if code.co_filename.startswith(EMAIL_PACKAGE)
+    )
     hits = gateway.router.metrics()["aggregate"]["cache"]["hits"]
     assert hits - hits_before == PAIRS
 
     # the one thread born under the profile is the connection's
-    [on_connection_thread] = calls.values()
+    [on_connection_thread] = events.per_thread.values()
     per_request = on_connection_thread / (2 * PAIRS)
     assert per_request <= CALLS_PER_REQUEST, per_request
-    assert not email_frames, sorted(email_frames)
+    assert not email_frames, email_frames

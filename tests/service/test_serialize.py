@@ -332,6 +332,20 @@ class TestMalformedPayloads:
         with pytest.raises(ValueError, match="supporting indices.*out of range"):
             diagnosis_from_dict(document)
 
+    def test_boolean_supporting_index(self):
+        # ``true == 1`` in Python: once read as item 1, re-encoded as ``1``
+        document = self.make_document()
+        document["result"]["supporting"] = [True]
+        with pytest.raises(ValueError, match="supporting indices.*not all integers"):
+            diagnosis_from_dict(document)
+
+    def test_repeated_supporting_index(self):
+        # the engine never supports with one item twice; runs cannot hold it
+        document = self.make_document()
+        document["result"]["supporting"] = [0, 0]
+        with pytest.raises(ValueError, match="supporting indices.*repeat 0"):
+            diagnosis_from_dict(document)
+
     def test_from_json_raises_the_same_way(self):
         document = self.make_document()
         del document["result"]
