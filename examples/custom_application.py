@@ -7,6 +7,11 @@ scratch — a symptom ("Link loss alarm") and two candidate causes, both
 pulled from the Table II rule library — using only the rule
 specification language, then runs it against hand-injected telemetry.
 
+The application also redefines its symptom, as Section II-A allows: a
+stricter "Link loss alarm" whose retrieval process reads the SNMP
+columns and yields plain rows ``(start, end, location, info)`` — the
+event definition stamps its own name on them.
+
 Run:  python examples/custom_application.py
 """
 
@@ -14,9 +19,11 @@ import random
 
 from repro import DataCollector, GrcaPlatform, TopologyParams, build_topology
 from repro.core import RcaEngine, ResultBrowser
+from repro.collector.sources.snmp import POLL_INTERVAL_SECONDS
 from repro.core.engine import EngineConfig
-from repro.core.events import RetrievalContext
 from repro.core.knowledge import names
+from repro.core.knowledge.detectors import window_rows
+from repro.core.locations import Location
 from repro.core.rulespec import SpecCompiler
 from repro.simulation.telemetry import BASE_EPOCH, TelemetryEmitter
 
@@ -29,6 +36,24 @@ symptom "{names.LINK_LOSS}"
 rule "{names.LINK_LOSS}" -> "{names.LINK_CONGESTION}" use library priority 90
 rule "{names.LINK_LOSS}" -> "{names.LINEPROTO_FLAP}" use library priority 80
 '''
+
+
+#: corrupted packets per 5-minute poll that make a loss alarm here
+LOSS_THRESHOLD = 250.0
+
+
+def retrieve_heavy_loss(context):
+    """``>= LOSS_THRESHOLD`` corrupted packets in one poll, as rows."""
+    for timestamp, router, interface, value in window_rows(
+        context, "snmp", ("router", "interface", "value"),
+        context.start, context.end + POLL_INTERVAL_SECONDS,
+        metric="corrupted_packets",
+    ):
+        if interface is not None and value >= LOSS_THRESHOLD:
+            location = Location.interface(f"{router}:{interface}")
+            yield timestamp - POLL_INTERVAL_SECONDS, timestamp, location, (
+                ("value", value),
+            )
 
 
 def main() -> None:
@@ -59,22 +84,27 @@ def main() -> None:
     emitter.buffers.ingest_into(collector)
     platform = GrcaPlatform.from_collector(topo, collector)
 
+    # the application's own event layer: the library's, with a stricter
+    # symptom; the shared library is untouched
+    events = platform.knowledge.scoped_events()
+    events.override(
+        events.get(names.LINK_LOSS).redefined(
+            retrieve_heavy_loss, f">= {LOSS_THRESHOLD:.0f} corrupted packets"
+        )
+    )
+
     # compile the DSL spec into a diagnosis graph and build the engine
-    compiler = SpecCompiler(platform.knowledge.events, platform.knowledge.rules)
+    compiler = SpecCompiler(events, platform.knowledge.rules)
     graph = compiler.compile_text(LINK_LOSS_SPEC)
     engine = RcaEngine(
         graph=graph,
-        library=platform.knowledge.events,
+        library=events,
         resolver=platform.resolver,
         store=platform.store,
         config=EngineConfig(services=platform.services),
     )
 
-    context = RetrievalContext(
-        store=platform.store, start=t - 3600, end=t + 3600,
-        services=platform.services,
-    )
-    symptoms = platform.knowledge.events.get(names.LINK_LOSS).retrieve(context)
+    symptoms = engine.find_symptoms(t - 3600, t + 3600)
     browser = ResultBrowser(engine.diagnose_all(symptoms))
 
     print(f"new application {graph.name!r} built from "

@@ -21,9 +21,10 @@ from ..core.events import (
     EventInstance,
     EventLibrary,
     RetrievalContext,
+    Row,
 )
 from ..core.knowledge import names
-from ..core.knowledge.detectors import TimedPoint, pair_flaps
+from ..core.knowledge.detectors import TimedPoint, pair_flaps, window_rows
 from ..core.locations import Location, LocationType
 from ..core.reasoning.bayesian import BayesianEngine, BayesianVerdict, RootCauseModel
 from ..core.rulespec import SpecCompiler
@@ -91,49 +92,38 @@ rule "Interface flap" -> "Regular optical mesh network restoration" use library 
 # Table III application-specific events
 
 
-def _retrieve_ebgp_flap(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_ebgp_flap(context: RetrievalContext) -> Iterable[Row]:
     """ADJCHANGE Down paired with the next Up on the same session."""
     window = context.param("session_flap_window", SESSION_FLAP_WINDOW)
     downs, ups = [], []
-    for record in context.store.table("syslog").query(
-        context.start - window, context.end + window, code="BGP-5-ADJCHANGE"
+    for timestamp, router, neighbor, state in window_rows(
+        context, "syslog", ("router", "neighbor", "state"),
+        context.start - window, context.end + window, code="BGP-5-ADJCHANGE",
     ):
-        neighbor = record.get("neighbor")
         if neighbor is None:
             continue
-        point = TimedPoint(record.timestamp, (record["router"], neighbor))
-        if record.get("state") == "down":
+        point = TimedPoint(timestamp, (router, neighbor))
+        if state == "down":
             downs.append(point)
-        elif record.get("state") == "up":
+        elif state == "up":
             ups.append(point)
     for down, up in pair_flaps(downs, ups, window):
         if up.timestamp < context.start or down.timestamp > context.end:
             continue
-        router, neighbor = down.key
-        yield EventInstance.make(
-            names.EBGP_FLAP,
-            down.timestamp,
-            up.timestamp,
-            Location.router_neighbor(router, neighbor),
-        )
+        location = Location.router_neighbor(*down.key)
+        yield down.timestamp, up.timestamp, location, ()
 
 
-def _notification_retrieval(name: str, reason: str, direction: str):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
-        for record in context.store.table("syslog").query(
-            context.start, context.end, code="BGP-5-NOTIFICATION"
+def _notification_retrieval(reason: str, direction: str):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
+        for timestamp, router, neighbor, why, way in window_rows(
+            context, "syslog", ("router", "neighbor", "reason", "direction"),
+            context.start, context.end, code="BGP-5-NOTIFICATION",
         ):
-            neighbor = record.get("neighbor")
-            if neighbor is None:
+            if neighbor is None or why != reason or way != direction:
                 continue
-            if record.get("reason") != reason or record.get("direction") != direction:
-                continue
-            yield EventInstance.make(
-                name,
-                record.timestamp,
-                record.timestamp,
-                Location.router_neighbor(record["router"], neighbor),
-            )
+            location = Location.router_neighbor(router, neighbor)
+            yield timestamp, timestamp, location, ()
 
     return retrieve
 
@@ -149,16 +139,14 @@ def register_bgp_events(events: EventLibrary) -> None:
     events.register(
         EventDefinition(
             names.CUSTOMER_RESET, LocationType.ROUTER_NEIGHBOR,
-            _notification_retrieval(
-                names.CUSTOMER_RESET, "administrative_reset", "received"
-            ),
+            _notification_retrieval("administrative_reset", "received"),
             "eBGP session is reset by the customer, BGP-5-NOTIFICATION msg", "syslog",
         )
     )
     events.register(
         EventDefinition(
             names.EBGP_HTE, LocationType.ROUTER_NEIGHBOR,
-            _notification_retrieval(names.EBGP_HTE, "hold_timer_expired", "sent"),
+            _notification_retrieval("hold_timer_expired", "sent"),
             "eBGP hold timer expired, BGP-5-NOTIFICATION msg", "syslog",
         )
     )

@@ -24,10 +24,11 @@ from ..core.events import (
     EventInstance,
     EventLibrary,
     RetrievalContext,
+    Row,
 )
 from ..core.graph import DiagnosisGraph, DiagnosisRule
 from ..core.knowledge import names
-from ..core.knowledge.detectors import detect_shift, pair_samples
+from ..core.knowledge.detectors import detect_shift, pair_samples, window_rows
 from ..core.knowledge.rules import expansion
 from ..core.locations import Location, LocationType
 from ..core.spatial import JoinLevel, SpatialJoinRule
@@ -43,7 +44,7 @@ RTT_INTERVAL = 1800.0
 # Table V application-specific events
 
 
-def _retrieve_rtt_increase(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_rtt_increase(context: RetrievalContext) -> Iterable[Row]:
     """RTT shift per (server, client) pair against its trailing median."""
     factor = context.param("cdn_rtt_factor", 1.8)
     interval = context.param("cdn_rtt_interval", RTT_INTERVAL)
@@ -57,42 +58,28 @@ def _retrieve_rtt_increase(context: RetrievalContext) -> Iterable[EventInstance]
         if anomaly.timestamp < context.start:
             continue
         server, client_ip = anomaly.key
-        yield EventInstance.make(
-            names.CDN_RTT_INCREASE,
-            anomaly.timestamp - interval,
-            anomaly.timestamp,
+        yield (
+            anomaly.timestamp - interval, anomaly.timestamp,
             Location.pair(LocationType.SOURCE_DESTINATION, server, client_ip),
-            rtt_ms=anomaly.value,
-            baseline_ms=anomaly.baseline,
+            (("baseline_ms", anomaly.baseline), ("rtt_ms", anomaly.value)),
         )
 
 
-def _retrieve_server_issue(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_server_issue(context: RetrievalContext) -> Iterable[Row]:
     threshold = context.param("cdn_load_threshold", 0.9)
-    for record in context.store.table("cdn").query(
-        context.start, context.end, kind="load"
+    for timestamp, server, value in window_rows(
+        context, "cdn", ("server", "value"), context.start, context.end, kind="load"
     ):
-        if record["value"] >= threshold:
-            yield EventInstance.make(
-                names.CDN_SERVER_ISSUE,
-                record.timestamp,
-                record.timestamp,
-                Location.server(record["server"]),
-                load=record["value"],
-            )
+        if value >= threshold:
+            yield timestamp, timestamp, Location.server(server), (("load", value),)
 
 
-def _retrieve_policy_change(context: RetrievalContext) -> Iterable[EventInstance]:
-    for record in context.store.table("cdn").query(
-        context.start, context.end, kind="policy_change"
+def _retrieve_policy_change(context: RetrievalContext) -> Iterable[Row]:
+    for timestamp, server, detail in window_rows(
+        context, "cdn", ("server", "detail"),
+        context.start, context.end, kind="policy_change",
     ):
-        yield EventInstance.make(
-            names.CDN_POLICY_CHANGE,
-            record.timestamp,
-            record.timestamp,
-            Location.server(record["server"]),
-            detail=record.get("detail"),
-        )
+        yield timestamp, timestamp, Location.server(server), (("detail", detail),)
 
 
 def register_cdn_events(events: EventLibrary) -> None:

@@ -19,12 +19,13 @@ from typing import Iterable
 
 from ..core.events import (
     EventDefinition,
-    EventInstance,
     EventLibrary,
     RetrievalContext,
+    Row,
 )
 from ..core.graph import DiagnosisGraph, DiagnosisRule
 from ..core.knowledge import names
+from ..core.knowledge.detectors import window_rows
 from ..core.knowledge.rules import expansion
 from ..core.locations import Location, LocationType
 from ..core.spatial import JoinLevel, SpatialJoinRule
@@ -41,74 +42,58 @@ CUSTOMER_IFACE_FLAP = "interface (customer facing) flap"
 # Table VII application-specific events
 
 
-def _retrieve_pim_adjacency_change(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_pim_adjacency_change(context: RetrievalContext) -> Iterable[Row]:
     """MVPN (vrf-scoped) adjacency losses between PE pairs."""
     loopbacks = context.service("loopbacks")
-    for record in context.store.table("syslog").query(
-        context.start, context.end, code="PIM-5-NBRCHG", state="down"
+    for timestamp, router, vrf, neighbor in window_rows(
+        context, "syslog", ("router", "vrf", "neighbor"),
+        context.start, context.end, code="PIM-5-NBRCHG", state="down",
     ):
-        if record.get("vrf") is None:
+        if vrf is None:
             continue  # uplink adjacency: a different event
-        remote = loopbacks.get(record.get("neighbor"))
+        remote = loopbacks.get(neighbor)
         if remote is None:
             continue
-        yield EventInstance.make(
-            names.PIM_ADJACENCY_CHANGE,
-            record.timestamp,
-            record.timestamp,
-            Location.pair(LocationType.INGRESS_EGRESS, record["router"], remote),
-            vrf=record.get("vrf"),
-        )
+        location = Location.pair(LocationType.INGRESS_EGRESS, router, remote)
+        yield timestamp, timestamp, location, (("vrf", vrf),)
 
 
-def _retrieve_uplink_adjacency_change(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_uplink_adjacency_change(context: RetrievalContext) -> Iterable[Row]:
     """Non-vrf adjacency losses: the PE's uplink neighbor to the core."""
-    for record in context.store.table("syslog").query(
-        context.start, context.end, code="PIM-5-NBRCHG", state="down"
+    for timestamp, router, vrf, interface in window_rows(
+        context, "syslog", ("router", "vrf", "interface"),
+        context.start, context.end, code="PIM-5-NBRCHG", state="down",
     ):
-        if record.get("vrf") is not None:
+        if vrf is not None or interface is None:
             continue
-        interface = record.get("interface")
-        if interface is None:
-            continue
-        yield EventInstance.make(
-            names.UPLINK_PIM_ADJACENCY_CHANGE,
-            record.timestamp,
-            record.timestamp,
-            Location.interface(f"{record['router']}:{interface}"),
-        )
+        location = Location.interface(f"{router}:{interface}")
+        yield timestamp, timestamp, location, ()
 
 
-def _retrieve_pim_config_change(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_pim_config_change(context: RetrievalContext) -> Iterable[Row]:
     """MVPN (de)provisioning from the router command logs."""
-    for record in context.store.table("tacacs").query(context.start, context.end):
-        command = record.get("command", "")
+    for timestamp, router, command in window_rows(
+        context, "tacacs", ("router", "command"), context.start, context.end
+    ):
+        command = command or ""
         if "ip vrf" not in command and "mdt" not in command:
             continue
-        yield EventInstance.make(
-            names.PIM_CONFIG_CHANGE,
-            record.timestamp,
-            record.timestamp,
-            Location.router(record["router"]),
-            command=command,
-        )
+        yield timestamp, timestamp, Location.router(router), (("command", command),)
 
 
-def _retrieve_customer_iface_flap(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_customer_iface_flap(context: RetrievalContext) -> Iterable[Row]:
     """Interface flaps restricted to customer-facing (link-less) ports."""
     network = context.service("network")
     base = context.service("event_library").get(names.INTERFACE_FLAP)
-    for instance in base.retrieve(context):
-        fq = instance.location.value
+    for start, end, location, _info in base.retrieve(context).rows():
+        fq = location.value
         try:
             if network.link_of_interface(fq) is not None:
                 continue  # an in-network (OSPF) port, not customer-facing
             network.interface(fq)
         except KeyError:
             continue
-        yield EventInstance.make(
-            CUSTOMER_IFACE_FLAP, instance.start, instance.end, instance.location
-        )
+        yield start, end, location, ()
 
 
 def register_pim_events(events: EventLibrary) -> None:

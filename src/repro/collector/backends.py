@@ -331,11 +331,14 @@ class MemoryBackend(StorageBackend):
         if late:
             rows = self._rows(positions, late)
             return ColumnarSlice([record.timestamp for record in rows], rows)
-        run = self._run.snapshot()
         if equals:
+            if not positions:  # nothing to snapshot
+                return ColumnarSlice([], [])
+            run = self._run.snapshot()
             return ColumnarSlice(
                 [run.ts[p] for p in positions], columns=run, positions=positions
             )
+        run = self._run.snapshot()
         return ColumnarSlice(
             ListView(run.ts, positions.start, positions.stop),
             columns=run,

@@ -17,6 +17,7 @@ from .calibration import (
 from .engine import Diagnosis, EngineConfig, RcaEngine
 from .exploration import CoOccurrence, co_occurring_signatures, format_exploration
 from .events import (
+    CandidateSet,
     EventDefinition,
     EventInstance,
     EventLibrary,
@@ -62,6 +63,7 @@ __all__ = [
     "DiagnosisGraph",
     "DiagnosisRule",
     "EngineConfig",
+    "CandidateSet",
     "EventDefinition",
     "EventInstance",
     "EventLibrary",

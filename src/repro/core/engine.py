@@ -45,10 +45,9 @@ from ..collector.store import (
 from ..obs.trace import NULL_TRACER, Tracer
 from .diagnosis import Diagnosis, FootprintEntry
 from .events import (
-    EventDefinition, EventInstance, EventLibrary, RetrievalContext,
+    CandidateSet, EventDefinition, EventInstance, EventLibrary, RetrievalContext,
 )
 from .graph import DiagnosisGraph, DiagnosisRule
-from .locations import Location
 from .reasoning.rule_based import (
     NO_EVIDENCE,
     Evidence,
@@ -56,8 +55,7 @@ from .reasoning.rule_based import (
     assess_confidence,
     reason,
 )
-from .spatial import JoinLevel, LocationResolver
-from .temporal import IntervalColumns
+from .spatial import JoinLevel, LocationResolver, location_runs
 
 
 def merge_footprint(reads: Iterable[FootprintEntry]) -> Tuple[FootprintEntry, ...]:
@@ -156,119 +154,6 @@ def coalesce_windows(
         else:
             merged.append((lo, hi))
     return merged
-
-
-class CandidateSet:
-    """One cached retrieval cover: instances, the store reads that
-    produced them, and lazy join columns.
-
-    Every rule/parent hitting the same cover shares one columnar
-    ``(starts, ends)`` build — and, through
-    :class:`~repro.core.temporal.IntervalColumns`, one end-sorted
-    permutation — for the batch temporal join.
-    """
-
-    __slots__ = ("instances", "reads", "_columns", "_location_index", "_expansions")
-
-    def __init__(
-        self, instances: List[EventInstance], reads: FrozenSet[FootprintEntry] = frozenset()
-    ) -> None:
-        self.instances = instances
-        self.reads = reads
-        self._columns: Optional[IntervalColumns] = None
-        self._location_index: Optional[
-            Dict[Tuple[str, ...], Tuple[Location, List[int]]]
-        ] = None
-        # (join level, topology generation) -> parts -> expansion, or
-        # None when the level/locations are epoch-dynamic
-        self._expansions: Dict[
-            Tuple[Any, int], Optional[Dict[Tuple[str, ...], FrozenSet[str]]]
-        ] = {}
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    @property
-    def columns(self) -> IntervalColumns:
-        """Interval arrays of the instances (sorted by start); memoized."""
-        if self._columns is None:
-            instances = self.instances
-            self._columns = IntervalColumns(
-                [i.start for i in instances], [i.end for i in instances]
-            )
-        return self._columns
-
-    @property
-    def location_index(
-        self,
-    ) -> Dict[Tuple[str, ...], Tuple[Location, List[int]]]:
-        """parts -> (the location, ascending row indices); memoized.
-
-        Storm covers repeat a handful of distinct locations, so the
-        spatial stage decides once per location, not per candidate.  A
-        cover holds one event's instances, hence one location type, so
-        the parts identify the location.
-        """
-        if self._location_index is None:
-            index: Dict[Tuple[str, ...], Tuple[Location, List[int]]] = {}
-            for k, instance in enumerate(self.instances):
-                entry = index.get(instance.location.parts)
-                if entry is None:
-                    index[instance.location.parts] = (instance.location, [k])
-                else:
-                    entry[1].append(k)
-            self._location_index = index
-        return self._location_index
-
-    def location_runs(
-        self, survivors: List[int]
-    ) -> List[Tuple[Tuple[str, ...], Location, List[int]]]:
-        """Per distinct location among ``survivors``, its rows, ascending.
-
-        A contiguous survivor run — what start-anchored batch joins
-        produce — is intersected with each location's index list by two
-        bisects instead of walking every survivor.
-        """
-        lo_k, hi_k = survivors[0], survivors[-1]
-        runs = []
-        if hi_k - lo_k + 1 == len(survivors):
-            for parts, (location, idxs) in self.location_index.items():
-                a = bisect.bisect_left(idxs, lo_k)
-                b = bisect.bisect_right(idxs, hi_k, a)
-                if a != b:
-                    runs.append((parts, location, idxs[a:b]))
-        else:
-            rows: Dict[Tuple[str, ...], List[int]] = {}
-            for k in survivors:
-                rows.setdefault(self.instances[k].location.parts, []).append(k)
-            for parts, ks in rows.items():
-                runs.append((parts, self.instances[ks[0]].location, ks))
-        return runs
-
-    def static_expansions(
-        self, resolver, level, timestamp: float
-    ) -> Optional[Dict[Tuple[str, ...], FrozenSet[str]]]:
-        """Spatial expansions of the distinct locations, if epoch-static.
-
-        Storm workloads join the same cover against dozens of sibling
-        symptoms; epoch-static expansions
-        (:meth:`LocationResolver.epoch_static`) cannot change within a
-        topology generation, so one map computed on first use serves
-        every later walk.  Returns ``None`` — compute per evaluation —
-        when any expansion depends on time-varying routing state.
-        """
-        key = (level, resolver.epoch.topology_generation)
-        if key not in self._expansions:
-            locations = [location for location, _ in self.location_index.values()]
-            self._expansions[key] = (
-                {
-                    location.parts: resolver.expand(location, level, timestamp)
-                    for location in locations
-                }
-                if all(resolver.epoch_static(l.type, level) for l in locations)
-                else None
-            )
-        return self._expansions[key]
 
 
 class CoverIndex:
@@ -390,7 +275,7 @@ class _Stage:
     :meth:`RcaEngine._retrieve` then resets the event's stages.
     """
 
-    __slots__ = ("window", "bucketed", "gaps", "candidates", "survivors", "runs")
+    __slots__ = ("window", "bucketed", "gaps", "candidates", "reads", "survivors", "runs")
 
     def __init__(self, window: Tuple[float, float], gaps: tuple) -> None:
         self.window = window
@@ -401,6 +286,8 @@ class _Stage:
 
     def reset(self) -> None:
         self.candidates: Optional[CandidateSet] = None
+        #: the store reads behind ``candidates`` (their footprint)
+        self.reads: FrozenSet[FootprintEntry] = frozenset()
         self.survivors: Optional[List[int]] = None
         self.runs: Optional[list] = None
 
@@ -452,12 +339,11 @@ class RcaEngine:
         and services evidence retrievals get; ``tracer`` records one
         ``detect`` span."""
         definition = self.library.get(self.graph.symptom_event)
+        context = RetrievalContext(
+            self.store, start, end, self.config.params, self.config.services
+        )
         with (tracer or NULL_TRACER).span("detect", label=definition.name) as span:
-            symptoms = definition.retrieve(
-                RetrievalContext(
-                    self.store, start, end, self.config.params, self.config.services
-                )
-            )
+            symptoms = list(definition.retrieve(context))
             span.annotate(retrieved=len(symptoms), window=[start, end])
         return symptoms
 
@@ -584,7 +470,7 @@ class RcaEngine:
                         matches = self._match(
                             step, stage, parent, tracer, covers, cancel, shared
                         )
-                        reads |= stage.candidates.reads
+                        reads |= stage.reads
                         if not matches:
                             continue
                         matched_here += len(matches)
@@ -703,16 +589,14 @@ class RcaEngine:
                 cached = stage.candidates is not None or self._retrieve(
                     step, stage, tracer, covers, cancel, shared
                 )
-                candidates = stage.candidates.instances
+                candidates = stage.candidates
             with tracer.span("temporal-join", **stage_args) as temporal_span:
                 survivors = stage.survivors
                 if survivors is None:
-                    # nothing retrieved, nothing joins: no columns are built
+                    # nothing retrieved, nothing joins
                     survivors = stage.survivors = (
-                        rule.temporal.joined_batch(
-                            parent.interval, stage.candidates.columns
-                        )
-                        if candidates else []
+                        rule.temporal.joined_batch(parent.interval, candidates.columns)
+                        if candidates.starts else []
                     )
             with tracer.span("spatial-join", **stage_args) as spatial_span:
                 matched = (
@@ -736,7 +620,7 @@ class RcaEngine:
         """Columnar spatial join over the (non-empty) temporal survivors.
 
         For epoch-static location columns the cover's expansion map
-        (:meth:`CandidateSet.static_expansions`) replaces per-candidate
+        (:meth:`LocationResolver.static_expansions`) replaces per-candidate
         resolver calls with one set intersection per distinct location,
         over survivor rows the stage shares (``location_runs``).
         Returns exactly what a per-candidate loop over
@@ -748,14 +632,13 @@ class RcaEngine:
             self.resolver, parent.location, parent.start, trace=trace
         )
         cap = self.config.max_matches_per_rule
-        instances = candidates.instances
-        expansions = candidates.static_expansions(
-            self.resolver, step.level, parent.start
+        expansions = self.resolver.static_expansions(
+            candidates, step.level, parent.start
         )
         if expansions is not None:
             runs = stage.runs
             if runs is None:
-                runs = stage.runs = candidates.location_runs(survivors)
+                runs = stage.runs = location_runs(candidates, survivors)
                 for _parts, location, _rows in runs:
                     batch.check_diagnostic(location)
             symptom_set = batch.symptom_set
@@ -764,18 +647,18 @@ class RcaEngine:
                 if not symptom_set.isdisjoint(expansions[parts]):
                     picked.extend(rows)
             picked.sort()
-            return [instances[k] for k in picked[:cap]]
+            return candidates.take(picked[:cap])
         # epoch-dynamic locations (routed paths, prefixes): one resolver
         # verdict per distinct location, only as far as the cap needs
         matched: List[EventInstance] = []
         verdicts: Dict[Tuple[str, ...], bool] = {}
         for k in survivors:
-            location = instances[k].location
+            location = candidates.locations[k]
             verdict = verdicts.get(location.parts)
             if verdict is None:
                 verdict = verdicts[location.parts] = batch.joined(location)
             if verdict:
-                matched.append(instances[k])
+                matched.append(candidates[k])
                 if len(matched) >= cap:
                     break
         return matched
@@ -800,8 +683,8 @@ class RcaEngine:
                     cover = planned
                     break
         key = (event_name, cover[0], cover[1])
-        candidates = self._retrieval_cache.get(key)
-        cached = candidates is not None
+        entry = self._retrieval_cache.get(key)
+        cached = entry is not None
         if not cached:
             # the store round-trip is the expensive stage; a job past
             # its deadline stops here instead of fetching more data
@@ -815,7 +698,7 @@ class RcaEngine:
                 ObservedStore(self.store, observers), cover[0], cover[1],
                 self.config.params, self.config.services,
             )
-            candidates = self._retrieval_cache[key] = CandidateSet(
+            entry = self._retrieval_cache[key] = (
                 step.definition.retrieve(context), frozenset(reads)
             )
             note_reach(self._reach, reads)
@@ -824,7 +707,7 @@ class RcaEngine:
             # a new cover may answer this event's later lookups
             for other in shared[event_name].values():
                 other.reset()
-        stage.candidates = candidates
+        stage.candidates, stage.reads = entry
         return cached
 
     def sync(self) -> int:
@@ -843,8 +726,8 @@ class RcaEngine:
         return self._drop_retrievals(
             [
                 key
-                for key, cover in self._retrieval_cache.items()
-                if deltas is None or footprint_hit(cover.reads, deltas)
+                for key, (_candidates, reads) in self._retrieval_cache.items()
+                if deltas is None or footprint_hit(reads, deltas)
             ]
         )
 
@@ -853,8 +736,9 @@ class RcaEngine:
         this only gives the memory back)."""
         # store revision the cache is in sync with: an empty one, any
         self._synced: int = self.store.revision
-        # retrieval cache: (event name, cover window) -> candidate set
-        self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
+        # retrieval cache: (event name, cover window) -> (candidate set,
+        # the store reads behind it)
+        self._retrieval_cache: Dict[Tuple[str, float, float], tuple] = {}
         # per event: the cached cover windows, indexed for containment
         # (looking an event up files an empty index for it)
         self._covers: Dict[str, CoverIndex] = defaultdict(CoverIndex)

@@ -8,20 +8,38 @@ start-time, end-time, location, additional info).
 
 Here the retrieval process is a callable taking a
 :class:`RetrievalContext` (the store plus a time range and tunable
-parameters) and yielding :class:`EventInstance` objects.  Definitions
-live in an :class:`EventLibrary`; applications may *redefine* any library
-event ("the event 'link congestion alarm' ... can be easily redefined as
-'>= 90% link utilization'") by registering an override.
+parameters) and yielding plain rows ``(start, end, location, info)``,
+``info`` being ``(key, value)`` pairs sorted by key; anything else (an
+``EventInstance`` too) is a ``ValueError`` naming the definition.
+:meth:`EventDefinition.retrieve` checks every row, stamps the
+definition's name and returns one :class:`CandidateSet`: the rows as
+columns, an instance built only for a row someone reads.  Definitions
+live in an :class:`EventLibrary`; applications may *redefine* any
+library event ("the event 'link congestion alarm' ... can be easily
+redefined as '>= 90% link utilization'") by registering an override.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..collector.store import DataStore
 from .locations import Location, LocationType
+from .temporal import IntervalColumns
+
+
+_INF = float("inf")
+
+
+def check_interval(name: str, start: float, end: float) -> None:
+    """The one interval rule of an event: finite ``start <= end`` (a NaN
+    or infinite bound would file an unbounded engine search window)."""
+    if not -_INF < start <= end < _INF:
+        raise ValueError(
+            f"event {name!r} needs finite start <= end, got [{start}, {end}]"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,10 +55,7 @@ class EventInstance:
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"event {self.name!r} ends ({self.end}) before start ({self.start})"
-            )
+        check_interval(self.name, self.start, self.end)
 
     def __hash__(self) -> int:
         # instances sit in dedupe sets and cache keys on the diagnosis
@@ -91,9 +106,7 @@ class RetrievalContext:
     ``params`` carries per-application overrides (thresholds, flap
     pairing windows); ``services`` carries shared substrate handles that
     some retrievals need (e.g. the OSPF weight history for cost-in/out
-    inference).  ``location_hint`` optionally narrows retrieval to
-    locations relevant to one symptom — a pushdown, never a correctness
-    requirement.
+    inference).
     """
 
     store: DataStore
@@ -101,7 +114,6 @@ class RetrievalContext:
     end: float
     params: Dict[str, Any] = field(default_factory=dict)
     services: Dict[str, Any] = field(default_factory=dict)
-    location_hint: Optional[Dict[str, Any]] = None
 
     def param(self, key: str, default: Any = None) -> Any:
         """Retrieval parameter by key, with a default."""
@@ -118,10 +130,16 @@ class RetrievalContext:
             ) from None
 
 
-RetrievalProcess = Callable[[RetrievalContext], Iterable[EventInstance]]
+#: What a retrieval process yields: ``(start, end, location, info)``.
+Row = Tuple[float, float, Location, Tuple[Tuple[str, Any], ...]]
 
-#: the order retrieved instances are kept in: by ``(start, end)``
-_BY_INTERVAL = attrgetter("start", "end")
+RetrievalProcess = Callable[[RetrievalContext], Iterable[Row]]
+
+#: the order retrieved rows are kept in: by ``(start, end)``, stably
+_BY_INTERVAL = itemgetter(0, 1)
+
+#: parts -> (the location, ascending row indices)
+LocationIndex = Dict[Tuple[str, ...], Tuple[Location, List[int]]]
 
 #: An instance's canonical identity: (name, location parts, start rounded
 #: to 0.1 s).  Hashable and order-insensitive to retrieval jitter.
@@ -141,6 +159,82 @@ def instance_key(instance: EventInstance) -> InstanceKey:
     return (instance.name, instance.location.parts, round(instance.start, 1))
 
 
+class CandidateSet:
+    """One event's retrieved rows as index-aligned columns, sorted by
+    ``(start, end)`` with ties in retrieval order.
+
+    Row ``k`` becomes an :class:`EventInstance` — once, memoized — only
+    when someone reads it (``candidates[k]``, iteration).  The joins read
+    the columns: every rule/parent joining one cached cover shares its
+    :attr:`columns` (and their end-sorted permutation), its
+    :attr:`location_index` and its locations' spatial :attr:`expansions`.
+    """
+
+    __slots__ = (
+        "name", "starts", "ends", "locations", "infos", "columns", "expansions",
+        "_instances", "_location_index",
+    )
+
+    def __init__(self, name: str, starts=(), ends=(), locations=(), infos=()) -> None:
+        self.name = name
+        self.starts, self.ends, self.locations, self.infos = starts, ends, locations, infos
+        self.columns = IntervalColumns(starts, ends)
+        self._instances: Dict[int, EventInstance] = {}
+        self._location_index: Optional[LocationIndex] = None
+        #: :meth:`~repro.core.spatial.LocationResolver.static_expansions`'
+        #: memo: (join level, topology generation) -> parts -> expansion
+        self.expansions: Dict[Tuple[Any, int], Any] = {}
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, k: int) -> EventInstance:
+        """Row ``k`` as an instance, built on first read."""
+        return self._instances.get(k) or self._build(k)
+
+    def take(self, ks: Iterable[int]) -> List[EventInstance]:
+        """Rows ``ks`` as instances: ``[self[k] for k in ks]``."""
+        get, build = self._instances.get, self._build
+        return [get(k) or build(k) for k in ks]
+
+    def _build(self, k: int) -> EventInstance:
+        instance = self._instances[k] = EventInstance(
+            self.name, self.starts[k], self.ends[k], self.locations[k], self.infos[k]
+        )
+        return instance
+
+    def __iter__(self):
+        return iter(self.take(range(len(self.starts))))
+
+    def rows(self) -> Iterable[Row]:
+        """The rows as a retrieval yields them — no instance is built."""
+        return zip(self.starts, self.ends, self.locations, self.infos)
+
+    @property
+    def location_index(self) -> LocationIndex:
+        """parts -> (the location, ascending row indices); memoized.
+
+        Storm covers repeat a handful of distinct locations, so the
+        spatial stage decides once per location, not per candidate.  A
+        set holds one event's rows, hence one location type, so the
+        parts identify the location.
+        """
+        if self._location_index is None:
+            index: LocationIndex = {}
+            for k, location in enumerate(self.locations):
+                entry = index.get(location.parts)
+                if entry is None:
+                    index[location.parts] = (location, [k])
+                else:
+                    entry[1].append(k)
+            self._location_index = index
+        return self._location_index
+
+
+#: What every retrieval that found nothing returns: no rows, no lists.
+EMPTY = CandidateSet("")
+
+
 @dataclass(frozen=True)
 class EventDefinition:
     """(event-name, location type, retrieval process, description)."""
@@ -151,24 +245,28 @@ class EventDefinition:
     description: str = ""
     data_source: str = ""
 
-    def retrieve(self, context: RetrievalContext) -> List[EventInstance]:
-        """Run the retrieval process, validating instance conformance."""
-        instances = []
-        for instance in self.retrieval(context):
-            if instance.name != self.name:
+    def retrieve(self, context: RetrievalContext) -> CandidateSet:
+        """Run the retrieval process; check every row, sort stably by
+        ``(start, end)`` and keep the rows as columns."""
+        rows = list(self.retrieval(context))
+        if not rows:
+            return EMPTY
+        located = self.location_type
+        for row in rows:
+            try:
+                start, end, location, _info = row
+            except (TypeError, ValueError):
                 raise ValueError(
-                    f"retrieval for {self.name!r} produced instance named "
-                    f"{instance.name!r}"
-                )
-            if instance.location.type is not self.location_type:
+                    f"{self.name!r} retrieval yielded a non-row {row!r}"
+                ) from None
+            if location.type is not located:
                 raise ValueError(
                     f"event {self.name!r} declares location type "
-                    f"{self.location_type.value} but produced "
-                    f"{instance.location.type.value}"
+                    f"{located.value} but produced {location.type.value}"
                 )
-            instances.append(instance)
-        instances.sort(key=_BY_INTERVAL)
-        return instances
+            check_interval(self.name, start, end)
+        rows.sort(key=_BY_INTERVAL)
+        return CandidateSet(self.name, *zip(*rows))
 
     def redefined(self, retrieval: RetrievalProcess, description: str = "") -> "EventDefinition":
         """A copy of this definition with a replacement retrieval."""
@@ -229,6 +327,6 @@ def retrieve_events(
     library: EventLibrary,
     names: Iterable[str],
     context: RetrievalContext,
-) -> Dict[str, List[EventInstance]]:
-    """Retrieve instances for several event definitions at once."""
+) -> Dict[str, CandidateSet]:
+    """Retrieve the candidates of several event definitions at once."""
     return {name: library.get(name).retrieve(context) for name in names}

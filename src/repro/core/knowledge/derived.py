@@ -19,43 +19,44 @@ These combinators build refined signatures compositionally:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable
 
-from ..events import EventDefinition, EventInstance, RetrievalContext
+from ..events import CandidateSet, EventDefinition, RetrievalContext, Row
+from ..locations import Location
 
 
-def _same_scope(a: EventInstance, b: EventInstance) -> bool:
+def _same_scope(a: Location, b: Location) -> bool:
     """Same router where determinable, else same exact location."""
     try:
-        return a.location.router_part == b.location.router_part
+        return a.router_part == b.router_part
     except ValueError:
-        return a.location == b.location
+        return a == b
 
 
 def _preceded(
-    instance: EventInstance,
-    suppressors: List[EventInstance],
+    start: float,
+    location: Location,
+    suppressors: CandidateSet,
     window: float,
     slack: float,
 ) -> bool:
-    for suppressor in suppressors:
-        if not _same_scope(instance, suppressor):
+    for suppressed_at, scope in zip(suppressors.starts, suppressors.locations):
+        if not _same_scope(location, scope):
             continue
-        lead = instance.start - suppressor.start
+        lead = start - suppressed_at
         if -slack <= lead <= window:
             return True
     return False
 
 
 def _combined_retrieval(
-    name: str,
     base: EventDefinition,
     suppressor: EventDefinition,
     window: float,
     slack: float,
     keep_preceded: bool,
-) -> Callable[[RetrievalContext], Iterable[EventInstance]]:
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
+) -> Callable[[RetrievalContext], Iterable[Row]]:
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
         wide = RetrievalContext(
             store=context.store,
             start=context.start - window - slack,
@@ -64,16 +65,10 @@ def _combined_retrieval(
             services=context.services,
         )
         suppressors = suppressor.retrieve(wide)
-        for instance in base.retrieve(context):
-            preceded = _preceded(instance, suppressors, window, slack)
-            if preceded == keep_preceded:
-                yield EventInstance(
-                    name=name,
-                    start=instance.start,
-                    end=instance.end,
-                    location=instance.location,
-                    info=instance.info,
-                )
+        # the base's rows; ``retrieve`` stamps this definition's name
+        for row in base.retrieve(context).rows():
+            if _preceded(row[0], row[2], suppressors, window, slack) == keep_preceded:
+                yield row
 
     return retrieve
 
@@ -94,7 +89,7 @@ def exclude_preceded_by(
     return EventDefinition(
         name=name,
         location_type=base.location_type,
-        retrieval=_combined_retrieval(name, base, suppressor, window, slack, False),
+        retrieval=_combined_retrieval(base, suppressor, window, slack, False),
         description=description
         or f"{base.name} not preceded by {suppressor.name} within {window:.0f}s",
         data_source=base.data_source,
@@ -113,7 +108,7 @@ def require_preceded_by(
     return EventDefinition(
         name=name,
         location_type=base.location_type,
-        retrieval=_combined_retrieval(name, base, suppressor, window, slack, True),
+        retrieval=_combined_retrieval(base, suppressor, window, slack, True),
         description=description
         or f"{base.name} preceded by {suppressor.name} within {window:.0f}s",
         data_source=base.data_source,

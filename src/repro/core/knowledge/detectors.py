@@ -62,6 +62,18 @@ class Anomaly:
     baseline: float
 
 
+def window_rows(
+    context, table: str, fields: Sequence[str], start: float, end: float, **equals: Any
+) -> Iterable[Tuple[Any, ...]]:
+    """``(timestamp, *fields)`` per row of ``table`` in ``[start, end]``
+    matching ``equals``, read off the window's columns — no row object
+    is built; a field a row lacks reads ``None``."""
+    columns = context.store.table(table).query_columns(start, end, **equals)
+    if not columns.timestamps:
+        return ()  # the common case: no column to gather
+    return zip(columns.timestamps, *map(columns.column, fields))
+
+
 def pair_samples(columns) -> Iterable[Tuple[float, Hashable, float]]:
     """A ``perfmon`` window as :func:`detect_shift` samples keyed by
     ``(source, destination)``, read off its columns — no row is built."""

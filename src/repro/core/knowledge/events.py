@@ -27,7 +27,7 @@ from ...collector.sources.snmp import (
     METRIC_LINK_UTIL,
     POLL_INTERVAL_SECONDS,
 )
-from ..events import EventDefinition, EventInstance, EventLibrary, RetrievalContext
+from ..events import EventDefinition, EventLibrary, RetrievalContext, Row
 from ..locations import Location, LocationType
 from . import names
 from .cost_changes import retrieve_cost_changes
@@ -37,6 +37,7 @@ from .detectors import (
     merge_intervals,
     pair_flaps,
     pair_samples,
+    window_rows,
 )
 
 #: Default down->up pairing window for flap events, seconds.
@@ -47,130 +48,92 @@ DEFAULT_FLAP_WINDOW = 600.0
 # syslog-derived events
 
 
-def _retrieve_router_reboot(context: RetrievalContext) -> Iterable[EventInstance]:
-    for record in context.store.table("syslog").query(
-        context.start, context.end, code=syslog_codes.CODE_RESTART
+def _retrieve_router_reboot(context: RetrievalContext) -> Iterable[Row]:
+    for timestamp, router in window_rows(
+        context, "syslog", ("router",), context.start, context.end,
+        code=syslog_codes.CODE_RESTART,
     ):
-        yield EventInstance.make(
-            names.ROUTER_REBOOT,
-            record.timestamp,
-            record.timestamp,
-            Location.router(record["router"]),
-        )
+        yield timestamp, timestamp, Location.router(router), ()
 
 
-def _retrieve_cpu_spike(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_cpu_spike(context: RetrievalContext) -> Iterable[Row]:
     threshold = context.param("cpu_spike_threshold", 90)
-    for record in context.store.table("syslog").query(
-        context.start, context.end, code=syslog_codes.CODE_CPUHOG
+    for timestamp, router, cpu in window_rows(
+        context, "syslog", ("router", "cpu_pct"), context.start, context.end,
+        code=syslog_codes.CODE_CPUHOG,
     ):
-        cpu = record.get("cpu_pct")
         if cpu is not None and cpu >= threshold:
-            yield EventInstance.make(
-                names.CPU_HIGH_SPIKE,
-                record.timestamp,
-                record.timestamp,
-                Location.router(record["router"]),
-                cpu_pct=cpu,
-            )
+            yield timestamp, timestamp, Location.router(router), (("cpu_pct", cpu),)
 
 
-def _updown_points(
-    context: RetrievalContext, code: str, state: str
-) -> List[TimedPoint]:
-    points = []
-    for record in context.store.table("syslog").query(
-        context.start, context.end, code=code, state=state
-    ):
-        interface = record.get("interface")
-        if interface is None:
-            continue
-        points.append(
-            TimedPoint(record.timestamp, f"{record['router']}:{interface}")
-        )
-    return points
-
-
-def _make_updown_retrievals(code: str, down_name: str, up_name: str, flap_name: str):
+def _make_updown_retrievals(code: str):
     """Build the down / up / flap retrieval triple for one syslog code."""
 
-    def retrieve_down(context: RetrievalContext) -> Iterable[EventInstance]:
-        for point in _updown_points(context, code, "down"):
-            yield EventInstance.make(
-                down_name, point.timestamp, point.timestamp,
-                Location.interface(point.key),
-            )
+    def retrieve_state(state: str):
+        def retrieve(context: RetrievalContext) -> Iterable[Row]:
+            for timestamp, router, interface in window_rows(
+                context, "syslog", ("router", "interface"),
+                context.start, context.end, code=code, state=state,
+            ):
+                if interface is not None:
+                    location = Location.interface(f"{router}:{interface}")
+                    yield timestamp, timestamp, location, ()
 
-    def retrieve_up(context: RetrievalContext) -> Iterable[EventInstance]:
-        for point in _updown_points(context, code, "up"):
-            yield EventInstance.make(
-                up_name, point.timestamp, point.timestamp,
-                Location.interface(point.key),
-            )
+        return retrieve
 
-    def retrieve_flap(context: RetrievalContext) -> Iterable[EventInstance]:
+    def retrieve_flap(context: RetrievalContext) -> Iterable[Row]:
         window = context.param("flap_window", DEFAULT_FLAP_WINDOW)
         # widen both edges so flaps straddling the window boundary are
         # still paired: a down before context.start may pair with an up
         # inside it, and a down inside may pair with an up after the end;
         # one read of the widened window, split by state
         points = {"down": [], "up": []}
-        for record in context.store.table("syslog").query(
-            context.start - window, context.end + window, code=code
+        for timestamp, router, interface, state in window_rows(
+            context, "syslog", ("router", "interface", "state"),
+            context.start - window, context.end + window, code=code,
         ):
-            interface = record.get("interface")
-            side = points.get(record.get("state"))
+            side = points.get(state)
             if interface is not None and side is not None:
-                side.append(
-                    TimedPoint(record.timestamp, f"{record['router']}:{interface}")
-                )
+                side.append(TimedPoint(timestamp, f"{router}:{interface}"))
         for down, up in pair_flaps(points["down"], points["up"], window):
             if up.timestamp < context.start or down.timestamp > context.end:
                 continue
-            yield EventInstance.make(
-                flap_name, down.timestamp, up.timestamp,
-                Location.interface(down.key),
-            )
+            yield down.timestamp, up.timestamp, Location.interface(down.key), ()
 
-    return retrieve_down, retrieve_up, retrieve_flap
+    return retrieve_state("down"), retrieve_state("up"), retrieve_flap
 
 
 # ---------------------------------------------------------------------------
 # SNMP-derived events
 
 
-def _retrieve_cpu_average(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_cpu_average(context: RetrievalContext) -> Iterable[Row]:
     threshold = context.param("cpu_avg_threshold", 80)
     # rows are stamped at interval end; the event interval starts one
     # poll earlier, so widen the row query to the right accordingly
-    for record in context.store.table("snmp").query(
-        context.start, context.end + POLL_INTERVAL_SECONDS, metric=METRIC_CPU
+    for timestamp, router, value in window_rows(
+        context, "snmp", ("router", "value"),
+        context.start, context.end + POLL_INTERVAL_SECONDS, metric=METRIC_CPU,
     ):
-        if record["value"] >= threshold:
-            yield EventInstance.make(
-                names.CPU_HIGH_AVG,
-                record.timestamp - POLL_INTERVAL_SECONDS,
-                record.timestamp,
-                Location.router(record["router"]),
-                cpu_pct=record["value"],
+        if value >= threshold:
+            yield (
+                timestamp - POLL_INTERVAL_SECONDS, timestamp,
+                Location.router(router), (("cpu_pct", value),),
             )
 
 
-def _interface_threshold_retrieval(name: str, metric: str, param_key: str, default: float):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
+def _interface_threshold_retrieval(metric: str, param_key: str, default: float):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
         threshold = context.param(param_key, default)
-        for record in context.store.table("snmp").query(
-            context.start, context.end + POLL_INTERVAL_SECONDS, metric=metric
+        for timestamp, router, interface, value in window_rows(
+            context, "snmp", ("router", "interface", "value"),
+            context.start, context.end + POLL_INTERVAL_SECONDS, metric=metric,
         ):
-            interface = record.get("interface")
-            if interface is None or record["value"] < threshold:
+            if interface is None or value < threshold:
                 continue
-            yield EventInstance.make(
-                name,
-                record.timestamp - POLL_INTERVAL_SECONDS,
-                record.timestamp,
-                Location.interface(f"{record['router']}:{interface}"),
-                value=record["value"],
+            yield (
+                timestamp - POLL_INTERVAL_SECONDS, timestamp,
+                Location.interface(f"{router}:{interface}"), (("value", value),),
             )
 
     return retrieve
@@ -180,18 +143,14 @@ def _interface_threshold_retrieval(name: str, metric: str, param_key: str, defau
 # layer-1 events
 
 
-def _layer1_retrieval(name: str, event: str):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
-        for record in context.store.table("layer1").query(
-            context.start, context.end, event=event
+def _layer1_retrieval(event: str):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
+        for timestamp, device, circuit in window_rows(
+            context, "layer1", ("device", "circuit"),
+            context.start, context.end, event=event,
         ):
-            yield EventInstance.make(
-                name,
-                record.timestamp,
-                record.timestamp,
-                Location.layer1_device(record["device"]),
-                circuit=record.get("circuit"),
-            )
+            location = Location.layer1_device(device)
+            yield timestamp, timestamp, location, (("circuit", circuit),)
 
     return retrieve
 
@@ -200,34 +159,32 @@ def _layer1_retrieval(name: str, event: str):
 # OSPF monitor events
 
 
-def _retrieve_ospf_reconvergence(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_ospf_reconvergence(context: RetrievalContext) -> Iterable[Row]:
     """One instance per link per re-convergence episode."""
     settle = context.param("reconvergence_settle", 10.0)
     by_link: Dict[str, List[float]] = {}
     # unfiltered window query: two columns, zero-copy on the memory
     # backend — no row is built
-    columns = context.store.table("ospfmon").query_columns(context.start, context.end)
-    for timestamp, link in zip(columns.timestamps, columns.column("link")):
+    for timestamp, link in window_rows(
+        context, "ospfmon", ("link",), context.start, context.end
+    ):
         by_link.setdefault(link, []).append(timestamp)
     for link, points in sorted(by_link.items()):
+        location = Location.logical_link(link)
         for start, end in merge_intervals(points, settle):
-            yield EventInstance.make(
-                names.OSPF_RECONVERGENCE, start, end, Location.logical_link(link)
-            )
+            yield start, end, location, ()
 
 
-def _cost_retrieval(name: str, wanted: str):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
+def _cost_retrieval(wanted: str):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
         for timestamp, link, change in retrieve_cost_changes(context):
             if change == wanted:
-                yield EventInstance.make(
-                    name, timestamp, timestamp, Location.logical_link(link)
-                )
+                yield timestamp, timestamp, Location.logical_link(link), ()
 
     return retrieve
 
 
-def _retrieve_router_cost(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_router_cost(context: RetrievalContext) -> Iterable[Row]:
     """All of a router's links costed in/out together -> router event."""
     network = context.service("network")
     group_window = context.param("router_cost_window", 15.0)
@@ -244,13 +201,7 @@ def _retrieve_router_cost(context: RetrievalContext) -> Iterable[EventInstance]:
             count = sum(1 for p in points if start <= p <= end)
             # a maintenance cost-out touches (nearly) all links of the router
             if n_links >= 2 and count >= n_links:
-                yield EventInstance.make(
-                    names.ROUTER_COST_IN_OUT,
-                    start,
-                    end,
-                    Location.router(router),
-                    direction=change,
-                )
+                yield start, end, Location.router(router), (("direction", change),)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +210,19 @@ def _retrieve_router_cost(context: RetrievalContext) -> Iterable[EventInstance]:
 COST_OUT_COMMAND_MARKER = "cost 65535"
 
 
-def _cmd_retrieval(name: str, direction: str):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
-        columns = context.store.table("tacacs").query_columns(
-            context.start, context.end
-        )
-        for timestamp, command, interface, router, user in zip(
-            columns.timestamps,
-            *map(columns.column, ("command", "interface", "router", "user")),
+def _cmd_retrieval(direction: str):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
+        for timestamp, command, interface, router, user in window_rows(
+            context, "tacacs", ("command", "interface", "router", "user"),
+            context.start, context.end,
         ):
             if interface is None or "cost" not in (command or ""):
                 continue
             is_out = COST_OUT_COMMAND_MARKER in command
             if (direction == "out") != is_out:
                 continue
-            yield EventInstance.make(
-                name,
-                timestamp,
-                timestamp,
-                Location.interface(f"{router}:{interface}"),
-                user=user,
-            )
+            location = Location.interface(f"{router}:{interface}")
+            yield timestamp, timestamp, location, (("user", user),)
 
     return retrieve
 
@@ -288,7 +231,7 @@ def _cmd_retrieval(name: str, direction: str):
 # BGP monitor events
 
 
-def _retrieve_bgp_egress_change(context: RetrievalContext) -> Iterable[EventInstance]:
+def _retrieve_bgp_egress_change(context: RetrievalContext) -> Iterable[Row]:
     """A prefix whose set of available egresses changed."""
     log = context.service("bgp_log")
     for update in log.updates_between(context.start, context.end):
@@ -296,13 +239,9 @@ def _retrieve_bgp_egress_change(context: RetrievalContext) -> Iterable[EventInst
         before = {r.egress_router for r in log.routes_at(prefix, update.timestamp - 1e-6)}
         after = {r.egress_router for r in log.routes_at(prefix, update.timestamp)}
         if before != after and before:
-            yield EventInstance.make(
-                names.BGP_EGRESS_CHANGE,
-                update.timestamp,
-                update.timestamp,
-                Location.prefix(prefix),
-                old_egresses=tuple(sorted(before)),
-                new_egresses=tuple(sorted(after)),
+            yield update.timestamp, update.timestamp, Location.prefix(prefix), (
+                ("new_egresses", tuple(sorted(after))),
+                ("old_egresses", tuple(sorted(before))),
             )
 
 
@@ -310,8 +249,8 @@ def _retrieve_bgp_egress_change(context: RetrievalContext) -> Iterable[EventInst
 # performance monitor events
 
 
-def _perf_retrieval(name: str, metric: str, direction: str, factor_key: str):
-    def retrieve(context: RetrievalContext) -> Iterable[EventInstance]:
+def _perf_retrieval(metric: str, direction: str, factor_key: str):
+    def retrieve(context: RetrievalContext) -> Iterable[Row]:
         factor = context.param(factor_key, 1.5)
         lookback = context.param("perf_baseline_lookback", 3600.0)
         floor = context.param("perf_absolute_floor", 0.5)
@@ -325,13 +264,10 @@ def _perf_retrieval(name: str, metric: str, direction: str, factor_key: str):
             if anomaly.timestamp < context.start:
                 continue
             source, destination = anomaly.key
-            yield EventInstance.make(
-                name,
-                anomaly.timestamp - interval,
-                anomaly.timestamp,
+            yield (
+                anomaly.timestamp - interval, anomaly.timestamp,
                 Location.pair(LocationType.INGRESS_EGRESS, source, destination),
-                value=anomaly.value,
-                baseline=anomaly.baseline,
+                (("baseline", anomaly.baseline), ("value", anomaly.value)),
             )
 
     return retrieve
@@ -363,10 +299,7 @@ def build_common_events() -> EventLibrary:
         ">= 90% average utilization over the past 5 seconds", "syslog",
     )
 
-    link_down, link_up, link_flap = _make_updown_retrievals(
-        syslog_codes.CODE_LINK,
-        names.INTERFACE_DOWN, names.INTERFACE_UP, names.INTERFACE_FLAP,
-    )
+    link_down, link_up, link_flap = _make_updown_retrievals(syslog_codes.CODE_LINK)
     add(names.INTERFACE_DOWN, LocationType.INTERFACE, link_down,
         "LINK-3-UPDOWN msg", "syslog")
     add(names.INTERFACE_UP, LocationType.INTERFACE, link_up,
@@ -375,8 +308,7 @@ def build_common_events() -> EventLibrary:
         "LINK-3-UPDOWN msg", "syslog")
 
     proto_down, proto_up, proto_flap = _make_updown_retrievals(
-        syslog_codes.CODE_LINEPROTO,
-        names.LINEPROTO_DOWN, names.LINEPROTO_UP, names.LINEPROTO_FLAP,
+        syslog_codes.CODE_LINEPROTO
     )
     add(names.LINEPROTO_DOWN, LocationType.INTERFACE, proto_down,
         "LINEPROTO-5-UPDOWN msg", "syslog")
@@ -387,19 +319,19 @@ def build_common_events() -> EventLibrary:
 
     add(
         names.MESH_RESTORATION_REGULAR, LocationType.LAYER1_DEVICE,
-        _layer1_retrieval(names.MESH_RESTORATION_REGULAR, EVENT_MESH_REGULAR),
+        _layer1_retrieval(EVENT_MESH_REGULAR),
         "regular restoration events in layer-1 optical mesh network",
         "layer-1 device log",
     )
     add(
         names.MESH_RESTORATION_FAST, LocationType.LAYER1_DEVICE,
-        _layer1_retrieval(names.MESH_RESTORATION_FAST, EVENT_MESH_FAST),
+        _layer1_retrieval(EVENT_MESH_FAST),
         "fast restoration events in layer-1 optical mesh network",
         "layer-1 device log",
     )
     add(
         names.SONET_RESTORATION, LocationType.LAYER1_DEVICE,
-        _layer1_retrieval(names.SONET_RESTORATION, EVENT_SONET),
+        _layer1_retrieval(EVENT_SONET),
         "restoration events in the layer-1 SONET network",
         "layer-1 device log",
     )
@@ -407,15 +339,13 @@ def build_common_events() -> EventLibrary:
     add(
         names.LINK_CONGESTION, LocationType.INTERFACE,
         _interface_threshold_retrieval(
-            names.LINK_CONGESTION, METRIC_LINK_UTIL, "link_congestion_threshold", 80.0
+            METRIC_LINK_UTIL, "link_congestion_threshold", 80.0
         ),
         ">= 80% link utilization in 5-minute intervals", "SNMP",
     )
     add(
         names.LINK_LOSS, LocationType.INTERFACE,
-        _interface_threshold_retrieval(
-            names.LINK_LOSS, METRIC_CORRUPTED, "link_loss_threshold", 100.0
-        ),
+        _interface_threshold_retrieval(METRIC_CORRUPTED, "link_loss_threshold", 100.0),
         ">= 100 corrupted packets in 5-minute intervals", "SNMP",
     )
 
@@ -430,23 +360,23 @@ def build_common_events() -> EventLibrary:
     )
     add(
         names.LINK_COST_OUT, LocationType.LOGICAL_LINK,
-        _cost_retrieval(names.LINK_COST_OUT, "out"),
+        _cost_retrieval("out"),
         "Link cost out or link down inferred from link weight changes",
         "OSPF monitor",
     )
     add(
         names.LINK_COST_IN, LocationType.LOGICAL_LINK,
-        _cost_retrieval(names.LINK_COST_IN, "in"),
+        _cost_retrieval("in"),
         "Link cost in or link up inferred from link weight changes",
         "OSPF monitor",
     )
 
     add(
-        names.CMD_COST_IN, LocationType.INTERFACE, _cmd_retrieval(names.CMD_COST_IN, "in"),
+        names.CMD_COST_IN, LocationType.INTERFACE, _cmd_retrieval("in"),
         "Command typed by operators to cost in links", "TACACS",
     )
     add(
-        names.CMD_COST_OUT, LocationType.INTERFACE, _cmd_retrieval(names.CMD_COST_OUT, "out"),
+        names.CMD_COST_OUT, LocationType.INTERFACE, _cmd_retrieval("out"),
         "Command typed by operators to cost out links", "TACACS",
     )
 
@@ -457,19 +387,17 @@ def build_common_events() -> EventLibrary:
 
     add(
         names.DELAY_INCREASE, LocationType.INGRESS_EGRESS,
-        _perf_retrieval(names.DELAY_INCREASE, METRIC_DELAY, "increase", "delay_factor"),
+        _perf_retrieval(METRIC_DELAY, "increase", "delay_factor"),
         "delay increase between two PoPs", "performance monitor",
     )
     add(
         names.LOSS_INCREASE, LocationType.INGRESS_EGRESS,
-        _perf_retrieval(names.LOSS_INCREASE, METRIC_LOSS, "increase", "loss_factor"),
+        _perf_retrieval(METRIC_LOSS, "increase", "loss_factor"),
         "loss increase between two PoPs", "performance monitor",
     )
     add(
         names.THROUGHPUT_DROP, LocationType.INGRESS_EGRESS,
-        _perf_retrieval(
-            names.THROUGHPUT_DROP, METRIC_THROUGHPUT, "decrease", "throughput_factor"
-        ),
+        _perf_retrieval(METRIC_THROUGHPUT, "decrease", "throughput_factor"),
         "throughput drop between two PoPs", "performance monitor",
     )
 

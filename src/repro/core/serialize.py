@@ -126,15 +126,18 @@ def instance_to_dict(instance: EventInstance) -> Dict[str, Any]:
 
 
 def instance_from_dict(data: Dict[str, Any]) -> EventInstance:
-    """Rebuild an :class:`EventInstance` from :func:`instance_to_dict` output."""
+    """Rebuild an :class:`EventInstance` from :func:`instance_to_dict` output.
+
+    Raises ``ValueError`` for an interval that is not finite
+    ``start <= end`` (``float`` reads ``"nan"`` and ``"-inf"``).
+    """
+    info = data.get("info")
     return EventInstance(
         name=data["name"],
         start=float(data["start"]),
         end=float(data["end"]),
         location=location_from_dict(data["location"]),
-        info=tuple(
-            (key, _decode_value(value)) for key, value in data.get("info", [])
-        ),
+        info=tuple((key, _decode_value(value)) for key, value in info) if info else (),
     )
 
 

@@ -26,11 +26,12 @@ OSPF/BGP/config/ingress-map state actually changes.  See
 
 from __future__ import annotations
 
+import bisect
 import enum
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..routing.epoch import RoutingEpoch
 from ..routing.paths import PathService
@@ -265,6 +266,32 @@ class LocationResolver:
             level in (JoinLevel.NETWORK, JoinLevel.SAME_LOCATION)
             or location_type in _STATIC_TYPES
         )
+
+    def static_expansions(
+        self, candidates, level: JoinLevel, timestamp: float
+    ) -> Optional[Dict[Tuple[str, ...], FrozenSet[str]]]:
+        """Expansions of a candidate set's distinct locations, if epoch-static.
+
+        Storm workloads join the same cover against dozens of sibling
+        symptoms; epoch-static expansions (:meth:`epoch_static`) cannot
+        change within a topology generation, so one map computed on
+        first use — memoized on the set — serves every later walk.
+        Returns ``None`` — compute per evaluation — when any expansion
+        depends on time-varying routing state.
+        """
+        key = (level, self.epoch.topology_generation)
+        memo = candidates.expansions
+        if key not in memo:
+            locations = [location for location, _ in candidates.location_index.values()]
+            memo[key] = (
+                {
+                    location.parts: self.expand(location, level, timestamp)
+                    for location in locations
+                }
+                if all(self.epoch_static(l.type, level) for l in locations)
+                else None
+            )
+        return memo[key]
 
     # ------------------------------------------------------------------
     # per-location-type expansions
@@ -641,6 +668,34 @@ class BatchSpatialJoin:
         if not symptom_set:
             return False
         return not symptom_set.isdisjoint(self._expand(diagnostic_location))
+
+
+def location_runs(
+    candidates, survivors: List[int]
+) -> List[Tuple[Tuple[str, ...], Location, List[int]]]:
+    """Per distinct location among a candidate set's ``survivors`` (rows,
+    ascending), its rows.
+
+    A contiguous survivor run — what start-anchored batch joins
+    produce — is intersected with each location's index list by two
+    bisects instead of walking every survivor.
+    """
+    lo_k, hi_k = survivors[0], survivors[-1]
+    runs = []
+    if hi_k - lo_k + 1 == len(survivors):
+        for parts, (location, idxs) in candidates.location_index.items():
+            a = bisect.bisect_left(idxs, lo_k)
+            b = bisect.bisect_right(idxs, hi_k, a)
+            if a != b:
+                runs.append((parts, location, idxs[a:b]))
+    else:
+        locations = candidates.locations
+        rows: Dict[Tuple[str, ...], List[int]] = {}
+        for k in survivors:
+            rows.setdefault(locations[k].parts, []).append(k)
+        for parts, ks in rows.items():
+            runs.append((parts, locations[ks[0]], ks))
+    return runs
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ class IntervalColumns:
     """Candidate intervals as parallel sorted arrays, for batch joins.
 
     ``starts`` must be non-decreasing (the engine's retrieval cache
-    guarantees it: :meth:`EventDefinition.retrieve` sorts instances by
+    guarantees it: :meth:`EventDefinition.retrieve` sorts rows by
     ``(start, end)``).  The end-sorted permutation and its value array
     are derived lazily and memoized, so one candidate set can be joined
     against many symptoms — the batch-join equivalents of building a

@@ -77,9 +77,9 @@ class TestScopedOverride:
 
         def stricter(context):
             base = kb.events.get(names.LINK_CONGESTION)
-            for instance in base.retrieve(context):
-                if instance.get("value", 0) >= 90.0:
-                    yield instance
+            for row in base.retrieve(context).rows():
+                if dict(row[3]).get("value", 0) >= 90.0:
+                    yield row
 
         app_events.override(
             EventDefinition(
@@ -102,5 +102,5 @@ class TestScopedOverride:
                 lambda context: [], "disabled", "SNMP",
             )
         )
-        assert retrieve_congestion(collector, app_a) == []
+        assert len(retrieve_congestion(collector, app_a)) == 0
         assert len(retrieve_congestion(collector, app_b)) == 2

@@ -86,11 +86,9 @@ def store_backed_event(name, table, data_source=""):
     """Event definition reading (timestamp, router) rows from a table."""
 
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(table).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(table).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(
         name, LocationType.ROUTER, retrieve, data_source=data_source

@@ -195,9 +195,9 @@ class TestEventsThroughTheIndex:
             for name in COST_EVENTS:
                 definition = kb.events.get(name)
                 window = (BASE + lo, BASE + lo + 1200)
-                assert definition.retrieve(
-                    context(store, *window, **wired)
-                ) == definition.retrieve(context(store, *window, **plain))
+                assert list(
+                    definition.retrieve(context(store, *window, **wired))
+                ) == list(definition.retrieve(context(store, *window, **plain)))
 
 
 class TestWiredHistory:

@@ -4,18 +4,16 @@ workaround of Sections IV-B / VI."""
 import pytest
 
 from repro.collector.store import DataStore
-from repro.core.events import EventDefinition, EventInstance, RetrievalContext
+from repro.core.events import EventDefinition, RetrievalContext
 from repro.core.knowledge.derived import exclude_preceded_by, require_preceded_by
 from repro.core.locations import Location, LocationType
 
 
 def table_backed(name, table):
     def retrieve(context):
-        for record in context.store.table(table).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(table).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(name, LocationType.ROUTER, retrieve)
 
@@ -44,7 +42,7 @@ class TestExcludePrecededBy:
         store, exogenous, induced = setup
         store.insert("flaps", 1000.0, router="r1")
         store.insert("cpu", 1030.0, router="r1")
-        assert exogenous.retrieve(ctx(store)) == []
+        assert list(exogenous.retrieve(ctx(store))) == []
         assert len(induced.retrieve(ctx(store))) == 1
 
     def test_exogenous_case_kept(self, setup):
@@ -53,7 +51,7 @@ class TestExcludePrecededBy:
         kept = exogenous.retrieve(ctx(store))
         assert len(kept) == 1
         assert kept[0].name == "cpu-high-exogenous"
-        assert induced.retrieve(ctx(store)) == []
+        assert list(induced.retrieve(ctx(store))) == []
 
     def test_suppressor_outside_window_ignored(self, setup):
         store, exogenous, _induced = setup
@@ -78,7 +76,7 @@ class TestExcludePrecededBy:
         store, exogenous, _induced = setup
         store.insert("flaps", 1000.0, router="r1")
         store.insert("cpu", 1120.0, router="r1")  # exactly window edge
-        assert exogenous.retrieve(ctx(store)) == []
+        assert list(exogenous.retrieve(ctx(store))) == []
 
     def test_suppressor_straddling_context_start_found(self, setup):
         """The suppressor lookup widens beyond the retrieval window."""
@@ -86,7 +84,7 @@ class TestExcludePrecededBy:
         store.insert("flaps", 980.0, router="r1")
         store.insert("cpu", 1030.0, router="r1")
         # retrieval window starts after the flap
-        assert exogenous.retrieve(ctx(store, start=1000.0)) == []
+        assert list(exogenous.retrieve(ctx(store, start=1000.0))) == []
 
     def test_derived_definition_metadata(self, setup):
         _store, exogenous, induced = setup

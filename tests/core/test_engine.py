@@ -5,6 +5,7 @@ import pytest
 from repro.collector.store import DataStore
 from repro.core.engine import Diagnosis, EngineConfig, RcaEngine
 from repro.core.events import (
+    CandidateSet,
     EventDefinition,
     EventInstance,
     EventLibrary,
@@ -22,13 +23,17 @@ def store_backed_event(name, table, location_type=LocationType.ROUTER):
     """Event definition reading (timestamp, router) rows from a table."""
 
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(table).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(table).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(name, location_type, retrieve)
+
+
+def candidate_set(locations):
+    """Point rows at 0, 1, 2, … s, one per location, as a candidate set."""
+    times = [float(k) for k in range(len(locations))]
+    return CandidateSet("e", times, times, locations, [()] * len(locations))
 
 
 def symptom_event(name):
@@ -224,13 +229,13 @@ class TestRetrievalPlanner:
         def counting_event(name, table):
             def retrieve(context):
                 calls[name] += 1
-                for record in context.store.table(table).query(
+                columns = context.store.table(table).query_columns(
                     context.start, context.end
+                )
+                for timestamp, router in zip(
+                    columns.timestamps, columns.column("router")
                 ):
-                    yield EventInstance.make(
-                        name, record.timestamp, record.timestamp,
-                        Location.router(record["router"]),
-                    )
+                    yield timestamp, timestamp, Location.router(router), ()
 
             return EventDefinition(name, LocationType.ROUTER, retrieve)
 
@@ -415,56 +420,41 @@ class TestColumnarSpatialStage:
         )
 
     def test_location_index_inverts_the_parts_column(self):
-        from repro.core.engine import CandidateSet
-
-        instances = [
-            EventInstance.make("e", float(i), float(i), Location.router(name))
-            for i, name in enumerate(
-                ["nyc-per1", "chi-per1", "nyc-per1", "bos-per1", "nyc-per1"]
-            )
-        ]
-        index = CandidateSet(instances).location_index
+        names = ["nyc-per1", "chi-per1", "nyc-per1", "bos-per1", "nyc-per1"]
+        candidates = candidate_set([Location.router(name) for name in names])
+        index = candidates.location_index
         assert index[("nyc-per1",)][1] == [0, 2, 4]
         assert index[("chi-per1",)][1] == [1]
         assert index[("bos-per1",)][1] == [3]
+        assert index[("nyc-per1",)][0] is candidates.locations[0]
+        # read off the columns: no row became an instance
+        assert not candidates._instances
 
     def test_static_expansions_memoized_per_generation(self, resolver):
-        from repro.core.engine import CandidateSet
-        from repro.core.spatial import JoinLevel
-
-        instances = [
-            EventInstance.make("e", 1.0, 1.0, Location.router("nyc-per1")),
-            EventInstance.make("e", 2.0, 2.0, Location.router("chi-per1")),
-        ]
-        candidates = CandidateSet(instances)
-        first = candidates.static_expansions(resolver, JoinLevel.ROUTER, 1.0)
+        candidates = candidate_set(
+            [Location.router("nyc-per1"), Location.router("chi-per1")]
+        )
+        first = resolver.static_expansions(candidates, JoinLevel.ROUTER, 1.0)
         assert first is not None
         assert set(first) == {("nyc-per1",), ("chi-per1",)}
         # same generation: the exact same map object comes back
-        again = candidates.static_expansions(resolver, JoinLevel.ROUTER, 5.0)
+        again = resolver.static_expansions(candidates, JoinLevel.ROUTER, 5.0)
         assert again is first
         # a topology change retires the memo entry
         resolver.epoch.bump_topology()
-        rebuilt = candidates.static_expansions(resolver, JoinLevel.ROUTER, 5.0)
+        rebuilt = resolver.static_expansions(candidates, JoinLevel.ROUTER, 5.0)
         assert rebuilt is not first
         assert rebuilt == first
 
     def test_dynamic_locations_decline_the_static_map(self, resolver):
-        from repro.core.engine import CandidateSet
-        from repro.core.spatial import JoinLevel
-
-        instances = [
-            EventInstance.make("e", 1.0, 1.0, Location.router("nyc-per1")),
-            EventInstance.make(
-                "e", 2.0, 2.0,
-                Location.pair(
-                    LocationType.INGRESS_EGRESS, "nyc-per1", "chi-per1"
-                ),
-            ),
-        ]
-        candidates = CandidateSet(instances)
+        candidates = candidate_set(
+            [
+                Location.router("nyc-per1"),
+                Location.pair(LocationType.INGRESS_EGRESS, "nyc-per1", "chi-per1"),
+            ]
+        )
         assert (
-            candidates.static_expansions(resolver, JoinLevel.LOGICAL_LINK, 1.0)
+            resolver.static_expansions(candidates, JoinLevel.LOGICAL_LINK, 1.0)
             is None
         )
 
@@ -686,3 +676,39 @@ class TestSelfSync:
         assert engine.store.changes_since(engine.store.revision - 4)[1] is None
         assert engine.sync() == cached and not engine._retrieval_cache
         assert len(engine.diagnose(symptom).evidence) == 8
+
+
+class TestNonFiniteSymptom:
+    """A symptom interval must be finite: ``float()`` reads "nan" and
+    "-inf", and such a symptom filed a ``(nan, hi)`` cover in the engine
+    that diagnosed it — every later diagnosis there was served from it
+    and carried a NaN footprint."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.apps import BgpFlapApp
+        from repro.simulation import bgp_month
+
+        result = bgp_month(total_flaps=60, seed=5)
+        app = BgpFlapApp.build(result.platform())
+        return app, app.find_symptoms(result.start, result.end)
+
+    @pytest.mark.parametrize(
+        "bound", [("start", "nan"), ("start", "-inf"), ("end", "inf"), ("end", "nan")]
+    )
+    def test_a_refused_symptom_leaves_the_engine_as_fresh(self, world, bound):
+        from repro.core.serialize import instance_from_dict, instance_to_dict
+
+        app, symptoms = world
+        engine = app.engine.isolated()
+        document = dict(instance_to_dict(symptoms[-1]), **dict([bound]))
+        try:
+            engine.diagnose(instance_from_dict(document))
+        except ValueError as refused:
+            assert "finite" in str(refused)
+        poisoned = [engine.diagnose(symptom) for symptom in symptoms]
+        fresh = app.engine.isolated()
+        for diagnosis, symptom in zip(poisoned, symptoms):
+            expected = fresh.diagnose(symptom)
+            assert diagnosis == expected
+            assert diagnosis.footprint == expected.footprint

@@ -8,6 +8,8 @@ import pytest
 
 from repro.collector.store import DataStore
 from repro.core.events import (
+    EMPTY,
+    CandidateSet,
     EventDefinition,
     EventInstance,
     EventLibrary,
@@ -17,12 +19,15 @@ from repro.core.events import (
 from repro.core.locations import Location, LocationType
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def make_context(**params):
     return RetrievalContext(store=DataStore(), start=0.0, end=100.0, params=params)
 
 
-def constant_retrieval(instances):
-    return lambda context: list(instances)
+def constant_retrieval(rows):
+    return lambda context: list(rows)
 
 
 class TestEventInstance:
@@ -38,6 +43,13 @@ class TestEventInstance:
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
             EventInstance.make("x", 20.0, 10.0, Location.router("r1"))
+
+    @pytest.mark.parametrize(
+        "start, end", [(NAN, 10.0), (-INF, 10.0), (10.0, INF), (10.0, NAN), (NAN, NAN)]
+    )
+    def test_non_finite_interval_rejected(self, start, end):
+        with pytest.raises(ValueError, match="finite start <= end"):
+            EventInstance.make("x", start, end, Location.router("r1"))
 
     def test_point_event_allowed(self):
         instance = EventInstance.make("x", 10.0, 10.0, Location.router("r1"))
@@ -74,39 +86,101 @@ class TestEventInstance:
 
 
 class TestEventDefinition:
-    def test_retrieve_sorts_instances(self):
+    def test_retrieve_sorts_rows_and_stamps_the_name(self):
         loc = Location.router("r1")
-        instances = [
-            EventInstance.make("e", 20.0, 21.0, loc),
-            EventInstance.make("e", 10.0, 11.0, loc),
-        ]
-        definition = EventDefinition(
-            "e", LocationType.ROUTER, constant_retrieval(instances)
-        )
+        rows = [(20.0, 21.0, loc, ()), (10.0, 11.0, loc, (("util", 97.0),))]
+        definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval(rows))
         retrieved = definition.retrieve(make_context())
-        assert [i.start for i in retrieved] == [10.0, 20.0]
+        assert isinstance(retrieved, CandidateSet)
+        assert list(retrieved) == [
+            EventInstance.make("e", 10.0, 11.0, loc, util=97.0),
+            EventInstance.make("e", 20.0, 21.0, loc),
+        ]
 
-    def test_retrieve_rejects_wrong_name(self):
-        bad = [EventInstance.make("other", 0.0, 1.0, Location.router("r1"))]
+    def test_equal_intervals_keep_retrieval_order(self):
+        # the sort key is (start, end) only: whole rows are never compared
+        rows = [
+            (5.0, 6.0, Location.router(name), (("k", k),))
+            for k, name in enumerate(["r3", "r1", "r2", "r1"])
+        ]
+        rows.insert(1, (1.0, 9.0, Location.router("r9"), ()))
+        definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval(rows))
+        retrieved = definition.retrieve(make_context())
+        assert list(retrieved.rows()) == [rows[1], rows[0], *rows[2:]]
+
+    def test_retrieve_rejects_an_instance(self):
+        bad = [EventInstance.make("e", 0.0, 1.0, Location.router("r1"))]
         definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval(bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'e'.*row"):
+            definition.retrieve(make_context())
+
+    @pytest.mark.parametrize("bad", [(0.0, 1.0, Location.router("r1")), 7, None])
+    def test_retrieve_rejects_what_is_not_a_row(self, bad):
+        definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval([bad]))
+        with pytest.raises(ValueError, match="'e'"):
             definition.retrieve(make_context())
 
     def test_retrieve_rejects_wrong_location_type(self):
-        bad = [EventInstance.make("e", 0.0, 1.0, Location.interface("r1:se0/0"))]
+        bad = [(0.0, 1.0, Location.interface("r1:se0/0"), ())]
         definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval(bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="location type"):
             definition.retrieve(make_context())
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(2.0, 1.0), (NAN, 1.0), (-INF, 1.0), (0.0, INF), (0.0, NAN), (INF, INF)],
+    )
+    def test_retrieve_rejects_a_bad_interval(self, start, end):
+        bad = [(start, end, Location.router("r1"), ())]
+        definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval(bad))
+        with pytest.raises(ValueError, match="finite start <= end"):
+            definition.retrieve(make_context())
+
+    def test_nothing_found_is_the_shared_empty_set(self):
+        definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval([]))
+        assert definition.retrieve(make_context()) is EMPTY
+        assert len(EMPTY) == 0 and list(EMPTY) == []
 
     def test_redefined_keeps_identity(self):
         definition = EventDefinition("e", LocationType.ROUTER, constant_retrieval([]))
         new = definition.redefined(
-            constant_retrieval([EventInstance.make("e", 0.0, 1.0, Location.router("r"))]),
+            constant_retrieval([(0.0, 1.0, Location.router("r"), ())]),
             description="stricter",
         )
         assert new.name == "e"
         assert new.description == "stricter"
         assert len(new.retrieve(make_context())) == 1
+
+
+class TestCandidateSet:
+    def candidates(self):
+        rows = [
+            (float(k), float(k) + 1.0, Location.router(f"r{k % 2}"), (("k", k),))
+            for k in range(4)
+        ]
+        return EventDefinition(
+            "e", LocationType.ROUTER, constant_retrieval(rows)
+        ).retrieve(make_context())
+
+    def test_a_row_becomes_an_instance_once_and_only_when_read(self):
+        candidates = self.candidates()
+        assert not candidates._instances
+        second = candidates[1]
+        assert second == EventInstance("e", 1.0, 2.0, Location.router("r1"), (("k", 1),))
+        assert candidates[1] is second
+        assert list(candidates._instances) == [1]
+        assert [i.get("k") for i in candidates] == [0, 1, 2, 3]
+        assert list(candidates)[1] is second
+
+    def test_join_columns_are_the_retrieved_columns(self):
+        candidates = self.candidates()
+        columns = candidates.columns
+        assert columns.starts is candidates.starts and columns.ends is candidates.ends
+        assert candidates.columns is columns
+        assert {parts: rows for parts, (_, rows) in candidates.location_index.items()} == {
+            ("r0",): [0, 2], ("r1",): [1, 3],
+        }
+        assert not candidates._instances  # no row was read
 
 
 class TestRetrievalContext:
@@ -176,7 +250,7 @@ class TestEventLibrary:
             EventDefinition(
                 "e",
                 LocationType.ROUTER,
-                constant_retrieval([EventInstance.make("e", 0.0, 1.0, loc)]),
+                constant_retrieval([(0.0, 1.0, loc, ())]),
             )
         )
         result = retrieve_events(library, ["e"], make_context())

@@ -8,9 +8,9 @@ and a flap retrieval that reads its window once per state.
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.events import EventInstance, RetrievalContext
-from repro.core.knowledge.detectors import pair_flaps
-from repro.core.knowledge.events import DEFAULT_FLAP_WINDOW, _updown_points
+from repro.core.events import RetrievalContext, Row
+from repro.core.knowledge.detectors import TimedPoint, pair_flaps
+from repro.core.knowledge.events import DEFAULT_FLAP_WINDOW
 from repro.core.locations import Location
 
 
@@ -48,10 +48,23 @@ def scan_cdn_rows(context: RetrievalContext, kind: str) -> List[Any]:
     ]
 
 
-def two_read_flap_retrieval(code: str, flap_name: str):
+def updown_points(
+    context: RetrievalContext, code: str, state: str
+) -> List[TimedPoint]:
+    """One state's syslog points with an interface, row by row."""
+    return [
+        TimedPoint(record.timestamp, f"{record['router']}:{record['interface']}")
+        for record in context.store.table("syslog").query(
+            context.start, context.end, code=code, state=state
+        )
+        if record.get("interface") is not None
+    ]
+
+
+def two_read_flap_retrieval(code: str):
     """A flap retrieval that reads the widened window once per state."""
 
-    def retrieve_flap(context: RetrievalContext) -> Iterable[EventInstance]:
+    def retrieve_flap(context: RetrievalContext) -> Iterable[Row]:
         window = context.param("flap_window", DEFAULT_FLAP_WINDOW)
         wide = RetrievalContext(
             store=context.store,
@@ -60,14 +73,11 @@ def two_read_flap_retrieval(code: str, flap_name: str):
             params=context.params,
             services=context.services,
         )
-        downs = _updown_points(wide, code, "down")
-        ups = _updown_points(wide, code, "up")
+        downs = updown_points(wide, code, "down")
+        ups = updown_points(wide, code, "up")
         for down, up in pair_flaps(downs, ups, window):
             if up.timestamp < context.start or down.timestamp > context.end:
                 continue
-            yield EventInstance.make(
-                flap_name, down.timestamp, up.timestamp,
-                Location.interface(down.key),
-            )
+            yield down.timestamp, up.timestamp, Location.interface(down.key), ()
 
     return retrieve_flap

@@ -66,9 +66,9 @@ class ReferenceEngine:
                 params=self.config.params,
                 services=self.config.services,
             )
-            self._instances[event_name] = self.library.get(
-                event_name
-            ).retrieve(context)
+            self._instances[event_name] = list(
+                self.library.get(event_name).retrieve(context)
+            )
         return self._instances[event_name]
 
     def matches(self, rule, parent: EventInstance) -> List[EventInstance]:

@@ -132,11 +132,9 @@ def test_changes_since_is_the_full_history_or_cannot_say(batches):
 
 def table_event(name, table):
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(table).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(table).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(name, LocationType.ROUTER, retrieve)
 

@@ -20,7 +20,6 @@ from repro.collector.store import DataStore
 from repro.core.engine import EngineConfig, RcaEngine
 from repro.core.events import (
     EventDefinition,
-    EventInstance,
     EventLibrary,
     RetrievalContext,
 )
@@ -91,14 +90,14 @@ def interval_event(name, location_type, locations):
     """
 
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(name).query(
+        columns = context.store.table(name).query_columns(
             context.start - MAX_DURATION, context.end
+        )
+        for start, duration, at in zip(
+            columns.timestamps, columns.column("duration"), columns.column("location")
         ):
-            end = record.timestamp + record["duration"]
-            if end >= context.start:
-                yield EventInstance.make(
-                    name, record.timestamp, end, locations[record["location"]]
-                )
+            if start + duration >= context.start:
+                yield start, start + duration, locations[at], ()
 
     return EventDefinition(name, location_type, retrieve)
 
@@ -174,7 +173,7 @@ def draw_world(topology, data):
     )
 
     context = RetrievalContext(store=store, start=0.0, end=600.0)
-    return engine, library.get("s").retrieve(context)[:4]
+    return engine, list(library.get("s").retrieve(context))[:4]
 
 
 @settings(max_examples=120, deadline=None)

@@ -213,11 +213,9 @@ def table_event(name, source=""):
     """Point events from the store table of the same name."""
 
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(name).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(name).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(name, LocationType.ROUTER, retrieve, "", source)
 

@@ -153,7 +153,8 @@ class TestTheCdnTableAnswersAsTheNaiveScan:
             {"cdn_load_threshold": 0.9},
         )
         issues = [
-            (i.start, i.location.parts[0]) for i in _retrieve_server_issue(context)
+            (start, location.parts[0])
+            for start, _end, location, _info in _retrieve_server_issue(context)
         ]
         assert issues == [
             (r.timestamp, r["server"])
@@ -161,8 +162,8 @@ class TestTheCdnTableAnswersAsTheNaiveScan:
             if r["value"] >= 0.9
         ]
         changes = [
-            (i.start, i.location.parts[0], dict(i.info)["detail"])
-            for i in _retrieve_policy_change(context)
+            (start, location.parts[0], dict(info)["detail"])
+            for start, _end, location, info in _retrieve_policy_change(context)
         ]
         assert changes == [
             (r.timestamp, r["server"], r["detail"])
@@ -208,7 +209,7 @@ def _run(definition, store, start, end, flap_window):
         start, end, {"flap_window": flap_window},
     )
     raw = list(definition.retrieval(context))  # pairing order
-    return raw, definition.retrieve(context), notes
+    return raw, list(definition.retrieve(context)), notes
 
 
 class TestOneReadFlapEqualsTwoRead:
@@ -230,7 +231,7 @@ class TestOneReadFlapEqualsTwoRead:
         store = _syslog_store(drawn, tail_limit)
         one_read = build_common_events().get(flap_name)
         two_read = one_read.redefined(
-            two_read_flap_retrieval(FLAPS[flap_name], flap_name)
+            two_read_flap_retrieval(FLAPS[flap_name])
         )
         end = start + length
         raw, kept, notes = _run(one_read, store, start, end, flap_window)

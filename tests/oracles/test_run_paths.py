@@ -249,14 +249,11 @@ def test_brownout_job_is_the_capped_group(window):
 
 def _table_event(name, table, hook=None):
     def retrieve(context):
-        rows = context.store.table(table).query(context.start, context.end)
+        columns = context.store.table(table).query_columns(context.start, context.end)
         if hook is not None:
             hook()
-        for record in rows:
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(name, LocationType.ROUTER, retrieve)
 

@@ -13,7 +13,6 @@ from repro.collector.store import DataStore
 from repro.core.engine import EngineConfig, RcaEngine
 from repro.core.events import (
     EventDefinition,
-    EventInstance,
     EventLibrary,
     RetrievalContext,
 )
@@ -29,11 +28,9 @@ ROUTER_JOIN = SpatialJoinRule(
 
 def _table_event(name, table, data_source=""):
     def retrieve(context: RetrievalContext):
-        for record in context.store.table(table).query(context.start, context.end):
-            yield EventInstance.make(
-                name, record.timestamp, record.timestamp,
-                Location.router(record["router"]),
-            )
+        columns = context.store.table(table).query_columns(context.start, context.end)
+        for timestamp, router in zip(columns.timestamps, columns.column("router")):
+            yield timestamp, timestamp, Location.router(router), ()
 
     return EventDefinition(
         name, LocationType.ROUTER, retrieve, data_source=data_source

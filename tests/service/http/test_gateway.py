@@ -147,6 +147,22 @@ class TestErrorMapping:
         for body in bad_bodies:
             assert client.post("/v1/jobs", body)[0] == 400, body
 
+    def test_a_non_finite_symptom_interval_is_400(self, client, seeded_symptoms):
+        # float() reads "nan" / "inf": such a symptom would file an
+        # unbounded cover in the shard engine that diagnosed it
+        good = instance_to_dict(seeded_symptoms[SHARD0_ROUTER][0])
+        for start, end in (
+            ("nan", good["end"]), ("-inf", good["end"]),
+            (good["start"], "inf"), (good["start"], "nan"),
+        ):
+            body = {
+                "kind": "diagnose", "app": "mini",
+                "symptoms": [dict(good, start=start, end=end)],
+            }
+            status, _, doc = client.post("/v1/jobs", body)
+            assert status == 400, (start, end, doc)
+            assert "finite" in doc["error"]
+
     def test_invalid_wait_is_400(self, client, seeded_symptoms):
         _, _, doc = submit_diagnose(client, seeded_symptoms[SHARD0_ROUTER])
         assert client.get(f"/v1/jobs/{doc['job_id']}?wait=soon")[0] == 400
