@@ -37,7 +37,7 @@ from repro.collector.sources import (
     render_syslog_line,
 )
 from repro.collector.sources.base import FLUSH_ROWS
-from repro.collector.rows import RowBatch
+from repro.collector.rows import ColumnarSlice, RowBatch
 from repro.collector.store import Record
 
 BENCH_FILE = Path("BENCH_store.json")
@@ -64,7 +64,9 @@ class SeedBaselineTable:
 
     In-order inserts append; any out-of-order insert bisects into the
     sorted lists and rebuilds every index posting list from scratch —
-    the O(n·k) behavior the tail-buffered MemoryBackend replaces.
+    the O(n·k) behavior the tail-buffered MemoryBackend replaces.  It
+    speaks the backend contract (``insert_many`` / ``query_columns``)
+    around the seed's one-row insert and row query.
     """
 
     def __init__(self, indexed_columns=("router",)):
@@ -73,7 +75,11 @@ class SeedBaselineTable:
         self._indexes = {column: {} for column in indexed_columns}
         self.rebuilds = 0
 
-    def insert(self, record):
+    def insert_many(self, records):
+        for record in records:
+            self._insert(record)
+
+    def _insert(self, record):
         if self._timestamps and record.timestamp < self._timestamps[-1]:
             position = bisect.bisect_right(self._timestamps, record.timestamp)
             self._records.insert(position, record)
@@ -95,7 +101,11 @@ class SeedBaselineTable:
                 if value is not None:
                     index.setdefault(value, []).append(position)
 
-    def query(self, start, end, equals):
+    def query_columns(self, start, end, equals):
+        rows = self._query(start, end, equals)
+        return ColumnarSlice([record.timestamp for record in rows], rows)
+
+    def _query(self, start, end, equals):
         lo = bisect.bisect_left(self._timestamps, start)
         hi = bisect.bisect_right(self._timestamps, end)
         indexed = [
@@ -138,7 +148,7 @@ def fresh_backends(tmp_path):
 def _ingest_seconds(backend, rows):
     started = time.perf_counter()
     for row in rows:
-        backend.insert(row)
+        backend.insert_many((row,))
     return time.perf_counter() - started
 
 
@@ -206,7 +216,7 @@ def test_query_indexed_vs_unindexed(tmp_path, console):
     )
     for name, backend in fresh_backends(tmp_path).items():
         for row in rows:
-            backend.insert(row)
+            backend.insert_many((row,))
         timings = {}
         for label, equals in (
             ("indexed", {"router": "r7"}),
@@ -215,7 +225,7 @@ def test_query_indexed_vs_unindexed(tmp_path, console):
             started = time.perf_counter()
             for k in range(repeats):
                 window = (1000.0 * k % 50_000.0, 1000.0 * k % 50_000.0 + 5000.0)
-                backend.query(window[0], window[1], equals)
+                backend.query_columns(window[0], window[1], equals).records
             elapsed = time.perf_counter() - started
             timings[label] = round(elapsed * 1000.0 / repeats, 3)
         payload[name] = {f"{label}_ms": ms for label, ms in timings.items()}

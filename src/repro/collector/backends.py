@@ -26,6 +26,11 @@ config-only), or per table by passing a factory.
 Contract
 --------
 
+A backend has one write, ``insert_many``, and one read,
+``query_columns`` (a :class:`~repro.collector.rows.ColumnarSlice`);
+row reads (``Table.query`` / ``scan``) are that slice's ``records``,
+defined once above the backends in :mod:`repro.collector.store`.
+
 A backend reached *through* a :class:`~repro.collector.store.Table`
 façade is serialized under the table's lock, so :class:`MemoryBackend`
 does not need to be thread-safe.  :class:`SqliteBackend` additionally
@@ -35,11 +40,10 @@ backend across service worker threads without a table façade in
 between, and SQLite's single shared connection
 (``check_same_thread=False``) silently loses interleaved
 execute/commit pairs without that guard.  Canonical result order is
-``(timestamp, arrival
-sequence)`` — both backends return byte-identical record lists for the
-same inserts and queries (pinned by the property-based oracle tests in
-``tests/collector/test_backends.py``).  Windows are inclusive on both
-ends; ``None`` bounds are open.
+``(timestamp, arrival sequence)`` — both backends return slices with
+byte-identical records for the same inserts and queries (pinned by the
+property-based oracle tests in ``tests/collector/test_backends.py``).
+Windows are inclusive on both ends; ``None`` bounds are open.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, TransientError
-from .rows import MISSING, ColumnarSlice, Columns, ListView, Record, RowBatch
+from .rows import MISSING, ColumnarSlice, Columns, ListView, RowBatch
 
 _TIMESTAMP = operator.attrgetter("timestamp")
 
@@ -85,39 +89,17 @@ class StorageBackend:
         in either shape."""
         raise NotImplementedError
 
-    def insert(self, record) -> None:
-        """Add one record (a batch of one)."""
-        self.insert_many((record,))
-
-    def query(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> List[Any]:
-        """Records with ``start <= ts <= end`` matching every filter,
-        in ``(timestamp, arrival)`` order."""
-        raise NotImplementedError
-
     def query_columns(
         self,
         start: Optional[float],
         end: Optional[float],
         equals: Dict[str, Any],
     ) -> ColumnarSlice:
-        """The same rows as :meth:`query`, as a :class:`ColumnarSlice`.
-
-        The default implementation materializes through :meth:`query`
-        (row order is already canonical, so the timestamp array is
-        sorted); backends with a columnar core override this to serve
-        genuine zero-copy views.
-        """
-        rows = self.query(start, end, equals)
-        return ColumnarSlice([record.timestamp for record in rows], rows)
-
-    def scan(self) -> List[Any]:
-        """Every record, in ``(timestamp, arrival)`` order."""
-        return self.query(None, None, {})
+        """The rows with ``start <= ts <= end`` matching every filter,
+        in ``(timestamp, arrival)`` order, as a :class:`ColumnarSlice`
+        — the one read.  A ``None`` filter matches rows lacking the
+        column."""
+        raise NotImplementedError
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None values of a column, sorted by ``repr``."""
@@ -294,23 +276,6 @@ class MemoryBackend(StorageBackend):
                 late = self._tail.matching(late, column, value)
         return positions, late
 
-    def _rows(self, positions: Sequence[int], late: Sequence[int]) -> List[Record]:
-        rows = self._run.records(positions)
-        if late:
-            rows += self._tail.records(late)
-            # stable, as in _merge: run rows first among equal stamps
-            rows.sort(key=_TIMESTAMP)
-        return rows
-
-    def query(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> List[Record]:
-        """Bisect the sorted run, scan the bounded tail, build the rows."""
-        return self._rows(*self._select(start, end, equals))
-
     def query_columns(
         self,
         start: Optional[float],
@@ -329,7 +294,9 @@ class MemoryBackend(StorageBackend):
         """
         positions, late = self._select(start, end, equals)
         if late:
-            rows = self._rows(positions, late)
+            rows = self._run.records(positions) + self._tail.records(late)
+            # stable, as in _merge: run rows first among equal stamps
+            rows.sort(key=_TIMESTAMP)
             return ColumnarSlice([record.timestamp for record in rows], rows)
         if equals:
             if not positions:  # nothing to snapshot
@@ -501,12 +468,12 @@ class SqliteBackend(StorageBackend):
                 elif self._last_ts is None or record.timestamp > self._last_ts:
                     self._last_ts = record.timestamp
 
-    def query(
+    def query_columns(
         self,
         start: Optional[float],
         end: Optional[float],
         equals: Dict[str, Any],
-    ) -> List[Any]:
+    ) -> ColumnarSlice:
         """SQL window + string-equality pushdown, re-filtered in Python."""
         clauses: List[str] = []
         params: List[Any] = []
@@ -530,11 +497,11 @@ class SqliteBackend(StorageBackend):
             record = pickle.loads(payload)
             if all(record.get(column) == value for column, value in equals.items()):
                 result.append(record)
-        return result
+        return ColumnarSlice([record.timestamp for record in result], result)
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None column values over the decoded records."""
-        values = {record.get(column) for record in self.scan()}
+        values = set(self.query_columns(None, None, {}).column(column))
         values.discard(None)
         return sorted(values, key=repr)
 
@@ -577,8 +544,9 @@ class DelegatingBackend(StorageBackend):
 
     The base of every backend that wraps another to change how its
     *read* path behaves: subclasses override :meth:`_read` (and name
-    themselves with ``suffix``); writes, ``len`` and ``close`` go
-    straight through.
+    themselves with ``suffix``), which the three reads —
+    ``query_columns``, ``distinct`` and ``time_span`` — go through;
+    writes, ``len`` and ``close`` go straight through.
     """
 
     #: appended to the inner backend's name (``"memory+breaker"``)
@@ -603,29 +571,16 @@ class DelegatingBackend(StorageBackend):
         """Pass the write straight through."""
         self.inner.insert_many(records)
 
-    def query(
-        self,
-        start: Optional[float],
-        end: Optional[float],
-        equals: Dict[str, Any],
-    ) -> List[Any]:
-        """Window query against the inner backend, through the read hook."""
-        return self._read(self.inner.query, "query", start, end, equals)
-
     def query_columns(
         self,
         start: Optional[float],
         end: Optional[float],
         equals: Dict[str, Any],
     ) -> ColumnarSlice:
-        """Columnar window query on the inner backend's own columnar path."""
+        """Window query against the inner backend, through the read hook."""
         return self._read(
             self.inner.query_columns, "query_columns", start, end, equals
         )
-
-    def scan(self) -> List[Any]:
-        """Full scan of the inner backend, through the read hook."""
-        return self._read(self.inner.scan, "scan")
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct-values read, through the read hook."""

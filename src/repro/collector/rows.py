@@ -45,25 +45,18 @@ class Record:
     # the class lives; ``repro.collector.store`` re-exports it
     __module__ = "repro.collector.store"
 
-    def __init__(self, timestamp: float, fields: Iterable[Tuple[str, Any]]) -> None:
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "_by_name", dict(fields))
-
-    @classmethod
-    def make(cls, timestamp: float, **fields: Any) -> "Record":
-        return cls.adopt(timestamp, fields)
-
-    @classmethod
-    def adopt(cls, timestamp: float, fields: Dict[str, Any]) -> "Record":
+    def __init__(self, timestamp: float, fields: Dict[str, Any]) -> None:
         """The record over a field dict the caller gives up.
 
         The dict becomes the row as is — no copy — so it must not be
         touched afterwards.
         """
-        record = object.__new__(cls)
-        object.__setattr__(record, "timestamp", timestamp)
-        object.__setattr__(record, "_by_name", fields)
-        return record
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "_by_name", fields)
+
+    @classmethod
+    def make(cls, timestamp: float, **fields: Any) -> "Record":
+        return cls(timestamp, fields)
 
     @property
     def fields(self) -> Tuple[Tuple[str, Any], ...]:
@@ -166,7 +159,7 @@ class RowBatch:
         """The batch as rows, one :class:`Record` each."""
         columns = self.columns
         return [
-            Record.adopt(timestamp, fields_of(columns, values))
+            Record(timestamp, fields_of(columns, values))
             for timestamp, values in zip(self.timestamps, self.rows)
         ]
 
@@ -293,9 +286,9 @@ class Columns:
         as stored."""
         if not positions:
             return []
-        ts, items, adopt = self.ts, tuple(self.fields.items()), Record.adopt
+        ts, items = self.ts, tuple(self.fields.items())
         return [
-            adopt(
+            Record(
                 ts[p],
                 {
                     name: value
@@ -327,8 +320,9 @@ class ColumnarSlice:
 
     ``timestamps`` is sorted non-decreasing; :meth:`column` and
     ``records`` are aligned with it index for index, in the backend's
-    canonical ``(timestamp, arrival)`` order — exactly the rows
-    :meth:`StorageBackend.query` would return.  Over the in-memory
+    canonical ``(timestamp, arrival)`` order.  It is the one read a
+    :class:`~repro.collector.backends.StorageBackend` serves; a row read
+    (``Table.query`` / ``scan``) is its ``records``.  Over the in-memory
     backend the slice is a snapshot of stored columns and builds no row
     until ``records`` is read; a backend without columns (SQLite), and a
     window that out-of-order rows still wait to be merged into, hands in

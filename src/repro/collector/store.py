@@ -19,12 +19,13 @@ backend with a reentrant lock (backends themselves are single-threaded
 by contract); :class:`DataStore` guards table creation with its own.
 The guarantees are:
 
-* ``insert_many`` (and its one-row forms ``insert`` / ``insert_row``)
-  is atomic — a concurrent ``query`` sees the table either before or
-  after a whole batch, never part of one and never mid-merge;
-* ``query``, ``scan``, ``distinct`` and ``time_span`` return snapshots
-  taken under the lock — iterating a returned list/iterator is safe even
-  while writers keep inserting;
+* ``insert_many`` (and its one-row form ``insert``) is atomic — a
+  concurrent read sees the table either before or after a whole batch,
+  never part of one and never mid-merge;
+* ``query_columns``, ``distinct`` and ``time_span`` return snapshots
+  taken under the lock, and the row reads ``query`` / ``scan`` are views
+  of a ``query_columns`` slice — reading a returned slice, list or
+  iterator is safe even while writers keep inserting;
 * ``DataStore.table`` may be called concurrently for the same name and
   returns the one shared :class:`Table`;
 * monotonicity: :attr:`DataStore.revision` increases by one for every
@@ -69,7 +70,26 @@ from .rows import ColumnarSlice, Record, RowBatch
 CHANGE_LOG_ROWS = 16384
 
 
-class Table:
+class TableReads:
+    """The row reads of :class:`Table` and :class:`ObservedTable`:
+    views of the :class:`ColumnarSlice` their one read,
+    ``query_columns``, returns."""
+
+    def query(
+        self,
+        start: Optional[float] = None,
+        end: Optional[float] = None,
+        **equals: Any,
+    ) -> List[Record]:
+        """Records with ``start <= timestamp <= end`` matching all filters."""
+        return self.query_columns(start, end, **equals).records
+
+    def scan(self) -> Iterator[Record]:
+        """Iterate a snapshot of every record in timestamp order."""
+        return iter(self.query_columns().records)
+
+
+class Table(TableReads):
     """Thread-safe façade over one storage backend.
 
     All mutating and reading methods are safe to call from multiple
@@ -138,27 +158,14 @@ class Table:
         """Insert one record (a batch of one)."""
         self.insert_many((record,))
 
-    def insert_row(self, timestamp: float, **fields: Any) -> None:
-        """Insert a row built from keyword fields."""
-        self.insert_many((Record.adopt(timestamp, fields),))
-
-    def query(
-        self,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        **equals: Any,
-    ) -> List[Record]:
-        """Records with ``start <= timestamp <= end`` matching all filters."""
-        with self._lock:
-            return self._backend.query(start, end, equals)
-
     def query_columns(
         self,
         start: Optional[float] = None,
         end: Optional[float] = None,
         **equals: Any,
     ) -> ColumnarSlice:
-        """The same rows as :meth:`query`, as parallel columnar arrays.
+        """Rows with ``start <= timestamp <= end`` matching all filters,
+        as parallel columnar arrays — the one read.
 
         Zero-copy on backends with a columnar core (see
         :meth:`repro.collector.backends.MemoryBackend.query_columns`);
@@ -168,11 +175,6 @@ class Table:
         """
         with self._lock:
             return self._backend.query_columns(start, end, equals)
-
-    def scan(self) -> Iterator[Record]:
-        """Iterate a snapshot of every record in timestamp order."""
-        with self._lock:
-            return iter(self._backend.scan())
 
     def distinct(self, column: str) -> List[Any]:
         """Distinct non-None values of a column."""
@@ -198,7 +200,7 @@ class Table:
 class StoreRead:
     """One read issued against a table, as observers see it.
 
-    ``kind`` is ``"query"``, ``"scan"`` or ``"distinct"``; ``filters``
+    ``kind`` is ``"query"`` or ``"distinct"``; ``filters``
     holds the equality filters of a query as sorted ``(column, value)``
     pairs, derived when read; ``column`` is set for ``distinct`` reads.
     A description only: the read runs on the caller's own arguments.
@@ -220,8 +222,8 @@ class StoreRead:
     def window(self) -> Tuple[float, float]:
         """The read's time coverage with open bounds widened to ±inf.
 
-        Scans and distinct reads cover the whole table — the
-        conservative footprint the service cache invalidates on.
+        Distinct reads cover the whole table, as unbounded queries do —
+        the conservative footprint the service cache invalidates on.
         """
         if self.kind != "query":
             return float("-inf"), float("inf")
@@ -270,8 +272,6 @@ class TraceObserver(ReadObserver):
                 filters = read.filters
                 if filters:
                     span.annotate(filters=[column for column, _ in filters])
-            elif read.kind == "scan":
-                span.annotate(rows=rows, window=[None, None])
             else:
                 span.annotate(rows=rows, column=read.column)
         self._tracer.finish(span)
@@ -296,7 +296,7 @@ class FootprintObserver(ReadObserver):
         return None
 
 
-class ObservedTable:
+class ObservedTable(TableReads):
     """Read proxy over a :class:`Table` applying a list of observers.
 
     Observers ``begin`` in list order and ``end`` in reverse, around a
@@ -320,16 +320,6 @@ class ObservedTable:
             for observer in reversed(self._observers):
                 observer.end(read, tokens.pop(), rows)
 
-    def query(
-        self,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        **equals: Any,
-    ) -> List[Record]:
-        """Delegate to :meth:`Table.query` through the observers."""
-        read = StoreRead(self._table.name, "query", start, end, equals)
-        return self._run(read, equals, self._table.query, start, end)
-
     def query_columns(
         self,
         start: Optional[float] = None,
@@ -338,17 +328,12 @@ class ObservedTable:
     ) -> ColumnarSlice:
         """Delegate to :meth:`Table.query_columns` through the observers.
 
-        Observers see the identical :class:`StoreRead` a row query would
-        produce — columnar retrievals keep the same footprint coverage
-        and ``store-query`` trace spans as their row twins.
+        The row reads ``query`` and ``scan`` come through here too, so a
+        row read shows observers the same ``"query"`` :class:`StoreRead`
+        — footprint coverage and ``store-query`` span — as a columnar one.
         """
         read = StoreRead(self._table.name, "query", start, end, equals)
         return self._run(read, equals, self._table.query_columns, start, end)
-
-    def scan(self) -> Iterator[Record]:
-        """Delegate to :meth:`Table.scan` through the observers."""
-        read = StoreRead(self._table.name, "scan")
-        return iter(self._run(read, {}, lambda: list(self._table.scan())))
 
     def distinct(self, column: str) -> List[Any]:
         """Delegate to :meth:`Table.distinct` through the observers."""
@@ -438,7 +423,7 @@ class DataStore:
 
     def insert(self, table: str, timestamp: float, **fields: Any) -> None:
         """Insert one row into the named table."""
-        self.table(table).insert_row(timestamp, **fields)
+        self.table(table).insert(Record.make(timestamp, **fields))
 
     def _log_batch(self, table: str, timestamps: List[float]) -> None:
         with self._lock:
@@ -489,6 +474,10 @@ class DataStore:
                 return table.backend_name
         return getattr(self._factory, "backend_name", "custom")
 
+    def _sorted_tables(self) -> List[Tuple[str, Table]]:
+        with self._lock:
+            return sorted(self.tables.items())
+
     def watermarks(self) -> Dict[str, float]:
         """Newest record timestamp per non-empty table.
 
@@ -496,29 +485,19 @@ class DataStore:
         trails the others' hints at a lagging or dead feed even before
         the health registry has flagged it.
         """
-        with self._lock:
-            items = sorted(self.tables.items())
         marks: Dict[str, float] = {}
-        for name, table in items:
+        for name, table in self._sorted_tables():
             span = table.time_span
             if span is not None:
                 marks[name] = span[1]
         return marks
 
-    def summary(self, storage: bool = False) -> Dict[str, Any]:
-        """Record counts per table — the Data Collector's dashboard view.
-
-        With ``storage=True`` each table maps to its full backend stats
-        (identity, tail-buffer/merge counters, out-of-order inserts)
-        instead of a bare count — what ``--feed-stats`` prints so
-        operators can see which engine served a diagnosis.
-        """
-        with self._lock:
-            items = sorted(self.tables.items())
-        if storage:
-            return {name: table.stats() for name, table in items}
-        return {name: len(table) for name, table in items}
+    def summary(self) -> Dict[str, int]:
+        """Record counts per table — the Data Collector's dashboard view."""
+        return {name: len(table) for name, table in self._sorted_tables()}
 
     def storage_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-table backend stats (shorthand for ``summary(storage=True)``)."""
-        return self.summary(storage=True)
+        """Per-table backend stats (identity, tail-buffer/merge counters,
+        out-of-order inserts) — what ``--feed-stats`` prints so operators
+        can see which engine served a diagnosis."""
+        return {name: table.stats() for name, table in self._sorted_tables()}

@@ -55,7 +55,8 @@ class IncidentStore:
         if backend is None:
             backend = MemoryBackend(INDEXED_COLUMNS)
         self.backend = backend
-        #: guards the log append and the index that mirrors it
+        #: held for every backend call (a MemoryBackend is single-threaded)
+        #: and for the index that mirrors the log
         self._lock = threading.Lock()
         #: latest revision per incident among the log's first ``_seen``
         self._index: Dict[str, list] = {}
@@ -88,7 +89,7 @@ class IncidentStore:
             payload=incident_to_dict(incident),
         )
         with self._lock:
-            self.backend.insert(row)
+            self.backend.insert_many((row,))
             self._seen += 1
             _keep_latest(self._index, row)
 
@@ -99,7 +100,7 @@ class IncidentStore:
         """The index (lock held), rescanned if the log outgrew it: a
         store opened on existing data, or a second writer on its file."""
         if len(self.backend) > self._seen:
-            rows = self.backend.query(None, None, {})
+            rows = self.backend.query_columns(None, None, {}).records
             for row in rows:
                 _keep_latest(self._index, row)
             self._seen = len(rows)
@@ -143,8 +144,10 @@ class IncidentStore:
                 incidents = [self._decoded(e) for e in self._latest(**equals)]
         else:
             pushdown = {k: v for k, v in equals.items() if v is not None}
+            with self._lock:
+                rows = self.backend.query_columns(start, end, pushdown)
             window: Dict[str, list] = {}
-            for row in self.backend.query(start, end, pushdown):
+            for row in rows.records:
                 _keep_latest(window, row)
             incidents = [
                 incident_from_dict(row["payload"]) for row, _ in window.values()
@@ -178,10 +181,11 @@ class IncidentStore:
         evolved as symptoms folded in.  Raises :class:`KeyError` for an
         unknown id.
         """
-        rows = self.backend.query(None, None, {"incident_id": incident_id})
+        with self._lock:
+            rows = self.backend.query_columns(None, None, {"incident_id": incident_id})
         if not rows:
             raise KeyError(incident_id)
-        revisions = sorted(rows, key=lambda r: r["revision"])
+        revisions = sorted(rows.records, key=lambda r: r["revision"])
         return [incident_from_dict(r["payload"]) for r in revisions]
 
     # ------------------------------------------------------------------
@@ -256,7 +260,8 @@ class IncidentStore:
 
     def revisions(self) -> int:
         """Total persisted revision records (the log length)."""
-        return len(self.backend)
+        with self._lock:
+            return len(self.backend)
 
     def close(self) -> None:
         self.backend.close()

@@ -227,7 +227,7 @@ class FlakyBackend(DelegatingBackend):
     """Delegating storage backend that fails or delays reads on demand.
 
     ``fail_reads(n, error)`` makes the next ``n`` read operations
-    (query/query_columns/scan/distinct/time_span) raise;
+    (query_columns/distinct/time_span) raise;
     ``read_latency`` adds a fixed sleep before every read.  Writes
     always pass through, so the stored data stays intact while the read
     path misbehaves — the shape of a degraded disk or a wedged database,

@@ -37,6 +37,8 @@ from repro.collector.store import (
 )
 from repro.obs import Tracer
 
+from ..oracles.read_path import rows_of
+
 
 rows_strategy = st.lists(
     st.tuples(
@@ -65,7 +67,7 @@ filter_strategy = st.tuples(
 
 def _fill(backend, rows):
     for t, r, m, v in rows:
-        backend.insert(Record.make(t, router=r, metric=m, value=v))
+        backend.insert_many((Record.make(t, router=r, metric=m, value=v),))
 
 
 def _reference(rows, start, end, router, metric):
@@ -109,7 +111,7 @@ class TestBackendOracle:
             equals["metric"] = metric
         for backend in _both_backends():
             _fill(backend, rows)
-            got = backend.query(start, end, equals)
+            got = rows_of(backend, start, end, equals)
             assert got == expected, backend.name
             backend.close()
 
@@ -120,7 +122,7 @@ class TestBackendOracle:
         timestamps = [t for t, _r, _m, _v in rows]
         for backend in _both_backends():
             _fill(backend, rows)
-            assert backend.scan() == expected, backend.name
+            assert rows_of(backend) == expected, backend.name
             assert len(backend) == len(rows)
             if rows:
                 assert backend.time_span() == (min(timestamps), max(timestamps))
@@ -135,12 +137,12 @@ class TestBackendOracle:
         # equality on a non-indexed column, and non-string values on an
         # indexed column (stored NULL in SQL, matched in Python)
         for backend in _both_backends(tmp_path):
-            backend.insert(Record.make(1.0, router=7, metric="cpu", value=1))
-            backend.insert(Record.make(2.0, router="7", metric="cpu", value=2))
-            backend.insert(Record.make(3.0, router="r1", metric="cpu", value=3))
-            assert [r.get("value") for r in backend.query(None, None, {"router": 7})] == [1]
-            assert [r.get("value") for r in backend.query(None, None, {"router": "7"})] == [2]
-            assert [r.get("value") for r in backend.query(None, None, {"value": 3})] == [3]
+            backend.insert_many((Record.make(1.0, router=7, metric="cpu", value=1),))
+            backend.insert_many((Record.make(2.0, router="7", metric="cpu", value=2),))
+            backend.insert_many((Record.make(3.0, router="r1", metric="cpu", value=3),))
+            assert [r.get("value") for r in rows_of(backend, None, None, {"router": 7})] == [1]
+            assert [r.get("value") for r in rows_of(backend, None, None, {"router": "7"})] == [2]
+            assert [r.get("value") for r in rows_of(backend, None, None, {"value": 3})] == [3]
             backend.close()
 
 
@@ -157,19 +159,19 @@ NONE_FILTER_PLACEMENTS = {
 @pytest.mark.parametrize("placement", sorted(NONE_FILTER_PLACEMENTS))
 def test_none_filter_matches_rows_lacking_the_column(placement):
     backend = NONE_FILTER_PLACEMENTS[placement]()
-    backend.insert(Record.make(10.0, code="X", k=0))
-    backend.insert(Record.make(20.0, k=1))  # in the sorted run, no code
-    backend.insert(Record.make(30.0, code="X", k=2))
-    backend.insert(Record.make(5.0, k=3))  # late, no code
-    backend.insert(Record.make(15.0, code=None, k=4))  # late, code is None
+    backend.insert_many((Record.make(10.0, code="X", k=0),))
+    backend.insert_many((Record.make(20.0, k=1),))  # in the sorted run, no code
+    backend.insert_many((Record.make(30.0, code="X", k=2),))
+    backend.insert_many((Record.make(5.0, k=3),))  # late, no code
+    backend.insert_many((Record.make(15.0, code=None, k=4),))  # late, code is None
     if placement == "memory-tail":
         assert backend.stats()["tail"] == 2
     elif placement == "memory-merged":
         assert backend.stats()["tail"] == 0 and backend.stats()["merges"] == 2
-    assert [r["k"] for r in backend.query(None, None, {"code": None})] == [3, 4, 1]
-    assert [r["k"] for r in backend.query(12.0, None, {"code": None})] == [4, 1]
-    assert [r["k"] for r in backend.query(None, None, {"code": None, "k": 1})] == [1]
-    assert [r["k"] for r in backend.query(None, None, {"code": "X"})] == [0, 2]
+    assert [r["k"] for r in rows_of(backend, None, None, {"code": None})] == [3, 4, 1]
+    assert [r["k"] for r in rows_of(backend, 12.0, None, {"code": None})] == [4, 1]
+    assert [r["k"] for r in rows_of(backend, None, None, {"code": None, "k": 1})] == [1]
+    assert [r["k"] for r in rows_of(backend, None, None, {"code": "X"})] == [0, 2]
     backend.close()
 
 
@@ -177,36 +179,36 @@ class TestMemoryTailBuffer:
     def test_out_of_order_lands_in_tail_then_merges(self):
         backend = MemoryBackend(("router",), tail_limit=4)
         for t in [10.0, 20.0, 30.0, 40.0, 50.0]:
-            backend.insert(Record.make(t, router="r1"))
+            backend.insert_many((Record.make(t, router="r1"),))
         for t in [5.0, 15.0, 25.0, 35.0]:
-            backend.insert(Record.make(t, router="r1"))
+            backend.insert_many((Record.make(t, router="r1"),))
         stats = backend.stats()
         assert stats["out_of_order"] == 4
         assert stats["tail"] == 4
         assert stats["merges"] == 0
         # queries see tail records before any merge happened
-        assert [r.timestamp for r in backend.query(0.0, 16.0, {})] == [
+        assert [r.timestamp for r in rows_of(backend, 0.0, 16.0, {})] == [
             5.0,
             10.0,
             15.0,
         ]
         # one more late insert crosses the threshold and triggers a merge
-        backend.insert(Record.make(45.0, router="r1"))
+        backend.insert_many((Record.make(45.0, router="r1"),))
         stats = backend.stats()
         assert stats["merges"] == 1
         assert stats["tail"] == 0
-        assert [r.timestamp for r in backend.scan()] == sorted(
+        assert [r.timestamp for r in rows_of(backend)] == sorted(
             [10.0, 20.0, 30.0, 40.0, 50.0, 5.0, 15.0, 25.0, 35.0, 45.0]
         )
         # indexes are consistent after the merge
-        assert len(backend.query(None, None, {"router": "r1"})) == 10
+        assert len(rows_of(backend, None, None, {"router": "r1"})) == 10
 
     def test_equal_timestamps_preserve_arrival_order(self):
         backend = MemoryBackend((), tail_limit=100)
-        backend.insert(Record.make(10.0, seq="a"))
-        backend.insert(Record.make(20.0, seq="b"))
-        backend.insert(Record.make(10.0, seq="c"))  # late, ties with "a"
-        assert [r.get("seq") for r in backend.scan()] == ["a", "c", "b"]
+        backend.insert_many((Record.make(10.0, seq="a"),))
+        backend.insert_many((Record.make(20.0, seq="b"),))
+        backend.insert_many((Record.make(10.0, seq="c"),))  # late, ties with "a"
+        assert [r.get("seq") for r in rows_of(backend)] == ["a", "c", "b"]
 
     def test_adaptive_threshold_floor(self):
         backend = MemoryBackend(())
@@ -230,16 +232,16 @@ class TestBatchWrites:
         ):
             by_row, batched = make(), make()
             for record in records:
-                by_row.insert(record)
+                by_row.insert_many((record,))
             at = 0
             for cut in cuts + [len(records)]:
                 batched.insert_many(records[at:at + cut])
                 at += cut
-            assert batched.scan() == by_row.scan() == sorted(
+            assert rows_of(batched) == rows_of(by_row) == sorted(
                 records, key=lambda r: r.timestamp
             )
-            assert batched.query(None, None, {"router": "r2"}) == by_row.query(
-                None, None, {"router": "r2"}
+            assert rows_of(batched, None, None, {"router": "r2"}) == rows_of(
+                by_row, None, None, {"router": "r2"}
             )
             drop = ("path",)
             assert {k: v for k, v in batched.stats().items() if k not in drop} == {
@@ -255,13 +257,13 @@ class TestBatchWrites:
         stats = backend.stats()
         assert (stats["inserts"], stats["out_of_order"], stats["tail"]) == (8, 0, 0)
         assert backend.query_columns(None, None, {}).zero_copy
-        assert [r.timestamp for r in backend.query(4.0, 9.0, {"router": "r2"})] == [
+        assert [r.timestamp for r in rows_of(backend, 4.0, 9.0, {"router": "r2"})] == [
             4.0, 4.0, 9.0,
         ]
 
     def test_failed_sqlite_batch_leaves_nothing_behind(self, tmp_path):
         backend = SqliteBackend("t", ("router",), path=str(tmp_path / "b.sqlite"))
-        backend.insert(Record.make(1.0, router="r0"))
+        backend.insert_many((Record.make(1.0, router="r0"),))
         poisoned = [
             Record.make(2.0, router="r1"),
             Record.make(None, router="r2"),  # ts NOT NULL: fails mid-batch
@@ -269,10 +271,10 @@ class TestBatchWrites:
         ]
         with pytest.raises(sqlite3.IntegrityError):
             backend.insert_many(poisoned)
-        assert [r["router"] for r in backend.scan()] == ["r0"]
+        assert [r["router"] for r in rows_of(backend)] == ["r0"]
         assert backend.stats()["inserts"] == 1
         backend.insert_many([Record.make(4.0, router="r4")])  # still usable
-        assert [r["router"] for r in backend.scan()] == ["r0", "r4"]
+        assert [r["router"] for r in rows_of(backend)] == ["r0", "r4"]
         backend.close()
 
 
@@ -280,12 +282,12 @@ class TestSqliteBackend:
     def test_persistence_across_instances(self, tmp_path):
         path = str(tmp_path / "persist.sqlite")
         first = SqliteBackend("syslog", ("router",), path=path)
-        first.insert(Record.make(10.0, router="r1", code="X"))
-        first.insert(Record.make(20.0, router="r2", code="Y"))
+        first.insert_many((Record.make(10.0, router="r1", code="X"),))
+        first.insert_many((Record.make(20.0, router="r2", code="Y"),))
         first.close()
         second = SqliteBackend("syslog", ("router",), path=path)
         assert len(second) == 2
-        assert [r.get("code") for r in second.scan()] == ["X", "Y"]
+        assert [r.get("code") for r in rows_of(second)] == ["X", "Y"]
         second.close()
 
     def test_records_round_trip_exactly(self, tmp_path):
@@ -293,8 +295,8 @@ class TestSqliteBackend:
             "t", ("router",), path=str(tmp_path / "rt.sqlite")
         )
         original = Record.make(10.0, router="r1", value=1.5, flag=None, n=3)
-        backend.insert(original)
-        (got,) = backend.scan()
+        backend.insert_many((original,))
+        (got,) = rows_of(backend)
         assert got == original
         assert got.get("value") == 1.5
         backend.close()
@@ -314,9 +316,9 @@ class TestSqliteBackend:
         new.insert_many(rows[1:])
         # the file's own columns are the ones kept up to date
         assert new.indexed_columns == ()
-        assert new.query(None, None, {"kind": "load"}) == rows[:1]
-        assert new.query(None, None, {"kind": "policy_change"}) == rows[1:]
-        assert new.query(None, None, {"server": "s1"}) == rows
+        assert rows_of(new, None, None, {"kind": "load"}) == rows[:1]
+        assert rows_of(new, None, None, {"kind": "policy_change"}) == rows[1:]
+        assert rows_of(new, None, None, {"server": "s1"}) == rows
         new.close()
         # and a fresh file mirrors what was declared
         fresh = SqliteBackend("cdn", ("kind",), path=str(tmp_path / "fresh.sqlite"))
@@ -326,8 +328,8 @@ class TestSqliteBackend:
     def test_stats_identify_backend_and_path(self, tmp_path):
         path = str(tmp_path / "stats.sqlite")
         backend = SqliteBackend("t", (), path=path)
-        backend.insert(Record.make(10.0, a=1))
-        backend.insert(Record.make(5.0, a=2))
+        backend.insert_many((Record.make(10.0, a=1),))
+        backend.insert_many((Record.make(5.0, a=2),))
         stats = backend.stats()
         assert stats["backend"] == "sqlite"
         assert stats["records"] == 2
@@ -378,15 +380,16 @@ class TestBackendSelection:
     def test_table_accepts_backend_instance(self):
         backend = MemoryBackend(("router",))
         table = Table("t", ("ignored",), backend=backend)
-        table.insert_row(1.0, router="r1")
+        table.insert(Record.make(1.0, router="r1"))
         assert table.indexed_columns == ("router",)
         assert len(backend) == 1
 
 
 class TestColumnarSlices:
-    """``query_columns`` must be an exact columnar restatement of
-    ``query`` — same records, same order, timestamps aligned — on every
-    backend, whether it serves a zero-copy view or materializes rows."""
+    """``query_columns`` — the one read — keeps its columns aligned with
+    its records: same rows, same order, timestamps and fields index for
+    index, on every backend, whether it serves a zero-copy view or
+    materializes rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(rows_strategy, window_strategy, filter_strategy)
@@ -395,6 +398,7 @@ class TestColumnarSlices:
     ):
         start, end = window
         router, metric = filters
+        expected = _reference(rows, start, end, router, metric)
         equals = {}
         if router is not None:
             equals["router"] = router
@@ -402,27 +406,30 @@ class TestColumnarSlices:
             equals["metric"] = metric
         for backend in _both_backends():
             _fill(backend, rows)
-            expected = backend.query(start, end, equals)
             columns = backend.query_columns(start, end, equals)
             assert list(columns.records) == expected, backend.name
             assert list(columns.timestamps) == [
                 record.timestamp for record in expected
             ], backend.name
+            for name in ("router", "value", "ghost"):
+                assert list(columns.column(name)) == [
+                    record.get(name) for record in expected
+                ], backend.name
             assert len(columns) == len(expected)
             backend.close()
 
     def test_memory_unfiltered_slice_is_zero_copy(self):
         backend = MemoryBackend(("router",))
         for t in [10.0, 20.0, 30.0]:
-            backend.insert(Record.make(t, router="r1"))
+            backend.insert_many((Record.make(t, router="r1"),))
         columns = backend.query_columns(15.0, None, {})
         assert columns.zero_copy
         assert list(columns.timestamps) == [20.0, 30.0]
 
     def test_memory_tail_and_filters_fall_back_to_rows(self):
         backend = MemoryBackend(("router",), tail_limit=10)
-        backend.insert(Record.make(20.0, router="r1"))
-        backend.insert(Record.make(10.0, router="r2"))  # lands in tail
+        backend.insert_many((Record.make(20.0, router="r1"),))
+        backend.insert_many((Record.make(10.0, router="r2"),))  # lands in tail
         by_tail = backend.query_columns(None, None, {})
         assert not by_tail.zero_copy
         assert list(by_tail.timestamps) == [10.0, 20.0]
@@ -434,7 +441,7 @@ class TestColumnarSlices:
         backend = SqliteBackend(
             "t", ("router",), path=str(tmp_path / "cols.sqlite")
         )
-        backend.insert(Record.make(10.0, router="r1"))
+        backend.insert_many((Record.make(10.0, router="r1"),))
         columns = backend.query_columns(None, None, {})
         assert not columns.zero_copy
         assert list(columns.timestamps) == [10.0]
@@ -446,13 +453,13 @@ class TestColumnarSlices:
         # previously-taken view keeps serving exactly what it saw
         backend = MemoryBackend((), tail_limit=2)
         for t in [10.0, 20.0, 30.0]:
-            backend.insert(Record.make(t))
+            backend.insert_many((Record.make(t),))
         columns = backend.query_columns(None, None, {})
         assert columns.zero_copy and len(columns) == 3
-        backend.insert(Record.make(40.0))          # in-order append
-        backend.insert(Record.make(5.0))           # out of order
-        backend.insert(Record.make(6.0))           # out of order
-        backend.insert(Record.make(7.0))           # third late → merge
+        backend.insert_many((Record.make(40.0),))  # in-order append
+        backend.insert_many((Record.make(5.0),))  # out of order
+        backend.insert_many((Record.make(6.0),))  # out of order
+        backend.insert_many((Record.make(7.0),))  # third late → merge
         assert backend.stats()["merges"] == 1
         assert list(columns.timestamps) == [10.0, 20.0, 30.0]
 
@@ -495,8 +502,8 @@ class TestRecordFieldCache:
         assert record == twin and hash(record) == hash(twin)
 
     def test_adopted_dict_builds_the_same_record(self):
-        built = Record(timestamp=10.0, fields=(("router", "r1"), ("value", 3)))
-        adopted = Record.adopt(10.0, {"value": 3, "router": "r1"})
+        built = Record.make(10.0, router="r1", value=3)
+        adopted = Record(10.0, {"value": 3, "router": "r1"})
         assert adopted == built and hash(adopted) == hash(built)
         assert adopted.fields == built.fields and adopted["value"] == 3
         assert repr(adopted) == repr(built)
@@ -570,7 +577,7 @@ class TestReadObservers:
         class BoomTable:
             name = "syslog"
 
-            def query(self, start=None, end=None, **equals):
+            def query_columns(self, start=None, end=None, **equals):
                 raise RuntimeError("backend exploded mid-read")
 
         reads = set()
@@ -592,7 +599,7 @@ class TestReadObservers:
             float("-inf"),
             float("inf"),
         )
-        assert StoreRead("t", "scan", 1.0, 2.0).window == (
+        assert StoreRead("t", "distinct", 1.0, 2.0).window == (
             float("-inf"),
             float("inf"),
         )
@@ -627,13 +634,13 @@ class TestSqliteConcurrentWriters:
             try:
                 started.wait(timeout=30)
                 for i in range(self.N_EACH):
-                    backend.insert(
+                    backend.insert_many((
                         Record.make(
                             float(index * self.N_EACH + i),
                             router=f"r{index}",
                             seq=i,
-                        )
-                    )
+                        ),
+                    ))
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -651,7 +658,7 @@ class TestSqliteConcurrentWriters:
         assert len(backend) == total
         # every writer's rows are individually complete and queryable
         for index in range(self.N_THREADS):
-            rows = backend.query(None, None, {"router": f"r{index}"})
+            rows = rows_of(backend, None, None, {"router": f"r{index}"})
             assert len(rows) == self.N_EACH
         backend.close()
 
@@ -669,7 +676,7 @@ class TestSqliteConcurrentWriters:
         def write():
             try:
                 for i in range(self.N_EACH):
-                    backend.insert(Record.make(float(i), router="w", seq=i))
+                    backend.insert_many((Record.make(float(i), router="w", seq=i),))
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
             finally:
@@ -678,7 +685,7 @@ class TestSqliteConcurrentWriters:
         def read():
             try:
                 while not done.is_set():
-                    rows = backend.query(None, None, {"router": "w"})
+                    rows = rows_of(backend, None, None, {"router": "w"})
                     seqs = [r["seq"] for r in rows]
                     # writes are sequential: a snapshot is a prefix
                     assert seqs == sorted(seqs)

@@ -20,6 +20,8 @@ from repro.collector.store import Record
 from repro.resilience import CircuitBreaker, TransientError, is_transient
 from repro.service.faults import FlakyBackend
 
+from ..oracles.read_path import rows_of
+
 
 class ManualClock:
     def __init__(self, now=0.0):
@@ -50,9 +52,9 @@ def guarded(failure_threshold=2, reset_timeout=10.0, clock=None):
 class TestBreakerBackend:
     def test_reads_delegate_while_healthy(self):
         breaker, flaky, inner = guarded()
-        breaker.insert(Record.make(1.0, router="r1"))
-        assert [r.timestamp for r in breaker.query(None, None, {})] == [1.0]
-        assert breaker.scan() == inner.scan()
+        breaker.insert_many((Record.make(1.0, router="r1"),))
+        assert [r.timestamp for r in rows_of(breaker)] == [1.0]
+        assert rows_of(breaker) == rows_of(inner)
         assert breaker.distinct("router") == ["r1"]
         assert breaker.time_span() == (1.0, 1.0)
         assert len(breaker) == 1
@@ -62,20 +64,20 @@ class TestBreakerBackend:
         breaker, flaky, _ = guarded()
         flaky.fail_reads(1, error=lambda: ConnectionError("disk gone"))
         with pytest.raises(StorageUnavailable) as excinfo:
-            breaker.query(None, None, {})
+            rows_of(breaker)
         assert isinstance(excinfo.value.__cause__, ConnectionError)
-        assert "query failed" in str(excinfo.value)
+        assert "query_columns failed" in str(excinfo.value)
 
     def test_circuit_opens_after_threshold_and_fails_fast(self):
         breaker, flaky, _ = guarded(failure_threshold=2)
         flaky.fail_reads(2)
         for _ in range(2):
             with pytest.raises(StorageUnavailable):
-                breaker.scan()
+                rows_of(breaker)
         # the inner backend is healthy again, but the circuit is open:
         # reads are refused without ever reaching it
         with pytest.raises(StorageUnavailable, match="circuit open"):
-            breaker.scan()
+            rows_of(breaker)
         assert flaky.failed_reads == 2  # fail-fast never touched the inner
         assert breaker.breaker.times_opened == 1
 
@@ -83,11 +85,11 @@ class TestBreakerBackend:
         breaker, flaky, _ = guarded(failure_threshold=2)
         flaky.fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
-        breaker.scan()  # success: streak back to zero
+            rows_of(breaker)
+        rows_of(breaker)  # success: streak back to zero
         flaky.fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
+            rows_of(breaker)
         assert breaker.breaker.state() == "closed"
 
     def test_half_open_probe_success_closes_the_circuit(self):
@@ -96,11 +98,11 @@ class TestBreakerBackend:
                                     clock=clock)
         flaky.fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
+            rows_of(breaker)
         clock.advance(10.0)  # probe window
-        assert breaker.scan() == []  # probe succeeds
+        assert rows_of(breaker) == []  # probe succeeds
         assert breaker.breaker.state() == "closed"
-        breaker.scan()  # and stays closed
+        rows_of(breaker)  # and stays closed
 
     def test_half_open_probe_failure_reopens(self):
         clock = ManualClock()
@@ -108,20 +110,20 @@ class TestBreakerBackend:
                                     clock=clock)
         flaky.fail_reads(2)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
+            rows_of(breaker)
         clock.advance(10.0)
         with pytest.raises(StorageUnavailable):  # the probe itself fails
-            breaker.scan()
+            rows_of(breaker)
         with pytest.raises(StorageUnavailable, match="circuit open"):
-            breaker.scan()  # timer restarted: fail-fast again
+            rows_of(breaker)  # timer restarted: fail-fast again
         assert breaker.breaker.times_opened == 1  # reopened, not re-counted
 
     def test_writes_pass_through_while_the_circuit_is_open(self):
         breaker, flaky, inner = guarded(failure_threshold=1)
         flaky.fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
-        breaker.insert(Record.make(2.0, router="r2"))  # ingest unharmed
+            rows_of(breaker)
+        breaker.insert_many((Record.make(2.0, router="r2"),))  # ingest unharmed
         assert len(inner) == 1
 
     def test_stats_surface_breaker_state(self):
@@ -132,7 +134,7 @@ class TestBreakerBackend:
         assert stats["breaker_opened"] == 0
         flaky.fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            breaker.scan()
+            rows_of(breaker)
         stats = breaker.stats()
         assert stats["breaker"] == "open"
         assert stats["breaker_opened"] == 1
@@ -161,10 +163,10 @@ class TestBreakerFactory:
         tb = factory("tb", ("router",))
         flakies["ta"].fail_reads(1)
         with pytest.raises(StorageUnavailable):
-            ta.scan()
+            rows_of(ta)
         with pytest.raises(StorageUnavailable, match="circuit open"):
-            ta.scan()
-        assert tb.scan() == []  # a wedged table never opens a healthy one
+            rows_of(ta)
+        assert rows_of(tb) == []  # a wedged table never opens a healthy one
 
     def test_factory_name_composes_with_the_inner_backend(self):
         factory = breaker_backend(inner=memory_backend())
@@ -177,7 +179,7 @@ class TestFlakyBackend:
         slept = []
         flaky = FlakyBackend(MemoryBackend(), sleep=slept.append)
         flaky.read_latency = 0.5
-        flaky.scan()
+        rows_of(flaky)
         assert slept == [0.5]
 
     def test_fail_reads_budget_is_consumed_per_read(self):
@@ -185,14 +187,14 @@ class TestFlakyBackend:
         flaky.fail_reads(2)
         for _ in range(2):
             with pytest.raises(ConnectionError):
-                flaky.scan()
-        assert flaky.scan() == []  # budget spent: healthy again
+                rows_of(flaky)
+        assert rows_of(flaky) == []  # budget spent: healthy again
         assert flaky.failed_reads == 2
         assert flaky.stats()["failed_reads"] == 2
 
     def test_columnar_reads_are_gated_and_stay_on_the_inner_columnar_path(self):
         flaky = FlakyBackend(MemoryBackend())
-        flaky.insert(Record.make(1.0, router="r1"))
+        flaky.insert_many((Record.make(1.0, router="r1"),))
         assert flaky.query_columns(None, None, {}).zero_copy
         flaky.fail_reads(1)
         with pytest.raises(ConnectionError):

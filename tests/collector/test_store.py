@@ -33,15 +33,15 @@ class TestTable:
     def test_time_range_query_inclusive(self):
         table = Table("t")
         for t in (10.0, 20.0, 30.0):
-            table.insert_row(t, router="r1")
+            table.insert(Record.make(t, router="r1"))
         assert len(table.query(10.0, 20.0)) == 2
         assert len(table.query(10.5, 19.5)) == 0
         assert len(table.query()) == 3
 
     def test_equality_filter_without_index(self):
         table = Table("t")
-        table.insert_row(10.0, router="r1")
-        table.insert_row(11.0, router="r2")
+        table.insert(Record.make(10.0, router="r1"))
+        table.insert(Record.make(11.0, router="r2"))
         assert [r["router"] for r in table.query(router="r2")] == ["r2"]
 
     def test_indexed_query_matches_scan(self):
@@ -49,17 +49,17 @@ class TestTable:
         plain = Table("t")
         rows = [(float(i), f"r{i % 3}") for i in range(100)]
         for t, router in rows:
-            indexed.insert_row(t, router=router)
-            plain.insert_row(t, router=router)
+            indexed.insert(Record.make(t, router=router))
+            plain.insert(Record.make(t, router=router))
         assert indexed.query(10.0, 60.0, router="r1") == plain.query(
             10.0, 60.0, router="r1"
         )
 
     def test_out_of_order_insert_keeps_sorted(self):
         table = Table("t", indexed_columns=("router",))
-        table.insert_row(20.0, router="r1")
-        table.insert_row(10.0, router="r1")
-        table.insert_row(15.0, router="r2")
+        table.insert(Record.make(20.0, router="r1"))
+        table.insert(Record.make(10.0, router="r1"))
+        table.insert(Record.make(15.0, router="r2"))
         timestamps = [r.timestamp for r in table.scan()]
         assert timestamps == [10.0, 15.0, 20.0]
         # index rebuilt correctly after out-of-order insert
@@ -67,8 +67,8 @@ class TestTable:
 
     def test_multi_column_filter(self):
         table = Table("t", indexed_columns=("router",))
-        table.insert_row(10.0, router="r1", metric="cpu", value=10)
-        table.insert_row(10.0, router="r1", metric="mem", value=20)
+        table.insert(Record.make(10.0, router="r1", metric="cpu", value=10))
+        table.insert(Record.make(10.0, router="r1", metric="mem", value=20))
         result = table.query(router="r1", metric="cpu")
         assert len(result) == 1
         assert result[0]["value"] == 10
@@ -76,20 +76,20 @@ class TestTable:
     def test_distinct(self):
         table = Table("t", indexed_columns=("router",))
         for router in ("r2", "r1", "r2"):
-            table.insert_row(1.0, router=router)
+            table.insert(Record.make(1.0, router=router))
         assert table.distinct("router") == ["r1", "r2"]
 
     def test_distinct_unindexed_column(self):
         table = Table("t")
-        table.insert_row(1.0, router="r1", metric="cpu")
-        table.insert_row(2.0, router="r1")
+        table.insert(Record.make(1.0, router="r1", metric="cpu"))
+        table.insert(Record.make(2.0, router="r1"))
         assert table.distinct("metric") == ["cpu"]
 
     def test_time_span(self):
         table = Table("t")
         assert table.time_span is None
-        table.insert_row(5.0, x=1)
-        table.insert_row(9.0, x=1)
+        table.insert(Record.make(5.0, x=1))
+        table.insert(Record.make(9.0, x=1))
         assert table.time_span == (5.0, 9.0)
 
 
@@ -123,7 +123,7 @@ class TestDataStore:
 
     def test_a_table_outliving_its_store_still_inserts(self):
         table = DataStore(backend="memory").table("t")
-        table.insert_row(1.0, router="r1")
+        table.insert(Record.make(1.0, router="r1"))
         assert len(table) == 1
 
 
@@ -177,14 +177,14 @@ class TestReadSeam:
         columns = (
             "syslog", "query", None, 25.0, (("code", "Y"),), (-INF, 25.0), None,
         )
+        # a scan is the unbounded query it is a view of
         unfiltered = ("syslog", "query", None, None, (), (-INF, INF), None)
-        scan = ("syslog", "scan", None, None, (), (-INF, INF), None)
         distinct = ("syslog", "distinct", None, None, (), (-INF, INF), "router")
         assert log == [
             ("a", "begin", filtered), ("a", "end", filtered, 1),
             ("a", "begin", columns), ("a", "end", columns, 1),
             ("a", "begin", unfiltered), ("a", "end", unfiltered, 3),
-            ("a", "begin", scan), ("a", "end", scan, 3),
+            ("a", "begin", unfiltered), ("a", "end", unfiltered, 3),
             ("a", "begin", distinct), ("a", "end", distinct, 2),
         ]
 
@@ -192,13 +192,13 @@ class TestReadSeam:
         log = []
         store = self._store()
         reads = []
-        backend_query = store.table("syslog")._backend.query
+        backend_query = store.table("syslog")._backend.query_columns
 
         def query(start, end, equals):
             reads.append(len(log))
             return backend_query(start, end, equals)
 
-        store.table("syslog")._backend.query = query
+        store.table("syslog")._backend.query_columns = query
         observed = ObservedStore(store, [Recording("a", log), Recording("b", log)])
         observed.table("syslog").query(0.0, 15.0)
         assert [(name, event) for name, event, *_ in log] == [
@@ -214,7 +214,7 @@ class TestReadSeam:
         def boom(start, end, equals):
             raise RuntimeError("backend exploded mid-read")
 
-        store.table("syslog")._backend.query = boom
+        store.table("syslog")._backend.query_columns = boom
         observed = ObservedStore(store, [Recording("a", log), Recording("b", log)])
         with pytest.raises(RuntimeError):
             observed.table("syslog").query(0.0, 15.0, code="X")

@@ -43,7 +43,7 @@ class TestStoreVsReference:
         end = start + span
         table = Table("t", indexed_columns=("router", "metric"))
         for t, r, m, v in rows:
-            table.insert_row(t, router=r, metric=m, value=v)
+            table.insert(Record.make(t, router=r, metric=m, value=v))
         filters = {}
         if router is not None:
             filters["router"] = router
@@ -60,7 +60,7 @@ class TestStoreVsReference:
     def test_scan_always_time_sorted(self, rows):
         table = Table("t", indexed_columns=("router",))
         for t, r, m, v in rows:
-            table.insert_row(t, router=r, metric=m, value=v)
+            table.insert(Record.make(t, router=r, metric=m, value=v))
         timestamps = [record.timestamp for record in table.scan()]
         assert timestamps == sorted(timestamps)
 
@@ -69,5 +69,5 @@ class TestStoreVsReference:
     def test_distinct_matches_reference(self, rows):
         table = Table("t", indexed_columns=("router",))
         for t, r, m, v in rows:
-            table.insert_row(t, router=r, metric=m, value=v)
+            table.insert(Record.make(t, router=r, metric=m, value=v))
         assert table.distinct("router") == sorted({r for _t, r, _m, _v in rows})

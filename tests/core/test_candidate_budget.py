@@ -20,7 +20,6 @@ from ..oracles.storm import DAY, mvpn_storm
 BUILDS = {
     EventInstance.__post_init__.__code__: "instances",
     Record.__init__.__code__: "records",
-    Record.adopt.__func__.__code__: "records",
     Record.__setstate__.__code__: "records",
 }
 

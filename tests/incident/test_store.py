@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
+from repro.collector.backends import DelegatingBackend, MemoryBackend
 from repro.incident import IncidentAggregator, IncidentStore
+from repro.incident.store import INDEXED_COLUMNS
 
 from .conftest import diagnosis
 
@@ -167,3 +169,60 @@ class TestSqliteBacked:
         assert store.revisions() == n_threads * n_each
         assert len(store) == n_threads  # one incident per distinct router
         store.close()
+
+
+class HeldWrites(DelegatingBackend):
+    """Holds each write open until ``finish`` is set, and notes every
+    read that starts while one is in flight."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.hold = False
+        self.writing = threading.Event()
+        self.finish = threading.Event()
+        self.overlaps = []
+
+    def insert_many(self, records):
+        if self.hold:
+            self.writing.set()
+            self.finish.wait(timeout=10.0)
+        try:
+            super().insert_many(records)
+        finally:
+            self.writing.clear()
+
+    def _read(self, op, label, *args):
+        if self.writing.is_set():
+            self.overlaps.append(label)
+        return op(*args)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda store, incident_id: store.timeline(incident_id),
+        lambda store, incident_id: store.incidents(0.0, 1e4),
+    ],
+    ids=["timeline", "windowed-incidents"],
+)
+def test_no_read_of_the_log_overlaps_a_write(read):
+    """The default backend is single-threaded: a read racing a tail
+    merge applies positions of the old run to the new one.  Every read
+    of the log waits for the write in flight."""
+    backend = HeldWrites(MemoryBackend(INDEXED_COLUMNS))
+    store = IncidentStore(backend)
+    aggregator = feed(store, [diagnosis(t=1000.0)])
+    (incident,) = store.incidents()
+    backend.hold = True
+    writer = threading.Thread(target=aggregator.observe, args=(diagnosis(t=1060.0),))
+    writer.start()
+    assert backend.writing.wait(timeout=10.0)
+    reader = threading.Thread(target=read, args=(store, incident.incident_id))
+    reader.start()
+    reader.join(timeout=0.5)  # blocked on the store lock, or done
+    backend.finish.set()
+    writer.join(timeout=10.0)
+    reader.join(timeout=10.0)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert backend.overlaps == []
+    assert [i.revision for i in store.timeline(incident.incident_id)] == [1, 2]

@@ -31,7 +31,7 @@ class ScanIncidentStore:
         """Highest-revision record per incident id in the window."""
         pushdown = {k: v for k, v in equals.items() if v is not None}
         latest: Dict[str, Record] = {}
-        for record in self.backend.query(start, end, pushdown):
+        for record in self.backend.query_columns(start, end, pushdown).records:
             incident_id = record["incident_id"]
             kept = latest.get(incident_id)
             if kept is None or record["revision"] > kept["revision"]:

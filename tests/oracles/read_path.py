@@ -1,9 +1,10 @@
 """The read path's obviously-correct spellings.
 
-What ``MemoryBackend.query`` and the Knowledge Library's ``retrieve_flap``
-did before they stopped working to find nothing, kept as what they must
-stay equal to: a window query that looks at every row and every filter,
-and a flap retrieval that reads its window once per state.
+What ``MemoryBackend``'s window query and the Knowledge Library's
+``retrieve_flap`` did before they stopped working to find nothing, kept
+as what they must stay equal to: a window query that looks at every row
+and every filter, and a flap retrieval that reads its window once per
+state.  ``rows_of`` spells a backend's row read over its one read.
 """
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -35,6 +36,17 @@ def filter_every_row(
     ]
     matched.sort(key=lambda entry: (entry[0], entry[1]))
     return [record for _timestamp, _arrival, record in matched]
+
+
+def rows_of(
+    backend: Any,
+    start: Optional[float] = None,
+    end: Optional[float] = None,
+    equals: Optional[Dict[str, Any]] = None,
+) -> List[Any]:
+    """A backend's rows in a window, in ``(timestamp, arrival)`` order —
+    the records of its one read, ``query_columns``."""
+    return backend.query_columns(start, end, equals or {}).records
 
 
 def scan_cdn_rows(context: RetrievalContext, kind: str) -> List[Any]:

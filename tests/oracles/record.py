@@ -1,6 +1,6 @@
 """The stored row as a frozen dataclass: the reference ``Record``.
 
-``repro.collector.store.Record`` keeps only the adopted field dict and
+``repro.collector.store.Record`` keeps only the field dict it is given and
 derives ``fields`` when asked.  This is the row it must be
 indistinguishable from — ``(timestamp, fields)`` held as a frozen
 dataclass pair, the lookup dict a cache beside it — down to the pickled

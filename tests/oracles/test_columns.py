@@ -9,8 +9,8 @@ out-of-order arrivals across the tail threshold and a merge, batches of
 one, rows handed over as records or as a parser's batch)
 
 * the columnar backend ≡ the naive filter of ``read_path.py`` ≡
-  ``SqliteBackend``, for ``query`` / ``query_columns`` (timestamps,
-  records and every ``column()``) / ``scan`` / ``distinct`` /
+  ``SqliteBackend``, for ``query_columns`` (timestamps, records and
+  every ``column()``; windowed and unbounded) / ``distinct`` /
   ``time_span`` / ``len``;
 * a materialized ``Record`` ≡ the frozen-dataclass row of ``record.py``
   (eq, hash, ``fields``, ``repr``, pickle bytes both directions) and
@@ -75,7 +75,7 @@ from repro.collector.sources import (
 from repro.collector.store import Record
 
 from . import feed_fields
-from .read_path import filter_every_row
+from .read_path import filter_every_row, rows_of
 from .record import Record as RefRecord
 from .record import as_store_record
 
@@ -127,7 +127,7 @@ tail_limits = st.sampled_from([None, 0, 3])
 
 def _records(drawn):
     return [
-        Record.adopt(
+        Record(
             stamp, {c: v for c, v in zip(NAMES, values) if v is not ABSENT}
         )
         for stamp, *values in drawn
@@ -151,7 +151,7 @@ def _write(backend, records, cut_sizes, batches=False):
         size = cut_sizes[turn % len(cut_sizes)]
         piece = records[at:at + size]
         if size == 1 and not batches:
-            backend.insert(piece[0])
+            backend.insert_many((piece[0],))
         else:
             backend.insert_many(_as_batch(piece) if batches else piece)
         at, turn = at + size, turn + 1
@@ -187,8 +187,8 @@ class TestEveryReadEqualsTheRowStore:
                 _write(backend, records, cut_sizes, batches)
                 label = backend.name
                 assert len(backend) == len(records), label
-                assert canons(backend.query(start, end, dict(equals))) == canons(expected), label
-                assert canons(backend.scan()) == canons(everything), label
+                assert canons(rows_of(backend, start, end, dict(equals))) == canons(expected), label
+                assert canons(rows_of(backend)) == canons(everything), label
                 columns = backend.query_columns(start, end, dict(equals))
                 assert len(columns) == len(expected), label
                 assert list(columns.timestamps) == [r.timestamp for r in expected], label
@@ -212,7 +212,7 @@ class TestEveryReadEqualsTheRowStore:
         backend.insert_many([Record.make(1.0, router="r1"), Record.make(2.0, router="r2")])
         backend.insert_many([Record.make(3.0, router="r1", vrf="blue")])
         backend.insert_many([Record.make(4.0, state="up")])
-        first, second, third, fourth = backend.scan()
+        first, second, third, fourth = rows_of(backend)
         assert first.fields == (("router", "r1"),) and first.get("vrf") is None
         assert third.fields == (("router", "r1"), ("vrf", "blue"))
         assert fourth.fields == (("state", "up"),)
@@ -222,8 +222,8 @@ class TestEveryReadEqualsTheRowStore:
         assert columns.zero_copy
         assert list(columns.column("vrf")) == [None, None, "blue", None]
         assert list(columns.column("router")) == ["r1", "r2", "r1", None]
-        assert backend.query(None, None, {"vrf": None}) == [first, second, fourth]
-        assert backend.query(None, None, {"router": None}) == [fourth]
+        assert rows_of(backend, None, None, {"vrf": None}) == [first, second, fourth]
+        assert rows_of(backend, None, None, {"router": None}) == [fourth]
 
     def test_a_dense_column_of_a_clean_run_is_a_window_not_a_copy(self):
         backend = MemoryBackend(("link",))
@@ -253,7 +253,7 @@ class TestAMaterializedRecord:
         backend = MemoryBackend(INDEXED, tail_limit=tail_limit)
         _write(backend, records, cut_sizes)
         stored = filter_every_row(records, None, None, {})
-        read = backend.scan()
+        read = rows_of(backend)
         assert len(read) == len(stored)
         for row, original in zip(read, stored):
             ref = RefRecord.make(original.timestamp, **original._by_name)
@@ -276,8 +276,8 @@ class TestAMaterializedRecord:
     def test_two_reads_give_equal_rows_not_the_same_row(self):
         payload = {"incident_id": "i1", "nested": [1, 2]}
         backend = MemoryBackend(("incident_id",))
-        backend.insert(Record.make(5.0, incident_id="i1", payload=payload))
-        (first,), (second,) = backend.scan(), backend.query(None, None, {"incident_id": "i1"})
+        backend.insert_many((Record.make(5.0, incident_id="i1", payload=payload),))
+        (first,), (second,) = rows_of(backend), rows_of(backend, None, None, {"incident_id": "i1"})
         assert first == second and first is not second
         assert first["payload"] is payload and second["payload"] is payload
 

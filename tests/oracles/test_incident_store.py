@@ -229,8 +229,9 @@ def test_a_latest_revision_is_decoded_once_and_a_superseded_one_never(schedule):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_two_writers_and_a_reader(kind):
-    """No torn entry while two threads record and a third reads; the
-    final state is the oracle's."""
+    """No torn entry while two threads record and a third reads — the
+    index, a windowed scan and the timeline; the final state is the
+    oracle's."""
     errors = []
     done = threading.Event()
     evens, odds = range(0, len(POOL), 2), range(1, len(POOL), 2)
@@ -258,6 +259,17 @@ def test_two_writers_and_a_reader(kind):
                 for document in store.documents():
                     key = document["incident_id"], document["revision"]
                     assert json.dumps(document) == WIRE[key]
+                for incident in store.incidents(TIMES[1], TIMES[-2]):
+                    key = incident.incident_id, incident.revision
+                    assert json.dumps(incident.to_json()) == WIRE[key]
+                for incident in seen:
+                    revisions = store.timeline(incident.incident_id)
+                    assert [i.revision for i in revisions] == sorted(
+                        i.revision for i in revisions
+                    )
+                    for revision in revisions:
+                        key = revision.incident_id, revision.revision
+                        assert json.dumps(revision.to_json()) == WIRE[key]
 
         writers = [
             guarded(lambda half=half: [store.record(POOL[k]) for k in half])

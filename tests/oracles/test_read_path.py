@@ -1,12 +1,12 @@
 """The read path equals its obviously-correct spellings.
 
-``MemoryBackend.query`` answers from the smallest posting list and
-checks only the filters that list does not already guarantee; the flap
-retrievals read their widened window once and split it by state.  Both
-must return exactly what ``tests/oracles/read_path.py`` returns — the
-window query that checks every filter on every row (and
-``SqliteBackend.query``, which re-filters every decoded row), and the
-flap retrieval that reads once per state.
+``MemoryBackend.query_columns`` answers from the smallest posting list
+and checks only the filters that list does not already guarantee; the
+flap retrievals read their widened window once and split it by state.
+Both must return exactly what ``tests/oracles/read_path.py`` returns —
+the window query that checks every filter on every row (and
+``SqliteBackend.query_columns``, which re-filters every decoded row),
+and the flap retrieval that reads once per state.
 """
 
 import pytest
@@ -25,7 +25,12 @@ from repro.core.events import RetrievalContext
 from repro.core.knowledge import names
 from repro.core.knowledge.events import build_common_events
 
-from .read_path import filter_every_row, scan_cdn_rows, two_read_flap_retrieval
+from .read_path import (
+    filter_every_row,
+    rows_of,
+    scan_cdn_rows,
+    two_read_flap_retrieval,
+)
 
 INDEXED = ("router", "code")
 
@@ -65,7 +70,7 @@ filters = st.fixed_dictionaries(
 def _records(drawn):
     columns = ("router", "code", "state", "n")
     return [
-        Record.adopt(
+        Record(
             stamp,
             {c: v for c, v in zip(columns, values) if v is not ABSENT},
         )
@@ -89,9 +94,9 @@ class TestQueryEqualsTheNaiveFilter:
             for backend in (memory, sqlite):
                 backend.insert_many(records[: len(records) // 2])
                 for record in records[len(records) // 2:]:
-                    backend.insert(record)
-                assert backend.query(start, end, dict(equals)) == expected, backend.name
-                assert backend.scan() == filter_every_row(records, None, None, {})
+                    backend.insert_many((record,))
+                assert rows_of(backend, start, end, dict(equals)) == expected, backend.name
+                assert rows_of(backend) == filter_every_row(records, None, None, {})
         finally:
             sqlite.close()
 
@@ -103,16 +108,16 @@ class TestQueryEqualsTheNaiveFilter:
             Record.make(5.0, router="r1", k=2),  # late: waits in the tail
         ]
         for record in records:
-            backend.insert(record)
+            backend.insert_many((record,))
         assert backend.stats()["tail"] == 1
-        assert [r["k"] for r in backend.query(None, None, {"router": "r1"})] == [0, 2, 1]
+        assert [r["k"] for r in rows_of(backend, None, None, {"router": "r1"})] == [0, 2, 1]
 
     def test_a_value_unequal_to_itself_matches_no_row(self):
         nan = float("nan")
         backend = MemoryBackend(("code",))
-        backend.insert(Record.make(1.0, code=nan))
-        assert backend.query(None, None, {"code": nan}) == []
-        assert filter_every_row(backend.scan(), None, None, {"code": nan}) == []
+        backend.insert_many((Record.make(1.0, code=nan),))
+        assert rows_of(backend, None, None, {"code": nan}) == []
+        assert filter_every_row(rows_of(backend), None, None, {"code": nan}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +147,8 @@ class TestTheCdnTableAnswersAsTheNaiveScan:
             fields.update({"value": value} if kind == "load" else {"detail": f"map-{value}"})
             if kind is not ABSENT:
                 fields["kind"] = kind
-            records.append(Record.adopt(stamp, fields))
-            table.insert(Record.adopt(stamp, dict(fields)))
+            records.append(Record(stamp, fields))
+            table.insert(Record(stamp, dict(fields)))
         for kind in ("load", "policy_change", "ghost", None):
             assert table.query(start, end, kind=kind) == filter_every_row(
                 records, start, end, {"kind": kind}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.collector.backends import SqliteBackend
 from repro.collector.store import Record
 
+from .read_path import rows_of
 from .record import Record as RefRecord
 from .record import as_store_record
 
@@ -27,7 +28,7 @@ timestamps = st.floats(-1e10, 1e10)
 
 
 def both(timestamp, fields):
-    return Record.adopt(timestamp, dict(fields)), RefRecord.make(timestamp, **fields)
+    return Record(timestamp, dict(fields)), RefRecord.make(timestamp, **fields)
 
 
 @given(timestamps, field_dicts)
@@ -45,8 +46,8 @@ def test_same_surface(timestamp, fields):
     assert row.get("\x00absent", 7) == 7
     with pytest.raises(KeyError):
         row["\x00absent"]
-    # the keyword constructor the dataclass had
-    assert Record(timestamp=timestamp, fields=ref.fields) == row
+    # the dataclass's keyword constructor, over the field dict
+    assert Record(timestamp=timestamp, fields=dict(ref.fields)) == row
     assert Record.make(timestamp, **fields) == row
 
 
@@ -101,9 +102,9 @@ def test_sqlite_table_written_by_the_reference_class_opens(tmp_path_factory, row
     new = SqliteBackend("t", ("router",), path=path)
     try:
         expected = sorted(
-            (Record.adopt(t, dict(f)) for t, f in rows), key=lambda r: r.timestamp
+            (Record(t, dict(f)) for t, f in rows), key=lambda r: r.timestamp
         )
-        assert new.scan() == expected
-        assert all(type(record) is Record for record in new.scan())
+        assert rows_of(new) == expected
+        assert all(type(record) is Record for record in rows_of(new))
     finally:
         new.close()
