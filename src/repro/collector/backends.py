@@ -7,11 +7,9 @@ This module is that seam: a :class:`StorageBackend` contract plus two
 implementations —
 
 * :class:`MemoryBackend` — rows at rest are columns: sorted timestamps
-  plus one list per field name (:mod:`repro.collector.rows`), with an
-  unsorted *tail buffer* for out-of-order arrivals, merged lazily.  An
-  out-of-order insert is an O(1) append plus an amortized share of the
-  next merge, instead of the seed store's per-insert O(n·k) wholesale
-  index rebuild.
+  plus one list per field name (:mod:`repro.collector.rows`), and late
+  arrivals in a sorted columnar tail, merged in once it outgrows its
+  bound — not the seed store's per-insert O(n·k) index rebuild.
 * :class:`SqliteBackend` — the platform's first persistent store: one
   WAL-mode SQLite file per table, with ``(column, ts)`` SQL indexes for
   every declared indexed column and pickled rows for byte-exact
@@ -27,19 +25,15 @@ Contract
 --------
 
 A backend has one write, ``insert_many``, and one read,
-``query_columns`` (a :class:`~repro.collector.rows.ColumnarSlice`);
-row reads (``Table.query`` / ``scan``) are that slice's ``records``,
-defined once above the backends in :mod:`repro.collector.store`.
+``query_columns`` (a :class:`~repro.collector.rows.ColumnarSlice`, one
+shape on every backend); row reads (``Table.query`` / ``scan``) are
+that slice's ``records``, defined once in :mod:`repro.collector.store`.
 
 A backend reached *through* a :class:`~repro.collector.store.Table`
 façade is serialized under the table's lock, so :class:`MemoryBackend`
-does not need to be thread-safe.  :class:`SqliteBackend` additionally
-serializes its own connection access internally: the incident store
-(:mod:`repro.incident.store`) and other direct consumers share one
-backend across service worker threads without a table façade in
-between, and SQLite's single shared connection
-(``check_same_thread=False``) silently loses interleaved
-execute/commit pairs without that guard.  Canonical result order is
+does not need to be thread-safe (:class:`SqliteBackend`, shared by
+direct consumers such as the incident store, locks its own
+connection).  Canonical result order is
 ``(timestamp, arrival sequence)`` — both backends return slices with
 byte-identical records for the same inserts and queries (pinned by the
 property-based oracle tests in ``tests/collector/test_backends.py``).
@@ -49,7 +43,6 @@ Windows are inclusive on both ends; ``None`` bounds are open.
 from __future__ import annotations
 
 import bisect
-import operator
 import os
 import pickle
 import sqlite3
@@ -58,9 +51,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, TransientError
-from .rows import MISSING, ColumnarSlice, Columns, ListView, RowBatch
-
-_TIMESTAMP = operator.attrgetter("timestamp")
+from .rows import MISSING, ColumnarSlice, Columns, ListView, RowBatch, merge
 
 #: Builds a backend for one table: ``factory(table_name, indexed_columns)``.
 BackendFactory = Callable[[str, Tuple[str, ...]], "StorageBackend"]
@@ -102,8 +93,11 @@ class StorageBackend:
         raise NotImplementedError
 
     def distinct(self, column: str) -> List[Any]:
-        """Distinct non-None values of a column, sorted by ``repr``."""
-        raise NotImplementedError
+        """Distinct non-None values of a column, sorted by ``repr``:
+        by default, of the column the one read hands out."""
+        values = set(self.query_columns(None, None, {}).column(column))
+        values.discard(None)
+        return sorted(values, key=repr)
 
     def time_span(self) -> Optional[Tuple[float, float]]:
         """(oldest, newest) timestamp, or None when empty."""
@@ -125,20 +119,24 @@ class StorageBackend:
         return ()
 
 
+#: the columns of a slice that holds no row
+_NOTHING = Columns()
+
+
 class MemoryBackend(StorageBackend):
-    """Columns in timestamp order plus a lazily merged out-of-order tail.
+    """Columns in timestamp order plus a sorted tail of late rows.
 
     No object is kept per stored row: the sorted run is one
-    :class:`~repro.collector.rows.Columns` (timestamps and a list per
-    field name), each indexed column a hash from value to the ascending
-    run positions holding it.  In-order inserts extend the run and its
-    posting lists.  Out-of-order inserts land in a second, unsorted
-    ``Columns`` — the *tail*; queries consult both (the tail linearly —
-    it is bounded), and once the tail outgrows
-    ``max(256, sorted_len // 16)`` it is merged into the run in one
-    O(n + t) pass that permutes every column, rebuilds the posting
-    lists and renames the run (``generation``).  The merge cost is
-    amortized over the inserts that filled the tail.
+    :class:`~repro.collector.rows.Columns`, each indexed column a hash
+    from value to the ascending run positions holding it.  In-order
+    inserts extend the run and its posting lists; out-of-order ones land
+    in a second ``Columns``, the *tail*, at their sorted place (after
+    equal stamps: arrival order).  A query bisects both, and a window
+    that late rows fall into is one stable two-way merge of the two
+    (:func:`~repro.collector.rows.merge`).  Once the tail outgrows
+    ``max(256, sorted_len // 16)`` that merge over everything becomes
+    the new run — O(n + t), amortized over the inserts that filled the
+    tail — with new posting lists and a new ``generation``.
     """
 
     name = "memory"
@@ -149,7 +147,7 @@ class MemoryBackend(StorageBackend):
         tail_limit: Optional[int] = None,
     ) -> None:
         self._run = Columns()
-        #: out-of-order arrivals, in arrival order
+        #: out-of-order arrivals, sorted by stamp, then arrival
         self._tail = Columns()
         self._indexes: Dict[str, Dict[Any, List[int]]] = {
             column: {} for column in indexed_columns
@@ -184,12 +182,13 @@ class MemoryBackend(StorageBackend):
             return
         for timestamp, values in zip(timestamps, batch.rows):
             if self._run.ts and timestamp < self._run.ts[-1]:
-                self._tail.extend((timestamp,), columns, zip(values), sparse)
+                tail = self._tail
+                at = bisect.bisect_right(tail.ts, timestamp)
+                tail.extend((timestamp,), columns, zip(values), sparse, at)
                 self.inserts += 1
                 self.out_of_order += 1
-                if len(self._tail.ts) > self.max_tail:
-                    self.max_tail = len(self._tail.ts)
-                if len(self._tail.ts) > self._tail_threshold():
+                self.max_tail = max(self.max_tail, len(tail.ts))
+                if len(tail.ts) > self._tail_threshold():
                     self._merge()
             else:
                 self._append((timestamp,), columns, zip(values), sparse)
@@ -219,12 +218,8 @@ class MemoryBackend(StorageBackend):
 
     def _merge(self) -> None:
         """Fold the tail into the sorted run; one pass, amortized."""
-        both = Columns()
-        for part in (self._run, self._tail):
-            both.extend(part.ts, tuple(part.fields), part.fields.values(), part.sparse)
-        # the sort is stable: among equal stamps the run's rows, which
-        # all arrived before the tail's, stay first, then arrival order
-        self._run = both.take(sorted(range(len(both.ts)), key=both.ts.__getitem__))
+        run, tail = self._run, self._tail
+        self._run = merge(run, range(len(run.ts)), tail, range(len(tail.ts)))
         self._tail = Columns()
         self._generation = object()
         self._indexes = {column: {} for column in self._indexes}
@@ -236,11 +231,11 @@ class MemoryBackend(StorageBackend):
 
     def _select(
         self, start: Optional[float], end: Optional[float], equals: Dict[str, Any]
-    ) -> Tuple[Sequence[int], List[int]]:
-        """Positions of the rows a window query returns: in the sorted
-        run (ascending — a ``range`` when nothing filtered them) and in
-        the tail."""
-        run = self._run
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """Positions of the rows a window query returns, ascending: in
+        the sorted run and in the tail (each a ``range`` when nothing
+        filtered it)."""
+        run, tail = self._run, self._tail
         lo = 0 if start is None else bisect.bisect_left(run.ts, start)
         hi = len(run.ts) if end is None else bisect.bisect_right(run.ts, end)
         # The smallest posting list is the answer for its own column —
@@ -265,15 +260,13 @@ class MemoryBackend(StorageBackend):
         for column, value in equals.items():
             if column != served:
                 positions = run.matching(positions, column, value)
-        late: Sequence[int] = []
-        if self._tail.ts:
-            late = [
-                p
-                for p, stamp in enumerate(self._tail.ts)
-                if (start is None or stamp >= start) and (end is None or stamp <= end)
-            ]
+        late: Sequence[int] = ()
+        if tail.ts:
+            lo = 0 if start is None else bisect.bisect_left(tail.ts, start)
+            hi = len(tail.ts) if end is None else bisect.bisect_right(tail.ts, end)
+            late = range(lo, max(lo, hi))
             for column, value in equals.items():
-                late = self._tail.matching(late, column, value)
+                late = tail.matching(late, column, value)
         return positions, late
 
     def query_columns(
@@ -282,36 +275,26 @@ class MemoryBackend(StorageBackend):
         end: Optional[float],
         equals: Dict[str, Any],
     ) -> ColumnarSlice:
-        """The window as a snapshot of the run's columns; no row is built.
-
-        An unfiltered window is one contiguous stretch of the run,
-        served as :class:`~repro.collector.rows.ListView` windows into
-        the stored lists (``zero_copy``); a filtered one gathers what is
-        asked for at the matching positions.  Either stays a consistent
-        snapshot: in-order inserts append past the window, and a tail
-        merge replaces the lists wholesale.  Only a window that pending
-        out-of-order rows fall into is materialized row by row.
-        """
+        """The window as columns, no row built: an unfiltered stretch of
+        the run as :class:`~repro.collector.rows.ListView` windows into
+        its lists (``zero_copy``), a filtered one gathered at the
+        matching positions, and one that pending late rows fall into
+        merged with them into new columns, as a tail merge would."""
         positions, late = self._select(start, end, equals)
         if late:
-            rows = self._run.records(positions) + self._tail.records(late)
-            # stable, as in _merge: run rows first among equal stamps
-            rows.sort(key=_TIMESTAMP)
-            return ColumnarSlice([record.timestamp for record in rows], rows)
+            rows = merge(self._run, positions, self._tail, late)
+            return ColumnarSlice(rows.ts, rows, range(len(rows.ts)))
         if equals:
             if not positions:  # nothing to snapshot
-                return ColumnarSlice([], [])
+                return ColumnarSlice([], _NOTHING, ())
             run = self._run.snapshot()
-            return ColumnarSlice(
-                [run.ts[p] for p in positions], columns=run, positions=positions
-            )
+            return ColumnarSlice([run.ts[p] for p in positions], run, positions)
         run = self._run.snapshot()
         return ColumnarSlice(
             ListView(run.ts, positions.start, positions.stop),
-            columns=run,
-            positions=positions,
-            zero_copy=True,
-            generation=self._generation,
+            run,
+            positions,
+            self._generation,
         )
 
     def distinct(self, column: str) -> List[Any]:
@@ -327,10 +310,8 @@ class MemoryBackend(StorageBackend):
     def time_span(self) -> Optional[Tuple[float, float]]:
         """(oldest, newest) timestamp across sorted run and tail."""
         ts = self._run.ts
-        if not ts:
-            return None
-        # tail entries are always older than the sorted run's newest
-        return min([ts[0], *self._tail.ts]), ts[-1]
+        # the tail's rows are all older than the run's newest
+        return (min([ts[0], *self._tail.ts[:1]]), ts[-1]) if ts else None
 
     def stats(self) -> Dict[str, Any]:
         """Tail-buffer and merge counters alongside the backend identity."""
@@ -349,12 +330,11 @@ class SqliteBackend(StorageBackend):
 
     Indexed columns from the table's declaration become real ``TEXT``
     columns with ``(column, ts)`` SQL indexes; string equality filters
-    are pushed down to SQL, everything else (and every filter, again)
-    is applied in Python on the decoded records, so results are
-    byte-identical to :class:`MemoryBackend` regardless of field types.
-    Only string values are mirrored into the SQL columns — a non-string
-    can never equal a pushed-down string, so the pushdown never loses a
-    row.
+    are pushed down to SQL, and every filter is applied again in Python
+    to the decoded rows, which a read hands out as columns — so results
+    are byte-identical to :class:`MemoryBackend` regardless of field
+    types.  Only string values are mirrored into the SQL columns (a
+    non-string never equals a pushed-down string, so no row is lost).
 
     Connections are reopened transparently after a ``fork()`` (the
     service's batch fork backend inherits engines copy-on-write), keyed
@@ -442,7 +422,8 @@ class SqliteBackend(StorageBackend):
         """Insert a batch in one transaction: per row, ts + mirrored
         string index columns + pickle; all of it commits or none does."""
         if isinstance(records, RowBatch):
-            records = records.records()
+            batch = Columns.of(records)
+            records = batch.records(range(len(batch.ts)))
         rows = []
         for record in records:
             values: List[Any] = [record.timestamp]
@@ -492,18 +473,12 @@ class SqliteBackend(StorageBackend):
             rows = self._connection().execute(
                 f"SELECT payload FROM records{where} ORDER BY ts, id", params
             ).fetchall()
-        result = []
-        for (payload,) in rows:
-            record = pickle.loads(payload)
-            if all(record.get(column) == value for column, value in equals.items()):
-                result.append(record)
-        return ColumnarSlice([record.timestamp for record in result], result)
-
-    def distinct(self, column: str) -> List[Any]:
-        """Distinct non-None column values over the decoded records."""
-        values = set(self.query_columns(None, None, {}).column(column))
-        values.discard(None)
-        return sorted(values, key=repr)
+        kept = Columns.of([
+            record
+            for record in (pickle.loads(payload) for (payload,) in rows)
+            if all(record.get(column) == value for column, value in equals.items())
+        ])
+        return ColumnarSlice(kept.ts, kept, range(len(kept.ts)))
 
     def time_span(self) -> Optional[Tuple[float, float]]:
         """(oldest, newest) timestamp via MIN/MAX, or None when empty."""

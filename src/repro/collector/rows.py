@@ -12,6 +12,7 @@ retrieval window column by column.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -155,25 +156,11 @@ class RowBatch:
                 sparse.update(names.keys() - by_name.keys())
         return cls(columns, [record.timestamp for record in records], rows, sparse)
 
-    def records(self) -> List[Record]:
-        """The batch as rows, one :class:`Record` each."""
-        columns = self.columns
-        return [
-            Record(timestamp, fields_of(columns, values))
-            for timestamp, values in zip(self.timestamps, self.rows)
-        ]
-
 
 class ListView:
-    """A zero-copy ``[lo, hi)`` window over a list.
-
-    Supports just enough of the sequence protocol for columnar
-    consumers (len / index / slice / iterate).  The window keeps a
-    *reference* to the backing list: :class:`Columns` lists only ever
-    grow past a served window's upper bound or are replaced wholesale
-    on a tail merge, so a captured view stays a consistent snapshot
-    either way.
-    """
+    """A zero-copy ``[lo, hi)`` window over a list — len / index /
+    slice / iterate — keeping a reference to it: a run's lists only grow
+    past a served window, so the view stays the window it was."""
 
     __slots__ = ("_data", "_lo", "_hi")
 
@@ -212,9 +199,10 @@ class Columns:
     mid-run is back-filled with :data:`MISSING` for the rows before it,
     a batch lacking a known field pads it; ``sparse`` names the columns
     that ever held a ``MISSING``, every other one can be handed out as
-    is.  Lists grow only at the end and are never edited in place
-    (:meth:`take` builds new ones), which is what keeps a
-    :meth:`snapshot` consistent while writers go on.
+    is.  A sorted run's lists grow only at the end and are never edited
+    in place (a merge builds new ones), which is what keeps a
+    :meth:`snapshot` consistent while writers go on; only the late tail,
+    which no slice points into, takes rows at their sorted place.
     """
 
     __slots__ = ("ts", "fields", "sparse")
@@ -224,42 +212,44 @@ class Columns:
         self.fields: Dict[str, List[Any]] = {}
         self.sparse: set = set()
 
+    @classmethod
+    def of(cls, records: Any) -> "Columns":
+        """Records (or a batch) scattered into columns, in their order."""
+        batch = RowBatch.of(records)
+        columns = cls()
+        columns.extend(batch.timestamps, batch.columns, zip(*batch.rows), batch.sparse)
+        return columns
+
     def extend(
         self,
         timestamps: Iterable[float],
         names: Sequence[str],
         columns: Iterable[Sequence[Any]],
         sparse: Iterable[str] = (),
+        at: Optional[int] = None,
     ) -> None:
-        """Append rows given column by column: ``columns`` holds, for
-        each of ``names``, that field's value in every new row."""
-        base = len(self.ts)
-        self.ts.extend(timestamps)
+        """Add rows given column by column — ``columns`` holds, for
+        each of ``names``, that field's value in every new row — at the
+        end, or before row ``at``."""
+        size = len(self.ts)
+        if at is None:
+            at = size
+        self.ts[at:at] = timestamps
         mine = self.fields
         for name, values in zip(names, columns):
             column = mine.get(name)
             if column is None:
-                column = mine[name] = [MISSING] * base
-                if base:
+                column = mine[name] = [MISSING] * size
+                if size:
                     self.sparse.add(name)
-            column.extend(values)
+            column[at:at] = values
         self.sparse.update(sparse)
         if len(mine) > len(names):
-            size = len(self.ts)
+            grown = len(self.ts)
             for name, column in mine.items():
-                if len(column) < size:
-                    column.extend([MISSING] * (size - len(column)))
+                if len(column) < grown:
+                    column[at:at] = [MISSING] * (grown - len(column))
                     self.sparse.add(name)
-
-    def take(self, order: Sequence[int]) -> "Columns":
-        """New columns holding rows ``order[0]``, ``order[1]``, …"""
-        taken = Columns()
-        taken.ts = [self.ts[p] for p in order]
-        taken.fields = {
-            name: [column[p] for p in order] for name, column in self.fields.items()
-        }
-        taken.sparse = set(self.sparse)
-        return taken
 
     def snapshot(self) -> "Columns":
         """The columns as of now, for a reader outside the table lock:
@@ -315,48 +305,85 @@ class Columns:
         return [column[p] for p in positions]
 
 
+def _gather(column: Optional[List[Any]], positions: Sequence[int]) -> List[Any]:
+    if column is None:
+        return [MISSING] * len(positions)
+    if type(positions) is range:
+        return column[positions.start:positions.stop]
+    return [column[p] for p in positions]
+
+
+def merge(
+    first: Columns, at_first: Sequence[int], second: Columns, at_second: Sequence[int]
+) -> Columns:
+    """New columns holding ``first``'s rows at ``at_first`` and
+    ``second``'s at ``at_second`` (each ascending by timestamp) in one
+    stable two-way merge: by timestamp, ``first``'s rows first among
+    equal stamps.  Each of ``second``'s rows is placed by a bisect, and
+    each column copied in stretches between the places: no step per
+    row of ``first``.
+    """
+    head, late = _gather(first.ts, at_first), _gather(second.ts, at_second)
+    cuts: List[int] = []
+    for stamp in late:
+        cuts.append(bisect_right(head, stamp, cuts[-1] if cuts else 0))
+
+    def weave(left: List[Any], right: List[Any]) -> List[Any]:
+        out, lo = [], 0
+        for cut, value in zip(cuts, right):
+            out += left[lo:cut]
+            out.append(value)
+            lo = cut
+        out += left[lo:]
+        return out
+
+    merged = Columns()
+    merged.ts = weave(head, late)
+    merged.sparse = first.sparse | second.sparse
+    for name in {**first.fields, **second.fields}:
+        mine, theirs = first.fields.get(name), second.fields.get(name)
+        if (mine is None and at_first) or (theirs is None and at_second):
+            merged.sparse.add(name)
+        merged.fields[name] = weave(_gather(mine, at_first), _gather(theirs, at_second))
+    return merged
+
+
 class ColumnarSlice:
-    """One retrieval window, column by column or row by row.
+    """One retrieval window, column by column.
 
-    ``timestamps`` is sorted non-decreasing; :meth:`column` and
-    ``records`` are aligned with it index for index, in the backend's
-    canonical ``(timestamp, arrival)`` order.  It is the one read a
-    :class:`~repro.collector.backends.StorageBackend` serves; a row read
-    (``Table.query`` / ``scan``) is its ``records``.  Over the in-memory
-    backend the slice is a snapshot of stored columns and builds no row
-    until ``records`` is read; a backend without columns (SQLite), and a
-    window that out-of-order rows still wait to be merged into, hands in
-    the materialized rows instead.
+    The rows at ``positions`` of ``columns`` in the backend's canonical
+    ``(timestamp, arrival)`` order: ``timestamps`` is sorted, and
+    :meth:`column` and ``records`` (built when read; a row read is
+    this) are aligned with it index for index.  One shape on every
+    backend and for every window: a snapshot of the in-memory run, the
+    columns a pending window was merged into, or those SQLite's rows
+    were decoded into.
 
-    ``zero_copy`` says the slice is one contiguous stretch of the sorted
-    run: row ``i`` is row ``position + i`` of the run that ``generation``
-    names.  A run only grows at its end and a tail merge starts a new
-    run under a new generation, so ``(generation, position + i)`` names
-    one row for good — what a consumer keeping per-row derived state
-    keys it on.  Compare generations with ``is``; other slices carry
-    ``None``.
+    A slice with a ``generation`` is *zero-copy*: one contiguous stretch
+    of the sorted run, row ``i`` being row ``position + i`` of the run
+    that ``generation`` names.  A run only grows at its end and a tail
+    merge starts a new run under a new generation, so ``(generation,
+    position + i)`` names one row for good — what a consumer keeping
+    per-row derived state keys it on.  Compare generations with ``is``;
+    other slices carry ``None``.
     """
 
     __slots__ = (
-        "timestamps", "zero_copy", "position", "generation",
-        "_records", "_columns", "_positions",
+        "timestamps", "zero_copy", "position", "generation", "_columns", "_positions",
     )
 
     def __init__(
         self,
-        timestamps: Any,
-        records: Optional[List[Record]] = None,
-        columns: Optional[Columns] = None,
-        positions: Sequence[int] = (),
-        zero_copy: bool = False,
+        timestamps: Sequence[float],
+        columns: Columns,
+        positions: Sequence[int],
         generation: Optional[object] = None,
     ) -> None:
         self.timestamps = timestamps
-        self._records = records
         self._columns = columns
         self._positions = positions
-        self.zero_copy = zero_copy
-        self.position = positions.start if zero_copy else 0
+        self.zero_copy = generation is not None
+        self.position = positions.start if self.zero_copy else 0
         self.generation = generation
 
     def __len__(self) -> int:
@@ -364,14 +391,10 @@ class ColumnarSlice:
 
     @property
     def records(self) -> List[Record]:
-        """The window's rows, built on first use."""
-        if self._records is None:
-            self._records = self._columns.records(self._positions)
-        return self._records
+        """The window's rows, built now: one new :class:`Record` each."""
+        return self._columns.records(self._positions)
 
     def column(self, name: str) -> Sequence[Any]:
         """One field of every row of the window, ``None`` where a row
         lacks it (what ``record.get(name)`` gives) — no row is built."""
-        if self._columns is None:
-            return [record.get(name) for record in self._records]
         return self._columns.values(name, self._positions)

@@ -167,9 +167,10 @@ class Table(TableReads):
         """Rows with ``start <= timestamp <= end`` matching all filters,
         as parallel columnar arrays — the one read.
 
-        Zero-copy on backends with a columnar core (see
-        :meth:`repro.collector.backends.MemoryBackend.query_columns`);
-        row-materializing everywhere else.  Either way
+        Zero-copy for an unfiltered in-order window of the in-memory
+        run (see
+        :meth:`repro.collector.backends.MemoryBackend.query_columns`),
+        gathered columns everywhere else.  Either way
         ``slice.timestamps`` is sorted and index-aligned with
         ``slice.column(name)`` and ``slice.records``.
         """

@@ -122,8 +122,8 @@ def retrieve_cost_changes(context: RetrievalContext) -> List[CostChange]:
 
     Always one ``query_columns(start, end)`` through the context's store
     — the read every observer sees.  Rows of the sorted run come from the
-    platform's index when one is wired; materialized slices (SQLite, a
-    pending out-of-order tail) are classified row by row.
+    platform's index when one is wired; other slices (SQLite, a window
+    merged with pending out-of-order rows) are classified row by row.
     """
     history = context.service("weight_history")
     columns = context.store.table("ospfmon").query_columns(context.start, context.end)

@@ -8,8 +8,10 @@ program" that Section II-A allows a retrieval process to be.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Any, Deque, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,18 @@ def pair_samples(columns) -> Iterable[Tuple[float, Hashable, float]]:
     )
 
 
+class _Trailing:
+    """One key's baseline: how many samples it accepted, and the last
+    ``baseline_window`` of them in arrival order and sorted."""
+
+    __slots__ = ("accepted", "recent", "ordered")
+
+    def __init__(self) -> None:
+        self.accepted = 0
+        self.recent: Deque[float] = deque()
+        self.ordered: List[float] = []
+
+
 def detect_shift(
     samples: Iterable[Tuple[float, Hashable, float]],
     direction: str,
@@ -98,21 +112,25 @@ def detect_shift(
     delay or loss) or ``"decrease"`` (value <= baseline / factor, e.g.
     throughput).  ``absolute_floor`` suppresses noise on near-zero
     baselines (a loss series hovering at 0.0% should not alarm at
-    0.001%).
+    0.001%).  The baseline is the median of a key's last
+    ``baseline_window`` accepted values, kept sorted as they come and go
+    (equal values in arrival order, as a stable sort leaves them).
     """
     if direction not in ("increase", "decrease"):
         raise ValueError(f"direction must be increase/decrease, got {direction!r}")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1.0")
-    if min_baseline_samples < 1:
+    if min_baseline_samples < 1 or baseline_window < 1:
         raise ValueError("a baseline needs at least one sample")
-    history: Dict[Hashable, List[float]] = {}
+    history: Dict[Hashable, _Trailing] = {}
     anomalies: List[Anomaly] = []
     for timestamp, key, value in sorted(samples, key=lambda s: s[0]):
-        past = history.setdefault(key, [])
-        if len(past) >= min_baseline_samples:
+        past = history.get(key)
+        if past is None:
+            past = history[key] = _Trailing()
+        if past.accepted >= min_baseline_samples:
             # the trailing median, as statistics.median computes it
-            trailing = sorted(past[-baseline_window:])
+            trailing = past.ordered
             middle = len(trailing) // 2
             baseline = (
                 trailing[middle] if len(trailing) % 2
@@ -128,7 +146,13 @@ def detect_shift(
                 anomalies.append(Anomaly(timestamp, key, value, baseline))
                 # do not pollute the baseline with anomalous values
                 continue
-        past.append(value)
+        past.accepted += 1
+        insort(past.ordered, value)
+        past.recent.append(value)
+        if len(past.recent) > baseline_window:
+            # the oldest of equal values sits first among them
+            oldest = past.recent.popleft()
+            del past.ordered[bisect_left(past.ordered, oldest)]
     return anomalies
 
 

@@ -17,6 +17,10 @@ one, rows handed over as records or as a parser's batch)
   carries the stored value objects themselves;
 * a captured ``ColumnarSlice`` — first read only after later appends, a
   new field and a merge — is the window as it was when captured;
+* a window that pending late rows fall into, captured before the tail
+  merges and read again after, is the window it was, and a slice is
+  ``zero_copy`` (with the run's ``generation``) exactly when it is a
+  stretch of the run: no filter and no late row pending inside;
 * ``parse_fields`` (the value tuple against the declared columns) ≡ the
   dict-building parsers of ``feed_fields.py``, for every source.
 
@@ -38,11 +42,18 @@ of these fails the tests named, here and in ``test_read_path.py``:
 * ``MISSING`` leaks into ``parse_fields`` (``fields_of`` keeps it, so
   ``"interface" in fields`` for a row without one) —
   ``test_parse_fields_…[cdn, snmp, syslog, tacacs]``, ``test_reads_equal_…``;
-* one column forgotten in the merge (``Columns.take``) —
+* one column forgotten in the merge (``rows.merge``) —
   ``test_reads_equal_…``, ``test_a_materialized_record_…``,
-  ``test_a_captured_slice_…``;
-* the merge puts tail rows before run rows of the same stamp — the
-  same three;
+  ``test_a_captured_slice_…``, ``test_a_pending_window_…``;
+* the merge puts tail rows before run rows of the same stamp
+  (``rows.merge`` places them with ``bisect_left``) — the same four;
+* a late row inserted before the equal stamps already in the tail
+  (``bisect_left`` in ``insert_many``) — the same four;
+* the tail bisect's upper bound dropped (``_select`` takes every tail
+  row from the window's start on) — ``test_reads_equal_…``,
+  ``test_a_pending_window_…``;
+* a window merged with pending late rows handed out as ``zero_copy``
+  under the run's generation — ``test_a_pending_window_…``;
 * a ``None`` filter served from a posting list (``_select`` drops the
   ``value is not None`` guard) — ``test_a_field_first_seen_mid_run_…``,
   ``test_a_captured_slice_…`` (and ``test_read_path.py``, which was
@@ -313,6 +324,59 @@ class TestACapturedSlice:
                 [r.get(name) for r in was_filtered]
             ), name
         assert canons(filtered.records) == canons(was_filtered)
+
+
+class TestAPendingWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(rows, cuts, st.booleans(), bound, bound, filters)
+    def test_a_pending_window_is_the_window_before_and_after_the_merge(
+        self, drawn, cut_sizes, batches, start, end, equals
+    ):
+        early = _records(drawn)
+        # late rows stay pending: 40 rows never reach the limit
+        backend = MemoryBackend(INDEXED, tail_limit=60)
+        _write(backend, early, cut_sizes, batches)
+        pending, newest = [], None
+        for record in early:
+            if newest is not None and record.timestamp < newest:
+                pending.append(record)
+            else:
+                newest = record.timestamp
+        assert backend.stats()["tail"] == len(pending)
+        in_window = filter_every_row(pending, start, end, {})
+        window = backend.query_columns(start, end, dict(equals))
+        whole = backend.query_columns(start, end, {})
+        generation = backend._generation
+        expected = filter_every_row(early, start, end, equals)
+        unfiltered = filter_every_row(early, start, end, {})
+
+        def same(got, want):
+            assert list(got.timestamps) == [r.timestamp for r in want]
+            for name in (*NAMES, "never"):
+                assert plain(got.column(name)) == plain([r.get(name) for r in want]), name
+
+        # zero-copy only for a stretch of the run: no filter, and no
+        # late row pending inside the window
+        assert whole.zero_copy == (not in_window)
+        assert window.zero_copy == (not equals and not in_window)
+        for got in (window, whole):
+            if got.zero_copy:
+                assert got.generation is generation
+                stretch = backend._run.ts[got.position:got.position + len(got)]
+                assert list(got.timestamps) == stretch
+            else:
+                assert (got.generation, got.position) == (None, 0)
+        same(window, expected)
+        # the tail merges: a row past everything, then late rows
+        if early:
+            backend.insert_many((Record.make(20.0, router="r1"),))
+            while backend.stats()["merges"] == 0:
+                backend.insert_many((Record.make(-1.0, router="r2", state="up"),))
+            assert backend._generation is not generation
+        # read again, and the rows built only now
+        for got, want in ((window, expected), (whole, unfiltered)):
+            same(got, want)
+            assert canons(got.records) == canons(want)
 
 
 # ---------------------------------------------------------------------------
