@@ -578,10 +578,9 @@ def _cmd_incidents(args) -> int:
     if args.incidents_command == "show":
         try:
             if args.timeline:
-                revisions = store.timeline(args.incident_id)
-                document = [r.to_json() for r in revisions]
+                document = store.timeline_documents(args.incident_id)
             else:
-                document = store.get(args.incident_id).to_json()
+                document = store.document(args.incident_id)
         except KeyError:
             print(f"error: unknown incident {args.incident_id!r} "
                   f"(see `incidents list`)", file=sys.stderr)
@@ -609,8 +608,8 @@ def _cmd_incidents(args) -> int:
                 key=lambda i: (i.flap_count, i.duration, i.incident_id),
             )
         if args.json:
-            text = json.dumps(incident.to_json(), indent=2, sort_keys=True,
-                              allow_nan=False) + "\n"
+            text = json.dumps(store.document(incident.incident_id), indent=2,
+                              sort_keys=True, allow_nan=False) + "\n"
         else:
             text = render_incident_report(incident, related=incidents)
         if args.out:

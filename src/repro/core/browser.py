@@ -129,10 +129,6 @@ class ResultBrowser:
         """Diagnoses whose evidence feeds were impaired (caveated)."""
         return self.filter(predicate=lambda d: d.is_degraded)
 
-    def low_confidence(self, threshold: float = 0.75) -> "ResultBrowser":
-        """Diagnoses with confidence strictly below ``threshold``."""
-        return self.filter(predicate=lambda d: d.confidence < threshold)
-
     def mean_confidence(self) -> float:
         """Average diagnosis confidence (1.0 when the view is empty)."""
         if not self.diagnoses:

@@ -200,7 +200,12 @@ class ScenarioRunner:
         """
         from ..incident import IncidentAggregator
 
-        aggregator = IncidentAggregator(gap_seconds=3600.0)
+        latest = {}
+
+        def keep(incident):  # the aggregator forgets what it closed
+            latest[incident.incident_id] = incident
+
+        aggregator = IncidentAggregator(gap_seconds=3600.0, sink=keep)
         ordered = sorted(
             outcome.diagnoses,
             key=lambda d: (
@@ -212,7 +217,7 @@ class ScenarioRunner:
         for diagnosis in ordered:
             aggregator.observe(diagnosis)
         aggregator.advance(outcome.end + 3600.0 + 1.0)
-        incidents = aggregator.incidents()
+        incidents = latest.values()
         return {
             "incidents": len(incidents),
             "incident_flaps": sum(i.flap_count for i in incidents),

@@ -16,6 +16,11 @@ engine re-diagnoses settled symptoms when late evidence lands) are
 recognized by :func:`~repro.core.events.instance_key` and do **not**
 inflate the flap count.
 
+The aggregator holds only what it still folds into: the active
+incidents and their member instance keys.  A closed incident is emitted
+to the sink one last time and forgotten — the store's revision log is
+its one copy.
+
 Everything is derived from event timestamps — no wall clock anywhere —
 so replaying the same seed twice produces byte-identical incidents
 (pinned by the end-to-end tests).
@@ -100,13 +105,6 @@ class Incident:
 
         return incident_to_dict(self)
 
-    @classmethod
-    def from_json(cls, data: Dict) -> "Incident":
-        """Rebuild an incident from its :meth:`to_json` form."""
-        from .serialize import incident_from_dict
-
-        return incident_from_dict(data)
-
 
 #: Called with every incident revision (new or updated).
 IncidentCallback = Callable[[Incident], None]
@@ -120,7 +118,7 @@ class IncidentAggregator:
     :class:`~repro.core.streaming.StreamingRca` (``on_diagnosis=``) and
     the service layer's ``incident_sink``.  Attach a sink (usually
     :meth:`~repro.incident.store.IncidentStore.record`) to persist every
-    revision.
+    revision: a closed incident lives on only there.
     """
 
     def __init__(
@@ -136,11 +134,11 @@ class IncidentAggregator:
         self._sink = sink
         self._lock = threading.Lock()
         self._active: Dict[IncidentGroupKey, Incident] = {}
-        self._closed: List[Incident] = []
-        self._members: Dict[str, Set[InstanceKey]] = {}
-        self._by_id: Dict[str, Incident] = {}
-        self.observed = 0
-        self.deduped = 0
+        #: instance keys folded into each active incident
+        self._members: Dict[IncidentGroupKey, Set[InstanceKey]] = {}
+        self._observed = 0
+        self._deduped = 0
+        self._opened = 0
 
     # ------------------------------------------------------------------
     # ingest
@@ -158,23 +156,21 @@ class IncidentAggregator:
         )
         member = instance_key(symptom)
         with self._lock:
-            self.observed += 1
+            self._observed += 1
             incident = self._active.get(group)
             if incident is not None:
-                if member in self._members[incident.incident_id]:
+                if member in self._members[group]:
                     # re-emission of a known instance (streaming re-diagnosis,
                     # a served cache hit): refresh rollups that may have
                     # changed, never the flap count; a revision only if one did
-                    self.deduped += 1
+                    self._deduped += 1
                     if self._refold(incident, diagnosis):
                         incident.revision += 1
                         self._emit(incident)
                     return incident
                 if symptom.start - incident.last_seen > self.gap_seconds:
-                    incident.open = False
-                    incident.revision += 1
-                    self._emit(incident)
-                    self._closed.append(incident)
+                    # the incident opened below takes over the group's slots
+                    self._close(incident)
                     incident = None
             if incident is None:
                 incident = Incident(
@@ -197,12 +193,12 @@ class IncidentAggregator:
                     example=diagnosis,
                 )
                 self._active[group] = incident
-                self._members[incident.incident_id] = {member}
-                self._by_id[incident.incident_id] = incident
+                self._members[group] = {member}
+                self._opened += 1
                 self._emit(incident)
                 return incident
             # a new flap of the active incident
-            self._members[incident.incident_id].add(member)
+            self._members[group].add(member)
             incident.flap_count += 1
             incident.revision += 1
             incident.first_seen = min(incident.first_seen, symptom.start)
@@ -245,46 +241,33 @@ class IncidentAggregator:
         if self._sink is not None:
             self._sink(incident)
 
+    def _close(self, incident: Incident) -> None:
+        """Emit an incident's closing revision; only the sink keeps it."""
+        incident.open = False
+        incident.revision += 1
+        self._emit(incident)
+
     # ------------------------------------------------------------------
-    # views
+    # clock and counters
 
     def advance(self, now: float) -> List[Incident]:
-        """Close active incidents idle past the gap; returns them."""
+        """Close active incidents idle past the gap, forget them, and
+        return them."""
         closed = []
         with self._lock:
             for group, incident in list(self._active.items()):
                 if now - incident.last_seen > self.gap_seconds:
-                    incident.open = False
-                    incident.revision += 1
-                    self._emit(incident)
-                    self._closed.append(incident)
-                    del self._active[group]
+                    self._close(incident)
+                    del self._active[group], self._members[group]
                     closed.append(incident)
         return closed
 
-    def incidents(self) -> List[Incident]:
-        """Every incident (closed + active), ordered by first activity."""
-        with self._lock:
-            items = self._closed + list(self._active.values())
-        return sorted(items, key=lambda i: (i.first_seen, i.incident_id))
-
-    def active(self) -> List[Incident]:
-        """Incidents still inside their activity window."""
-        with self._lock:
-            items = list(self._active.values())
-        return sorted(items, key=lambda i: (i.first_seen, i.incident_id))
-
-    def get(self, incident_id: str) -> Incident:
-        """One incident by id; raises :class:`KeyError` when unknown."""
-        with self._lock:
-            return self._by_id[incident_id]
-
     def stats(self) -> Dict[str, int]:
-        """Counters for metrics surfaces."""
+        """Counters for metrics surfaces (``incidents``: ever opened)."""
         with self._lock:
             return {
-                "observed": self.observed,
-                "deduped_reemissions": self.deduped,
-                "incidents": len(self._closed) + len(self._active),
+                "observed": self._observed,
+                "deduped_reemissions": self._deduped,
+                "incidents": self._opened,
                 "active": len(self._active),
             }

@@ -13,6 +13,14 @@ for only when the log outgrew it (a store opened on existing data, a
 second writer on the same SQLite file); windowed reads are *as-of*
 reads and scan their window.
 
+The stored documents are the state.  :meth:`~IncidentStore.documents`,
+:meth:`~IncidentStore.document` and :meth:`~IncidentStore.timeline_documents`
+hand out the log's own payloads — what every HTTP route and CLI JSON
+output serves, so one incident has one spelling everywhere —
+and :meth:`~IncidentStore.incidents`, :meth:`~IncidentStore.get` and
+:meth:`~IncidentStore.timeline` are decodes of them (one decode per
+stored latest revision, kept in the index).
+
 Default backend is in-memory; point :meth:`IncidentStore.sqlite` at a
 directory for a durable WAL-mode SQLite log (cause / location /
 incident id mirrored into indexed TEXT columns, timestamps in the
@@ -37,6 +45,12 @@ from .serialize import incident_from_dict, incident_to_dict
 
 #: Columns mirrored into backend indexes for query pushdown.
 INDEXED_COLUMNS = ("incident_id", "cause", "location", "symptom")
+
+
+def _order(entry: list) -> Tuple[float, str]:
+    """Incidents are listed oldest first: by first activity, then id."""
+    document = entry[0]["payload"]
+    return decode_float(document["window"]["first_seen"]), document["incident_id"]
 
 
 def _keep_latest(latest: Dict[str, list], row: Record) -> None:
@@ -106,21 +120,66 @@ class IncidentStore:
             self._seen = len(rows)
         return self._index
 
-    def _latest(self, **equals: Any) -> List[list]:
-        """Index entries of the incidents matching every non-None filter."""
-        wanted = [(k, v) for k, v in equals.items() if v is not None]
-        return [
-            entry
-            for entry in self._synced().values()
-            if all(entry[0].get(column) == value for column, value in wanted)
-        ]
+    def _read(
+        self, start: Optional[float], end: Optional[float], **equals: Any
+    ) -> List[list]:
+        """The one read: ``[record, decoded]`` of the latest revision of
+        every incident matching every non-None filter, in
+        :meth:`incidents` order.  Un-windowed, these are the index's own
+        entries; ``start``/``end`` make it an as-of read of the window,
+        found by scanning it."""
+        wanted = {k: v for k, v in equals.items() if v is not None}
+        with self._lock:
+            if start is None and end is None:
+                entries = [
+                    entry
+                    for entry in self._synced().values()
+                    if all(entry[0].get(k) == v for k, v in wanted.items())
+                ]
+            else:
+                window: Dict[str, list] = {}
+                for row in self.backend.query_columns(start, end, wanted).records:
+                    _keep_latest(window, row)
+                entries = list(window.values())
+        return sorted(entries, key=_order)
 
     @staticmethod
     def _decoded(entry: list) -> Incident:
-        """A copy of the entry's one decode (``example`` shared, read-only)."""
+        """A copy of the entry's one decode, made on first use (lock
+        held; ``example`` shared, read-only)."""
         if entry[1] is None:
             entry[1] = incident_from_dict(entry[0]["payload"])
         return copy.copy(entry[1])
+
+    def documents(
+        self, cause: Optional[str] = None, location: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """Latest stored ``grca-incident/1`` document of every matching
+        incident, in :meth:`incidents` order — the log's own payloads,
+        not copies: encode them, never edit them."""
+        entries = self._read(None, None, cause=cause, location=location)
+        return [row["payload"] for row, _decoded in entries]
+
+    def document(self, incident_id: str) -> Dict[str, Any]:
+        """Latest stored document of one incident; raises :class:`KeyError`."""
+        with self._lock:
+            return self._synced()[incident_id][0]["payload"]
+
+    def timeline_documents(self, incident_id: str) -> List[Dict[str, Any]]:
+        """Every stored document of one incident, in revision order.
+
+        The drill-down view: how the flap count, window and confidence
+        evolved as symptoms folded in.  Raises :class:`KeyError` for an
+        unknown id.
+        """
+        with self._lock:
+            rows = self.backend.query_columns(None, None, {"incident_id": incident_id})
+        if not rows:
+            raise KeyError(incident_id)
+        return [
+            row["payload"]
+            for row in sorted(rows.records, key=lambda r: r["revision"])
+        ]
 
     def incidents(
         self,
@@ -134,40 +193,19 @@ class IncidentStore:
         """Latest revision of every matching incident, oldest first.
 
         ``start``/``end`` bound the incident's *last activity* (the
-        revision timestamp): the answer is the store as of that window,
-        found by scanning it.  ``location`` matches the rendered form,
-        e.g. ``"router[nyc-per1]"``.
+        revision timestamp): the answer is the store as of that window.
+        ``location`` matches the rendered form, e.g.
+        ``"router[nyc-per1]"``.
         """
-        equals = {"cause": cause, "location": location, "symptom": symptom}
-        if start is None and end is None:
-            with self._lock:
-                incidents = [self._decoded(e) for e in self._latest(**equals)]
-        else:
-            pushdown = {k: v for k, v in equals.items() if v is not None}
-            with self._lock:
-                rows = self.backend.query_columns(start, end, pushdown)
-            window: Dict[str, list] = {}
-            for row in rows.records:
-                _keep_latest(window, row)
-            incidents = [
-                incident_from_dict(row["payload"]) for row, _ in window.values()
-            ]
-        if open is not None:
-            incidents = [i for i in incidents if i.open == open]
-        return sorted(incidents, key=lambda i: (i.first_seen, i.incident_id))
-
-    def documents(
-        self, cause: Optional[str] = None, location: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Latest stored ``grca-incident/1`` document of every matching
-        incident, in :meth:`incidents` order — the log's own payloads,
-        not copies: encode them, never edit them."""
-        with self._lock:
-            entries = self._latest(cause=cause, location=location)
-        return sorted(
-            (row["payload"] for row, _decoded in entries),
-            key=lambda d: (decode_float(d["window"]["first_seen"]), d["incident_id"]),
+        entries = self._read(
+            start, end, cause=cause, location=location, symptom=symptom
         )
+        with self._lock:
+            return [
+                self._decoded(entry)
+                for entry in entries
+                if open is None or entry[0]["payload"]["open"] == open
+            ]
 
     def get(self, incident_id: str) -> Incident:
         """Latest revision of one incident; raises :class:`KeyError`."""
@@ -175,18 +213,8 @@ class IncidentStore:
             return self._decoded(self._synced()[incident_id])
 
     def timeline(self, incident_id: str) -> List[Incident]:
-        """Every persisted revision of one incident, in revision order.
-
-        The drill-down view: how the flap count, window and confidence
-        evolved as symptoms folded in.  Raises :class:`KeyError` for an
-        unknown id.
-        """
-        with self._lock:
-            rows = self.backend.query_columns(None, None, {"incident_id": incident_id})
-        if not rows:
-            raise KeyError(incident_id)
-        revisions = sorted(rows.records, key=lambda r: r["revision"])
-        return [incident_from_dict(r["payload"]) for r in revisions]
+        """:meth:`timeline_documents`, decoded."""
+        return [incident_from_dict(d) for d in self.timeline_documents(incident_id)]
 
     # ------------------------------------------------------------------
     # breakdowns

@@ -168,8 +168,7 @@ class GrcaPlatform:
         self.services["weight_history"] = self.paths.ospf.history
         if self.paths.bgp is not None:
             log = update_log_from_store(self.store)
-            self.paths.bgp.log = log
-            self.paths.bgp._decision_cache.clear()
+            self.paths.bgp.replace_log(log)
             self.services["bgp_log"] = log
         for record in self.store.table("netflow").scan():
             self.paths.ingress_map.learn(record["source"], record["ingress_router"])

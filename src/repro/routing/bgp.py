@@ -279,6 +279,15 @@ class BgpEmulator:
         default_factory=dict, repr=False
     )
 
+    def replace_log(self, log: BgpUpdateLog) -> None:
+        """Swap in a rebuilt update log (streaming refresh).
+
+        Cached decisions are dropped: the per-prefix update versions
+        they are keyed on restart with the new log.
+        """
+        self.log = log
+        self._decision_cache.clear()
+
     def lookup_prefix(self, dest_ip: str, timestamp: float) -> Optional[str]:
         """Longest-prefix match over prefixes with live routes."""
         return self.log.match_prefix(dest_ip, timestamp)

@@ -17,12 +17,12 @@ asks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 from ..topology.config_parser import ConfigArchive
 from ..topology.network import Network
 from .bgp import BgpEmulator
-from .ospf import EcmpPaths, OspfSimulator
+from .ospf import OspfSimulator
 
 
 class IngressMap:
@@ -120,10 +120,6 @@ class PathService:
     # ------------------------------------------------------------------
     # path expansion
 
-    def ecmp(self, ingress: str, egress: str, timestamp: float) -> EcmpPaths:
-        """All equal-cost paths between two routers at a time."""
-        return self.ospf.paths(ingress, egress, timestamp)
-
     def path_elements(self, ingress: str, egress: str, timestamp: float) -> PathElements:
         """All elements on all equal-cost paths between two routers."""
         paths = self.ospf.paths(ingress, egress, timestamp)
@@ -148,42 +144,3 @@ class PathService:
             physical_links=frozenset(physical),
             layer1_devices=frozenset(layer1),
         )
-
-    def end_to_end_elements(
-        self, source: str, dest_ip: str, timestamp: float
-    ) -> Tuple[Optional[str], Optional[str], PathElements]:
-        """Resolve Source:Destination down to in-network path elements.
-
-        Returns ``(ingress, egress, elements)``; elements are empty when
-        either endpoint cannot be resolved — the "outside of our network"
-        case that dominates Table VI.
-        """
-        ingress = self.ingress_for_source(source)
-        if ingress is None:
-            return None, None, _EMPTY_PATH
-        egress = self.egress_for_destination(ingress, dest_ip, timestamp)
-        if egress is None:
-            return ingress, None, _EMPTY_PATH
-        return ingress, egress, self.path_elements(ingress, egress, timestamp)
-
-    # ------------------------------------------------------------------
-    # element expansion (containment / cross-layer, items 4-7)
-
-    def expand_interface(self, fqname: str) -> Dict[str, List[str]]:
-        """Containment and cross-layer context of one interface."""
-        iface = self.network.interface(fqname)
-        result: Dict[str, List[str]] = {
-            "router": [iface.router],
-            "line_card": [f"{iface.router}:slot{iface.slot}"],
-            "logical_link": [],
-            "physical_link": [],
-            "layer1_device": [],
-        }
-        link = self.network.link_of_interface(fqname)
-        if link is not None:
-            result["logical_link"] = [link.name]
-            result["physical_link"] = list(link.physical_links)
-            result["layer1_device"] = list(
-                self.network.layer1_devices_of_logical(link.name)
-            )
-        return result

@@ -48,11 +48,6 @@ def match_all(job: Job) -> bool:
     return True
 
 
-def match_kind(kind: str) -> JobMatch:
-    """Rule predicate matching jobs of one kind (``"diagnose"``/``"run"``)."""
-    return lambda job: job.kind == kind
-
-
 class FaultRule:
     """One injection rule: predicate + action + bounded budget."""
 

@@ -449,18 +449,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         store = self._incident_store()
         try:
             if query.get("timeline"):
-                revisions = store.timeline(incident_id)
-                return self._send_json(
-                    200,
-                    {
-                        "incident_id": incident_id,
-                        "revisions": [r.to_json() for r in revisions],
-                    },
-                )
-            incident = store.get(incident_id)
+                body = {
+                    "incident_id": incident_id,
+                    "revisions": store.timeline_documents(incident_id),
+                }
+            else:
+                body = store.document(incident_id)
         except KeyError:
             raise ApiError(404, f"no such incident: {incident_id}")
-        self._send_json(200, incident.to_json())
+        self._send_json(200, body)
 
     def _incident_report(self, incident_id: str) -> None:
         from ...incident.report import render_incident_report

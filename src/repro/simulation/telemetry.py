@@ -59,10 +59,6 @@ class TelemetryBuffers:
         """Raw lines of one source in time order."""
         return [line for _, line in sorted(self._lines.get(source, []))]
 
-    def timed_lines(self, source: str) -> List[Tuple[float, str]]:
-        """(emit time, raw line) pairs in time order — for replay."""
-        return sorted(self._lines.get(source, []))
-
     def replay_order(self) -> List[Tuple[float, str, str]]:
         """All lines across sources as (time, source, line), time-ordered.
 

@@ -3,8 +3,7 @@
 Provides the element model (routers, line cards, interfaces, logical and
 physical links, layer-1 devices), the :class:`Network` container with the
 cross-layer lookups of the paper's Fig. 2, a deterministic topology
-generator, router-config rendering/parsing, and the layer-1 inventory
-database facade.
+generator and router-config rendering/parsing.
 """
 
 from .builder import BuiltTopology, TopologyBuilder, TopologyParams, build_topology
@@ -27,17 +26,14 @@ from .elements import (
     Router,
     RouterRole,
 )
-from .inventory import CircuitRecord, Layer1Inventory
 from .network import Network, TopologyError
 
 __all__ = [
     "BuiltTopology",
     "CdnServer",
-    "CircuitRecord",
     "ConfigArchive",
     "Interface",
     "Layer1Device",
-    "Layer1Inventory",
     "Layer1Kind",
     "LineCard",
     "LogicalLink",

@@ -211,8 +211,6 @@ class TopologyBuilder:
             description=description,
         )
         router.interfaces.append(iface)
-        if ip_address:
-            self._network._interface_by_ip[ip_address] = iface.fqname
         return iface
 
     def _connect(

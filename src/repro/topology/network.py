@@ -47,8 +47,6 @@ class Network:
         self._link_by_interface: Dict[str, str] = {}
         # subnet string -> logical link name
         self._link_by_subnet: Dict[str, str] = {}
-        # ip address -> "router:interface"
-        self._interface_by_ip: Dict[str, str] = {}
         # "router:interface" -> physical link names attached
         self._phys_by_interface: Dict[str, List[str]] = {}
 
@@ -64,9 +62,6 @@ class Network:
         if router.pop not in self.pops:
             raise TopologyError(f"unknown PoP {router.pop!r} for router {router.name!r}")
         self.routers[router.name] = router
-        for iface in router.interfaces:
-            if iface.ip_address:
-                self._interface_by_ip[iface.ip_address] = iface.fqname
 
     def add_layer1_device(self, device: Layer1Device) -> None:
         """Register a layer-1 transport device."""
@@ -168,11 +163,6 @@ class Network:
         """Associate a /30 subnet with its point-to-point logical link."""
         name = self._link_by_subnet.get(subnet)
         return self.logical_links[name] if name else None
-
-    def interface_by_ip(self, ip_address: str) -> Optional[Interface]:
-        """The interface holding an IP address, if any."""
-        fqname = self._interface_by_ip.get(ip_address)
-        return self.interface(fqname) if fqname else None
 
     def physical_links_of_interface(self, fqname: str) -> List[PhysicalLink]:
         """Physical circuits terminating on an interface.

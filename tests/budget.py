@@ -11,10 +11,13 @@ number came from.
   started inside the block);
 * :func:`tracked_objects` — growth of ``gc.get_objects()`` with the
   collector off, so no collection in between untracks anything;
-* :func:`traced_bytes` — ``tracemalloc`` bytes still held at the end.
+* :func:`traced_bytes` — ``tracemalloc`` bytes still held at the end;
+* :func:`loglog_slope` — how one of those counts grows over a scale
+  sweep (``tests/scaling/``): 0 for "constant", 1 for "linear".
 """
 
 import gc
+import math
 import sys
 import threading
 import tracemalloc
@@ -103,3 +106,13 @@ def traced_bytes() -> Iterator[Growth]:
         growth.value = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+def loglog_slope(scales, costs) -> float:
+    """Least-squares slope of ``log(cost)`` over ``log(scale)``."""
+    xs = [math.log(scale) for scale in scales]
+    ys = [math.log(cost) for cost in costs]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+        (x - mx) ** 2 for x in xs
+    )

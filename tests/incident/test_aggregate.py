@@ -1,4 +1,8 @@
-"""Aggregator semantics: dedupe identity, gap windows, re-emissions."""
+"""Aggregator semantics: dedupe identity, gap windows, re-emissions.
+
+The aggregator keeps only its active incidents, so what it has folded
+is read through its sink: ``Folded`` keeps the last revision per id.
+"""
 
 import pytest
 
@@ -11,16 +15,31 @@ from .conftest import diagnosis
 GAP = 600.0
 
 
+class Folded(dict):
+    """A sink: incident id -> its last revision, oldest first on read."""
+
+    def __call__(self, incident):
+        self[incident.incident_id] = incident
+
+    def incidents(self):
+        return sorted(self.values(), key=lambda i: (i.first_seen, i.incident_id))
+
+
 @pytest.fixture
-def aggregator():
-    return IncidentAggregator(gap_seconds=GAP)
+def folded():
+    return Folded()
+
+
+@pytest.fixture
+def aggregator(folded):
+    return IncidentAggregator(gap_seconds=GAP, sink=folded)
 
 
 class TestFolding:
-    def test_repeated_symptom_folds_into_one_incident(self, aggregator):
+    def test_repeated_symptom_folds_into_one_incident(self, aggregator, folded):
         for i in range(5):
             aggregator.observe(diagnosis(t=1000.0 + i * 60.0))
-        incidents = aggregator.incidents()
+        incidents = folded.incidents()
         assert len(incidents) == 1
         assert incidents[0].flap_count == 5
 
@@ -31,24 +50,24 @@ class TestFolding:
         assert incident.last_seen == 1310.0
         assert incident.duration == 310.0
 
-    def test_distinct_causes_do_not_merge(self, aggregator):
+    def test_distinct_causes_do_not_merge(self, aggregator, folded):
         aggregator.observe(diagnosis(cause="Interface flap", t=1000.0))
         aggregator.observe(diagnosis(cause="CPU high (spike)", t=1010.0))
-        assert len(aggregator.incidents()) == 2
+        assert len(folded) == 2
 
-    def test_distinct_locations_do_not_merge(self, aggregator):
+    def test_distinct_locations_do_not_merge(self, aggregator, folded):
         aggregator.observe(diagnosis(router="nyc-per1", t=1000.0))
         aggregator.observe(diagnosis(router="chi-per1", t=1010.0))
-        assert len(aggregator.incidents()) == 2
+        assert len(folded) == 2
 
-    def test_unknown_split_by_annotation(self, aggregator):
+    def test_unknown_split_by_annotation(self, aggregator, folded):
         # evidence-unavailable Unknowns and true no-evidence Unknowns
         # are different operator situations; they must not merge
         clean = diagnosis(cause=None, t=1000.0)
         degraded = diagnosis(cause=None, t=1010.0, gap_sources=("snmp",))
         aggregator.observe(clean)
         aggregator.observe(degraded)
-        causes = {i.cause for i in aggregator.incidents()}
+        causes = {i.cause for i in folded.values()}
         assert causes == {
             "Unknown (no evidence found)",
             "Unknown (evidence unavailable)",
@@ -56,13 +75,14 @@ class TestFolding:
 
 
 class TestGapWindow:
-    def test_gap_exceeded_opens_a_new_incident(self, aggregator):
+    def test_gap_exceeded_opens_a_new_incident(self, aggregator, folded):
         first = aggregator.observe(diagnosis(t=1000.0))
         second = aggregator.observe(diagnosis(t=1000.0 + GAP * 10))
         assert first.incident_id != second.incident_id
         assert not first.open
         assert second.open
-        assert [i.flap_count for i in aggregator.incidents()] == [1, 1]
+        assert [i.flap_count for i in folded.incidents()] == [1, 1]
+        assert aggregator.stats()["active"] == 1
 
     def test_within_gap_folds(self, aggregator):
         first = aggregator.observe(diagnosis(t=1000.0, duration=0.0))
@@ -75,7 +95,7 @@ class TestGapWindow:
         closed = aggregator.advance(1000.0 + GAP * 2)
         assert len(closed) == 1
         assert not closed[0].open
-        assert aggregator.active() == []
+        assert aggregator.stats()["active"] == 0
 
     def test_gap_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -144,14 +164,14 @@ class TestRollups:
         assert incident.degraded_count == 2
         assert incident.is_degraded
 
-    def test_caveats_capped(self, aggregator):
+    def test_caveats_capped(self, aggregator, folded):
         from repro.incident.aggregate import MAX_CAVEATS
 
         for i in range(MAX_CAVEATS + 5):
             aggregator.observe(
                 diagnosis(t=1000.0 + i, caveats=(f"caveat {i}",))
             )
-        incident = aggregator.incidents()[0]
+        (incident,) = folded.values()
         assert len(incident.caveats) == MAX_CAVEATS
 
 
@@ -166,27 +186,43 @@ class TestViewsAndIds:
 
     def test_two_aggregators_agree_on_ids(self):
         stream = [diagnosis(t=1000.0 + i * 60.0) for i in range(4)]
-        first = IncidentAggregator(gap_seconds=GAP)
-        second = IncidentAggregator(gap_seconds=GAP)
-        for d in stream:
-            first.observe(d)
-            second.observe(d)
-        assert [i.incident_id for i in first.incidents()] == [
-            i.incident_id for i in second.incidents()
-        ]
+        first, second = Folded(), Folded()
+        for sink in (first, second):
+            aggregator = IncidentAggregator(gap_seconds=GAP, sink=sink)
+            for d in stream:
+                aggregator.observe(d)
+        assert list(first) == list(second)
 
-    def test_get_and_stats(self, aggregator):
-        incident = aggregator.observe(diagnosis(t=1000.0))
-        assert aggregator.get(incident.incident_id) is incident
-        with pytest.raises(KeyError):
-            aggregator.get("inc-missing")
-        stats = aggregator.stats()
-        assert stats == {
+    def test_stats(self, aggregator):
+        aggregator.observe(diagnosis(t=1000.0))
+        assert aggregator.stats() == {
             "observed": 1,
             "deduped_reemissions": 0,
             "incidents": 1,
             "active": 1,
         }
+        aggregator.observe(diagnosis(t=1000.0))
+        aggregator.observe(diagnosis(t=1000.0 + GAP * 10))
+        aggregator.advance(1000.0 + GAP * 20)
+        # `incidents` counts every incident opened, closed ones included
+        assert aggregator.stats() == {
+            "observed": 3,
+            "deduped_reemissions": 1,
+            "incidents": 2,
+            "active": 0,
+        }
+
+    def test_closed_incidents_are_forgotten(self, aggregator, folded):
+        """A closed incident's one copy is the sink's: the public surface
+        is observe / advance / stats, and none of them reaches it."""
+        closed = aggregator.observe(diagnosis(t=1000.0))
+        reopened = aggregator.observe(diagnosis(t=1000.0 + GAP * 10))
+        assert not closed.open and folded[closed.incident_id] is closed
+        assert aggregator.advance(1000.0 + GAP * 20) == [reopened]
+        assert aggregator.advance(1000.0 + GAP * 30) == []
+        # a re-emission of the closed instance is a new incident, not a fold
+        again = aggregator.observe(diagnosis(t=1000.0 + GAP * 10))
+        assert again is not reopened and again.open and again.revision == 1
 
     def test_sink_sees_every_revision(self):
         # capture at call time: the aggregator mutates incidents in place

@@ -25,7 +25,7 @@ import math
 from repro.collector.backends import MemoryBackend
 from repro.collector.rows import Record, RowBatch
 
-from ..budget import profile_events
+from ..budget import loglog_slope, profile_events
 
 SCALES = (1, 2, 4)
 WINDOW_ROWS = 2_000
@@ -33,16 +33,6 @@ WINDOW_ROWS = 2_000
 TAIL_LIMIT = 1_000_000
 #: "per-row constant": the log-log slope of a cost over the scale
 CONSTANT = 0.15
-
-
-def loglog_slope(scales, costs):
-    """Least-squares slope of ``log(cost)`` over ``log(scale)``."""
-    xs = [math.log(scale) for scale in scales]
-    ys = [math.log(cost) for cost in costs]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-        (x - mx) ** 2 for x in xs
-    )
 
 
 def in_order(rows):
