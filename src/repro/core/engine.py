@@ -31,7 +31,7 @@ import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+    Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
 )
 
 from ..collector.health import HealthRegistry, canonical_source
@@ -287,7 +287,7 @@ class _Stage:
     def reset(self) -> None:
         self.candidates: Optional[CandidateSet] = None
         #: the store reads behind ``candidates`` (their footprint)
-        self.reads: FrozenSet[FootprintEntry] = frozenset()
+        self.reads: Tuple[FootprintEntry, ...] = ()
         self.survivors: Optional[List[int]] = None
         self.runs: Optional[list] = None
 
@@ -470,7 +470,7 @@ class RcaEngine:
                         matches = self._match(
                             step, stage, parent, tracer, covers, cancel, shared
                         )
-                        reads |= stage.reads
+                        reads.update(stage.reads)
                         if not matches:
                             continue
                         matched_here += len(matches)
@@ -698,8 +698,10 @@ class RcaEngine:
                 ObservedStore(self.store, observers), cover[0], cover[1],
                 self.config.params, self.config.services,
             )
+            # deduplicated in read order; a tuple of one entry is a
+            # fraction of a one-entry set's bytes, on every cached cover
             entry = self._retrieval_cache[key] = (
-                step.definition.retrieve(context), frozenset(reads)
+                step.definition.retrieve(context), tuple(dict.fromkeys(reads))
             )
             note_reach(self._reach, reads)
             self._oldest_hi = min(self._oldest_hi, cover[1])

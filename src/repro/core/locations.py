@@ -99,18 +99,26 @@ class Location:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _interned(cls, location_type: LocationType, name: str) -> "Location":
-        """Single-part constructor through a bounded intern table.
+    def _interned(
+        cls, location_type: LocationType, name: str, other: Optional[str] = None
+    ) -> "Location":
+        """Constructor through a bounded intern table: one part, or a
+        pair's two (``other`` is the second).
 
         Retrieval processes mint the same few hundred link/router/
-        interface locations over and over (one per record or episode);
+        interface locations over and over (one per record or episode),
+        and decoded diagnoses repeat their pair locations as well;
         handing back one shared instance keeps allocations — and the
-        cached hash — amortized across the whole run.
+        cached hash — amortized across the whole run.  Parts are
+        strings: ``1``, ``1.0`` and ``True`` would share one key.
         """
-        key = (location_type, name)
+        if other is None:
+            key: tuple = (location_type, name)
+        else:
+            key = (location_type, name, other)
         location = _INTERNED.get(key)
         if location is None:
-            location = cls(location_type, (name,))
+            location = cls(location_type, key[1:])
             if len(_INTERNED) < _INTERN_CAP:
                 _INTERNED[key] = location
         return location
@@ -184,7 +192,7 @@ class Location:
         return f"{self.type.value}[{':'.join(self.parts)}]"
 
 
-#: intern table for single-part locations (see ``Location._interned``);
+#: intern table for locations (see ``Location._interned``);
 #: bounded so adversarial name churn cannot grow it without limit
 _INTERNED: dict = {}
 _INTERN_CAP = 4096

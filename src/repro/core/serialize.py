@@ -18,18 +18,26 @@ Design constraints:
   survives strict parsers, not just Python's lenient ``json``;
 * **no engine required** — decoding rebuilds plain rule/instance
   objects from their own fields; no graph, library or store is needed,
-  so API *clients* can reconstruct diagnoses without the platform.
+  so API *clients* can reconstruct diagnoses without the platform;
+* **one copy of what documents repeat** — a month of incidents names a
+  dozen rules and a few hundred locations thousands of times, so
+  decoding hands out one shared (immutable) :class:`DiagnosisRule` per
+  distinct rule and one :class:`Location` per distinct location, from
+  bounded tables keyed on the *decoded* fields, type for type: ``1``,
+  ``1.0`` and ``true`` are equal in Python, and so are ``0.0`` and
+  ``-0.0``, but each re-encodes as itself.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
 from ..collector.health import FeedState
 from .diagnosis import Diagnosis
 from .events import EventInstance
 from .graph import DiagnosisRule
-from .locations import Location, LocationType
+from .locations import _INTERN_CAP, Location, LocationType
 from .reasoning.rule_based import (
     NO_EVIDENCE,
     Evidence,
@@ -74,9 +82,31 @@ def decode_float(value: Any) -> float:
     return float(value)
 
 
-# Historical private names, kept for callers that imported them.
-_encode_float = encode_float
-_decode_float = decode_float
+def _exact(value: Any) -> Any:
+    """``value`` as a key no two JSON spellings share: a bare value
+    compares ``1 == 1.0 == True`` and ``0.0 == -0.0``."""
+    if value.__class__ is float and not value:
+        return float, value, math.copysign(1.0, value)
+    return value.__class__, value
+
+
+def _member(enum_type, members: Dict[Any, Any], value: Any):
+    """``enum_type(value)`` through a value -> member map; an unknown
+    (or unhashable) value raises the enum's own ``ValueError``."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum_type(value)
+
+
+_LOCATION_TYPES = {member.value: member for member in LocationType}
+_EXPAND_OPTIONS = {member.value: member for member in ExpandOption}
+_JOIN_LEVELS = {member.value: member for member in JoinLevel}
+_FEED_STATES = {member.value: member for member in FeedState}
+
+#: decoded rules by :func:`_exact` key of their fields (see
+#: :func:`rule_from_dict`); bounded like the location intern table
+_RULES: Dict[tuple, DiagnosisRule] = {}
 
 
 def _encode_value(value: Any) -> Any:
@@ -110,8 +140,20 @@ def location_to_dict(location: Location) -> Dict[str, Any]:
 
 
 def location_from_dict(data: Dict[str, Any]) -> Location:
-    """Rebuild a :class:`Location` from :func:`location_to_dict` output."""
-    return Location(LocationType(data["type"]), tuple(data["parts"]))
+    """Rebuild a :class:`Location` from :func:`location_to_dict` output:
+    the interned one when every part is a string."""
+    location_type = _member(LocationType, _LOCATION_TYPES, data["type"])
+    parts = tuple(data["parts"])
+    # only strings intern (``1``, ``1.0`` and ``true`` would share a key);
+    # anything else, and any count but one or two, goes to the checking
+    # constructor
+    for part in parts:
+        if part.__class__ is not str:
+            break
+    else:
+        if 0 < len(parts) < 3:
+            return Location._interned(location_type, *parts)
+    return Location(location_type, parts)
 
 
 def instance_to_dict(instance: EventInstance) -> Dict[str, Any]:
@@ -166,24 +208,56 @@ def rule_to_dict(rule: DiagnosisRule) -> Dict[str, Any]:
 
 
 def rule_from_dict(data: Dict[str, Any]) -> DiagnosisRule:
-    """Rebuild a :class:`DiagnosisRule` from :func:`rule_to_dict` output."""
-    spatial = data["spatial"]
-    return DiagnosisRule(
-        parent_event=data["parent_event"],
-        child_event=data["child_event"],
-        temporal=TemporalJoinRule(
-            symptom=_expansion_from_dict(data["temporal"]["symptom"]),
-            diagnostic=_expansion_from_dict(data["temporal"]["diagnostic"]),
-        ),
-        spatial=SpatialJoinRule(
-            symptom_type=LocationType(spatial["symptom_type"]),
-            diagnostic_type=LocationType(spatial["diagnostic_type"]),
-            level=JoinLevel(spatial["level"]),
-        ),
-        priority=data.get("priority", 0),
-        is_root_cause=data.get("is_root_cause", True),
-        note=data.get("note", ""),
+    """Rebuild a :class:`DiagnosisRule` from :func:`rule_to_dict` output:
+    one shared rule per distinct decoded field values, type for type."""
+    spatial, temporal = data["spatial"], data["temporal"]
+    symptom, diagnostic = temporal["symptom"], temporal["diagnostic"]
+    parent, child = data["parent_event"], data["child_event"]
+    options = (
+        _member(ExpandOption, _EXPAND_OPTIONS, symptom["option"]),
+        _member(ExpandOption, _EXPAND_OPTIONS, diagnostic["option"]),
     )
+    margins = (
+        float(symptom["left"]), float(symptom["right"]),
+        float(diagnostic["left"]), float(diagnostic["right"]),
+    )
+    types = (
+        _member(LocationType, _LOCATION_TYPES, spatial["symptom_type"]),
+        _member(LocationType, _LOCATION_TYPES, spatial["diagnostic_type"]),
+        _member(JoinLevel, _JOIN_LEVELS, spatial["level"]),
+    )
+    priority = data.get("priority", 0)
+    root = data.get("is_root_cause", True)
+    note = data.get("note", "")
+    # a member decodes from the one string that is its value, so the
+    # strings key the options, types and level
+    key = (
+        _exact(parent), _exact(child), _exact(priority), _exact(root),
+        _exact(note), *map(_exact, margins), symptom["option"],
+        diagnostic["option"], spatial["symptom_type"],
+        spatial["diagnostic_type"], spatial["level"],
+    )
+    try:
+        rule = _RULES.get(key)
+    except TypeError:  # a list or object where a scalar belongs
+        key, rule = None, None
+    if rule is None:
+        s_left, s_right, d_left, d_right = margins
+        rule = DiagnosisRule(
+            parent_event=parent,
+            child_event=child,
+            temporal=TemporalJoinRule(
+                symptom=TemporalExpansion(options[0], s_left, s_right),
+                diagnostic=TemporalExpansion(options[1], d_left, d_right),
+            ),
+            spatial=SpatialJoinRule(*types),
+            priority=priority,
+            is_root_cause=root,
+            note=note,
+        )
+        if key is not None and len(_RULES) < _INTERN_CAP:
+            _RULES[key] = rule
+    return rule
 
 
 def _expansion_to_dict(expansion: TemporalExpansion) -> Dict[str, Any]:
@@ -194,14 +268,6 @@ def _expansion_to_dict(expansion: TemporalExpansion) -> Dict[str, Any]:
     }
 
 
-def _expansion_from_dict(data: Dict[str, Any]) -> TemporalExpansion:
-    return TemporalExpansion(
-        option=ExpandOption(data["option"]),
-        left=float(data["left"]),
-        right=float(data["right"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # gaps
 
@@ -210,8 +276,8 @@ def gap_to_dict(gap: EvidenceGap) -> Dict[str, Any]:
     return {
         "source": gap.source,
         "state": gap.state.value,
-        "start": _encode_float(gap.start),
-        "end": _encode_float(gap.end),
+        "start": encode_float(gap.start),
+        "end": encode_float(gap.end),
         "event": gap.event,
         "parent_event": gap.parent_event,
     }
@@ -221,9 +287,9 @@ def gap_from_dict(data: Dict[str, Any]) -> EvidenceGap:
     """Rebuild an :class:`EvidenceGap` from :func:`gap_to_dict` output."""
     return EvidenceGap(
         source=data["source"],
-        state=FeedState(data["state"]),
-        start=_decode_float(data["start"]),
-        end=_decode_float(data["end"]),
+        state=_member(FeedState, _FEED_STATES, data["state"]),
+        start=decode_float(data["start"]),
+        end=decode_float(data["end"]),
         event=data["event"],
         parent_event=data["parent_event"],
     )
@@ -260,10 +326,10 @@ def diagnosis_to_dict(diagnosis: Diagnosis) -> Dict[str, Any]:
             "supporting": evidence.offsets(diagnosis.result.supporting),
         },
         "gaps": [gap_to_dict(gap) for gap in diagnosis.gaps],
-        "confidence": _encode_float(diagnosis.confidence),
+        "confidence": encode_float(diagnosis.confidence),
         "caveats": list(diagnosis.caveats),
         "footprint": [
-            [table, _encode_float(lo), _encode_float(hi)]
+            [table, encode_float(lo), encode_float(hi)]
             for table, lo, hi in diagnosis.footprint
         ],
         # derived labels repeated flat so API consumers need no logic
@@ -303,19 +369,17 @@ def _decode_evidence(items: List[Dict[str, Any]], supporting: Any):
     head_at: Dict[int, int] = {}  # item index starting a run -> its header
     head, last = 0, None
     for index, item in enumerate(items):
+        # items of one encoded run share their rule and parent documents
+        rule, parent = item["rule"], item["parent_instance"]
         if index in cuts or last is None or (
-            item["rule"] != last["rule"]
-            or item["parent_instance"] != last["parent_instance"]
+            (rule is not last["rule"] and rule != last["rule"])
+            or (parent is not last["parent_instance"]
+                and parent != last["parent_instance"])
             or item["depth"] != last["depth"]
         ):
             # the previous run (if any) ends where this one's header goes
             head = head_at[index] = head + 4 + runs[head + 3] if runs else 0
-            runs += (
-                rule_from_dict(item["rule"]),
-                instance_from_dict(item["parent_instance"]),
-                item["depth"],
-                0,
-            )
+            runs += (rule_from_dict(rule), instance_from_dict(parent), item["depth"], 0)
         runs[head + 3] += 1
         runs += (instance_from_dict(item["instance"]),)
         last = item
@@ -370,17 +434,17 @@ def diagnosis_from_dict(data: Dict[str, Any]) -> Diagnosis:
             evidence=evidence,
             result=result,
             gaps=[gap_from_dict(gap) for gap in data.get("gaps", [])],
-            confidence=_decode_float(data.get("confidence", 1.0)),
+            confidence=decode_float(data.get("confidence", 1.0)),
             caveats=list(data.get("caveats", [])),
             footprint=tuple(
-                (table, _decode_float(lo), _decode_float(hi))
+                (table, decode_float(lo), decode_float(hi))
                 for table, lo, hi in data.get("footprint", [])
             ),
             trace=trace,
         )
     except ValueError:
         raise
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(
             f"malformed {DIAGNOSIS_SCHEMA} payload: "
             f"{type(exc).__name__}: {exc}"

@@ -29,7 +29,16 @@ INCIDENT_SCHEMA = "grca-incident/1"
 
 def incident_to_dict(incident) -> Dict[str, Any]:
     """One :class:`~repro.incident.aggregate.Incident` as a JSON dict."""
-    document: Dict[str, Any] = {
+    document = incident_envelope(incident)
+    if incident.example is not None:
+        document["example"] = diagnosis_to_dict(incident.example)
+    return document
+
+
+def incident_envelope(incident) -> Dict[str, Any]:
+    """:func:`incident_to_dict` up to its last key, ``example``: what
+    changes from one revision to the next."""
+    return {
         "schema": INCIDENT_SCHEMA,
         "incident_id": incident.incident_id,
         "symptom": incident.symptom_name,
@@ -53,9 +62,6 @@ def incident_to_dict(incident) -> Dict[str, Any]:
         "gap_sources": list(incident.gap_sources),
         "caveats": list(incident.caveats),
     }
-    if incident.example is not None:
-        document["example"] = diagnosis_to_dict(incident.example)
-    return document
 
 
 def incident_from_dict(data: Dict[str, Any]):
@@ -103,7 +109,7 @@ def incident_from_dict(data: Dict[str, Any]):
         )
     except ValueError:
         raise
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(
             f"malformed {INCIDENT_SCHEMA} payload: "
             f"{type(exc).__name__}: {exc}"

@@ -39,9 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..collector.backends import MemoryBackend, SqliteBackend, StorageBackend
 from ..collector.store import Record
-from ..core.serialize import decode_float
+from ..core.diagnosis import Diagnosis
+from ..core.serialize import decode_float, diagnosis_to_dict
 from .aggregate import Incident
-from .serialize import incident_from_dict, incident_to_dict
+from .serialize import incident_envelope, incident_from_dict
 
 #: Columns mirrored into backend indexes for query pushdown.
 INDEXED_COLUMNS = ("incident_id", "cause", "location", "symptom")
@@ -75,6 +76,8 @@ class IncidentStore:
         #: latest revision per incident among the log's first ``_seen``
         self._index: Dict[str, list] = {}
         self._seen = 0
+        #: open incident id -> (its example, that example's document)
+        self._examples: Dict[str, Tuple[Diagnosis, Dict[str, Any]]] = {}
 
     @classmethod
     def sqlite(cls, directory: str, synchronous: str = "NORMAL") -> "IncidentStore":
@@ -92,20 +95,38 @@ class IncidentStore:
     # writes
 
     def record(self, incident: Incident) -> None:
-        """Append one revision; plugs into ``IncidentAggregator(sink=)``."""
+        """Append one revision; plugs into ``IncidentAggregator(sink=)``.
+
+        An incident's example is set when it opens and never changes, so
+        its revisions share one example document: encoded for the first
+        revision, forgotten with the closing one.  A re-opened id brings
+        a new example and gets a document of its own.
+        """
+        incident_id, example = incident.incident_id, incident.example
+        payload = incident_envelope(incident)
+        if example is not None:
+            with self._lock:
+                kept = self._examples.get(incident_id)
+            if kept is None or kept[0] is not example:
+                kept = (example, diagnosis_to_dict(example))
+            payload["example"] = kept[1]
         row = Record.make(
             incident.last_seen,
-            incident_id=incident.incident_id,
+            incident_id=incident_id,
             cause=incident.cause,
             location=str(incident.location),
             symptom=incident.symptom_name,
             revision=incident.revision,
-            payload=incident_to_dict(incident),
+            payload=payload,
         )
         with self._lock:
             self.backend.insert_many((row,))
             self._seen += 1
             _keep_latest(self._index, row)
+            if incident.open and example is not None:
+                self._examples[incident_id] = kept
+            else:
+                self._examples.pop(incident_id, None)
 
     # ------------------------------------------------------------------
     # reads

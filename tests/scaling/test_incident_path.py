@@ -12,6 +12,12 @@ shape at ×1 / ×2 / ×4 incidents.
   fixed-width window costs the same however long the log around it
   has grown: the window is found by bisecting the log's timestamps and
   only its own revisions are grouped and decoded.
+* **Revisions share their example.**  At a fixed number of incidents,
+  ×1 / ×2 / ×4 revisions per incident grow the store's traced bytes
+  with slope ≤ 0.15: an incident's example document is encoded once and
+  every revision's payload points at it, so what grows is the few
+  hundred bytes of envelope a revision adds.  Before, each revision
+  kept its own copy of the example, and the slope read about 1.
 * **Closed is forgotten.**  Once ``advance`` has closed every incident,
   nothing reachable from the aggregator (its sink aside) is an
   ``Incident`` or a member key: the store's revision log is a closed
@@ -22,9 +28,12 @@ shape at ×1 / ×2 / ×4 incidents.
 import gc
 import types
 
+from repro.core.diagnosis import Diagnosis
+from repro.core.events import EventInstance
+from repro.core.reasoning.rule_based import MatchedEvidence, RuleBasedResult
 from repro.incident import Incident, IncidentAggregator, IncidentStore
 
-from ..budget import loglog_slope, profile_events
+from ..budget import loglog_slope, profile_events, traced_bytes
 from ..incident.conftest import diagnosis
 
 SCALES = (1, 2, 4)
@@ -86,6 +95,42 @@ def test_an_as_of_read_costs_the_same_however_long_the_log():
         assert len(got) == 3, [i.first_seen for i in got]
         costs.append(events.total)
     assert loglog_slope(SCALES, costs) <= CONSTANT, costs
+
+
+def rich(t, router, items=80):
+    """A diagnosis whose example document outweighs a revision's
+    envelope: ``items`` evidence items along one rule."""
+    plain = diagnosis(t=t, router=router, duration=1.0)
+    rule, location = plain.evidence[0].rule, plain.symptom.location
+    evidence = [
+        MatchedEvidence(
+            rule, plain.symptom,
+            EventInstance.make(rule.child_event, t - k, t - k, location), 1,
+        )
+        for k in range(items)
+    ]
+    return Diagnosis(
+        symptom=plain.symptom,
+        evidence=evidence,
+        result=RuleBasedResult([rule.child_event], rule.priority, evidence),
+    )
+
+
+def test_a_store_keeps_one_example_document_per_incident():
+    costs = []
+    for scale in (1, *SCALES):  # the first pass warms what is built once
+        # INCIDENTS routers, each flapping 2 x scale times in one window
+        diagnoses = [
+            rich(1000.0 + flap * 60.0 + k * 0.1, f"r{k}")
+            for flap in range(2 * scale)
+            for k in range(INCIDENTS)
+        ]
+        with traced_bytes() as held:
+            store = IncidentStore()
+            fold(diagnoses, store.record)
+        assert store.revisions() == len(diagnoses)
+        costs.append(held.value)
+    assert loglog_slope(SCALES, costs[1:]) <= CONSTANT, costs
 
 
 def held(aggregator, sink):
