@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .spatial import SpatialJoinRule
 from .temporal import TemporalJoinRule
@@ -32,6 +32,17 @@ class DiagnosisRule:
     #: reported as a cause by itself.
     is_root_cause: bool = True
     note: str = ""
+    #: its shared ``grca-diagnosis/1`` document, once something encoded
+    #: it (``repro.core.serialize.rule_to_dict``)
+    _document: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # a copy, or another process, starts without this process's memo
+        state = dict(self.__dict__)
+        state.pop("_document", None)
+        return state
 
 
 class GraphError(ValueError):

@@ -76,6 +76,11 @@ class Location:
     parts: Tuple[str, ...]
     #: the hash of the two fields above, once something asked for it
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    #: its shared ``grca-diagnosis/1`` document, once something encoded
+    #: it (``repro.core.serialize.location_to_dict``)
+    _document: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.parts) != self.type.arity:
@@ -96,6 +101,11 @@ class Location:
             object.__setattr__(self, "_hash", value)
         return value
 
+    def __reduce__(self):
+        # a copy, or another process, starts without this process's
+        # memos: a ``str`` hash is salted per process
+        return Location, (self.type, self.parts)
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -105,11 +115,11 @@ class Location:
         """Constructor through a bounded intern table: one part, or a
         pair's two (``other`` is the second).
 
-        Retrieval processes mint the same few hundred link/router/
-        interface locations over and over (one per record or episode),
-        and decoded diagnoses repeat their pair locations as well;
-        handing back one shared instance keeps allocations — and the
-        cached hash — amortized across the whole run.  Parts are
+        Retrieval processes mint the same few hundred locations over
+        and over (one per record or episode), and decoded diagnoses
+        repeat them as well; handing back one shared instance keeps
+        allocations — and the cached hash and encoded document —
+        amortized across the whole run.  Parts are
         strings: ``1``, ``1.0`` and ``True`` would share one key.
         """
         if other is None:
@@ -146,27 +156,27 @@ class Location:
     @classmethod
     def physical_link(cls, name: str) -> "Location":
         """Look up a physical circuit by name."""
-        return cls(LocationType.PHYSICAL_LINK, (name,))
+        return cls._interned(LocationType.PHYSICAL_LINK, name)
 
     @classmethod
     def layer1_device(cls, name: str) -> "Location":
-        return cls(LocationType.LAYER1_DEVICE, (name,))
+        return cls._interned(LocationType.LAYER1_DEVICE, name)
 
     @classmethod
     def router_neighbor(cls, router: str, neighbor_ip: str) -> "Location":
-        return cls(LocationType.ROUTER_NEIGHBOR, (router, neighbor_ip))
+        return cls._interned(LocationType.ROUTER_NEIGHBOR, router, neighbor_ip)
 
     @classmethod
     def pair(cls, location_type: LocationType, a: str, b: str) -> "Location":
-        return cls(location_type, (a, b))
+        return cls._interned(location_type, a, b)
 
     @classmethod
     def prefix(cls, prefix: str) -> "Location":
-        return cls(LocationType.PREFIX, (prefix,))
+        return cls._interned(LocationType.PREFIX, prefix)
 
     @classmethod
     def server(cls, name: str) -> "Location":
-        return cls(LocationType.SERVER, (name,))
+        return cls._interned(LocationType.SERVER, name)
 
     # -- accessors ------------------------------------------------------
 

@@ -21,11 +21,15 @@ Design constraints:
   so API *clients* can reconstruct diagnoses without the platform;
 * **one copy of what documents repeat** — a month of incidents names a
   dozen rules and a few hundred locations thousands of times, so
-  decoding hands out one shared (immutable) :class:`DiagnosisRule` per
-  distinct rule and one :class:`Location` per distinct location, from
-  bounded tables keyed on the *decoded* fields, type for type: ``1``,
-  ``1.0`` and ``true`` are equal in Python, and so are ``0.0`` and
-  ``-0.0``, but each re-encodes as itself.
+  encoding hands out one shared, read-only document per rule and per
+  location object (:class:`SharedDict` / :class:`SharedList`, kept on
+  the value itself), and decoding hands out one shared (immutable)
+  :class:`DiagnosisRule` per distinct rule and one :class:`Location` per
+  distinct location.  A shared document keeps what decoding it gave;
+  any other document is decoded through bounded tables keyed on the
+  *decoded* fields, type for type: ``1``, ``1.0`` and ``true`` are
+  equal in Python, and so are ``0.0`` and ``-0.0``, but each re-encodes
+  as itself.
 """
 
 from __future__ import annotations
@@ -109,6 +113,48 @@ _FEED_STATES = {member.value: member for member in FeedState}
 _RULES: Dict[tuple, DiagnosisRule] = {}
 
 
+class SharedDict(dict):
+    """A sub-document every document that embeds it shares: read-only.
+
+    :func:`rule_to_dict` and :func:`location_to_dict` hand out one per
+    rule / location object, so it is never edited in place — every
+    in-place edit raises ``TypeError``.  ``copy.copy``,
+    ``copy.deepcopy``, ``dict(...)`` and a pickle round trip hand back
+    a plain, editable ``dict``; ``json.dumps`` writes the same bytes as
+    for a plain one.
+    """
+
+    #: what :func:`rule_from_dict` / :func:`location_from_dict` gave for
+    #: this document, once one of them was asked
+    decoded: Any = None
+
+    def _read_only(self, *_args, **_kwargs):
+        """Refused: a shared document is never edited in place."""
+        raise TypeError(
+            "a shared grca-diagnosis/1 sub-document is read-only; "
+            "copy.deepcopy(document) gives an editable copy"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce_ex__(self, _protocol):
+        return dict, (), None, None, iter(self.items())
+
+
+class SharedList(list):
+    """The ``list`` sibling of :class:`SharedDict`: a location's parts."""
+
+    __slots__ = ()
+
+    _read_only = SharedDict._read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce_ex__(self, _protocol):
+        return list, (), None, iter(self)
+
+
 def _encode_value(value: Any) -> Any:
     """Encode one ``info`` value, preserving tuples through JSON."""
     if isinstance(value, tuple):
@@ -135,13 +181,29 @@ def _decode_value(value: Any) -> Any:
 
 
 def location_to_dict(location: Location) -> Dict[str, Any]:
-    """A :class:`Location` as ``{"type", "parts"}``."""
-    return {"type": location.type.value, "parts": list(location.parts)}
+    """A :class:`Location` as ``{"type", "parts"}``: the location's own
+    shared, read-only document (a :class:`SharedDict`)."""
+    document = location._document
+    if document is None:
+        document = SharedDict(
+            type=location.type.value, parts=SharedList(location.parts)
+        )
+        object.__setattr__(location, "_document", document)
+    return document
 
 
 def location_from_dict(data: Dict[str, Any]) -> Location:
     """Rebuild a :class:`Location` from :func:`location_to_dict` output:
-    the interned one when every part is a string."""
+    the interned one when every part is a string.  A shared document is
+    decoded once."""
+    if data.__class__ is SharedDict:
+        if data.decoded is None:
+            data.decoded = _location_from_fields(data)
+        return data.decoded
+    return _location_from_fields(data)
+
+
+def _location_from_fields(data: Dict[str, Any]) -> Location:
     location_type = _member(LocationType, _LOCATION_TYPES, data["type"])
     parts = tuple(data["parts"])
     # only strings intern (``1``, ``1.0`` and ``true`` would share a key);
@@ -188,28 +250,42 @@ def instance_from_dict(data: Dict[str, Any]) -> EventInstance:
 
 
 def rule_to_dict(rule: DiagnosisRule) -> Dict[str, Any]:
-    """A :class:`DiagnosisRule` (temporal + spatial clauses) as a dict."""
-    return {
-        "parent_event": rule.parent_event,
-        "child_event": rule.child_event,
-        "temporal": {
-            "symptom": _expansion_to_dict(rule.temporal.symptom),
-            "diagnostic": _expansion_to_dict(rule.temporal.diagnostic),
-        },
-        "spatial": {
-            "symptom_type": rule.spatial.symptom_type.value,
-            "diagnostic_type": rule.spatial.diagnostic_type.value,
-            "level": rule.spatial.level.value,
-        },
-        "priority": rule.priority,
-        "is_root_cause": rule.is_root_cause,
-        "note": rule.note,
-    }
+    """A :class:`DiagnosisRule` (temporal + spatial clauses) as a dict:
+    the rule's own shared, read-only document (a :class:`SharedDict`)."""
+    document = rule._document
+    if document is None:
+        document = SharedDict(
+            parent_event=rule.parent_event,
+            child_event=rule.child_event,
+            temporal=SharedDict(
+                symptom=_expansion_to_dict(rule.temporal.symptom),
+                diagnostic=_expansion_to_dict(rule.temporal.diagnostic),
+            ),
+            spatial=SharedDict(
+                symptom_type=rule.spatial.symptom_type.value,
+                diagnostic_type=rule.spatial.diagnostic_type.value,
+                level=rule.spatial.level.value,
+            ),
+            priority=rule.priority,
+            is_root_cause=rule.is_root_cause,
+            note=rule.note,
+        )
+        object.__setattr__(rule, "_document", document)
+    return document
 
 
 def rule_from_dict(data: Dict[str, Any]) -> DiagnosisRule:
     """Rebuild a :class:`DiagnosisRule` from :func:`rule_to_dict` output:
-    one shared rule per distinct decoded field values, type for type."""
+    one shared rule per distinct decoded field values, type for type.
+    A shared document is decoded once."""
+    if data.__class__ is SharedDict:
+        if data.decoded is None:
+            data.decoded = _rule_from_fields(data)
+        return data.decoded
+    return _rule_from_fields(data)
+
+
+def _rule_from_fields(data: Dict[str, Any]) -> DiagnosisRule:
     spatial, temporal = data["spatial"], data["temporal"]
     symptom, diagnostic = temporal["symptom"], temporal["diagnostic"]
     parent, child = data["parent_event"], data["child_event"]
@@ -260,12 +336,10 @@ def rule_from_dict(data: Dict[str, Any]) -> DiagnosisRule:
     return rule
 
 
-def _expansion_to_dict(expansion: TemporalExpansion) -> Dict[str, Any]:
-    return {
-        "option": expansion.option.value,
-        "left": expansion.left,
-        "right": expansion.right,
-    }
+def _expansion_to_dict(expansion: TemporalExpansion) -> SharedDict:
+    return SharedDict(
+        option=expansion.option.value, left=expansion.left, right=expansion.right
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +378,7 @@ def diagnosis_to_dict(diagnosis: Diagnosis) -> Dict[str, Any]:
     evidence = diagnosis.evidence
     items: List[Dict[str, Any]] = []
     # one item document per matched instance; the items of one run share
-    # its rule and parent documents (encoded once)
+    # its parent document (encoded once), and every run its rule's
     for rule, parent, depth, instances in evidence.runs():
         rule_doc, parent_doc = rule_to_dict(rule), instance_to_dict(parent)
         items += [

@@ -64,11 +64,21 @@ def incident_envelope(incident) -> Dict[str, Any]:
     }
 
 
+def _integer(value: Any, name: str) -> int:
+    """A count as written: a JSON integer, which ``true`` and ``2.9``
+    are not."""
+    if value.__class__ is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def incident_from_dict(data: Dict[str, Any]):
     """Rebuild an :class:`Incident` from :func:`incident_to_dict` output.
 
     Raises :class:`ValueError` on any malformed payload — wrong or
-    missing schema tag, truncated documents, bad embedded diagnosis —
+    missing schema tag, truncated documents, bad embedded diagnosis,
+    an ``open`` that is not a JSON boolean, a ``flap_count`` /
+    ``revision`` / ``degraded_count`` that is not a JSON integer —
     matching the diagnosis decoder's contract.
     """
     from .aggregate import Incident  # local import: aggregate imports this
@@ -86,6 +96,9 @@ def incident_from_dict(data: Dict[str, Any]):
     try:
         window = data["window"]
         confidence = data["confidence"]
+        is_open = data["open"]
+        if is_open.__class__ is not bool:
+            raise ValueError(f"open must be true or false, got {is_open!r}")
         example = None
         if data.get("example") is not None:
             example = diagnosis_from_dict(data["example"])
@@ -97,12 +110,12 @@ def incident_from_dict(data: Dict[str, Any]):
             window_start=decode_float(window["start"]),
             first_seen=decode_float(window["first_seen"]),
             last_seen=decode_float(window["last_seen"]),
-            flap_count=int(data["flap_count"]),
-            revision=int(data["revision"]),
-            open=bool(data["open"]),
+            flap_count=_integer(data["flap_count"], "flap_count"),
+            revision=_integer(data["revision"], "revision"),
+            open=is_open,
             confidence_total=decode_float(confidence["total"]),
             confidence_min=decode_float(confidence["min"]),
-            degraded_count=int(data.get("degraded_count", 0)),
+            degraded_count=_integer(data.get("degraded_count", 0), "degraded_count"),
             gap_sources=tuple(data.get("gap_sources", [])),
             caveats=tuple(data.get("caveats", [])),
             example=example,

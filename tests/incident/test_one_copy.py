@@ -13,13 +13,21 @@
   location (counted by ``id``).  Before, each evidence run decoded a
   rule of its own and each instance a location of its own: 372 rules
   for 11 distinct and 888 locations for 117.
+* **One rule and one location document per distinct value.**  The
+  store's documents of that month hold 11 rule documents and 117
+  location documents (counted by ``id``): every revision, example and
+  evidence item refers to the one its rule or location encoded to.
+  Before, each evidence run encoded its rule afresh and each instance
+  its location: 186 rule documents and 588 location documents.
 
-The decoding tables are bounded and process-wide, so the count runs on
-empty ones: what other tests left in them is not what a process
-decoding these documents holds.
+The intern and decoding tables are bounded and process-wide, so the
+counts run on empty ones: what other tests left in them is not what a
+process encoding and decoding these documents holds.
 """
 
 import json
+
+import pytest
 
 from repro.apps import BgpFlapApp
 from repro.core import locations, serialize
@@ -93,25 +101,56 @@ def test_a_reopened_id_stores_its_own_example():
     assert sum(bool(row["payload"]["caveats"]) for row in rows) == 2
 
 
-def test_decoded_documents_share_one_rule_and_location_per_value(monkeypatch):
-    monkeypatch.setattr(locations, "_INTERNED", {})
-    monkeypatch.setattr(serialize, "_RULES", {}, raising=False)
-    result = bgp_month(total_flaps=60, seed=5)
-    app = BgpFlapApp.build(result.platform())
-    store = IncidentStore()
-    aggregator = IncidentAggregator(gap_seconds=GAP, sink=store.record)
-    for found in app.run(result.start, result.end).diagnoses:
-        aggregator.observe(found)
-    aggregator.advance(result.end + GAP + 1.0)
-    rules, places = [], []
-    for text in payloads(store):
-        incident = incident_from_dict(json.loads(text))
-        places.append(incident.location)
-        example = incident.example
-        places.append(example.symptom.location)
-        for rule, parent, _depth, instances in example.evidence.runs():
-            rules.append(rule)
-            places += [i.location for i in (parent, *instances)]
+@pytest.fixture(scope="module")
+def bgp_month_store():
+    """``(store, rules, locations)``: every revision of
+    ``bgp_month(60, seed=5)``'s incidents, and the rules and locations
+    decoding each stored document handed out, on empty tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locations, "_INTERNED", {})
+        patch.setattr(serialize, "_RULES", {})
+        result = bgp_month(total_flaps=60, seed=5)
+        app = BgpFlapApp.build(result.platform())
+        store = IncidentStore()
+        aggregator = IncidentAggregator(gap_seconds=GAP, sink=store.record)
+        for found in app.run(result.start, result.end).diagnoses:
+            aggregator.observe(found)
+        aggregator.advance(result.end + GAP + 1.0)
+        rules, places = [], []
+        for text in payloads(store):
+            incident = incident_from_dict(json.loads(text))
+            places.append(incident.location)
+            example = incident.example
+            places.append(example.symptom.location)
+            for rule, parent, _depth, instances in example.evidence.runs():
+                rules.append(rule)
+                places += [i.location for i in (parent, *instances)]
+        yield store, rules, places
+
+
+def test_decoded_documents_share_one_rule_and_location_per_value(bgp_month_store):
+    _store, rules, places = bgp_month_store
     assert len(rules) > 300 and len(places) > 800
     assert len({id(r) for r in rules}) == len(set(rules)) == 11
     assert len({id(p) for p in places}) == len(set(places)) == 117
+
+
+def test_stored_documents_share_one_rule_and_location_document_per_value(
+    bgp_month_store,
+):
+    store, _rules, _places = bgp_month_store
+    rules, places = [], []
+    for row in store.backend.query_columns(None, None, {}).records:
+        document = row["payload"]
+        places.append(document["location"])
+        example = document["example"]
+        places.append(example["symptom"]["location"])
+        for item in example["evidence"]:
+            rules.append(item["rule"])
+            places += [item["parent_instance"]["location"], item["instance"]["location"]]
+    assert len(rules) > 300 and len(places) > 800
+    distinct_rules = {json.dumps(rule, sort_keys=True) for rule in rules}
+    distinct_places = {json.dumps(place) for place in places}
+    assert len(distinct_rules) == 11 and len(distinct_places) == 117
+    assert len({id(rule) for rule in rules}) == 11
+    assert len({id(place) for place in places}) == 117

@@ -80,6 +80,40 @@ class TestStrictness:
         with pytest.raises(ValueError, match="malformed"):
             incident_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("open", "false"),  # bool("false") is True
+            ("open", 0),
+            ("open", None),
+            ("flap_count", 2.9),
+            ("flap_count", 2.0),
+            ("flap_count", True),
+            ("flap_count", "2"),
+            ("revision", "3"),
+            ("revision", 3.0),
+            ("revision", False),
+            ("degraded_count", True),
+            ("degraded_count", 1.5),
+            ("degraded_count", None),
+        ],
+    )
+    def test_rejects_malformed_scalars(self, key, value):
+        document = strict_cycle(incident_to_dict(build_incident()))
+        document[key] = value
+        with pytest.raises(ValueError, match=key):
+            incident_from_dict(document)
+
+    def test_scalars_decode_as_written(self):
+        incident = build_incident(gap_sources=("snmp",))
+        document = strict_cycle(incident_to_dict(incident))
+        rebuilt = incident_from_dict(document)
+        assert rebuilt.open is True and rebuilt.flap_count == 2
+        assert rebuilt.revision == 2 and rebuilt.degraded_count == 2
+        assert json.dumps(incident_to_dict(rebuilt)) == json.dumps(document)
+        del document["degraded_count"]  # optional: absent reads 0
+        assert incident_from_dict(document).degraded_count == 0
+
     def test_rejects_bad_embedded_diagnosis(self):
         document = incident_to_dict(build_incident())
         document["example"] = {"schema": "bogus"}

@@ -1,11 +1,13 @@
-"""The ``grca-diagnosis/1`` / ``grca-incident/1`` decoder as it was
+"""The ``grca-diagnosis/1`` / ``grca-incident/1`` codec as it was
 written first: the reference.
 
-Every location, rule and expansion is built afresh from its own
-document, and enum values go through the enum's own constructor.
-``repro.core.serialize`` hands out one shared :class:`Location` /
-:class:`DiagnosisRule` per distinct decoded value from bounded tables
-instead; ``test_codec.py`` holds it to this one.
+Every document is built afresh, as a plain ``dict`` / ``list``, from
+the value it encodes, and every location, rule and expansion is decoded
+afresh from its own document, enum values through the enum's own
+constructor.  ``repro.core.serialize`` hands out one shared, read-only
+document per rule and location object when encoding, and one shared
+:class:`Location` / :class:`DiagnosisRule` per distinct decoded value
+when decoding; ``test_codec.py`` holds it to this one.
 """
 
 from typing import Any, Dict, List
@@ -21,11 +23,132 @@ from repro.core.reasoning.rule_based import (
     EvidenceGap,
     RuleBasedResult,
 )
-from repro.core.serialize import DIAGNOSIS_SCHEMA, _decode_value, decode_float
+from repro.core.serialize import (
+    DIAGNOSIS_SCHEMA,
+    _decode_value,
+    _encode_value,
+    decode_float,
+    encode_float,
+    gap_to_dict,
+)
 from repro.core.spatial import JoinLevel, SpatialJoinRule
 from repro.core.temporal import ExpandOption, TemporalExpansion, TemporalJoinRule
 from repro.incident import Incident
 from repro.incident.serialize import INCIDENT_SCHEMA
+
+
+# ---------------------------------------------------------------------------
+# encoding
+
+
+def location_to_dict(location: Location) -> Dict[str, Any]:
+    return {"type": location.type.value, "parts": list(location.parts)}
+
+
+def instance_to_dict(instance: EventInstance) -> Dict[str, Any]:
+    return {
+        "name": instance.name,
+        "start": instance.start,
+        "end": instance.end,
+        "location": location_to_dict(instance.location),
+        "info": [[key, _encode_value(value)] for key, value in instance.info],
+    }
+
+
+def _expansion_to_dict(expansion: TemporalExpansion) -> Dict[str, Any]:
+    return {
+        "option": expansion.option.value,
+        "left": expansion.left,
+        "right": expansion.right,
+    }
+
+
+def rule_to_dict(rule: DiagnosisRule) -> Dict[str, Any]:
+    return {
+        "parent_event": rule.parent_event,
+        "child_event": rule.child_event,
+        "temporal": {
+            "symptom": _expansion_to_dict(rule.temporal.symptom),
+            "diagnostic": _expansion_to_dict(rule.temporal.diagnostic),
+        },
+        "spatial": {
+            "symptom_type": rule.spatial.symptom_type.value,
+            "diagnostic_type": rule.spatial.diagnostic_type.value,
+            "level": rule.spatial.level.value,
+        },
+        "priority": rule.priority,
+        "is_root_cause": rule.is_root_cause,
+        "note": rule.note,
+    }
+
+
+def diagnosis_to_dict(diagnosis: Diagnosis) -> Dict[str, Any]:
+    evidence = diagnosis.evidence
+    items = [
+        {
+            "rule": rule_to_dict(item.rule),
+            "parent_instance": instance_to_dict(item.parent_instance),
+            "instance": instance_to_dict(item.instance),
+            "depth": item.depth,
+        }
+        for item in evidence
+    ]
+    document = {
+        "schema": DIAGNOSIS_SCHEMA,
+        "symptom": instance_to_dict(diagnosis.symptom),
+        "evidence": items,
+        "result": {
+            "root_causes": list(diagnosis.result.root_causes),
+            "priority": diagnosis.result.priority,
+            "supporting": evidence.offsets(diagnosis.result.supporting),
+        },
+        "gaps": [gap_to_dict(gap) for gap in diagnosis.gaps],
+        "confidence": encode_float(diagnosis.confidence),
+        "caveats": list(diagnosis.caveats),
+        "footprint": [
+            [table, encode_float(lo), encode_float(hi)]
+            for table, lo, hi in diagnosis.footprint
+        ],
+        "annotated_cause": diagnosis.annotated_cause,
+        "is_explained": diagnosis.is_explained,
+    }
+    if diagnosis.trace is not None:
+        document["trace"] = diagnosis.trace.to_dict()
+    return document
+
+
+def incident_to_dict(incident: Incident) -> Dict[str, Any]:
+    document = {
+        "schema": INCIDENT_SCHEMA,
+        "incident_id": incident.incident_id,
+        "symptom": incident.symptom_name,
+        "cause": incident.cause,
+        "location": location_to_dict(incident.location),
+        "window": {
+            "start": encode_float(incident.window_start),
+            "first_seen": encode_float(incident.first_seen),
+            "last_seen": encode_float(incident.last_seen),
+            "duration": encode_float(incident.duration),
+        },
+        "flap_count": incident.flap_count,
+        "revision": incident.revision,
+        "open": incident.open,
+        "confidence": {
+            "mean": encode_float(incident.confidence_mean),
+            "min": encode_float(incident.confidence_min),
+            "total": encode_float(incident.confidence_total),
+        },
+        "degraded_count": incident.degraded_count,
+        "gap_sources": list(incident.gap_sources),
+        "caveats": list(incident.caveats),
+    }
+    if incident.example is not None:
+        document["example"] = diagnosis_to_dict(incident.example)
+    return document
+
+
+# ---------------------------------------------------------------------------
+# decoding
 
 
 def location_from_dict(data: Dict[str, Any]) -> Location:
