@@ -10,8 +10,8 @@ Subcommands mirror the operator workflows of the paper:
 * ``repro-grca catalog events|rules`` — print the Knowledge Library;
 * ``repro-grca spec check <file>`` — validate a rule-specification file
   against the library;
-* ``repro-grca simulate <scenario> --out DIR`` — dump the raw feeds a
-  scenario produces, one file per data source;
+* ``repro-grca simulate <scenario> --out DIR`` — dump the normalized
+  tables a scenario's feeds produce, one TSV file per data source;
 * ``repro-grca serve <scenario>`` — run the scenario through the RCA
   *service* layer: periodic scheduled runs on a parallel worker pool
   with result caching, then print the diagnosis breakdown and the
@@ -29,35 +29,29 @@ Subcommands mirror the operator workflows of the paper:
   accuracy / coverage / localization / honesty, with a matrix artifact
   (``BENCH_scenarios.json``), CI gating (``--gate``) and artifact
   diffing (``--diff``).
+
+The five scenario commands (``diagnose``, ``simulate``, ``serve``,
+``api``, ``incidents``) share one argument set — ``scenario``,
+``--seed``, ``--size``, ``--backend``, ``--store-path`` — and build from
+:data:`repro.simulation.SCENARIOS`.  ``--store-path`` must not already
+hold a store: a directory with ``*.sqlite`` files is refused (exit 2)
+before anything is simulated, since ingesting again would double it.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 from typing import List, Optional
 
-from .apps import BackboneApp, BgpFlapApp, CdnApp, PimApp, register_bgp_events
+from .apps import BgpFlapApp, register_bgp_events
 from .apps.studies import cpu_correlation_study
+from .collector.backends import sqlite_backend
 from .core.knowledge import KnowledgeLibrary
 from .core.rulespec import RuleSpecError, SpecCompiler
-from .simulation import (
-    backbone_probe_month,
-    bgp_flap_storm,
-    bgp_month,
-    cdn_month,
-    cpu_bgp_study,
-    pim_fortnight,
-)
-
-_SCENARIOS = {
-    "backbone-month": (backbone_probe_month, BackboneApp),
-    "bgp-month": (bgp_month, BgpFlapApp),
-    "bgp-storm": (bgp_flap_storm, BgpFlapApp),
-    "cdn-month": (cdn_month, CdnApp),
-    "pim-fortnight": (pim_fortnight, PimApp),
-}
+from .simulation import SCENARIOS, SimulationResult, cpu_bgp_study
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend_args(command):
+    def scenario_command(container, name, help, size=300):
+        """A subcommand that simulates one scenario onto a chosen store."""
+        command = container.add_parser(name, help=help)
+        command.add_argument("scenario", choices=sorted(SCENARIOS))
+        command.add_argument("--seed", type=int, default=1)
+        command.add_argument("--size", type=int, default=size,
+                             help="number of symptom events to inject")
         command.add_argument(
             "--backend", choices=["memory", "sqlite"], default=None,
             help="storage engine for the Data Collector tables "
@@ -75,14 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--store-path", metavar="DIR", default=None,
             help="with --backend sqlite: directory for the per-table "
-                 "database files (default: a temporary directory)")
+                 "database files (default: a temporary directory); a "
+                 "directory that already holds *.sqlite files is refused")
+        return command
 
-    diagnose = sub.add_parser("diagnose", help="simulate + diagnose a scenario")
-    diagnose.add_argument("scenario", choices=sorted(_SCENARIOS))
-    add_backend_args(diagnose)
-    diagnose.add_argument("--seed", type=int, default=1)
-    diagnose.add_argument("--size", type=int, default=300,
-                          help="number of symptom events to inject")
+    diagnose = scenario_command(sub, "diagnose", "simulate + diagnose a scenario")
     diagnose.add_argument("--trend", action="store_true",
                           help="also print the per-day cause trend")
     diagnose.add_argument("--report", metavar="FILE",
@@ -111,21 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     check = spec_sub.add_parser("check", help="validate a spec file")
     check.add_argument("file")
 
-    simulate = sub.add_parser("simulate", help="dump a scenario's raw feeds")
-    simulate.add_argument("scenario", choices=sorted(_SCENARIOS))
-    simulate.add_argument("--seed", type=int, default=1)
-    simulate.add_argument("--size", type=int, default=100)
-    simulate.add_argument("--out", required=True, help="output directory")
-    add_backend_args(simulate)
-
-    serve = sub.add_parser(
-        "serve", help="run a scenario through the concurrent RCA service"
+    simulate = scenario_command(
+        sub, "simulate", "dump a scenario's normalized tables, one TSV "
+        "file per data source", size=100,
     )
-    serve.add_argument("scenario", choices=sorted(_SCENARIOS))
-    add_backend_args(serve)
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--size", type=int, default=300,
-                       help="number of symptom events to inject")
+    simulate.add_argument("--out", required=True, help="output directory")
+
+    serve = scenario_command(
+        sub, "serve", "run a scenario through the concurrent RCA service"
+    )
     serve.add_argument("--workers", type=int, default=4,
                        help="worker threads in the diagnosis pool")
     serve.add_argument("--rounds", type=int, default=8,
@@ -145,14 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="attempts per job for transient failures "
                             "(1 disables retries)")
 
-    api = sub.add_parser(
-        "api", help="expose a scenario's RCA service over the HTTP gateway"
+    api = scenario_command(
+        sub, "api", "expose a scenario's RCA service over the HTTP gateway"
     )
-    api.add_argument("scenario", choices=sorted(_SCENARIOS))
-    add_backend_args(api)
-    api.add_argument("--seed", type=int, default=1)
-    api.add_argument("--size", type=int, default=300,
-                     help="number of symptom events to inject")
     api.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
     api.add_argument("--port", type=int, default=8080,
@@ -179,41 +165,31 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="incidents_command", required=True
     )
 
-    def add_incident_args(command):
-        command.add_argument("scenario", choices=sorted(_SCENARIOS))
-        add_backend_args(command)
-        command.add_argument("--seed", type=int, default=1)
-        command.add_argument("--size", type=int, default=300,
-                             help="number of symptom events to inject")
+    def incident_command(name, help):
+        command = scenario_command(incidents_sub, name, help)
         command.add_argument("--gap", type=float, default=3600.0,
                              metavar="SECONDS",
                              help="dedupe window: a repeat symptom within "
                                   "GAP of an incident's last activity "
                                   "folds in (default 3600)")
+        return command
 
-    inc_list = incidents_sub.add_parser(
-        "list", help="one line per deduplicated incident"
-    )
-    add_incident_args(inc_list)
+    inc_list = incident_command("list", "one line per deduplicated incident")
     inc_list.add_argument("--cause", default=None,
                           help="only incidents with this root cause")
     inc_list.add_argument("--flapping", action="store_true",
                           help="only incidents with flap count > 1")
 
-    inc_show = incidents_sub.add_parser(
-        "show", help="one incident as grca-incident/1 JSON"
-    )
-    add_incident_args(inc_show)
+    inc_show = incident_command("show", "one incident as grca-incident/1 JSON")
     inc_show.add_argument("incident_id",
                           help="incident id from `incidents list`")
     inc_show.add_argument("--timeline", action="store_true",
                           help="print the revision timeline instead of "
                                "the latest document")
 
-    inc_report = incidents_sub.add_parser(
-        "report", help="standardized sectioned RCA report (markdown)"
+    inc_report = incident_command(
+        "report", "standardized sectioned RCA report (markdown)"
     )
-    add_incident_args(inc_report)
     inc_report.add_argument("--id", dest="incident_id", default=None,
                             help="incident to report on (default: most "
                                  "flapping)")
@@ -224,10 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="emit the grca-incident/1 JSON document "
                                  "instead of markdown")
 
-    inc_top = incidents_sub.add_parser(
-        "top", help="top offender locations + cause breakdown over time"
+    inc_top = incident_command(
+        "top", "top offender locations + cause breakdown over time"
     )
-    add_incident_args(inc_top)
     inc_top.add_argument("--limit", type=int, default=10,
                          help="offender rows to print (default 10)")
 
@@ -262,39 +237,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_backend(args) -> None:
-    """Make ``--backend`` the process default before scenarios build.
+def _store_path_refusal(args) -> Optional[str]:
+    """Why ``--store-path`` is refused, or None: a directory that already
+    holds a store would be ingested into a second time.  Only a sqlite
+    run opens the path, so only a sqlite run is refused."""
+    path = getattr(args, "store_path", None)
+    if path is None or args.backend != "sqlite":
+        return None
+    found = sorted(glob.glob(os.path.join(glob.escape(path), "*.sqlite")))
+    if not found:
+        return None
+    return (f"--store-path {path} already holds a store "
+            f"({len(found)} *.sqlite files); give an empty directory")
 
-    Scenario simulators construct their own :class:`DataCollector`
-    internally, so the swap has to be config-only: set the default and
-    every store created afterwards uses the chosen engine.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return
-    from .collector.backends import set_default_backend, sqlite_backend
 
+def _simulate(args) -> SimulationResult:
+    """Simulate ``args.scenario`` onto the store ``--backend`` names."""
+    backend = args.backend
     if backend == "sqlite":
-        set_default_backend(
-            sqlite_backend(directory=getattr(args, "store_path", None))
-        )
-    else:
-        set_default_backend(backend)
+        backend = sqlite_backend(directory=args.store_path)
+    return SCENARIOS[args.scenario].build(args.size, args.seed, backend=backend)
 
 
-def _run_scenario(name: str, seed: int, size: int):
-    scenario, app_cls = _SCENARIOS[name]
-    kwargs = {"seed": seed}
-    size_kwarg = {
-        "backbone-month": "total_losses",
-        "bgp-month": "total_flaps",
-        "bgp-storm": "total_flaps",
-        "cdn-month": "total_degradations",
-        "pim-fortnight": "total_changes",
-    }[name]
-    kwargs[size_kwarg] = size
-    result = scenario(**kwargs)
-    return result, app_cls
+def _scenario_app(args):
+    """Simulate ``args.scenario`` and build its RCA application on it."""
+    result = _simulate(args)
+    return result, SCENARIOS[args.scenario].app.build(result.platform())
 
 
 def _traced_run(app, result, scenario: str):
@@ -316,8 +284,7 @@ def _traced_run(app, result, scenario: str):
 
 
 def _cmd_diagnose(args) -> int:
-    result, app_cls = _run_scenario(args.scenario, args.seed, args.size)
-    app = app_cls.build(result.platform())
+    result, app = _scenario_app(args)
     root = None
     if args.trace is not None:
         if args.jobs > 1:
@@ -428,7 +395,7 @@ def _cmd_spec_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    result, _app_cls = _run_scenario(args.scenario, args.seed, args.size)
+    result = _simulate(args)
     os.makedirs(args.out, exist_ok=True)
     # re-render is not possible post-ingest; dump the normalized tables
     total = 0
@@ -450,12 +417,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_serve(args) -> int:
     from .core.browser import ResultBrowser
 
-    result, app_cls = _run_scenario(args.scenario, args.seed, args.size)
-    platform = result.platform()
-    app = app_cls.build(platform)
+    result, app = _scenario_app(args)
     from .resilience import RetryPolicy
 
-    service = platform.serve(
+    service = app.platform.serve(
         {args.scenario: app},
         workers=max(1, args.workers),
         queue_depth=args.queue_depth,
@@ -507,10 +472,8 @@ def _cmd_api(args) -> int:
 
     from .service.http import RcaGateway
 
-    result, app_cls = _run_scenario(args.scenario, args.seed, args.size)
-    platform = result.platform()
-    app = app_cls.build(platform)
-    router = platform.serve_sharded(
+    result, app = _scenario_app(args)
+    router = app.platform.serve_sharded(
         {args.scenario: app},
         shards=max(1, args.shards),
         workers=max(1, args.workers),
@@ -542,10 +505,9 @@ def _build_incident_store(args):
     """Diagnose the scenario and fold the stream into an IncidentStore."""
     from .incident import IncidentAggregator, IncidentStore
 
-    result, app_cls = _run_scenario(args.scenario, args.seed, args.size)
-    app = app_cls.build(result.platform())
+    result, app = _scenario_app(args)
     browser = app.run(result.start, result.end)
-    if getattr(args, "backend", None) == "sqlite" and args.store_path:
+    if args.backend == "sqlite" and args.store_path:
         store = IncidentStore.sqlite(args.store_path)
     else:
         store = IncidentStore()
@@ -719,7 +681,10 @@ def _cmd_eval(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    _apply_backend(args)
+    refusal = _store_path_refusal(args)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     if args.command == "diagnose":
         return _cmd_diagnose(args)
     if args.command == "mine":

@@ -16,10 +16,10 @@ implementations —
   round-trips.
 
 Backends are selected per :class:`~repro.collector.store.DataStore`
-(``DataStore(backend=...)``), per process
-(:func:`set_default_backend` / the ``GRCA_STORE_BACKEND`` environment
-variable, which is how the ``--backend`` CLI flag makes the swap
-config-only), or per table by passing a factory.
+(``DataStore(backend=...)``; ``None`` is memory), or per table by
+passing a factory.  There is no process-wide default: whoever builds a
+store names its engine — the CLI's ``--backend`` reaches the scenario
+builders as their ``backend=`` argument.
 
 Contract
 --------
@@ -57,7 +57,7 @@ from .rows import MISSING, ColumnarSlice, Columns, ListView, RowBatch, merge
 BackendFactory = Callable[[str, Tuple[str, ...]], "StorageBackend"]
 
 #: What ``DataStore(backend=...)`` accepts: a name, a factory, or None
-#: (meaning the process default, see :func:`set_default_backend`).
+#: (meaning memory).
 BackendSpec = Any
 
 
@@ -657,7 +657,7 @@ def breaker_backend(
 
 
 # ----------------------------------------------------------------------
-# factories and process-default selection
+# factories
 
 
 def memory_backend(tail_limit: Optional[int] = None) -> BackendFactory:
@@ -698,42 +698,11 @@ def sqlite_backend(
     return make
 
 
-_default_lock = threading.Lock()
-_default_backend: Optional[BackendSpec] = None
-
-
-def set_default_backend(spec: Optional[BackendSpec]) -> None:
-    """Set the process-wide default backend (None restores built-in).
-
-    This is the config-only swap used by the ``--backend`` CLI flag:
-    every :class:`~repro.collector.store.DataStore` built afterwards
-    without an explicit ``backend=`` — including the ones scenario
-    simulators create internally — uses this spec.
-    """
-    global _default_backend
-    with _default_lock:
-        _default_backend = None if spec is None else resolve_backend(spec)
-
-
-def default_backend() -> BackendFactory:
-    """The process default: explicit setting, else ``GRCA_STORE_BACKEND``
-    (``memory`` or ``sqlite``), else memory."""
-    with _default_lock:
-        if _default_backend is not None:
-            return _default_backend
-    env = os.environ.get("GRCA_STORE_BACKEND")
-    if env:
-        return resolve_backend(env)
-    return memory_backend()
-
-
 def resolve_backend(spec: Optional[BackendSpec]) -> BackendFactory:
     """Normalize a backend spec (name / factory / None) to a factory."""
-    if spec is None:
-        return default_backend()
     if callable(spec):
         return spec
-    if spec == "memory":
+    if spec is None or spec == "memory":
         return memory_backend()
     if spec == "sqlite":
         return sqlite_backend()

@@ -97,7 +97,7 @@ class Table(TableReads):
     only ever touched under this table's lock.  ``backend`` accepts a
     ready :class:`~repro.collector.backends.StorageBackend` instance, a
     factory ``(name, indexed_columns) -> backend``, a backend name, or
-    ``None`` for the process default.
+    ``None`` for memory.
     """
 
     def __init__(
@@ -394,11 +394,10 @@ class DataStore:
     used, to drop what a late record may have changed.
 
     ``backend`` picks the storage engine for tables this store creates:
-    ``"memory"`` (default), ``"sqlite"``, or a factory from
-    :mod:`repro.collector.backends`.  ``None`` uses the process default
-    (:func:`repro.collector.backends.set_default_backend` or the
-    ``GRCA_STORE_BACKEND`` environment variable) — which is how the
-    ``--backend`` CLI flag swaps engines without code changes.
+    ``"memory"`` (also what ``None`` means), ``"sqlite"``, or a factory
+    from :mod:`repro.collector.backends`.  There is no process-wide
+    default; the CLI's ``--backend`` reaches the scenario builders as
+    their ``backend=`` argument.
     """
 
     tables: Dict[str, Table] = field(default_factory=dict)

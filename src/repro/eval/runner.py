@@ -31,15 +31,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..core.engine import Diagnosis
 from ..core.serialize import diagnosis_from_dict, instance_to_dict
 from ..simulation import (
+    SCENARIOS,
     FeedFault,
     FeedFaultInjector,
     GroundTruth,
     SimulationResult,
-    backbone_probe_month,
-    bgp_flap_storm,
-    bgp_month,
-    cdn_month,
-    pim_fortnight,
+    Workload,
 )
 from ..topology.builder import TopologyParams
 from .scenario import FailureInjection, Scenario
@@ -72,22 +69,12 @@ class RunOutcome:
     incident_counts: Dict[str, int] = field(default_factory=dict)
 
 
-#: app key -> (simulation builder, application class path, size kwarg)
-def _workloads():
-    """The workload table, resolved lazily to keep imports cheap."""
-    from ..apps import BackboneApp, BgpFlapApp, CdnApp, PimApp
-
-    return {
-        "bgp_flaps": (bgp_month, BgpFlapApp, "total_flaps"),
-        "bgp_storm": (bgp_flap_storm, BgpFlapApp, "total_flaps"),
-        "cdn": (cdn_month, CdnApp, "total_degradations"),
-        "pim": (pim_fortnight, PimApp, "total_changes"),
-        "backbone": (backbone_probe_month, BackboneApp, "total_losses"),
-    }
-
-
-#: workloads whose builders accept a ``feed_faults`` callback
-FEED_FAULT_APPS = ("bgp_flaps", "bgp_storm", "cdn")
+def _workload(scenario: Scenario) -> Workload:
+    """The :data:`~repro.simulation.SCENARIOS` row ``scenario.app`` names."""
+    for workload in SCENARIOS.values():
+        if workload.app_key == scenario.app:
+            return workload
+    raise ValueError(f"unknown scenario app {scenario.app!r}")
 
 
 class ScenarioRunner:
@@ -101,11 +88,9 @@ class ScenarioRunner:
 
     def simulate(self, scenario: Scenario) -> SimulationResult:
         """Build the scenario's seeded simulation, feed faults applied."""
-        workloads = _workloads()
-        if scenario.app not in workloads:
-            raise ValueError(f"unknown scenario app {scenario.app!r}")
-        builder, _app_cls, size_kwarg = workloads[scenario.app]
-        kwargs: Dict[str, Any] = {"seed": scenario.seed, size_kwarg: scenario.size}
+        kwargs: Dict[str, Any] = {
+            "feed_faults": self._feed_fault_script(scenario.feed_injections())
+        }
         if scenario.duration_days is not None:
             kwargs["duration_days"] = scenario.duration_days
         overrides = scenario.topology_overrides()
@@ -113,15 +98,7 @@ class ScenarioRunner:
             kwargs["params"] = TopologyParams(
                 seed=scenario.seed, **overrides
             )
-        feed_injections = scenario.feed_injections()
-        if feed_injections:
-            if scenario.app not in FEED_FAULT_APPS:
-                raise ValueError(
-                    f"scenario {scenario.name!r}: workload {scenario.app!r} "
-                    f"does not support feed-fault injection"
-                )
-            kwargs["feed_faults"] = self._feed_fault_script(feed_injections)
-        return builder(**kwargs)
+        return _workload(scenario).build(scenario.size, scenario.seed, **kwargs)
 
     @staticmethod
     def _feed_fault_script(
@@ -160,9 +137,7 @@ class ScenarioRunner:
     def run(self, scenario: Scenario) -> RunOutcome:
         """Simulate and diagnose one scenario; returns the raw outcome."""
         result = self.simulate(scenario)
-        workloads = _workloads()
-        _builder, app_cls, _size_kwarg = workloads[scenario.app]
-        app = app_cls.build(result.platform())
+        app = _workload(scenario).app.build(result.platform())
         symptoms = app.find_symptoms(result.start, result.end)
         outcome = RunOutcome(
             scenario=scenario,

@@ -1,10 +1,12 @@
 """Scenario specifications: what to replay, what to break, what to expect.
 
 A :class:`Scenario` is declarative — nothing here runs anything.  It
-names one of the simulation workloads (``bgp_flaps`` / ``cdn`` / ``pim``
-/ ``backbone``), pins every seed and size knob, scripts the failure
-injections to apply on top of the workload's own root-cause mixture,
-and carries the accuracy/coverage thresholds the matrix gate enforces.
+names one of the simulation workloads by its app key (``bgp_flaps`` /
+``bgp_storm`` / ``cdn`` / ``pim`` / ``backbone``, the ``app_key`` column
+of :data:`repro.simulation.SCENARIOS`), pins every seed and size knob,
+scripts the failure injections to apply on top of the workload's own
+root-cause mixture, and carries the accuracy/coverage thresholds the
+matrix gate enforces.
 
 Two distinct failure planes can be scripted:
 

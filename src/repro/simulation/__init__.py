@@ -8,10 +8,12 @@ evaluation scenarios behind every reproduced table and figure.
 from .faults import FaultInjector, FeedFault, FeedFaultInjector, GroundTruth
 from .scenarios import (
     PROBE_LOSS_MIXTURE,
+    SCENARIOS,
     SimulationResult,
     TABLE4_MIXTURE,
     TABLE6_MIXTURE,
     TABLE8_MIXTURE,
+    Workload,
     backbone_probe_month,
     bgp_flap_storm,
     bgp_month,
@@ -34,8 +36,10 @@ __all__ = [
     "TABLE6_MIXTURE",
     "TABLE8_MIXTURE",
     "PROBE_LOSS_MIXTURE",
+    "SCENARIOS",
     "TelemetryBuffers",
     "TelemetryEmitter",
+    "Workload",
     "backbone_probe_month",
     "bgp_flap_storm",
     "bgp_month",

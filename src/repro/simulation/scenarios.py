@@ -4,7 +4,12 @@ Each scenario builds a topology, injects a root-cause mixture (seeded
 with the paper's published breakdown so the *shape* of the reproduced
 table is meaningful), ingests all emitted telemetry through the real
 Data Collector, and returns a :class:`SimulationResult` carrying the
-ground truth for scoring.
+ground truth for scoring.  Every builder shares one set-up and one
+ingest tail (:class:`_Run`), so every builder takes ``feed_faults``
+(degrade the raw feeds before ingestion).  :data:`SCENARIOS` names the
+five the CLI and the evaluation harness run; those five also take
+``backend`` (the store's engine, as ``DataStore(backend=...)`` takes
+it).
 
 Scale note: the paper runs on 600+ provider edge routers with several
 hundred eBGP sessions each.  The scenarios default to a scaled-down
@@ -18,7 +23,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..collector import DataCollector
+from ..collector import DataCollector, DataStore
+from ..collector.backends import BackendSpec
 from ..platform import GrcaPlatform
 from ..topology.builder import BuiltTopology, TopologyParams, build_topology
 from .faults import FaultInjector, FeedFaultInjector, GroundTruth
@@ -53,9 +59,53 @@ class SimulationResult:
         return counts
 
 
-def _register_devices(collector: DataCollector, topology: BuiltTopology) -> None:
-    for router in topology.network.routers.values():
-        collector.registry.register_device(router.name, router.timezone)
+#: A builder's ``feed_faults`` callback: it receives the
+#: :class:`FeedFaultInjector` over the emitted raw lines just before
+#: ingestion and may degrade them (outage, lag, corruption); the
+#: injected impairment intervals land on the collector's health registry.
+FeedFaults = Optional[Callable[[FeedFaultInjector], None]]
+
+
+class _Run:
+    """One builder's seeded set-up and its ingest tail.
+
+    Every scenario draws from three streams — ``rng`` (its own plan,
+    ``seed``), the emitter's (``seed + 1``) and the injector's
+    (``seed + 2``) — over ``[start, end)``.  :meth:`finish` then builds
+    the collector on ``backend``, registers the devices, hands
+    ``feed_faults`` a :class:`FeedFaultInjector` (``seed + 17``) and
+    ingests.
+    """
+
+    def __init__(self, params: TopologyParams, seed: int, duration_days: float) -> None:
+        self.topology = build_topology(params)
+        self.rng = random.Random(seed)
+        self.emitter = TelemetryEmitter(self.topology, random.Random(seed + 1))
+        self.injector = FaultInjector(self.topology, self.emitter, random.Random(seed + 2))
+        self.start = BASE_EPOCH
+        self.end = BASE_EPOCH + duration_days * DAY
+        self.seed = seed
+
+    def finish(
+        self,
+        ground_truth: List[GroundTruth],
+        feed_faults: FeedFaults,
+        backend: BackendSpec,
+        **extras: object,
+    ) -> SimulationResult:
+        collector = DataCollector(store=DataStore(backend=backend))
+        for router in self.topology.network.routers.values():
+            collector.registry.register_device(router.name, router.timezone)
+        feed_injector = FeedFaultInjector(
+            self.emitter.buffers, random.Random(self.seed + 17)
+        )
+        if feed_faults is not None:
+            feed_faults(feed_injector)
+        self.emitter.buffers.ingest_into(collector)
+        feed_injector.apply_to_registry(collector.health)
+        return SimulationResult(
+            self.topology, collector, ground_truth, self.start, self.end, extras
+        )
 
 
 class _TimePlanner:
@@ -117,24 +167,16 @@ def bgp_month(
     params: Optional[TopologyParams] = None,
     seed: int = 1001,
     duration_days: float = 30.0,
-    feed_faults: Optional[Callable[[FeedFaultInjector], None]] = None,
+    feed_faults: FeedFaults = None,
+    backend: BackendSpec = None,
 ) -> SimulationResult:
-    """A month of customer eBGP flaps with the Table IV cause mixture.
-
-    ``feed_faults``, when given, receives a :class:`FeedFaultInjector`
-    after all telemetry is emitted and may degrade raw feeds (outage,
-    lag, corruption) before ingestion; the injected impairment
-    intervals are recorded on the collector's health registry.
-    """
+    """A month of customer eBGP flaps with the Table IV cause mixture."""
     params = params or TopologyParams(
         n_pops=6, pers_per_pop=3, customers_per_per=8, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
     planner = _TimePlanner(rng, start + DAY * 0.05, end - DAY * 0.05, spacing=1800.0)
 
     customers = sorted(topology.customer_attachments)
@@ -187,14 +229,7 @@ def bgp_month(
             ground_truth.extend(injector.bgp_layer1_restoration(t, target, cause))
 
     _emit_background(emitter, topology, rng, start, end)
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    feed_injector = FeedFaultInjector(emitter.buffers, random.Random(seed + 17))
-    if feed_faults is not None:
-        feed_faults(feed_injector)
-    emitter.buffers.ingest_into(collector)
-    feed_injector.apply_to_registry(collector.health)
-    return SimulationResult(topology, collector, ground_truth, start, end)
+    return run.finish(ground_truth, feed_faults, backend)
 
 
 def bgp_flap_storm(
@@ -205,7 +240,8 @@ def bgp_flap_storm(
     storm_customers: int = 3,
     burst_size: int = 6,
     burst_spacing: float = 900.0,
-    feed_faults: Optional[Callable[[FeedFaultInjector], None]] = None,
+    feed_faults: FeedFaults = None,
+    backend: BackendSpec = None,
 ) -> SimulationResult:
     """A month of eBGP flaps dominated by a few *flapping* attachments.
 
@@ -223,12 +259,9 @@ def bgp_flap_storm(
     params = params or TopologyParams(
         n_pops=6, pers_per_pop=3, customers_per_per=8, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
 
     customers = sorted(topology.customer_attachments)
     troubled = customers[: max(1, storm_customers)]
@@ -270,14 +303,7 @@ def bgp_flap_storm(
 
     ground_truth.sort(key=lambda truth: truth.time)
     _emit_background(emitter, topology, rng, start, end)
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    feed_injector = FeedFaultInjector(emitter.buffers, random.Random(seed + 17))
-    if feed_faults is not None:
-        feed_faults(feed_injector)
-    emitter.buffers.ingest_into(collector)
-    feed_injector.apply_to_registry(collector.health)
-    return SimulationResult(topology, collector, ground_truth, start, end)
+    return run.finish(ground_truth, feed_faults, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +326,16 @@ def pim_fortnight(
     params: Optional[TopologyParams] = None,
     seed: int = 2002,
     duration_days: float = 14.0,
+    feed_faults: FeedFaults = None,
+    backend: BackendSpec = None,
 ) -> SimulationResult:
     """Two weeks of MVPN PIM adjacency changes, Table VIII mixture."""
     params = params or TopologyParams(
         n_pops=6, pers_per_pop=3, customers_per_per=6, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
     planner = _TimePlanner(rng, start + DAY * 0.05, end - DAY * 0.05, spacing=2400.0)
 
     customers = sorted(topology.customer_attachments)
@@ -397,10 +422,7 @@ def pim_fortnight(
             ground_truth.extend(truths)
 
     _emit_background(emitter, topology, rng, start, end)
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    emitter.buffers.ingest_into(collector)
-    return SimulationResult(topology, collector, ground_truth, start, end)
+    return run.finish(ground_truth, feed_faults, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +447,10 @@ def cdn_month(
     seed: int = 3003,
     duration_days: float = 30.0,
     n_clients: int = 24,
-    feed_faults: Optional[Callable[[FeedFaultInjector], None]] = None,
+    feed_faults: FeedFaults = None,
+    backend: BackendSpec = None,
 ) -> SimulationResult:
-    """A month of CDN RTT degradations, Table VI mixture.
-
-    ``feed_faults`` may degrade raw feeds before ingestion, as in
-    :func:`bgp_month`.
-    """
+    """A month of CDN RTT degradations, Table VI mixture."""
     params = params or TopologyParams(
         n_pops=5,
         pers_per_pop=2,
@@ -441,12 +460,9 @@ def cdn_month(
         cdn_servers_per_dc=3,
         seed=seed,
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
 
     servers = sorted(topology.network.cdn_servers)
     cdn_router = topology.network.cdn_servers[servers[0]].attached_router
@@ -570,18 +586,10 @@ def cdn_month(
                 value *= rng.uniform(2.2, 3.5)
             emitter.perf(t, server, client_ip, "rtt_ms", max(1.0, value))
 
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    feed_injector = FeedFaultInjector(emitter.buffers, random.Random(seed + 17))
-    if feed_faults is not None:
-        feed_faults(feed_injector)
-    emitter.buffers.ingest_into(collector)
-    feed_injector.apply_to_registry(collector.health)
-    result = SimulationResult(topology, collector, ground_truth, start, end)
-    result.extras["clients"] = clients
-    result.extras["pairs"] = pairs
-    result.extras["rtt_interval"] = _RTT_INTERVAL
-    return result
+    return run.finish(
+        ground_truth, feed_faults, backend,
+        clients=clients, pairs=pairs, rtt_interval=_RTT_INTERVAL,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -605,17 +613,16 @@ def backbone_probe_month(
     seed: int = 6006,
     duration_days: float = 30.0,
     n_probe_pairs: int = 10,
+    feed_faults: FeedFaults = None,
+    backend: BackendSpec = None,
 ) -> SimulationResult:
     """A month of inter-PoP probe measurements with loss episodes."""
     params = params or TopologyParams(
         n_pops=5, pers_per_pop=2, customers_per_per=2, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
 
     pers = topology.provider_edges
     pairs: List[Tuple[str, str]] = []
@@ -699,12 +706,7 @@ def backbone_probe_month(
                 value = rng.uniform(2.0, 6.0)
             emitter.perf(t, a, b, "loss_pct", value)
 
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    emitter.buffers.ingest_into(collector)
-    result = SimulationResult(topology, collector, ground_truth, start, end)
-    result.extras["probe_pairs"] = pairs
-    return result
+    return run.finish(ground_truth, feed_faults, backend, probe_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +720,7 @@ def cpu_bgp_study(
     n_other_flaps: int = 3500,
     n_pure_cpu_flaps: int = 40,
     params: Optional[TopologyParams] = None,
+    feed_faults: FeedFaults = None,
 ) -> SimulationResult:
     """Three months of flaps with a hidden provisioning-induced bug.
 
@@ -730,12 +733,9 @@ def cpu_bgp_study(
     params = params or TopologyParams(
         n_pops=5, pers_per_pop=3, customers_per_per=6, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
     planner = _TimePlanner(rng, start + DAY * 0.05, end - DAY * 0.05, spacing=1800.0)
 
     customers = sorted(topology.customer_attachments)
@@ -791,10 +791,7 @@ def cpu_bgp_study(
         else:
             ground_truth.extend(injector.bgp_cpu_spike(t, target))
 
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    emitter.buffers.ingest_into(collector)
-    return SimulationResult(topology, collector, ground_truth, start, end)
+    return run.finish(ground_truth, feed_faults, None)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +802,7 @@ def linecard_crash(
     duration_days: float = 30.0,
     n_background_flaps: int = 120,
     params: Optional[TopologyParams] = None,
+    feed_faults: FeedFaults = None,
 ) -> SimulationResult:
     """A month of flaps on one PER plus one line-card crash episode.
 
@@ -815,27 +813,23 @@ def linecard_crash(
     params = params or TopologyParams(
         n_pops=3, pers_per_pop=2, customers_per_per=10, seed=seed
     )
-    topology = build_topology(params)
-    rng = random.Random(seed)
-    emitter = TelemetryEmitter(topology, random.Random(seed + 1))
-    injector = FaultInjector(topology, emitter, random.Random(seed + 2))
-    start = BASE_EPOCH
-    end = start + duration_days * DAY
+    run = _Run(params, seed, duration_days)
+    topology, rng, emitter, injector = run.topology, run.rng, run.emitter, run.injector
+    start, end = run.start, run.end
     planner = _TimePlanner(rng, start + DAY * 0.05, end - DAY * 0.05, spacing=1800.0)
 
     # pick the PER and the line card with the most customer interfaces
     per = topology.provider_edges[0]
-    router = topology.network.router(per)
     customer_ifaces = {
         iface for _c, (owner, iface, _ip) in topology.customer_attachments.items()
         if owner == per
     }
     slot_counts: Dict[int, int] = {}
-    for fq in customer_ifaces:
+    # sorted, so a tie between cards breaks the same way in every process
+    for fq in sorted(customer_ifaces):
         slot = topology.network.interface(fq).slot
         slot_counts[slot] = slot_counts.get(slot, 0) + 1
     crash_slot = max(slot_counts, key=lambda s: slot_counts[s])
-    del router
 
     ground_truth: List[GroundTruth] = []
     customers = sorted(topology.customer_attachments)
@@ -848,11 +842,54 @@ def linecard_crash(
     crash_time = start + duration_days * DAY / 2.0
     ground_truth.extend(injector.bgp_linecard_crash(crash_time, per, crash_slot))
 
-    collector = DataCollector()
-    _register_devices(collector, topology)
-    emitter.buffers.ingest_into(collector)
-    result = SimulationResult(topology, collector, ground_truth, start, end)
-    result.extras["crash_router"] = per
-    result.extras["crash_slot"] = crash_slot
-    result.extras["crash_time"] = crash_time
-    return result
+    return run.finish(
+        ground_truth, feed_faults, None,
+        crash_router=per, crash_slot=crash_slot, crash_time=crash_time,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The scenario table: what the CLI and the evaluation harness build
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One scenario: its builder, its RCA application and its size knob.
+
+    ``app_key`` names the workload in the evaluation harness
+    (``Scenario.app``, the cause-alias tables).  ``app_name`` is looked
+    up in :mod:`repro.apps` when :attr:`app` is asked for: importing
+    ``repro`` (as any ``repro.collector`` import does) imports this
+    module, and :mod:`repro.apps` loads :mod:`repro.service`, which a
+    collector-only process must never load (``tests/test_layering.py``).
+    """
+
+    app_key: str
+    builder: Callable[..., SimulationResult]
+    app_name: str
+    #: the builder keyword that sets how many symptoms to inject
+    size_keyword: str
+
+    @property
+    def app(self) -> type:
+        """The :class:`~repro.apps.RcaApp` subclass that diagnoses it."""
+        from .. import apps
+
+        return getattr(apps, self.app_name)
+
+    def build(self, size: int, seed: int, **kwargs: object) -> SimulationResult:
+        """Simulate ``size`` symptoms from ``seed``; ``kwargs`` (topology
+        ``params``, ``duration_days``, ``feed_faults``, ``backend``) go
+        to the builder as they are."""
+        return self.builder(seed=seed, **{self.size_keyword: size}, **kwargs)
+
+
+#: scenario name -> workload: the CLI's scenario names; the evaluation
+#: harness finds its workloads here by ``app_key``
+SCENARIOS: Dict[str, Workload] = {
+    "backbone-month": Workload("backbone", backbone_probe_month, "BackboneApp", "total_losses"),
+    "bgp-month": Workload("bgp_flaps", bgp_month, "BgpFlapApp", "total_flaps"),
+    "bgp-storm": Workload("bgp_storm", bgp_flap_storm, "BgpFlapApp", "total_flaps"),
+    "cdn-month": Workload("cdn", cdn_month, "CdnApp", "total_degradations"),
+    "pim-fortnight": Workload("pim", pim_fortnight, "PimApp", "total_changes"),
+}

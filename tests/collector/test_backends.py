@@ -22,7 +22,6 @@ from repro.collector.backends import (
     backend_name,
     memory_backend,
     resolve_backend,
-    set_default_backend,
     sqlite_backend,
 )
 from repro.collector.store import (
@@ -339,10 +338,6 @@ class TestSqliteBackend:
 
 
 class TestBackendSelection:
-    def teardown_method(self):
-        set_default_backend(None)
-        os.environ.pop("GRCA_STORE_BACKEND", None)
-
     def test_resolve_names_and_factories(self):
         assert backend_name("memory") == "memory"
         assert backend_name("sqlite") == "sqlite"
@@ -359,23 +354,6 @@ class TestBackendSelection:
         assert os.path.exists(os.path.join(str(tmp_path), "syslog.sqlite"))
         # default remains memory
         assert DataStore().backend_name == "memory"
-
-    def test_set_default_backend_applies_to_new_stores(self, tmp_path):
-        set_default_backend(sqlite_backend(directory=str(tmp_path)))
-        try:
-            store = DataStore()
-            store.insert("snmp", 1.0, router="r1", metric="cpu", value=0.5)
-            assert store.backend_name == "sqlite"
-        finally:
-            set_default_backend(None)
-        assert DataStore().backend_name == "memory"
-
-    def test_env_variable_selects_backend(self):
-        os.environ["GRCA_STORE_BACKEND"] = "memory"
-        try:
-            assert DataStore().backend_name == "memory"
-        finally:
-            os.environ.pop("GRCA_STORE_BACKEND", None)
 
     def test_table_accepts_backend_instance(self):
         backend = MemoryBackend(("router",))

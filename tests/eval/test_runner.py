@@ -111,13 +111,19 @@ class TestFeedFaultInjection:
         assert fault.source == "snmp"
         assert fault.end - fault.start == pytest.approx(day)
 
-    def test_feed_faults_rejected_for_unsupported_workload(self):
+    def test_every_workload_takes_feed_faults(self):
+        day = 86400.0
         scenario = _tiny(
-            name="tiny_pim_outage", app="pim", topology=(),
-            injections=(FailureInjection.make("feed_outage", "snmp"),),
+            name="tiny_pim_outage", app="pim", topology=(), size=10,
+            duration_days=3.0,
+            injections=(
+                FailureInjection.make("feed_outage", "snmp",
+                                      at_s=day, duration_s=day),
+            ),
         )
-        with pytest.raises(ValueError, match="does not support feed-fault"):
-            ScenarioRunner().simulate(scenario)
+        result = ScenarioRunner().simulate(scenario)
+        (interval,) = result.collector.health.feed("snmp").history()
+        assert interval.end - interval.start == pytest.approx(day)
 
 
 class TestServiceModes:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation import (
+    SCENARIOS,
     TABLE4_MIXTURE,
     TABLE6_MIXTURE,
     TABLE8_MIXTURE,
@@ -121,3 +122,10 @@ class TestLinecardCrash:
         spread = max(t.time for t in crash) - min(t.time for t in crash)
         assert spread <= 180.0
         assert result.extras["crash_router"] in result.topology.provider_edges
+
+
+def test_every_scenario_names_an_rca_app():
+    from repro.apps import RcaApp
+
+    for name, workload in SCENARIOS.items():
+        assert issubclass(workload.app, RcaApp), name

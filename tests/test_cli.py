@@ -27,22 +27,17 @@ class TestDiagnose:
 
     @pytest.mark.slow
     def test_backend_swap_is_config_only(self, tmp_path, capsys):
-        from repro.collector.backends import set_default_backend
-
         base = ["diagnose", "bgp-month", "--size", "20", "--seed", "2"]
-        try:
-            assert main(base + ["--feed-stats"]) == 0
-            memory_out = capsys.readouterr().out
-            assert "stats storage backend=memory" in memory_out
-            assert main(
-                base
-                + ["--feed-stats", "--backend", "sqlite",
-                   "--store-path", str(tmp_path / "db")]
-            ) == 0
-            sqlite_out = capsys.readouterr().out
-            assert "stats storage backend=sqlite" in sqlite_out
-        finally:
-            set_default_backend(None)
+        assert main(base + ["--feed-stats"]) == 0
+        memory_out = capsys.readouterr().out
+        assert "stats storage backend=memory" in memory_out
+        assert main(
+            base
+            + ["--feed-stats", "--backend", "sqlite",
+               "--store-path", str(tmp_path / "db")]
+        ) == 0
+        sqlite_out = capsys.readouterr().out
+        assert "stats storage backend=sqlite" in sqlite_out
         # identical diagnoses either way: the swap changes storage only
         strip = lambda text: [
             line for line in text.splitlines()
@@ -106,6 +101,67 @@ class TestSimulate:
         assert "snmp.tsv" in dumped
         syslog = (tmp_path / "feeds" / "syslog.tsv").read_text()
         assert "router=" in syslog
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestStorePathReuse:
+    """A ``--store-path`` that already holds a store is refused: ingesting
+    the scenario again into its tables would double every record."""
+
+    def test_second_run_into_one_store_path_is_refused(self, tmp_path, capsys):
+        argv = ["diagnose", "bgp-month", "--size", "10", "--seed", "2",
+                "--backend", "sqlite", "--store-path", str(tmp_path / "db")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = _snapshot(tmp_path / "db")
+        assert "syslog.sqlite" in before
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --store-path")
+        assert _snapshot(tmp_path / "db") == before
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "cdn-month", "--out", "OUT"],
+        ["serve", "pim-fortnight"],
+        ["api", "backbone-month", "--port", "0"],
+        ["incidents", "list", "bgp-storm"],
+    ], ids=lambda argv: argv[0])
+    def test_every_scenario_command_refuses_before_simulating(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        from repro.simulation import Workload
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated into a used store path")
+
+        monkeypatch.setattr(Workload, "build", no_simulation)
+        store = tmp_path / "db"
+        store.mkdir()
+        (store / "syslog.sqlite").write_bytes(b"a store")
+        argv = [str(tmp_path / a) if a == "OUT" else a for a in command]
+        assert main(argv + ["--backend", "sqlite",
+                            "--store-path", str(store)]) == 2
+        assert "already holds a store" in capsys.readouterr().err
+        assert _snapshot(store) == {"syslog.sqlite": b"a store"}
+        assert not (tmp_path / "OUT").exists()
+
+    @pytest.mark.parametrize("backend", [[], ["--backend", "memory"]],
+                             ids=["default", "memory"])
+    def test_memory_run_ignores_a_used_store_path(
+        self, backend, tmp_path, capsys
+    ):
+        store = tmp_path / "db"
+        store.mkdir()
+        (store / "syslog.sqlite").write_bytes(b"a store")
+        assert main(["diagnose", "bgp-month", "--size", "10", "--seed", "2",
+                     *backend, "--store-path", str(store)]) == 0
+        assert "already holds a store" not in capsys.readouterr().err
+        assert _snapshot(store) == {"syslog.sqlite": b"a store"}
 
 
 class TestParallelJobs:
