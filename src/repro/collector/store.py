@@ -62,7 +62,7 @@ from typing import (
 )
 
 from .backends import StorageBackend, resolve_backend
-from .rows import ColumnarSlice, Record, RowBatch
+from .rows import ColumnarSlice, Record, RowBatch, pack
 
 #: Rows the change log reaches back (the newest batch is kept whole
 #: whatever its size): 15 of the densest ticks of the benchmark's PIM
@@ -406,7 +406,9 @@ class DataStore:
     #: backend spec for tables created by this store (resolved once)
     backend: Any = None
     #: the change log, oldest batch first: (first revision, table, timestamps)
-    _log: Deque[Tuple[int, str, List[float]]] = field(default_factory=deque, repr=False)
+    _log: Deque[Tuple[int, str, Sequence[float]]] = field(
+        default_factory=deque, repr=False
+    )
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def __post_init__(self) -> None:
@@ -426,6 +428,9 @@ class DataStore:
         self.table(table).insert(Record.make(timestamp, **fields))
 
     def _log_batch(self, table: str, timestamps: List[float]) -> None:
+        # kept for as long as the log reaches back: 8 bytes a stamp, where
+        # the writer's list holds a boxed float for each
+        timestamps = pack(timestamps)
         with self._lock:
             log = self._log
             log.append((self.revision + 1, table, timestamps))
