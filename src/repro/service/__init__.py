@@ -21,8 +21,8 @@ service (the platform the paper operates, Section I/VI):
   above actually recovers;
 * :mod:`~repro.service.api` — the :class:`RcaService` facade
   (submit / poll / cancel / drain / graceful shutdown / periodic runs);
-* :mod:`~repro.service.metrics` — counters, gauges and latency
-  histograms surfaced through the CLI.
+* :mod:`~repro.service.metrics` — the service's counters, gauges and
+  latency histograms, declared over one :class:`repro.obs.metrics.Registry`.
 
 See ``docs/service.md`` and ``docs/robustness.md`` for architecture,
 tuning and the chaos-recipe catalogue.
@@ -38,7 +38,7 @@ from ..resilience import (
 from .api import AppHandle, PeriodicSchedule, RcaService
 from .cache import CacheEntry, CacheKey, ResultCache, cache_key
 from .faults import FlakyBackend, ServiceFaultInjector
-from .metrics import Counter, Gauge, Histogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .policy import (
     BrownoutConfig,
     BrownoutController,
@@ -82,11 +82,8 @@ __all__ = [
     "CacheKey",
     "CancellationToken",
     "CircuitBreaker",
-    "Counter",
     "DeadlineExceeded",
     "FlakyBackend",
-    "Gauge",
-    "Histogram",
     "Job",
     "JobQueue",
     "JobShed",

@@ -23,7 +23,7 @@ layer over the in-process library:
 * **drain** waits for in-flight work; **shutdown** is graceful by
   default (finish queued jobs) or immediate (cancel pending).
 
-Everything observable lands in :class:`ServiceMetrics`.
+Everything observable lands in :class:`ServiceMetrics`' registry.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from ..collector.health import IMPAIRED_STATES, HealthRegistry
 from ..core.engine import Diagnosis, RcaEngine, evidence_sources
 from ..core.events import EventInstance
+from ..obs.metrics import hit_rate, snapshot_lines
 from ..obs.report import stage_breakdown
 from ..obs.trace import NULL_TRACER, Tracer
 from .cache import ResultCache, cache_key
@@ -124,8 +125,7 @@ def spatial_cache_snapshot(services: Iterable["RcaService"]) -> Dict[str, float]
         stats = resolver.cache_stats()
         for key in totals:
             totals[key] += stats[key]
-    lookups = totals["hits"] + totals["misses"]
-    return {**totals, "hit_rate": totals["hits"] / lookups if lookups else 0.0}
+    return {**totals, "hit_rate": hit_rate(totals["hits"], totals["misses"])}
 
 
 class RcaService:
@@ -137,7 +137,6 @@ class RcaService:
         health: Optional[HealthRegistry] = None,
         workers: int = 4,
         queue_depth: int = 256,
-        metrics: Optional[ServiceMetrics] = None,
         clock: Callable[[], float] = time.monotonic,
         job_history: int = 1024,
         default_deadline: Optional[float] = None,
@@ -158,7 +157,7 @@ class RcaService:
         #: (:meth:`GrcaPlatform.serve` with ``incidents=True``)
         self.incidents = None
         self.incident_aggregator = None
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.clock = clock
         #: relative per-job deadline (seconds) applied when a submit
         #: does not pass its own; ``None`` = unbounded jobs
@@ -191,6 +190,17 @@ class RcaService:
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
         self._shut_down = False
+        source = self.metrics.registry.source
+        source("worker_utilization", lambda: self.metrics.utilization(
+            len(self.pool), self.elapsed_seconds))
+        source("storage", lambda: {
+            "backend": self.store.backend_name,
+            "tables": len(self.store.tables),
+            "records": self.store.total_records(),
+        })
+        source("spatial_cache", lambda: spatial_cache_snapshot([self]))
+        source("health", self._health_summary)
+        source("apps", self.apps)
 
     # ------------------------------------------------------------------
     # registration and lifecycle
@@ -263,54 +273,23 @@ class RcaService:
         return 0.0 if self._started_at is None else self.clock() - self._started_at
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The full service state as one structured, JSON-ready dict.
+        """The full service state as one structured, JSON-ready dict:
+        the metrics registry's snapshot, sources included (storage,
+        spatial cache, health, apps).  This is what ``GET /v1/metrics``
+        serves per shard."""
+        return self.metrics.registry.snapshot()
 
-        Extends :meth:`ServiceMetrics.snapshot` with the storage, spatial
-        cache and health context only the service knows (backend, record
-        counts, the apps' resolvers, brownout state, quarantine, pool
-        liveness).  This is what
-        ``GET /v1/metrics`` serves per shard; :meth:`metrics_lines` is
-        a thin text rendering over the same numbers.
-        """
-        snap = self.metrics.snapshot(len(self.pool), self.elapsed_seconds)
-        snap["storage"] = {
-            "backend": self.store.backend_name,
-            "tables": len(self.store.tables),
-            "records": self.store.total_records(),
-        }
-        snap["spatial_cache"] = spatial_cache_snapshot([self])
+    def metrics_lines(self) -> List[str]:
+        """The operator summary the CLI prints: the snapshot rendered."""
+        return ["service metrics:", *snapshot_lines(self.metrics_snapshot())]
+
+    def _health_summary(self) -> Dict[str, object]:
         health: Dict[str, object] = {"state": self.health_state().value}
         if self.supervisor is not None:
             health["quarantined"] = len(self.supervisor.quarantine)
             health["workers_alive"] = self.pool.alive
             health["workers"] = self.pool.capacity
-        snap["health"] = health
-        snap["apps"] = self.apps()
-        return snap
-
-    def metrics_lines(self) -> List[str]:
-        """Rendered metrics including worker utilization and storage."""
-        lines = self.metrics.format_lines(len(self.pool), self.elapsed_seconds)
-        lines.append(
-            f"  storage: backend={self.store.backend_name} "
-            f"tables={len(self.store.tables)} "
-            f"records={self.store.total_records()}"
-        )
-        spatial = spatial_cache_snapshot([self])
-        lines.append(
-            f"  spatial cache: {spatial['hits']} hits / "
-            f"{spatial['misses']} misses "
-            f"(hit rate {100 * spatial['hit_rate']:.1f}%), "
-            f"{spatial['invalidations']} invalidations"
-        )
-        health_line = f"  health: {self.health_state().value}"
-        if self.supervisor is not None:
-            health_line += (
-                f" quarantine={len(self.supervisor.quarantine)}"
-                f" pool={self.pool.alive}/{self.pool.capacity}"
-            )
-        lines.append(health_line)
-        return lines
+        return health
 
     # ------------------------------------------------------------------
     # submission

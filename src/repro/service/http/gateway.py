@@ -55,6 +55,7 @@ daemons: a hung client cannot prevent shutdown.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -494,7 +495,15 @@ def _expect_number(body: Dict[str, Any], field: str) -> float:
     value = body[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ApiError(400, f"field {field!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    # json.loads reads NaN and Infinity: a NaN deadline would never
+    # expire, since every comparison with it is false
+    if not math.isfinite(number):
+        raise ApiError(400, f"field {field!r} must be a finite number")
+    return number
 
 
 class _GatewayServer(ThreadingHTTPServer):

@@ -35,6 +35,7 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.events import EventInstance, instance_key
+from ...obs.metrics import hit_rate, sum_snapshots
 from .. import api as service_api
 from ..queue import Job, JobState
 
@@ -261,39 +262,18 @@ class ShardRouter:
         }
 
     def metrics(self) -> Dict[str, object]:
-        """Per-shard snapshots plus summed platform-wide counters."""
+        """Per-shard snapshots plus their counters and gauges summed.
+
+        Latency histograms stay per shard (a sum of percentiles means
+        nothing); the hit rate is derived from the summed counts.
+        """
         snapshots = [shard.metrics_snapshot() for shard in self.shards]
-        aggregate = _aggregate_counters(snapshots)
+        aggregate: Dict[str, object] = {
+            "shards": len(snapshots),
+            **sum_snapshots([shard.metrics.registry for shard in self.shards], snapshots),
+        }
+        cache = aggregate["cache"]
+        cache["hit_rate"] = hit_rate(cache["hits"], cache["misses"])
         # shards share their apps' resolvers: read each once, never sum
         aggregate["spatial_cache"] = service_api.spatial_cache_snapshot(self.shards)
         return {"aggregate": aggregate, "shards": snapshots}
-
-
-#: Snapshot sections whose leaves are summable counters/gauges.
-_SUMMED_SECTIONS = ("jobs", "recovery", "cache")
-#: Top-level summable scalar keys.
-_SUMMED_SCALARS = ("symptoms_diagnosed", "queue_depth", "workers_busy")
-
-
-def _aggregate_counters(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Sum the counter sections of several metric snapshots.
-
-    Only additive quantities are aggregated — summing percentile
-    summaries would be statistically wrong, so latency distributions
-    stay per shard.  The hit rate is recomputed from the summed counts.
-    """
-    aggregate: Dict[str, object] = {"shards": len(snapshots)}
-    for section in _SUMMED_SECTIONS:
-        merged: Dict[str, float] = {}
-        for snap in snapshots:
-            for key, value in snap.get(section, {}).items():
-                if key == "hit_rate":
-                    continue
-                merged[key] = merged.get(key, 0) + value
-        if section == "cache":
-            lookups = merged.get("hits", 0) + merged.get("misses", 0)
-            merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
-        aggregate[section] = merged
-    for key in _SUMMED_SCALARS:
-        aggregate[key] = sum(snap.get(key, 0) for snap in snapshots)
-    return aggregate

@@ -315,7 +315,7 @@ class Worker(threading.Thread):
         """
         elapsed = self.clock() - started
         self.metrics.job_latency.observe(elapsed)
-        self.metrics.add_busy_seconds(elapsed)
+        self.metrics.worker_busy_seconds.increment(elapsed)
         self.metrics.workers_busy.add(-1)
         self.jobs_executed += 1
         with self._job_lock:

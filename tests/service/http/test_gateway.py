@@ -163,6 +163,24 @@ class TestErrorMapping:
             assert status == 400, (start, end, doc)
             assert "finite" in doc["error"]
 
+    def test_a_non_finite_deadline_or_window_is_400(self, client, seeded_symptoms):
+        # json.loads reads NaN / Infinity: a NaN deadline never expires
+        # (every comparison with it is false), so such a job could
+        # neither time out nor be detached as hung
+        symptoms = [instance_to_dict(s) for s in seeded_symptoms[SHARD0_ROUTER]]
+        for value in (float("nan"), float("inf"), float("-inf"), 10 ** 400):
+            bodies = [
+                {"kind": "diagnose", "app": "mini", "symptoms": symptoms,
+                 "deadline": value},
+                dict(RUN_JOB, deadline=value),
+                dict(RUN_JOB, start=value),
+                dict(RUN_JOB, end=value),
+            ]
+            for body in bodies:
+                status, _, doc = client.post("/v1/jobs", body)
+                assert status == 400, (body, doc)
+                assert "finite" in doc["error"]
+
     def test_invalid_wait_is_400(self, client, seeded_symptoms):
         _, _, doc = submit_diagnose(client, seeded_symptoms[SHARD0_ROUTER])
         assert client.get(f"/v1/jobs/{doc['job_id']}?wait=soon")[0] == 400
@@ -184,6 +202,122 @@ class TestErrorMapping:
             status, _, doc = client.request(method, "/v1/apps", {"x": 1})
             assert status == 405, method
             assert "unsupported" in doc["error"], doc
+
+
+def leaf_paths(doc, prefix=""):
+    """``{dotted path: value}`` of every leaf of a JSON document; an
+    empty object is a leaf of its own (``stages`` before any traced
+    job)."""
+    if not isinstance(doc, dict) or not doc:
+        return {prefix: doc}
+    out = {}
+    for key, value in doc.items():
+        out.update(leaf_paths(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+_SUMMARY = ("count", "mean", "p50", "p95", "max")
+
+#: the leaf paths every shard snapshot must serve after untraced jobs:
+#: what dashboards and the serve benchmark read
+SHARD_PATHS = {
+    *(f"jobs.{k}" for k in ("submitted", "rejected", "completed", "failed",
+                            "cancelled", "timed_out", "quarantined")),
+    *(f"recovery.{k}" for k in (
+        "worker_crashes", "workers_restarted", "workers_detached",
+        "jobs_retried", "jobs_failed_over", "jobs_shed",
+        "supervisor_sweeps", "brownout_transitions", "brownout_active")),
+    "symptoms_diagnosed",
+    *(f"cache.{k}" for k in ("hits", "misses", "invalidations", "hit_rate")),
+    "queue_depth", "queue_depth_peak", "workers_busy", "worker_busy_seconds",
+    *(f"{h}.{k}" for h in ("queue_wait", "job_latency", "diagnosis_latency")
+      for k in _SUMMARY),
+    "stages", "worker_utilization",
+    "storage.backend", "storage.tables", "storage.records",
+    *(f"spatial_cache.{k}" for k in ("hits", "misses", "invalidations",
+                                     "hit_rate")),
+    *(f"health.{k}" for k in ("state", "quarantined", "workers_alive",
+                              "workers")),
+    "apps",
+}
+#: further paths a shard may serve: each gauge's high-water mark
+SHARD_PATHS_ADDED = {"workers_busy_peak", "recovery.brownout_active_peak"}
+
+#: the leaf paths the aggregate must serve
+AGGREGATE_PATHS = {
+    "shards",
+    *(p for p in SHARD_PATHS if p.split(".")[0] in ("jobs", "recovery", "cache")),
+    "symptoms_diagnosed", "queue_depth", "workers_busy",
+    *(f"spatial_cache.{k}" for k in ("hits", "misses", "invalidations",
+                                     "hit_rate")),
+}
+#: further paths the aggregate may serve: ``worker_busy_seconds`` is a
+#: counter, so it sums
+AGGREGATE_PATHS_ADDED = {"worker_busy_seconds"}
+#: aggregate leaves that are not a sum over the shards
+NOT_SUMMED = {"shards", "cache.hit_rate"}
+
+
+class TestMetricsContract:
+    """``GET /v1/metrics`` as the serve benchmark reads it: the paths it
+    reads hold numbers, the document serves every contract path and no
+    unlisted one, and the aggregate is the shards' sum."""
+
+    @pytest.fixture
+    def metrics(self, client, seeded_symptoms):
+        for symptoms in seeded_symptoms.values():
+            for _ in range(2):  # a miss, then a cache hit, on each shard
+                _, _, doc = submit_diagnose(client, symptoms)
+                client.wait_done(doc["job_id"])
+        status, _, doc = client.get("/v1/metrics")
+        assert status == 200
+        return doc
+
+    @staticmethod
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def test_the_benchmark_paths_hold_numbers(self, metrics):
+        assert len(metrics["shards"]) == 2
+        for shard in metrics["shards"]:
+            for key in ("queue_wait", "job_latency"):
+                for stat in ("count", "mean", "p50", "p95"):
+                    assert self.is_number(shard[key][stat]), (key, stat)
+                assert shard[key]["count"] >= 1
+            assert self.is_number(shard["worker_busy_seconds"])
+            assert shard["worker_busy_seconds"] > 0
+            assert shard["health"]["workers"] == 2
+        aggregate = metrics["aggregate"]
+        for key in ("hits", "misses", "hit_rate"):
+            assert self.is_number(aggregate["cache"][key]), key
+        assert aggregate["cache"]["hits"] >= 1 and aggregate["cache"]["misses"] >= 1
+        assert self.is_number(aggregate["jobs"]["rejected"])
+        assert self.is_number(aggregate["recovery"]["jobs_retried"])
+
+    def test_every_contract_path_is_served(self, metrics):
+        for shard in metrics["shards"]:
+            paths = set(leaf_paths(shard))
+            assert SHARD_PATHS <= paths, SHARD_PATHS - paths
+            assert paths - SHARD_PATHS <= SHARD_PATHS_ADDED, paths - SHARD_PATHS
+        paths = set(leaf_paths(metrics["aggregate"]))
+        assert AGGREGATE_PATHS <= paths, AGGREGATE_PATHS - paths
+        assert paths - AGGREGATE_PATHS <= AGGREGATE_PATHS_ADDED, (
+            paths - AGGREGATE_PATHS)
+
+    def test_the_aggregate_is_the_sum_over_the_shards(self, metrics):
+        shards = [leaf_paths(shard) for shard in metrics["shards"]]
+        aggregate = leaf_paths(metrics["aggregate"])
+        assert aggregate["shards"] == 2
+        summed = [p for p in aggregate
+                  if p not in NOT_SUMMED and not p.startswith("spatial_cache.")]
+        assert summed
+        for path in summed:
+            assert self.is_number(aggregate[path]), path
+            assert aggregate[path] == pytest.approx(
+                sum(shard[path] for shard in shards)), path
+        cache = metrics["aggregate"]["cache"]
+        assert cache["hit_rate"] == pytest.approx(
+            cache["hits"] / (cache["hits"] + cache["misses"]))
 
 
 class TestOverload:

@@ -343,10 +343,10 @@ class TestDrainAndShutdown:
         service.submit_diagnosis("mini", symptoms).outcome(timeout=30.0)
         text = "\n".join(service.metrics_lines())
         assert "service metrics:" in text
-        assert "worker utilization" in text
+        assert "worker_utilization: " in text
         spatial = service.metrics_snapshot()["spatial_cache"]
-        assert f"spatial cache: {spatial['hits']} hits" in text
-        assert f"hit rate {100 * spatial['hit_rate']:.1f}%" in text
+        assert f"spatial_cache: hits={spatial['hits']} " in text
+        assert f"hit_rate={spatial['hit_rate']:.6g}" in text
         assert service.elapsed_seconds > 0.0
 
     def test_spatial_cache_counters_read_from_the_resolver(

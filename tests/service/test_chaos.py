@@ -259,7 +259,7 @@ class TestBrownout:
             schedule = service.schedule_periodic("mini", interval=1000.0)
             service.brownout.evaluate(_Signals(p99=60.0), now=1.0)
             assert service.health_state() is ServiceHealth.DEGRADED
-            assert any("health: degraded" in line
+            assert any("health: state=degraded" in line
                        for line in service.metrics_lines())
 
             # periodic-priority work is shed at the door...

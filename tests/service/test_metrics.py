@@ -1,162 +1,108 @@
-"""Tests for the service metrics instruments."""
+"""The service's metrics: declared once in one registry, every view
+derived from it (the instrument types are tested in tests/obs)."""
+
+import json
 
 import pytest
 
-from repro.service.metrics import Counter, Gauge, Histogram, ServiceMetrics
-
-
-class TestCounter:
-    def test_counts(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-
-class TestGauge:
-    def test_set_and_peak(self):
-        gauge = Gauge("g")
-        gauge.set(3)
-        gauge.set(1)
-        assert gauge.value == 1
-        assert gauge.peak == 3
-
-    def test_add_tracks_peak(self):
-        gauge = Gauge("g")
-        gauge.add(2)
-        gauge.add(3)
-        gauge.add(-4)
-        assert gauge.value == 1
-        assert gauge.peak == 5
-
-
-class TestHistogram:
-    def test_percentiles_over_samples(self):
-        histogram = Histogram("h")
-        for value in range(1, 101):
-            histogram.observe(float(value))
-        assert histogram.count == 100
-        assert histogram.mean == pytest.approx(50.5)
-        assert histogram.percentile(0.50) == pytest.approx(51.0)
-        assert histogram.percentile(0.95) == pytest.approx(96.0)
-        assert histogram.percentile(1.0) == pytest.approx(100.0)
-
-    def test_empty_percentile_is_zero(self):
-        assert Histogram("h").percentile(0.5) == 0.0
-
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            Histogram("h").percentile(1.5)
-
-    def test_reservoir_is_bounded_but_count_exact(self):
-        histogram = Histogram("h", reservoir=10)
-        for value in range(100):
-            histogram.observe(float(value))
-        assert histogram.count == 100
-        # percentiles reflect only the newest 10 samples
-        assert histogram.percentile(0.0) >= 90.0
-
-    def test_summary_keys(self):
-        histogram = Histogram("h")
-        histogram.observe(2.0)
-        summary = histogram.summary()
-        assert set(summary) == {"count", "mean", "p50", "p95", "max"}
-        assert summary["count"] == 1
-        assert summary["max"] == 2.0
+from repro.service import RcaService
+from repro.service.metrics import ServiceMetrics
+from tests.obs.test_metrics import numeric_leaves, parse_lines
 
 
 class TestServiceMetrics:
     def test_cache_hit_rate(self):
         metrics = ServiceMetrics()
-        assert metrics.cache_hit_rate() == 0.0
+        assert metrics.registry.snapshot()["cache"]["hit_rate"] == 0.0
         metrics.cache_hits.increment(3)
         metrics.cache_misses.increment(1)
-        assert metrics.cache_hit_rate() == pytest.approx(0.75)
+        assert metrics.registry.snapshot()["cache"]["hit_rate"] == pytest.approx(0.75)
 
     def test_utilization(self):
         metrics = ServiceMetrics()
-        metrics.add_busy_seconds(5.0)
+        metrics.worker_busy_seconds.increment(5.0)
         assert metrics.utilization(2, 5.0) == pytest.approx(0.5)
         assert metrics.utilization(0, 0.0) == 0.0
-        metrics.add_busy_seconds(100.0)
+        metrics.worker_busy_seconds.increment(100.0)
         assert metrics.utilization(1, 1.0) == 1.0  # clamped
 
-    def test_snapshot_includes_utilization_when_known(self):
+    def test_stages_are_served_before_any_traced_job(self):
         metrics = ServiceMetrics()
-        assert "worker_utilization" not in metrics.snapshot()
-        assert "worker_utilization" in metrics.snapshot(2, 10.0)
+        assert metrics.registry.snapshot()["stages"] == {}
+        metrics.observe_stages({"retrieve": 0.003})
+        metrics.observe_stages({"retrieve": 0.001, "reason": 0.002})
+        stages = metrics.registry.snapshot()["stages"]
+        assert stages["retrieve"]["count"] == 2
+        assert stages["reason"]["count"] == 1
 
-    def test_format_lines_renders_every_section(self):
-        metrics = ServiceMetrics()
-        metrics.jobs_submitted.increment()
-        metrics.cache_hits.increment()
-        metrics.diagnosis_latency.observe(0.002)
-        text = "\n".join(metrics.format_lines(2, 10.0))
-        assert "jobs:" in text
-        assert "cache:" in text
-        assert "diagnosis latency" in text
-        assert "worker utilization" in text
+
+@pytest.fixture
+def populated(mini_app, health_registry):
+    """A service whose every instrument holds a distinct number."""
+    service = RcaService(store=mini_app.store, health=health_registry, workers=2)
+    service.register_app("mini", mini_app)
+    metrics = service.metrics
+    metrics.jobs_submitted.increment(7)
+    metrics.jobs_completed.increment(5)
+    metrics.jobs_failed.increment(1)
+    metrics.jobs_rejected.increment(2)
+    metrics.jobs_shed.increment(3)
+    metrics.worker_crashes.increment(1)
+    metrics.workers_restarted.increment(1)
+    metrics.symptoms_diagnosed.increment(41)
+    metrics.cache_hits.increment(3)
+    metrics.cache_misses.increment(1)
+    metrics.cache_invalidations.increment(2)
+    metrics.queue_depth.set(4)
+    metrics.queue_depth.set(2)
+    metrics.workers_busy.set(1)
+    metrics.worker_busy_seconds.increment(3.5)
+    for value in (0.001, 0.002, 0.004):
+        metrics.queue_wait.observe(value)
+        metrics.diagnosis_latency.observe(value * 2)
+        metrics.job_latency.observe(value * 3)
+    metrics.observe_stages({"retrieve": 0.003, "temporal-join": 0.001})
+    service.start()
+    yield service
+    service.shutdown(graceful=False, timeout=5.0)
 
 
 class TestSnapshotParity:
-    """format_lines is a thin renderer over snapshot — the numbers the
-    CLI prints and the numbers /v1/metrics serves must be the same."""
+    """The console lines are a rendering of the snapshot ``/v1/metrics``
+    serves: no number of the snapshot is left out of them."""
 
-    @staticmethod
-    def populated_metrics():
-        metrics = ServiceMetrics()
-        metrics.jobs_submitted.increment(7)
-        metrics.jobs_completed.increment(5)
-        metrics.jobs_failed.increment(1)
-        metrics.jobs_rejected.increment(2)
-        metrics.jobs_shed.increment(3)
-        metrics.worker_crashes.increment(1)
-        metrics.workers_restarted.increment(1)
-        metrics.symptoms_diagnosed.increment(41)
-        metrics.cache_hits.increment(3)
-        metrics.cache_misses.increment(1)
-        metrics.cache_invalidations.increment(2)
-        metrics.queue_depth.set(4)
-        metrics.queue_depth.set(2)
-        metrics.workers_busy.set(1)
-        metrics.add_busy_seconds(3.5)
-        for value in (0.001, 0.002, 0.004):
-            metrics.queue_wait.observe(value)
-            metrics.diagnosis_latency.observe(value * 2)
-            metrics.job_latency.observe(value * 3)
-        metrics.observe_stages({"retrieve": 0.003, "temporal-join": 0.001})
-        return metrics
-
-    def test_snapshot_is_json_serializable(self):
-        import json
-
-        snap = self.populated_metrics().snapshot(2, 10.0)
+    def test_snapshot_is_json_serializable(self, populated):
+        snap = populated.metrics_snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
-    def test_every_rendered_number_comes_from_the_snapshot(self):
-        metrics = self.populated_metrics()
-        snap = metrics.snapshot(2, 10.0)
-        text = "\n".join(metrics.format_lines(2, 10.0))
-        jobs, cache = snap["jobs"], snap["cache"]
-        assert f"{jobs['submitted']} submitted" in text
-        assert f"{jobs['completed']} completed" in text
-        assert f"{jobs['rejected']} rejected" in text
-        assert f"{snap['recovery']['worker_crashes']} worker crashes" in text
-        assert f"{snap['recovery']['jobs_shed']} shed" in text
-        assert f"symptoms diagnosed: {snap['symptoms_diagnosed']}" in text
-        assert f"{cache['hits']} hits / {cache['misses']} misses" in text
-        assert f"hit rate {100 * cache['hit_rate']:.1f}%" in text
-        assert f"depth {snap['queue_depth']:.0f}" in text
-        assert f"peak {snap['queue_depth_peak']:.0f}" in text
-        wait = snap["queue_wait"]
-        assert f"wait p50 {1000 * wait['p50']:.1f} ms" in text
-        latency = snap["diagnosis_latency"]
-        assert f"p50 {1000 * latency['p50']:.2f} ms" in text
-        assert f"{100 * snap['worker_utilization']:.1f}%" in text
-        for stage, summary in snap["stages"].items():
-            assert f"{stage}: p50 {1000 * summary['p50']:.2f} ms" in text
+    def test_the_rendering_hides_no_number(self, populated):
+        snap = populated.metrics_snapshot()
+        lines = populated.metrics_lines()
+        assert lines[0] == "service metrics:"
+        parsed = parse_lines(lines[1:])
+        leaves = numeric_leaves(snap)
+        assert set(leaves) <= set(parsed), set(leaves) - set(parsed)
+        for path, value in leaves.items():
+            assert float(parsed[path]) == pytest.approx(value, rel=1e-5, abs=1e-9), path
+        # every instrument kind is among them
+        for path in ("jobs.submitted", "recovery.jobs_shed", "cache.hit_rate",
+                     "queue_depth", "queue_depth_peak", "worker_busy_seconds",
+                     "queue_wait.p95", "stages.temporal-join.p50",
+                     "worker_utilization", "storage.records", "health.workers"):
+            assert path in parsed, path
+        assert parsed["health.state"] == "ok"
+        assert parsed["apps"] == "mini"
 
-    def test_snapshot_carries_busy_gauges(self):
-        snap = self.populated_metrics().snapshot()
+    def test_snapshot_carries_the_populated_numbers(self, populated):
+        snap = populated.metrics_snapshot()
+        assert snap["jobs"]["submitted"] == 7
+        assert snap["recovery"]["jobs_shed"] == 3
+        assert snap["symptoms_diagnosed"] == 41
+        assert snap["cache"]["hit_rate"] == pytest.approx(0.75)
+        assert (snap["queue_depth"], snap["queue_depth_peak"]) == (2, 4)
         assert snap["workers_busy"] == 1
         assert snap["worker_busy_seconds"] == pytest.approx(3.5)
+        assert snap["queue_wait"]["count"] == 3
+        assert snap["stages"]["retrieve"]["count"] == 1
+        assert snap["worker_utilization"] >= 0.0
+        assert snap["health"]["workers"] == 2

@@ -113,11 +113,11 @@ class TestThreadPoolIsolation:
         symptoms = mini_app.find_symptoms(times[0] - 50.0, times[-1] + 50.0)
         service.start()
         service.submit_diagnosis("mini", symptoms).outcome(timeout=30.0)
-        assert service.metrics.stage_summary() == {}
+        assert service.metrics_snapshot()["stages"] == {}
         service.submit_diagnosis("mini", symptoms, traced=True).outcome(
             timeout=30.0
         )
-        summary = service.metrics.stage_summary()
+        summary = service.metrics_snapshot()["stages"]
         assert summary  # traced job landed per-stage histograms
         for stage in ("job", "diagnose", "retrieve"):
             assert summary[stage]["count"] == 1

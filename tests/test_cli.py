@@ -188,7 +188,7 @@ class TestServe:
         assert "repeat of the full window served from the result cache" in out
         assert "service metrics:" in out
         assert "cache:" in out
-        assert "worker utilization" in out
+        assert "worker_utilization: " in out
 
 
 class TestMine:

@@ -60,6 +60,11 @@ def test_the_kit_imports_neither_layer():
     assert not re.search(r"^\s*(from|import)\s+(\.|repro\b)", text, re.MULTILINE)
 
 
+def test_the_metrics_registry_imports_no_other_repro_module():
+    text = (SRC / "repro" / "obs" / "metrics.py").read_text()
+    assert not re.search(r"^\s*(from|import)\s+(\.|repro\b)", text, re.MULTILINE)
+
+
 def test_no_collector_module_imports_the_engine_package():
     pattern = re.compile(
         r"^\s*(from\s+(\.\.+core|repro\.core)\b|import\s+repro\.core\b)",
