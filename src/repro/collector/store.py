@@ -124,7 +124,8 @@ class Table(TableReads):
 
     @property
     def indexed_columns(self) -> Tuple[str, ...]:
-        """Columns the backend serves equality filters on quickly."""
+        """Columns the backend may index for equality filters (see
+        :data:`DEFAULT_INDEXES`)."""
         return self._backend.indexed_columns
 
     def __len__(self) -> int:
@@ -368,7 +369,11 @@ class ObservedStore:
         return getattr(self._store, name)
 
 
-#: Default index columns per well-known table; location-bearing columns.
+#: Per well-known table, the columns it may index: where a read's
+#: equality filter can be served by a posting list (the memory backend
+#: builds one the first time a read filters on the column), the SQLite
+#: schema's indexed ``TEXT`` columns, and the Result Browser's and
+#: exploration's "filter by router" hint.
 DEFAULT_INDEXES: Dict[str, Tuple[str, ...]] = {
     "syslog": ("router", "interface", "code"),
     "snmp": ("router", "interface", "metric"),

@@ -5,12 +5,15 @@ makes faster or slower: every tracked object is one more thing each
 collection walks, every byte one the process holds, for as long as the
 row is stored.  Rows at rest are packed columns, so a row leaves no
 object of its own: 8 bytes for its stamp, 8 in each numeric column, a
-pointer in each other column, 8 on each posting list and 8 more for its
-stamp in the change log.
+pointer in each other column and 8 more for its stamp in the change
+log.  A row is on a posting list only once a read has asked for that
+list: each built list costs 8 bytes a row more (and a little slack for
+the array's growth).
 
-Mutation-checked: list posting lists (an ``int`` object per row on
-them) fail ``test_bytes_a_stored_row_holds`` for every source, and so do
-list stamps in the run or in the change log.
+Mutation-checked: list stamps in the run or in the change log fail
+``test_bytes_a_stored_row_holds`` for every source, and list posting
+lists (an ``int`` object per row on them) fail
+``test_a_filtered_read_adds_one_posting_list``.
 """
 
 import pytest
@@ -26,10 +29,24 @@ from ..budget import traced_bytes, tracked_objects
 ROWS = 5000
 #: batch lists, table and parser bookkeeping — independent of ROWS
 CONSTANT = 128
-#: traced bytes a stored row may hold: 42.0 / 73.2 / 69.4 packed, plus
-#: 6–7 bytes (346 / 440 when a row was an object plus its field dict;
-#: 95.7 / 152.4 / 148.3 as lists of boxed values)
-BYTES_PER_ROW = {"ospfmon": 48, "perfmon": 80, "snmp": 76}
+#: traced bytes a stored row may hold: 33.5 / 49.2 / 49.5 with no
+#: posting list built, plus ≈ 6 bytes (42.6 / 73.9 / 70.0 with a list
+#: per declared column from the first row on; 95.7 / 152.4 / 148.3 as
+#: lists of boxed values; 346 / 440 when a row was an object plus its
+#: field dict)
+BYTES_PER_ROW = {"ospfmon": 40, "perfmon": 55, "snmp": 56}
+#: traced bytes the posting list one filtered read builds may hold: 9
+#: a row (8 and the array's growth slack), plus 128 per distinct value
+#: for its array and its dict entry.  8.3 / 8.3 a row for perfmon and
+#: snmp ``metric`` (1 and 2 values), 9.3 for ospfmon ``link`` (40)
+BYTES_PER_POSTING = 9
+BYTES_PER_VALUE = 128
+#: the column each source's filtered read asks for, and a value of it
+FILTERED = {
+    "ospfmon": ("link", "l0"),
+    "perfmon": ("metric", "delay_ms"),
+    "snmp": ("metric", "link_util"),
+}
 
 LINES = {
     "perfmon": [
@@ -74,3 +91,21 @@ def test_bytes_a_stored_row_holds(source):
         collector.ingest(source, lines)
     assert len(collector.store.table(source)) == ROWS
     assert held.value / len(lines) <= BYTES_PER_ROW[source]
+
+
+@pytest.mark.parametrize("source", sorted(LINES))
+def test_a_filtered_read_adds_one_posting_list(source):
+    collector = DataCollector(store=DataStore(backend="memory"))
+    collector.ingest(source, LINES[source])
+    table = collector.store.table(source)
+    column, value = FILTERED[source]
+    assert column in table.indexed_columns
+    with traced_bytes() as unfiltered:
+        table.query_columns()
+    with traced_bytes() as filtered:
+        assert table.query_columns(**{column: value})
+    assert unfiltered.value <= CONSTANT, unfiltered.value
+    values = len(table.distinct(column))
+    assert filtered.value <= BYTES_PER_POSTING * ROWS + BYTES_PER_VALUE * values, (
+        filtered.value / ROWS
+    )

@@ -11,6 +11,9 @@ in the read path, never a slow runner.
 import pytest
 
 from repro.apps import BgpFlapApp
+from repro.collector.backends import MemoryBackend
+from repro.collector.rows import RowBatch
+from repro.collector.store import Table
 from repro.core.engine import RcaEngine
 from repro.core.spatial import BatchSpatialJoin
 from repro.simulation import bgp_month
@@ -24,7 +27,12 @@ from ..budget import profile_events
 #: 160).  Since retrievals yield rows off ``query_columns`` and a
 #: candidate becomes an instance only when read: 141.4 on 3.10.13 /
 #: 3.11.7 and 136.3 on 3.12.1 (141.9 / 136.6 before, same procedure).
-CALLS_PER_EVALUATION = 142
+#: Those counts depended on what the tests before had warmed: alone,
+#: the same file read 142.9.  Since the fixture runs a warm-up pass,
+#: and posting lists are built by the first read that filters on their
+#: column (its one-time cost: 164.8 without the pass): 141.2 on 3.11.7,
+#: bound lowered to keep the 0.6 margin.
+CALLS_PER_EVALUATION = 141.8
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +41,10 @@ def bgp():
     app = BgpFlapApp.build(result.platform())
     symptoms = app.find_symptoms(result.start, result.end)
     assert len(symptoms) >= 30
+    # one pass first: what the process builds once (interned locations,
+    # routing memos, the posting lists of the columns retrievals filter
+    # on) is not what an evaluation costs
+    app.engine.isolated().diagnose_all(symptoms)
     return app.engine, symptoms
 
 
@@ -72,3 +84,33 @@ def test_an_empty_retrieval_builds_no_spatial_batch(bgp):
     # for a retrieval (or a temporal join) that came back empty
     assert calls["spatial_batches"] == len(with_survivors) < len(rules)
     assert [d.evidence for d in diagnoses] == [d.evidence for d in traced]
+
+
+#: profile events a stored row costs the one filtered read that builds
+#: its column's posting list (one ``append`` a row: 1.0 measured)
+EVENTS_PER_POSTED_ROW = 1.05
+#: profile events of a filtered read once the list exists, at any size
+#: (20 measured)
+EVENTS_PER_BUILT_READ = 30
+
+
+def test_a_posting_list_is_built_once_by_the_first_filtered_read():
+    rows = 20000
+    table = Table("syslog", ("router", "code"))
+    table.insert_many(RowBatch(
+        ("router", "code"),
+        [float(i) for i in range(rows)],
+        [(f"r{i % 7}", f"C{i % 3}") for i in range(rows)],
+    ))
+    watched = {MemoryBackend._build.__code__: "builds"}
+    with profile_events(watched) as unfiltered:
+        table.query_columns(0.0, 10.0)
+    with profile_events(watched) as first:
+        assert len(table.query_columns(0.0, 10.0, router="r1")) == 2
+    with profile_events(watched) as second:
+        assert len(table.query_columns(0.0, 10.0, router="r1")) == 2
+    assert unfiltered.calls["builds"] == 0
+    assert first.calls["builds"] == 1
+    assert first.total / rows <= EVENTS_PER_POSTED_ROW, first.total / rows
+    assert second.calls["builds"] == 0
+    assert second.total <= EVENTS_PER_BUILT_READ, second.total

@@ -6,7 +6,15 @@ flap retrievals read their widened window once and split it by state.
 Both must return exactly what ``tests/oracles/read_path.py`` returns —
 the window query that checks every filter on every row (and
 ``SqliteBackend.query_columns``, which re-filters every decoded row),
-and the flap retrieval that reads once per state.
+and the flap retrieval that reads once per state.  A posting list is
+built by the first read that filters on its column, so a table must
+answer the same whenever its lists were built: before the first row,
+at that read, or between inserts — as a table that never indexes.
+
+Mutation-checked: ``_post`` no longer extending a built list, a build
+that skips the run's first row, and ``_merge`` keeping its lists
+without rebuilding them each fail
+``test_query_columns_and_distinct_equal_a_table_that_never_indexes``.
 """
 
 import pytest
@@ -118,6 +126,101 @@ class TestQueryEqualsTheNaiveFilter:
         backend.insert_many((Record.make(1.0, code=nan),))
         assert rows_of(backend, None, None, {"code": nan}) == []
         assert filter_every_row(rows_of(backend), None, None, {"code": nan}) == []
+
+
+# ---------------------------------------------------------------------------
+# building a posting list changes no answer
+
+NAN = float("nan")
+#: ``mixed`` holds every kind of value a column may (1 == 1.0 == True),
+#: ``i`` / ``f`` stay packed int / float arrays, ``u`` is never declared
+DECLARED = ("mixed", "i", "f")
+BUILD_POINTS = ("before the first row", "at the first filtered read", "mid-stream")
+
+index_rows = st.tuples(
+    st.integers(0, 12).map(float),
+    st.sampled_from(["a", "b", 0, 1, 1.0, 2.5, True, False, None, NAN, ABSENT]),
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0.5, 1.0, 2.5]),
+    st.sampled_from(["a", 1, None, ABSENT]),
+)
+
+#: batch ``n``'s stamps are 3n .. 3n + 12
+window = st.one_of(st.none(), st.integers(-1, 34).map(float))
+
+index_filters = st.fixed_dictionaries(
+    {},
+    optional={
+        "mixed": st.sampled_from(["a", "ghost", 0, 1, 1.0, True, 2.5, None, NAN]),
+        "i": st.sampled_from([0, 1, 1.0, True, 3, None]),
+        "f": st.sampled_from([0.5, 1, 2.5, None]),
+        "u": st.sampled_from(["a", 1, None]),
+    },
+)
+
+
+def _canonical(values):
+    """Values compared type for type, NaN equal to NaN."""
+    return [(type(value), repr(value)) for value in values]
+
+
+def _answer(backend, start, end, equals):
+    window = backend.query_columns(start, end, dict(equals))
+    return (
+        list(window.timestamps),
+        {name: _canonical(window.column(name)) for name in (*DECLARED, "u", "k")},
+        [repr(record) for record in window.records],
+    )
+
+
+def _build_every_list(backend):
+    for column in DECLARED:
+        backend.query_columns(None, None, {column: 1})
+
+
+class TestBuildingAnIndexChangesNoAnswer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(index_rows, min_size=1, max_size=6), max_size=8),
+        st.sampled_from(BUILD_POINTS),
+        st.integers(0, 8),
+        st.sampled_from([None, 0, 3]),
+        st.lists(st.tuples(window, window, index_filters), min_size=1, max_size=6),
+    )
+    def test_query_columns_and_distinct_equal_a_table_that_never_indexes(
+        self, batches, build_point, mid, tail_limit, reads
+    ):
+        indexed = MemoryBackend(DECLARED, tail_limit=tail_limit)
+        plain = MemoryBackend((), tail_limit=tail_limit)
+        if build_point == "before the first row":
+            _build_every_list(indexed)
+        arrival = 0
+        for number, batch in enumerate(batches):
+            if build_point == "mid-stream" and number == mid:
+                _build_every_list(indexed)
+            records = []
+            # odd batches come sorted: in order, they extend the run at once
+            if number % 2:
+                batch = sorted(batch, key=lambda row: row[0])
+            for stamp, *values in batch:
+                fields = dict(zip(("mixed", "i", "f", "u"), values), k=arrival)
+                records.append(
+                    Record(
+                        stamp + 3 * number,  # batches overlap: some rows late
+                        {c: v for c, v in fields.items() if v is not ABSENT},
+                    )
+                )
+                arrival += 1
+            for backend in (indexed, plain):
+                backend.insert_many(records)
+        for start, end, equals in reads:
+            assert _answer(indexed, start, end, equals) == _answer(
+                plain, start, end, equals
+            ), equals
+        for column in (*DECLARED, "u", "k"):
+            assert _canonical(indexed.distinct(column)) == _canonical(
+                plain.distinct(column)
+            ), column
 
 
 # ---------------------------------------------------------------------------
