@@ -21,7 +21,8 @@ remain.
 Read observation (``store-query`` tracing spans and the footprint
 records the service cache invalidates on) rides the single
 :class:`~repro.collector.store.ReadObserver` seam rather than dedicated
-proxy classes.
+proxy classes; the retrieval cache's freshness is a
+:class:`~repro.core.footprint.FootprintIndex` (:meth:`RcaEngine.sync`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ..collector.store import (
 )
 from ..obs.trace import NULL_TRACER, Tracer
 from .diagnosis import Diagnosis, FootprintEntry
+from .footprint import FootprintIndex, coalesce_windows, merge_footprint
 from .events import (
     CandidateSet, EventDefinition, EventInstance, EventLibrary, RetrievalContext,
 )
@@ -56,53 +58,6 @@ from .reasoning.rule_based import (
     reason,
 )
 from .spatial import JoinLevel, LocationResolver, location_runs
-
-
-def merge_footprint(reads: Iterable[FootprintEntry]) -> Tuple[FootprintEntry, ...]:
-    """Coalesce raw read records into per-table disjoint windows."""
-    by_table: Dict[str, List[Tuple[float, float]]] = {}
-    for table, lo, hi in reads:
-        by_table.setdefault(table, []).append((lo, hi))
-    return tuple(
-        (table, lo, hi)
-        for table in sorted(by_table)
-        for lo, hi in coalesce_windows(by_table[table])
-    )
-
-
-def footprint_hit(
-    reads: Iterable[FootprintEntry], deltas: Dict[str, List[float]]
-) -> bool:
-    """Whether any delta point lands inside any of the read windows.
-
-    ``deltas`` maps table name to *sorted* record timestamps; one bisect
-    per read window.
-    """
-    for table, lo, hi in reads:
-        points = deltas.get(table)
-        if points:
-            p = bisect.bisect_left(points, lo)
-            if p < len(points) and points[p] <= hi:
-                return True
-    return False
-
-
-def note_reach(reach: Dict[str, float], reads: Iterable[FootprintEntry]) -> None:
-    """Raise ``reach`` — per table, the furthest any noted read goes."""
-    for table, _lo, hi in reads:
-        if hi > reach.get(table, float("-inf")):
-            reach[table] = hi
-
-
-def may_hit(deltas: Dict[str, List[float]], reach: Dict[str, float]) -> bool:
-    """Whether some table's oldest delta point is within that table's
-    ``reach``.  If none is, no read noted there contains a delta point
-    and a :func:`footprint_hit` sweep would come back empty — as for an
-    in-order feed, whose new points lie past everything already read."""
-    return any(
-        points and points[0] <= reach.get(table, float("-inf"))
-        for table, points in deltas.items()
-    )
 
 
 def evidence_sources(graph: DiagnosisGraph, library: EventLibrary) -> Set[str]:
@@ -137,23 +92,6 @@ def bucket_window(
     lo = window[0] - (window[0] % bucket)
     hi = window[1] + ((-window[1]) % bucket)
     return lo, hi
-
-
-def coalesce_windows(
-    windows: Iterable[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    """Merge overlapping or touching windows into disjoint covers."""
-    ordered = sorted(windows)
-    if not ordered:
-        return []
-    merged = [ordered[0]]
-    for lo, hi in ordered[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 class CoverIndex:
@@ -698,18 +636,15 @@ class RcaEngine:
                 ObservedStore(self.store, observers), cover[0], cover[1],
                 self.config.params, self.config.services,
             )
+            entry = self._retrieval_cache[key] = step.definition.retrieve(context)
             # deduplicated in read order; a tuple of one entry is a
             # fraction of a one-entry set's bytes, on every cached cover
-            entry = self._retrieval_cache[key] = (
-                step.definition.retrieve(context), tuple(dict.fromkeys(reads))
-            )
-            note_reach(self._reach, reads)
-            self._oldest_hi = min(self._oldest_hi, cover[1])
+            self._footprints.add(key, tuple(dict.fromkeys(reads)))
             self._covers[event_name].add(*cover)
             # a new cover may answer this event's later lookups
             for other in shared[event_name].values():
                 other.reset()
-        stage.candidates, stage.reads = entry
+        stage.candidates, stage.reads = entry, self._footprints.reads[key]
         return cached
 
     def sync(self) -> int:
@@ -717,37 +652,24 @@ class RcaEngine:
 
         Drops the cached retrievals whose recorded store reads contain
         the timestamp of a row that landed in that table since the last
-        sync (:func:`footprint_hit`) — all of them when the log no longer
-        reaches back that far — and returns how many.  Every
+        sync (:meth:`FootprintIndex.catch_up`) — all of them when the log
+        no longer reaches back that far — and returns how many.  Every
         :meth:`diagnose_all` starts here; call it only from the thread
         that owns this engine (the cache is not locked), between calls.
         """
-        self._synced, deltas = self.store.changes_since(self._synced)
-        if deltas is not None and not may_hit(deltas, self._reach):
-            return 0
-        return self._drop_retrievals(
-            [
-                key
-                for key, (_candidates, reads) in self._retrieval_cache.items()
-                if deltas is None or footprint_hit(reads, deltas)
-            ]
-        )
+        return self._drop_retrievals(self._footprints.catch_up())
 
     def clear_cache(self) -> None:
         """Drop all cached retrievals (freshness is :meth:`sync`'s job:
         this only gives the memory back)."""
-        # store revision the cache is in sync with: an empty one, any
-        self._synced: int = self.store.revision
-        # retrieval cache: (event name, cover window) -> (candidate set,
-        # the store reads behind it)
-        self._retrieval_cache: Dict[Tuple[str, float, float], tuple] = {}
+        # retrieval cache: (event name, cover window) -> candidate set
+        self._retrieval_cache: Dict[Tuple[str, float, float], CandidateSet] = {}
+        # the same keys -> the store reads behind them, fresh as of now
+        # (an empty cache is fresh at any revision); a cover ends at hi
+        self._footprints = FootprintIndex(self.store, lambda key, _reads: key[2])
         # per event: the cached cover windows, indexed for containment
         # (looking an event up files an empty index for it)
         self._covers: Dict[str, CoverIndex] = defaultdict(CoverIndex)
-        # per table, an upper bound on where the cached entries' reads end
-        self._reach: Dict[str, float] = {}
-        # the earliest end of any cached cover
-        self._oldest_hi = float("inf")
 
     def evict_retrievals_before(self, cutoff: float) -> int:
         """Drop cached covers that end before ``cutoff``; return the count.
@@ -759,23 +681,17 @@ class RcaEngine:
         would make :meth:`sync` scan an ever-growing list.  Same
         threading contract as :meth:`sync`.
         """
-        if cutoff <= self._oldest_hi:
-            return 0
-        return self._drop_retrievals(
-            [key for key in self._retrieval_cache if key[2] < cutoff]
-        )
+        return self._drop_retrievals(self._footprints.forget_before(cutoff))
 
     def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:
         """Remove cache entries, rebuild the cover indexes; return the count."""
         for key in stale:
             del self._retrieval_cache[key]
+            self._footprints.discard(key)
         if stale:
             self._covers = defaultdict(CoverIndex)
             for event_name, lo, hi in self._retrieval_cache:
                 self._covers[event_name].add(lo, hi)
-            self._oldest_hi = min(
-                (key[2] for key in self._retrieval_cache), default=float("inf")
-            )
         return len(stale)
 
     def isolated(self) -> "RcaEngine":

@@ -18,16 +18,15 @@ Design points:
   before the previous watermark so out-of-order feed arrivals are not
   lost; already-diagnosed instances are de-duplicated by identity.
 * **Incremental cache discipline** — the engine's retrieval cache is
-  *not* cleared per advance.  Each advance reads what landed since the
-  last one from the store's change log
-  (:meth:`~repro.collector.store.DataStore.changes_since`) and the
-  engine drops exactly the cached covers a new record landed in
-  (:meth:`RcaEngine.sync`); covers behind the data frontier stay warm
-  across advances, and covers behind the re-open horizon are evicted.
-* **Delta-driven re-diagnosis** — the same deltas re-open
-  previously-settled symptoms: a late or out-of-order record that lands
-  inside a settled diagnosis's read footprint triggers exactly that
-  symptom's re-diagnosis (bounded by ``max_reopen_per_advance`` and
+  *not* cleared per advance: the engine drops exactly the cached covers
+  a record that landed since falls in (:meth:`RcaEngine.sync`); covers
+  behind the data frontier stay warm across advances, and covers behind
+  the re-open horizon are evicted.
+* **Delta-driven re-diagnosis** — settled symptoms are held in a
+  :class:`~repro.core.footprint.FootprintIndex` by their footprints: a
+  late or out-of-order record that lands inside a settled diagnosis's
+  read footprint triggers exactly that symptom's
+  re-diagnosis (bounded by ``max_reopen_per_advance`` and
   ``reopen_horizon``, keyed by ``instance_key``; when the log cannot
   say what landed, every settled symptom is a candidate).  A
   re-diagnosis whose conclusion changed is re-emitted through
@@ -44,14 +43,13 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..collector.health import FeedState
 from ..obs.trace import NULL_TRACER
-from .engine import (
-    Diagnosis, RcaEngine, evidence_sources, footprint_hit, may_hit, note_reach,
-)
+from .engine import Diagnosis, RcaEngine, evidence_sources
 from .events import EventInstance, InstanceKey, instance_key
+from .footprint import FootprintIndex, _Retained
 
 DiagnosisCallback = Callable[[Diagnosis], None]
 
@@ -79,33 +77,6 @@ class StreamingConfig:
     max_reopen_per_advance: int = 64
 
 
-class _Retained(dict):
-    """What an advance keeps until it ends before a horizon.
-
-    A dict that also knows a lower bound of its values' end times, so
-    :meth:`forget_before` — called on every advance — returns at once
-    while nothing kept has fallen behind the horizon.
-    """
-
-    def __init__(self, end_of: Callable[[Any], float]) -> None:
-        super().__init__()
-        self._end_of = end_of
-        self._oldest = float("inf")
-
-    def __setitem__(self, key, value) -> None:
-        self._oldest = min(self._oldest, self._end_of(value))
-        super().__setitem__(key, value)
-
-    def forget_before(self, horizon: float) -> None:
-        """Delete the entries that ended before ``horizon``."""
-        if self._oldest >= horizon:
-            return
-        end_of = self._end_of
-        for key in [k for k, value in self.items() if end_of(value) < horizon]:
-            del self[key]
-        self._oldest = min(map(end_of, self.values()), default=float("inf"))
-
-
 class StreamingRca:
     """Incremental symptom detection and diagnosis over a live store."""
 
@@ -125,20 +96,19 @@ class StreamingRca:
         self._start = start
         self._watermark: Optional[float] = None
         #: de-duplication keys of retrieved symptoms -> the instance's end
-        self._seen: Dict[InstanceKey, float] = _Retained(lambda end: end)
+        self._seen: Dict[InstanceKey, float] = _Retained(lambda _key, end: end)
         self.diagnosed_count = 0
         self._required_sources: Optional[Set[str]] = None
         # --- delta state -----------------------------------------------
-        #: store revision up to which re-opens have been selected
-        self._revision = engine.store.revision
         #: settled symptoms eligible for re-opening: identity -> the
-        #: instance and its latest diagnosis (whose footprint is the
-        #: re-open trigger surface)
-        self._settled: Dict[InstanceKey, Tuple[EventInstance, Diagnosis]] = (
-            _Retained(lambda entry: entry[0].end)
+        #: instance and its latest diagnosis
+        self._settled: Dict[InstanceKey, Tuple[EventInstance, Diagnosis]] = {}
+        #: the same identities -> their diagnoses' footprints (the
+        #: re-open trigger surface); a symptom ends with its instance
+        settled = self._settled
+        self._footprints = FootprintIndex(
+            engine.store, lambda key, _footprint: settled[key][0].end
         )
-        #: per table, an upper bound on where settled footprints end
-        self._settled_reach: Dict[str, float] = {}
         #: cache entries dropped by delta invalidation (cumulative)
         self.invalidated_count = 0
         #: settled symptoms re-opened by a delta (cumulative)
@@ -165,11 +135,9 @@ class StreamingRca:
         """End of the last settled region that has been diagnosed."""
         return self._watermark
 
-    def _select_reopens(
-        self, deltas: Optional[Dict[str, List[float]]]
-    ) -> List[Tuple[InstanceKey, EventInstance, Diagnosis]]:
-        """Settled symptoms whose read footprint a delta landed in —
-        all of them when ``deltas`` is ``None`` (the log cannot say).
+    def _select_reopens(self) -> List[Tuple[InstanceKey, EventInstance, Diagnosis]]:
+        """Settled symptoms whose read footprint a row that landed since
+        the last advance hits — all of them when the log cannot say.
 
         Sound because every record that can change a diagnosis lands in
         some window that diagnosis read (its footprint — recorded even
@@ -177,19 +145,10 @@ class StreamingRca:
         transitively, since reaching it requires a parent match whose
         own window the record must first land in.
         """
-        if deltas is not None and not may_hit(deltas, self._settled_reach):
-            return []
-        hits = [
-            (key, instance, diagnosis)
-            for key, (instance, diagnosis) in self._settled.items()
-            if deltas is None or footprint_hit(diagnosis.footprint, deltas)
-        ]
+        hits = [(key, *self._settled[key]) for key in self._footprints.catch_up()]
         hits.sort(key=lambda item: (item[1].start, item[0]))
-        cap = self.config.max_reopen_per_advance
-        if len(hits) > cap:
-            # keep the most recent symptoms — late data skews recent
-            hits = hits[len(hits) - cap:]
-        return hits
+        # over the cap, keep the most recent symptoms: late data skews recent
+        return hits[max(0, len(hits) - self.config.max_reopen_per_advance):]
 
     def advance(self, now: float, tracer=None) -> List[Diagnosis]:
         """Diagnose symptoms that settled since the last call.
@@ -217,14 +176,11 @@ class StreamingRca:
                 now - config.settle_seconds
             )
             adv.annotate(settled_until=settled_until)
-            self._revision, deltas = self.engine.store.changes_since(
-                self._revision
-            )
-            if deltas != {}:  # rows landed, or the log cannot say
+            if self._footprints.behind():  # rows landed, or the log cannot say
                 invalidated = self.engine.sync()
                 self.invalidated_count += invalidated
                 adv.annotate(invalidated=invalidated)
-            reopens = self._select_reopens(deltas)
+            reopens = self._select_reopens()
             fresh: List[EventInstance] = []
             if self._watermark is not None and settled_until <= self._watermark:
                 # nothing newly settled, but memory bounds still apply —
@@ -295,7 +251,7 @@ class StreamingRca:
         for diagnosis in produced:
             key = instance_key(diagnosis.symptom)
             self._settled[key] = (diagnosis.symptom, diagnosis)
-            note_reach(self._settled_reach, diagnosis.footprint)
+            self._footprints.add(key, diagnosis.footprint)
             if key not in previous:
                 self.diagnosed_count += 1
                 emitted.append(diagnosis)
@@ -337,7 +293,9 @@ class StreamingRca:
         """Memory bounds: drop dedupe keys and re-openable symptoms that
         ended before their horizons."""
         self._seen.forget_before(settled_until - self.config.dedupe_horizon)
-        self._settled.forget_before(settled_until - self.config.reopen_horizon)
+        horizon = settled_until - self.config.reopen_horizon
+        for key in self._footprints.forget_before(horizon):
+            del self._settled[key]
 
 
 class FeedReplayer:

@@ -36,7 +36,7 @@ from ..resilience import (
     is_transient,
 )
 from .api import AppHandle, PeriodicSchedule, RcaService
-from .cache import CacheEntry, CacheKey, ResultCache, cache_key
+from .cache import CacheKey, ResultCache, cache_key
 from .faults import FlakyBackend, ServiceFaultInjector
 from .metrics import ServiceMetrics
 from .policy import (
@@ -78,7 +78,6 @@ __all__ = [
     "AppHandle",
     "BrownoutConfig",
     "BrownoutController",
-    "CacheEntry",
     "CacheKey",
     "CancellationToken",
     "CircuitBreaker",

@@ -7,37 +7,30 @@ but never stale.  An entry is keyed by
     (application, symptom identity, diagnosis-graph fingerprint)
 
 using the same :func:`repro.core.events.instance_key` identity as the
-streaming engine's dedupe, and records two freshness anchors:
+streaming engine's dedupe.  A graph edit changes the fingerprint, so
+stale rule sets miss rather than serve.
 
-* the **store revision** (the data watermark) at the moment the
-  diagnosis started, and
-* the diagnosis **footprint** — every (table, window) the engine
-  actually read while correlating.
-
-Invalidation is pulled: :meth:`ResultCache.lookup` and
-:meth:`ResultCache.store` first read what landed since the cache last
-looked from the :class:`~repro.collector.store.DataStore` change log,
-and a late record *inside* a cached footprint window evicts exactly the
-entries whose evidence it could have changed — entries whose windows
-the record misses are untouched; when the log cannot say what landed,
-everything goes.  A graph edit changes the fingerprint, so stale rule
-sets miss rather than serve.
-
-The write path is race-safe: :meth:`store` refuses to cache a result
-whose computation overlapped a relevant insert (checked against the
-same log), so a worker racing the ingest path can never publish a
-diagnosis that was already stale when it finished.
+Freshness is the diagnosis **footprint** — every (table, window) the
+engine read while correlating — held in a
+:class:`~repro.core.footprint.FootprintIndex`.  Invalidation is pulled:
+every read of the cache first catches the index up with the store's
+change log, and a late record *inside* a cached footprint window evicts
+exactly the entries whose evidence it could have changed; when the log
+cannot say what landed, everything goes.  The write path is race-safe:
+:meth:`ResultCache.store` refuses a result when a record landed in its
+footprint after the **store revision** its computation started at, so
+a worker racing the ingest path never publishes a stale diagnosis.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.engine import Diagnosis, FootprintEntry, footprint_hit
+from ..core.engine import Diagnosis
 from ..core.events import EventInstance, instance_key
+from ..core.footprint import FootprintIndex
 from .metrics import ServiceMetrics
 
 #: Cache key: (application name, symptom identity, graph fingerprint).
@@ -47,15 +40,6 @@ CacheKey = Tuple[str, Tuple, str]
 def cache_key(app: str, symptom: EventInstance, graph_fingerprint: str) -> CacheKey:
     """The canonical result-cache key for one symptom of one app."""
     return (app, instance_key(symptom), graph_fingerprint)
-
-
-@dataclass
-class CacheEntry:
-    """One cached diagnosis plus its freshness anchors."""
-
-    diagnosis: Diagnosis
-    footprint: Tuple[FootprintEntry, ...]
-    store_revision: int
 
 
 class ResultCache:
@@ -73,13 +57,10 @@ class ResultCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.metrics = metrics
-        self._store = store
-        #: store revision the entries have been checked against
-        self._revision = store.revision
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
-        # per table, the keys whose footprint reads it: invalidation
-        # looks at one table's entries, removal is one dict delete
-        self._by_table: Dict[str, Dict[CacheKey, None]] = {}
+        self._entries: "OrderedDict[CacheKey, Diagnosis]" = OrderedDict()
+        # the same keys with their diagnoses' footprints, caught up with
+        # the store's change log
+        self._footprints = FootprintIndex(store)
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -93,23 +74,17 @@ class ResultCache:
         """The cached diagnosis, or None; counts hit/miss metrics."""
         with self._lock:
             self._catch_up()
-            entry = self._entries.get(key)
-            if entry is not None:
+            diagnosis = self._entries.get(key)
+            if diagnosis is not None:
                 self._entries.move_to_end(key)
         if self.metrics is not None:
-            if entry is not None:
+            if diagnosis is not None:
                 self.metrics.cache_hits.increment()
             else:
                 self.metrics.cache_misses.increment()
-        return entry.diagnosis if entry is not None else None
+        return diagnosis
 
-    def store(
-        self,
-        key: CacheKey,
-        diagnosis: Diagnosis,
-        store_revision: int,
-        footprint: Optional[Tuple[FootprintEntry, ...]] = None,
-    ) -> bool:
+    def store(self, key: CacheKey, diagnosis: Diagnosis, store_revision: int) -> bool:
         """Cache a diagnosis computed at ``store_revision``.
 
         ``store_revision`` is the store's revision *before* the
@@ -117,63 +92,38 @@ class ResultCache:
         relevant record landed during the computation, or when the
         store's change log can no longer prove there wasn't one.
         """
-        footprint = diagnosis.footprint if footprint is None else footprint
         with self._lock:
             self._catch_up()
-            _, landed = self._store.changes_since(store_revision)
-            if landed is None or footprint_hit(footprint, landed):
+            if self._footprints.landed_in(diagnosis.footprint, since=store_revision):
                 return False
-            if key in self._entries:
-                self._remove(key)
-            entry = CacheEntry(
-                diagnosis=diagnosis,
-                footprint=footprint,
-                store_revision=store_revision,
-            )
-            self._entries[key] = entry
-            for table, _, _ in footprint:
-                self._by_table.setdefault(table, {})[key] = None
+            self._entries.pop(key, None)
+            self._entries[key] = diagnosis
+            self._footprints.add(key, diagnosis.footprint)
             while len(self._entries) > self.capacity:
-                self._remove(next(iter(self._entries)))
+                self._footprints.discard(self._entries.popitem(last=False)[0])
             return True
 
     def _catch_up(self) -> None:
         """Evict the entries a record that landed since the last look
-        could change: one sweep over each touched table's entries, or
-        everything when the log cannot say.  Called under the lock."""
-        self._revision, landed = self._store.changes_since(self._revision)
-        if landed is None:
-            self.invalidate_all()
-            return
-        stale = {
-            key
-            for table in landed
-            for key in self._by_table.get(table, ())
-            if footprint_hit(self._entries[key].footprint, landed)
-        }
-        for key in stale:
-            self._remove(key)
-        if stale and self.metrics is not None:
-            self.metrics.cache_invalidations.increment(len(stale))
+        could change — everything when the log cannot say.  Called
+        under the lock."""
+        self._invalidate(self._footprints.catch_up())
 
     def invalidate_all(self) -> int:
-        """Drop everything (what the store's log can no longer vouch for)."""
+        """Drop everything; return how many entries went."""
         with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self._by_table.clear()
-        if count and self.metrics is not None:
-            self.metrics.cache_invalidations.increment(count)
-        return count
+            return self._invalidate(list(self._entries))
+
+    def _invalidate(self, keys: List[CacheKey]) -> int:
+        for key in keys:
+            del self._entries[key]
+            self._footprints.discard(key)
+        if keys and self.metrics is not None:
+            self.metrics.cache_invalidations.increment(len(keys))
+        return len(keys)
 
     def keys(self) -> List[CacheKey]:
         """Current cache keys, oldest first."""
         with self._lock:
             self._catch_up()
             return list(self._entries)
-
-    # ------------------------------------------------------------------
-
-    def _remove(self, key: CacheKey) -> None:
-        for table, _, _ in self._entries.pop(key).footprint:
-            self._by_table[table].pop(key, None)

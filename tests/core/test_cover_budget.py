@@ -40,8 +40,8 @@ def test_a_cached_cover_holds_its_footprint_as_a_tuple(monkeypatch):
     with traced_bytes() as held:
         sibling = app.engine.isolated()
         sibling.diagnose_all(symptoms)
-    covers = sibling._retrieval_cache.values()
-    assert len(covers) == 481
+    covers = sibling._footprints.reads.values()
+    assert len(covers) == len(sibling._retrieval_cache) == 481
     assert held.value / len(covers) <= bound, held.value / len(covers)
-    for _candidates, reads in covers:
+    for reads in covers:
         assert type(reads) is tuple and len(set(reads)) == len(reads)

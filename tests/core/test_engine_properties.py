@@ -5,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.collector.store import DataStore
-from repro.core.engine import (
-    EngineConfig, RcaEngine, footprint_hit, may_hit, note_reach,
-)
+from repro.core.engine import RcaEngine
+from repro.core.footprint import FootprintIndex, footprint_hit
 from repro.core.events import EventLibrary
 from repro.core.graph import DiagnosisGraph, DiagnosisRule
 from repro.core.locations import LocationType
@@ -83,7 +82,8 @@ class TestDeterminism:
 
 
 class TestFrontierCheck:
-    """``may_hit`` is a sound pre-check for a ``footprint_hit`` sweep."""
+    """The index's per-table reach is a sound pre-check for a
+    ``footprint_hit`` sweep of that table's keys."""
 
     tables = st.sampled_from(["ta", "tb", "tc"])
     bounds = st.one_of(st.just(float("-inf")), st.just(float("inf")), st.floats(-1e4, 1e4))
@@ -100,9 +100,11 @@ class TestFrontierCheck:
             tables, st.lists(st.floats(-1e4, 1e4), max_size=5).map(sorted), max_size=3
         ),
     )
-    def test_no_hit_without_may_hit(self, footprints, deltas):
-        reach = {}
-        for footprint in footprints:
-            note_reach(reach, footprint)
-        if any(footprint_hit(footprint, deltas) for footprint in footprints):
-            assert may_hit(deltas, reach)
+    def test_no_hit_outside_the_reach(self, footprints, deltas):
+        index = FootprintIndex(DataStore())
+        for key, footprint in enumerate(footprints):
+            index.add(key, footprint)
+        for table, points in deltas.items():
+            landed = {table: points}
+            if any(footprint_hit(footprint, landed) for footprint in footprints):
+                assert index._reached(table, points[0])

@@ -9,9 +9,8 @@ import pytest
 
 from repro.apps.bgp_flaps import BgpFlapApp
 from repro.collector import DataCollector
-from repro.core import engine as engine_module
-from repro.core import streaming as streaming_module
-from repro.core.engine import footprint_hit
+from repro.core import footprint as footprint_module
+from repro.core.footprint import FootprintIndex, footprint_hit
 from repro.core.streaming import FeedReplayer, StreamingConfig, StreamingRca
 from repro.platform import GrcaPlatform
 from repro.simulation.faults import FaultInjector
@@ -324,8 +323,7 @@ class TestIncrementalRediagnosis:
             return (1200.0, 0.0, 2400.0)[zlib.crc32(line.encode()) % 3]
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "may_hit", lambda deltas, reach: True)
-            patch.setattr(streaming_module, "may_hit", lambda deltas, reach: True)
+            patch.setattr(FootprintIndex, "_reached", lambda self, table, oldest: True)
             twin, by_twin = _staged_run(
                 make_live_setup(), StreamingConfig(), clear_everything=True,
                 delay=delay,
@@ -347,8 +345,7 @@ class TestIncrementalRediagnosis:
             swept.append(reads)
             return footprint_hit(reads, deltas)
 
-        monkeypatch.setattr(engine_module, "footprint_hit", counted)
-        monkeypatch.setattr(streaming_module, "footprint_hit", counted)
+        monkeypatch.setattr(footprint_module, "footprint_hit", counted)
         streaming, collected = _staged_run(make_live_setup(), StreamingConfig())
         assert len(collected) == 4
         assert streaming.invalidated_count == streaming.reopened_count == 0

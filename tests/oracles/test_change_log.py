@@ -31,13 +31,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collector import store as store_module
 from repro.collector.store import DataStore, Record
-from repro.core.engine import RcaEngine, footprint_hit
+from repro.core.engine import RcaEngine
 from repro.core.events import (
     EventDefinition,
     EventInstance,
     EventLibrary,
     RetrievalContext,
 )
+from repro.core.footprint import footprint_hit
 from repro.core.graph import DiagnosisGraph, DiagnosisRule
 from repro.core.locations import Location, LocationType
 from repro.core.spatial import JoinLevel, LocationResolver, SpatialJoinRule
@@ -362,5 +363,6 @@ def test_result_cache_never_serves_what_a_landed_row_hits(ops):
                         served.footprint, landed_after(served.started)
                     )
             assert cache.keys() == list(model)
-            index = {k for keys in cache._by_table.values() for k in keys}
+            index = {k for keys in cache._footprints._by_table.values() for k in keys}
             assert index <= set(model)
+            assert set(cache._footprints.reads) == set(model)

@@ -67,7 +67,7 @@ class TestLookupAndStore:
         cache.store(key, FakeDiagnosis("v2", (("ta", 0.0, 10.0),)), 0)
         assert len(cache) == 1
         assert cache.lookup(key).label == "v2"
-        assert list(cache._by_table["ta"]) == [key]
+        assert list(cache._footprints._by_table["ta"]) == [key]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestLru:
         second = cache_key("app", symptom(2000.0), "fp")
         cache.store(first, FakeDiagnosis("0", (("ta", 0.0, 10.0),)), 0)
         cache.store(second, FakeDiagnosis("1", (("ta", 20.0, 30.0),)), 0)
-        assert first not in cache._by_table["ta"]
+        assert first not in cache._footprints._by_table["ta"]
 
     def test_churn_of_two_window_footprints_leaks_no_index_key(self):
         # two disjoint windows on one table index the key once, not
@@ -111,8 +111,8 @@ class TestLru:
             key = cache_key("app", symptom(1000.0 + 100 * i), "fp")
             assert cache.store(key, FakeDiagnosis(str(i), footprint), 0)
         assert len(cache) == 2
-        assert sorted(cache._by_table["ta"]) == sorted(cache.keys())
-        assert sum(len(keys) for keys in cache._by_table.values()) <= cache.capacity
+        assert sorted(cache._footprints._by_table["ta"]) == sorted(cache.keys())
+        assert sum(len(keys) for keys in cache._footprints._by_table.values()) <= cache.capacity
 
 
 class TestInvalidation:
