@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
@@ -97,39 +98,54 @@ def bucket_window(
 class CoverIndex:
     """Cached cover windows of one event, with O(log n) containment lookup.
 
-    Windows sorted by their low edge plus a running max (and argmax) of
-    the high edges: the rightmost cover starting at or before a query's
-    low edge bounds the candidates, and the first prefix position whose
-    running max reaches the query's high edge names a containing cover.
+    Windows sorted by their low edge (equal ones in the order added)
+    plus a running max of the high edges: the rightmost cover starting
+    at or before a query's low edge bounds the candidates, and the first
+    prefix position whose running max reaches the query's high edge is
+    a containing cover (the max rises there, so that cover holds it).
     """
 
-    __slots__ = ("_los", "_his", "_max", "_arg")
+    __slots__ = ("_los", "_his", "_max")
 
     def __init__(self) -> None:
         self._los: List[float] = []
         self._his: List[float] = []
         self._max: List[float] = []
-        self._arg: List[int] = []
 
     def __iter__(self):
         return iter(zip(self._los, self._his))
 
+    def __len__(self) -> int:
+        return len(self._los)
+
     def add(self, lo: float, hi: float) -> None:
-        """Insert one cover window; O(n - insertion point)."""
+        """Insert one cover window, after those with the same low edge;
+        O(n - insertion point), in C."""
         i = bisect.bisect_right(self._los, lo)
         self._los.insert(i, lo)
         self._his.insert(i, hi)
-        # rebuild the running max/argmax from the insertion point only
-        del self._max[i:]
-        del self._arg[i:]
-        best = self._max[-1] if self._max else float("-inf")
-        arg = self._arg[-1] if self._arg else -1
-        for p in range(i, len(self._his)):
-            if self._his[p] > best:
-                best = self._his[p]
-                arg = p
-            self._max.append(best)
-            self._arg.append(arg)
+        # _rerun(i), inline: every cached retrieval comes through here
+        running = self._max
+        running[i:] = itertools.accumulate(
+            self._his[i:], max, initial=running[i - 1] if i else float("-inf")
+        )
+        del running[i]
+
+    def remove(self, lo: float, hi: float) -> None:
+        """Remove one cover window; ``ValueError`` when it is not held."""
+        los = self._los
+        first = bisect.bisect_left(los, lo)
+        i = self._his.index(hi, first, bisect.bisect_right(los, lo, first))
+        del los[i], self._his[i]
+        self._rerun(i)
+
+    def _rerun(self, i: int) -> None:
+        """Recompute the running max from position ``i`` on."""
+        running = self._max
+        running[i:] = itertools.accumulate(
+            self._his[i:], max, initial=running[i - 1] if i else float("-inf")
+        )
+        del running[i]  # the initial value
 
     def find(self, lo: float, hi: float) -> Optional[Tuple[float, float]]:
         """A stored cover containing ``[lo, hi]``, or None; O(log n)."""
@@ -137,8 +153,7 @@ class CoverIndex:
         if i < 0 or self._max[i] < hi:
             return None
         p = bisect.bisect_left(self._max, hi, 0, i + 1)
-        k = self._arg[p]
-        return (self._los[k], self._his[k])
+        return (self._los[p], self._his[p])
 
 
 class PlanStep(NamedTuple):
@@ -684,14 +699,16 @@ class RcaEngine:
         return self._drop_retrievals(self._footprints.forget_before(cutoff))
 
     def _drop_retrievals(self, stale: List[Tuple[str, float, float]]) -> int:
-        """Remove cache entries, rebuild the cover indexes; return the count."""
+        """Remove cache entries and their covers; return the count."""
+        covers = self._covers
         for key in stale:
             del self._retrieval_cache[key]
             self._footprints.discard(key)
-        if stale:
-            self._covers = defaultdict(CoverIndex)
-            for event_name, lo, hi in self._retrieval_cache:
-                self._covers[event_name].add(lo, hi)
+            event_name, lo, hi = key
+            index = covers[event_name]
+            index.remove(lo, hi)
+            if not index:
+                del covers[event_name]
         return len(stale)
 
     def isolated(self) -> "RcaEngine":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .diagnosis import FootprintEntry
@@ -67,31 +68,62 @@ def footprint_hit(
 
 
 class _Retained(dict):
-    """A dict that knows a lower bound of its entries' ends
-    (``end_of(key, value)``), so :meth:`forget_before` — called on every
-    streaming advance — returns at once while nothing kept has fallen
-    behind the horizon."""
+    """A dict that keeps its keys ordered by their ends (``end_of(key,
+    value)``, read when an entry is set), so :meth:`forget_before` —
+    called on every streaming advance — costs what it drops: one bisect
+    finds the entries behind the horizon, and while nothing kept has
+    fallen behind it, one comparison answers.  Entries that never end
+    (``inf``, or NaN) are not ordered.
+
+    Popping or replacing an entry leaves its place in the order behind;
+    :meth:`forget_before` skips such places, and :meth:`pop` rebuilds the
+    order once they outnumber the live entries.
+    """
 
     def __init__(self, end_of: Callable[[Hashable, Any], float]) -> None:
         super().__init__()
         self._end_of = end_of
-        self._oldest = INF
+        #: ends, ascending, and the key each belongs to
+        self._ends: List[float] = []
+        self._keys: List[Hashable] = []
 
     def __setitem__(self, key, value) -> None:
-        end = self._end_of(key, value)
-        if end < self._oldest:
-            self._oldest = end
         dict.__setitem__(self, key, value)
+        end = self._end_of(key, value)
+        if end < INF:
+            ends = self._ends
+            i = bisect.bisect_right(ends, end)
+            ends.insert(i, end)
+            self._keys.insert(i, key)
+
+    def pop(self, key, *default):
+        value = dict.pop(self, key, *default)
+        if len(self._ends) > 2 * len(self) + 64:
+            self._rebuild()
+        return value
+
+    def _rebuild(self) -> None:
+        end_of = self._end_of
+        order = sorted(((end_of(k, v), k) for k, v in self.items()), key=itemgetter(0))
+        order = [item for item in order if item[0] < INF]
+        self._ends = [end for end, _key in order]
+        self._keys = [key for _end, key in order]
 
     def forget_before(self, horizon: float) -> Dict[Hashable, Any]:
-        """Delete the entries that ended before ``horizon``; return them."""
-        if self._oldest >= horizon:
+        """Delete the entries that ended before ``horizon``; return them,
+        oldest end first."""
+        ends = self._ends
+        if not ends or ends[0] >= horizon:
             return {}
+        k = bisect.bisect_left(ends, horizon)
+        behind = zip(ends[:k], self._keys[:k])
+        del ends[:k], self._keys[:k]
         end_of = self._end_of
-        dropped = {k: v for k, v in self.items() if end_of(k, v) < horizon}
-        for key in dropped:
-            del self[key]
-        self._oldest = min((end_of(k, v) for k, v in self.items()), default=INF)
+        dropped = {}
+        for end, key in behind:
+            # skip a place left behind by a pop or a replacement
+            if key in self and end_of(key, self[key]) == end:
+                dropped[key] = dict.pop(self, key)
         return dropped
 
 

@@ -41,7 +41,10 @@ Design points:
 
 from __future__ import annotations
 
+import bisect
 import gc
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -298,36 +301,97 @@ class StreamingRca:
             del self._settled[key]
 
 
+class _Column:
+    """One source's undelivered lines, in arrival order."""
+
+    __slots__ = ("stamps", "lines", "position")
+
+    def __init__(self, stamps: array, lines: List[str]) -> None:
+        self.stamps = stamps
+        self.lines = lines
+        #: first undelivered line
+        self.position = 0
+
+
 class FeedReplayer:
     """Replays a (time, source, line) stream into a collector in steps.
 
     A test/demo harness standing in for live feed transports: call
-    :meth:`deliver_until` to push everything stamped before a cutoff
-    through the Data Collector's parsers, then advance the
+    :meth:`deliver_until` to push everything stamped at or before a
+    cutoff through the Data Collector's parsers, then advance the
     :class:`StreamingRca` with the same cutoff.
+
+    The stream is kept per source, in arrival order: the stamps in an
+    ``array('d')`` and the lines in a list, so the caller's tuples are
+    not kept.  Lines are delivered in ``(time, source)`` order, equal
+    stamps of one source in stream order.  A column drops what it has
+    delivered once that is half of it or more (all of it when the source
+    is delivered to its end), so the replayer holds the undelivered
+    lines and at most as many delivered ones.
+
+    An item is refused at construction, with a ``ValueError`` naming
+    it, when its source has no parser in the collector or its stamp is
+    not finite (NaN, ±inf): no line of such a stream is delivered.
     """
 
     def __init__(self, collector, stream: Iterable[Tuple[float, str, str]]) -> None:
         self.collector = collector
-        self._stream = sorted(stream, key=lambda item: (item[0], item[1]))
-        self._position = 0
+        self._columns = self._split(collector.parsers, stream)
+        self._pending = sum(len(column.lines) for column in self._columns.values())
+
+    @staticmethod
+    def _split(parsers, stream: Iterable[Tuple[float, str, str]]) -> Dict[str, _Column]:
+        by_source: Dict[str, Tuple[List[float], List[str]]] = {}
+        for stamp, source, line in stream:
+            try:
+                stamps, lines = by_source[source]
+            except KeyError:
+                if source not in parsers:
+                    item = (stamp, source, line)
+                    raise ValueError(
+                        f"stream item {item!r}: no parser for source {source!r}"
+                    ) from None
+                stamps, lines = by_source[source] = ([], [])
+            stamps.append(stamp)
+            lines.append(line)
+        columns = {}
+        for source, (stamps, lines) in by_source.items():
+            if not math.isfinite(sum(stamps)):  # NaN and ±inf survive the sum
+                for stamp, line in zip(stamps, lines):
+                    if not math.isfinite(stamp):
+                        item = (stamp, source, line)
+                        raise ValueError(f"stream item {item!r}: timestamp is not finite")
+            ordered = sorted(stamps)
+            if ordered != stamps:  # stable: equal stamps keep stream order
+                order = sorted(range(len(stamps)), key=stamps.__getitem__)
+                lines = [lines[k] for k in order]
+            columns[source] = _Column(array("d", ordered), lines)
+        return columns
 
     @property
     def pending(self) -> int:
-        return len(self._stream) - self._position
+        return self._pending
 
     def deliver_until(self, cutoff: float) -> int:
         """Ingest every line stamped at or before ``cutoff``."""
-        delivered = 0
-        by_source: Dict[str, List[str]] = {}
-        while self._position < len(self._stream):
-            timestamp, source, line = self._stream[self._position]
-            if timestamp > cutoff:
-                break
-            by_source.setdefault(source, []).append(line)
-            self._position += 1
-            delivered += 1
-        for source, lines in by_source.items():
+        due = []
+        for source, column in self._columns.items():
+            position = column.position
+            end = bisect.bisect_right(column.stamps, cutoff, position)
+            if end > position:
+                due.append((column.stamps[position], source, column, end))
+        due.sort()  # by first due stamp, then by name (names are unique)
+        batches = []
+        for _first, source, column, end in due:
+            batches.append((source, column.lines[column.position:end]))
+            if 2 * end >= len(column.lines):
+                del column.stamps[:end], column.lines[:end]
+                column.position = 0
+            else:
+                column.position = end
+        delivered = sum(len(lines) for _source, lines in batches)
+        self._pending -= delivered
+        for source, lines in batches:
             # the cutoff is the observation clock: feeds whose newest
             # record trails it are genuinely behind
             self.collector.ingest(source, lines, now=cutoff)

@@ -14,12 +14,16 @@ the store's change log bounded to a few rows:
   before the horizon;
 * ``landed_in`` is the same filter for one footprint and revision;
 * what the index holds, per key and per table, is what the model holds.
+
+``_Retained``, the index's end-ordered storage, is held to the same
+filter alone over long runs of sets and deletes on a few keys, so the
+places they leave behind in its end order pile up past a rebuild.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.collector.store import DataStore, Record
-from repro.core.footprint import FootprintIndex
+from repro.core.footprint import FootprintIndex, _Retained
 
 from ..oracles.test_change_log import BOUND, retained_from, small_log
 
@@ -139,3 +143,40 @@ def test_a_row_at_the_edges_of_a_read_is_a_hit():
     assert index.catch_up() == ["low"]
     store.table("ta").insert_many([Record.make(250.5), Record.make(175.0)])
     assert index.catch_up() == []
+
+
+#: mostly sets; ends 50 and 75 outlive every horizon, so the places
+#: their re-sets leave behind pile up
+RETAINED_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["set"] * 8 + ["pop", "forget"]),
+        KEYS,
+        st.sampled_from([0.0, 50.0, 75.0, float("inf")]),
+        st.sampled_from([-1.0, 10.0, 30.0]),
+    ),
+    min_size=300,
+    max_size=500,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=RETAINED_OPS)
+def test_retained_forgets_exactly_what_ended_before_the_horizon(ops):
+    # long runs of re-sets and deletes on six keys: what a delete or a
+    # replacement leaves in the end order piles up past the rebuild
+    # threshold, and forget_before must skip it, before and after
+    retained = _Retained(lambda _key, end: end)
+    model = {}
+    for op, key, end, horizon in ops:
+        if op == "set":
+            retained[key] = model[key] = end
+        elif op == "pop":
+            assert retained.pop(key, None) == model.pop(key, None)
+        else:
+            want = {key: end for key, end in model.items() if end < horizon}
+            got = retained.forget_before(horizon)
+            assert got == want
+            assert sorted(got.values()) == list(got.values())  # oldest first
+            for key in want:
+                del model[key]
+        assert dict(retained) == model

@@ -18,12 +18,13 @@ from repro.simulation.telemetry import BASE_EPOCH, TelemetryEmitter
 from repro.topology import TopologyParams, build_topology
 
 
-def make_live_setup():
+def make_live_setup(edit=None):
     """A topology, a stream of injected telemetry, and a streaming app.
 
     Deterministic: two calls build byte-identical pipelines, so tests
     can hold an incremental run against an independent full-replay
-    oracle."""
+    oracle.  ``edit`` maps the telemetry stream (a list of ``(time,
+    source, line)``) to the one the replayer is built over."""
     topo = build_topology(
         TopologyParams(n_pops=3, pers_per_pop=2, customers_per_per=4, seed=88)
     )
@@ -43,7 +44,10 @@ def make_live_setup():
         collector.registry.register_device(router.name, router.timezone)
     platform = GrcaPlatform.from_collector(topo, collector, config_time=BASE_EPOCH)
     app = BgpFlapApp.build(platform)
-    replayer = FeedReplayer(collector, emitter.buffers.replay_order())
+    stream = emitter.buffers.replay_order()
+    if edit is not None:
+        stream = edit(stream)
+    replayer = FeedReplayer(collector, stream)
     return topo, app, replayer, truths, t
 
 
@@ -133,6 +137,29 @@ class TestFeedReplayer:
     def test_nothing_delivered_before_start(self, live_setup):
         _topo, _app, replayer, _truths, t0 = live_setup
         assert replayer.deliver_until(t0 - 7200.0) == 0
+
+    def test_a_source_without_a_parser_is_refused_before_anything_lands(self):
+        # the replayer used to find out inside deliver_until, after its
+        # cursor had passed the whole tick: the ospfmon line sharing the
+        # tick never landed, and a second call delivered nothing
+        from repro.collector.sources.ospfmon import render_ospfmon_row
+
+        collector = DataCollector()
+        line = render_ospfmon_row(10.0, "nyc-per1:se0/0~chi-per1:se0/0", 20)
+        stream = [(10.0, "ospfmon", line), (10.0, "nosuch", "x y z")]
+        with pytest.raises(ValueError, match=r"\(10\.0, 'nosuch', 'x y z'\).*'nosuch'"):
+            FeedReplayer(collector, stream)
+        replayer = FeedReplayer(collector, stream[:1])
+        assert replayer.deliver_until(10.0) == 1
+        assert len(collector.store.table("ospfmon")) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_a_stamp_that_is_not_finite_is_refused(self, bad):
+        # a NaN stamp broke the sort: [5.0, nan, 1.0] stayed in that order
+        collector = DataCollector()
+        stream = [(5.0, "ospfmon", "a"), (bad, "ospfmon", "b"), (1.0, "ospfmon", "c")]
+        with pytest.raises(ValueError, match=rf"\({bad}, 'ospfmon', 'b'\).*not finite"):
+            FeedReplayer(collector, stream)
 
 
 class TestPlatformRefresh:
@@ -259,27 +286,36 @@ class TestWatermarkDeferral:
         assert registry.state("snmp").value == "down"
 
 
-def _staged_run(setup, config, withhold=None, clear_everything=False, delay=None):
+def withholding(predicate, held):
+    """A :func:`make_live_setup` edit: keeps the telemetry lines that
+    match ``predicate`` out of the replay and appends them to ``held``,
+    for the caller to deliver late by hand."""
+
+    def edit(stream):
+        held.extend(entry for entry in stream if predicate(entry))
+        return [entry for entry in stream if not predicate(entry)]
+
+    return edit
+
+
+def delaying(delay):
+    """A :func:`make_live_setup` edit: ``delay`` maps a telemetry entry
+    to how many seconds late (and so out of order) the replay delivers
+    it."""
+    return lambda stream: [
+        (entry[0] + delay(entry),) + entry[1:] for entry in stream
+    ]
+
+
+def _staged_run(setup, config, clear_everything=False):
     """Drive a streaming run in 900 s ticks; return (rca, diagnoses).
 
-    ``withhold`` keeps matching telemetry lines out of the replay; the
-    caller delivers them late by hand.  ``delay`` maps a telemetry entry
-    to how many seconds late (and so out of order) the replay delivers
-    it.  ``clear_everything`` empties the
-    engine's retrieval cache before every advance: the obviously-correct
-    cache discipline (nothing cached can be stale) that delta
-    invalidation and horizon eviction must be indistinguishable from.
+    ``clear_everything`` empties the engine's retrieval cache before
+    every advance: the obviously-correct cache discipline (nothing
+    cached can be stale) that delta invalidation and horizon eviction
+    must be indistinguishable from.
     """
     _topo, app, replayer, _truths, t0 = setup
-    if withhold is not None:
-        replayer._stream = [
-            entry for entry in replayer._stream if not withhold(entry)
-        ]
-    if delay is not None:
-        replayer._stream = sorted(
-            ((entry[0] + delay(entry),) + entry[1:] for entry in replayer._stream),
-            key=lambda entry: entry[:2],
-        )
     streaming = StreamingRca(app.engine, config, start=t0 - 600.0)
     collected = []
     now = t0 - 600.0
@@ -325,11 +361,11 @@ class TestIncrementalRediagnosis:
         with monkeypatch.context() as patch:
             patch.setattr(FootprintIndex, "_reached", lambda self, table, oldest: True)
             twin, by_twin = _staged_run(
-                make_live_setup(), StreamingConfig(), clear_everything=True,
-                delay=delay,
+                make_live_setup(delaying(delay)), StreamingConfig(),
+                clear_everything=True,
             )
         streaming, collected = _staged_run(
-            make_live_setup(), StreamingConfig(), delay=delay
+            make_live_setup(delaying(delay)), StreamingConfig()
         )
         assert collected == by_twin  # re-emitted corrections included
         assert streaming.reopened_count == twin.reopened_count > 0
@@ -386,13 +422,11 @@ class TestIncrementalRediagnosis:
         )
         by_oracle = {d.symptom.interval: d for d in oracle_diagnoses}
 
-        setup = make_live_setup()
+        held = []
+        setup = make_live_setup(withholding(lambda e: "CPUHOG" in e[2], held))
         _topo2, app, replayer, _truths, _t0 = setup
-        held = [e for e in replayer._stream if "CPUHOG" in e[2]]
         assert len(held) == 1
-        streaming, collected = _staged_run(
-            setup, StreamingConfig(), withhold=lambda e: "CPUHOG" in e[2]
-        )
+        streaming, collected = _staged_run(setup, StreamingConfig())
         assert len(collected) == len(truths)
         cpu_truth = next(t for t in truths if t.cause == "CPU high (spike)")
         wrong = next(
@@ -421,12 +455,10 @@ class TestIncrementalRediagnosis:
         # the early-return path (watermark unchanged) must still drain
         # deltas and process re-opens: a late record with no new symptom
         # is exactly the hard case
-        setup = make_live_setup()
+        held = []
+        setup = make_live_setup(withholding(lambda e: "CPUHOG" in e[2], held))
         _topo, app, replayer, truths, t0 = setup
-        held = [e for e in replayer._stream if "CPUHOG" in e[2]]
-        streaming, collected = _staged_run(
-            setup, StreamingConfig(), withhold=lambda e: "CPUHOG" in e[2]
-        )
+        streaming, collected = _staged_run(setup, StreamingConfig())
         assert len(collected) == len(truths)
         watermark = streaming.watermark
         FeedReplayer(replayer.collector, held).deliver_until(t0 + 20000.0)
@@ -495,12 +527,10 @@ class TestIncrementalRediagnosis:
         # a stream registers nothing with the store, so there is nothing
         # to detach: closed or merely dropped, ingest goes on without it
         # and the engine it used keeps syncing itself
-        setup = make_live_setup()
+        held = []
+        setup = make_live_setup(withholding(lambda e: "CPUHOG" in e[2], held))
         _topo, app, replayer, truths, t0 = setup
-        held = [e for e in replayer._stream if "CPUHOG" in e[2]]
-        streaming, collected = _staged_run(
-            setup, StreamingConfig(), withhold=lambda e: "CPUHOG" in e[2]
-        )
+        streaming, collected = _staged_run(setup, StreamingConfig())
         cpu_truth = next(t for t in truths if t.cause == "CPU high (spike)")
         wrong = next(
             d for d in collected

@@ -92,9 +92,8 @@ def world(topology, symptoms):
 
 
 def late_into_few(store):
-    # behind the reach of ``few``'s reads, between the first two windows:
-    # a row that hit a cover would make the engine rebuild its whole
-    # cover index, which is not what this gate counts
+    # behind the reach of ``few``'s reads, between the first two windows
+    # (a row inside a cover is ``test_stream_path.py``'s case)
     store.insert("few", T0 + STEP / 2, router=ROUTER)
 
 

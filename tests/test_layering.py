@@ -88,7 +88,13 @@ def test_ingest_runs_no_engine_or_service_frame():
     from repro.core.streaming import StreamingRca
     from repro.service import RcaService
 
-    _topo, app, replayer, _truths, t0 = make_live_setup()
+    stream = []
+
+    def capture(lines):
+        stream.extend(lines)
+        return lines
+
+    _topo, app, replayer, _truths, t0 = make_live_setup(capture)
     streaming = StreamingRca(app.engine, start=t0 - 600.0)
     service = RcaService(app.engine.store, workers=1)
     service.register_app("bgp", app)
@@ -111,9 +117,11 @@ def test_ingest_runs_no_engine_or_service_frame():
         ).outcome(timeout=30.0)
         assert len(service.cache) == 1  # both consumers hold cached state
         rest = {}
-        for _time, source, line in replayer._stream[-replayer.pending:]:
-            rest.setdefault(source, []).append(line)
+        for stamp, source, line in stream:
+            if stamp > t0 + 4000.0:
+                rest.setdefault(source, []).append(line)
         delivered = sum(map(len, rest.values()))
+        assert delivered == replayer.pending
         sys.setprofile(watch)  # this thread only: the one that ingests
         try:
             for source, lines in rest.items():
